@@ -9,9 +9,12 @@ Layers, bottom to top:
   eaqec       ebit counts (two routes) and [[n,k,d;c]]_q assembly
   families    the three verified constructions and the published tables
   cli         command-line front end
+
+Matrices and codes hold enc integers and compute with the field's enc-level
+operations; Element is the API-boundary type (M[i, j], codewords()).
 """
 from .errors import CodingError
-from .gf import Element, FieldSpec, enumerate_elements, field_new, frobenius, galois_form, primitive_element
+from .gf import Element, FieldSpec, field_new, frobenius, galois_form
 from .fmatrix import FMatrix
 from .lincode import (DistanceReport, LinearCode, MdsReport, code_frobenius,
                       euclidean_dual, from_generator, from_parity_check,
@@ -19,7 +22,7 @@ from .lincode import (DistanceReport, LinearCode, MdsReport, code_frobenius,
                       intersection_dim, is_mds, min_distance)
 from .rankmetric import (MooreSpec, MrdReport, is_mrd, linearly_independent_over_base,
                          min_rank_distance_exhaustive, moore_matrix, rank_weight)
-from .eaqec import EaqecParams, PairReport, assemble, ebits_product, ebits_stack, singleton_slack
+from .eaqec import EaqecParams, PairReport, assemble, ebits_product, ebits_stack
 from .families import (TABLE1_ROWS, TABLE2_ROWS, FamilyCertificate, GrsSpec,
                        gabidulin_family, grs_extended_family,
                        grs_extended_generator, grs_extended_spec, table1,

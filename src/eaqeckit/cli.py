@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import random
 import sys
@@ -162,14 +163,15 @@ def cmd_table(args, cfg: CliConfig) -> int:
 
 def cmd_ebits(args, cfg: CliConfig) -> int:
     try:
-        G1 = FMatrix.from_text(open(args.g1_file).read())
-        H2 = FMatrix.from_text(open(args.h2_file).read())
+        with open(args.g1_file) as fh:
+            G1 = FMatrix.from_text(fh.read())
+        with open(args.h2_file) as fh:
+            H2 = FMatrix.from_text(fh.read())
         C1 = from_generator(G1, allow_zero=True)
         C2 = from_parity_check(H2)
         c_product = ebits_product(C1, C2, args.s)
         c_stack = ebits_stack(C1, C2, args.s)
-    except (errors.FieldMismatch, errors.LengthMismatch, errors.ShapeMismatch,
-            OSError, ValueError) as exc:
+    except (errors.CodingError, OSError, ValueError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     agree = c_product == c_stack
@@ -184,7 +186,8 @@ def cmd_ebits(args, cfg: CliConfig) -> int:
 
 def cmd_verify(args, cfg: CliConfig) -> int:
     try:
-        code = LinearCode.from_text(open(args.code_file).read())
+        with open(args.code_file) as fh:
+            code = LinearCode.from_text(fh.read())
     except (errors.CodingError, OSError, ValueError) as exc:
         print(f"bad input: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -237,15 +240,17 @@ def cmd_selftest(args, cfg: CliConfig) -> int:
                 print(f"trial {trial}: formula mismatch product={cp} stack={cs}",
                       file=sys.stderr)
             dual_direct = galois_dual(C1, s)
-            dual_frob = from_generator(
-                C1.H.frobenius_entrywise((field.e - s) % field.e), allow_zero=True)
-            if dual_direct.G != dual_frob.G:
+            # independent route: x is in the twisted dual iff G^(p^(e-s)) x^T = 0
+            dual_check = from_parity_check(
+                C1.G.frobenius_entrywise((field.e - s) % field.e))
+            if dual_direct.G != dual_check.G:
                 failures += 1
                 print(f"trial {trial}: dual route mismatch", file=sys.stderr)
     print(f"selftest: {args.trials} trials, {failures} failures (seed={cfg.seed})")
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="eaqeckit",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from . import errors
 from .gf import FieldSpec
-from .lincode import DistanceReport, LinearCode
+from .lincode import DistanceReport, LinearCode, check_pair
 
 
 @dataclass(frozen=True)
@@ -60,16 +60,9 @@ class PairReport:
     params: EaqecParams
 
 
-def _check_pair(C1: LinearCode, C2: LinearCode) -> None:
-    if C1.field != C2.field:
-        raise errors.FieldMismatch("codes over different fields")
-    if C1.n != C2.n:
-        raise errors.LengthMismatch(f"lengths {C1.n} and {C2.n} differ")
-
-
 def ebits_product(C1: LinearCode, C2: LinearCode, s: int) -> int:
     """rank(H1 (H2^(p^(e-s)))^T)."""
-    _check_pair(C1, C2)
+    check_pair(C1, C2)
     e = C1.field.e
     H2t = C2.H.frobenius_entrywise((e - s) % e)
     return (C1.H @ H2t.transpose()).rank()
@@ -77,15 +70,10 @@ def ebits_product(C1: LinearCode, C2: LinearCode, s: int) -> int:
 
 def ebits_stack(C1: LinearCode, C2: LinearCode, s: int) -> int:
     """rank(G1 over H2^(p^(e-s))) - k1."""
-    _check_pair(C1, C2)
+    check_pair(C1, C2)
     e = C1.field.e
     H2t = C2.H.frobenius_entrywise((e - s) % e)
     return C1.G.vstack(H2t).rank() - C1.k
-
-
-def singleton_slack(params: EaqecParams) -> int:
-    """(n - k + c) - 2(d - 1); zero exactly for the distance-optimal tuples."""
-    return (params.n - params.k + params.c) - 2 * (params.d - 1)
 
 
 def assemble(C1: LinearCode, C2: LinearCode, s: int,
@@ -95,7 +83,7 @@ def assemble(C1: LinearCode, C2: LinearCode, s: int,
     Both c formulas are evaluated; disagreement raises FormulaMismatch since
     it can only mean a defect in the linear algebra underneath.
     """
-    _check_pair(C1, C2)
+    check_pair(C1, C2)
     if not isinstance(d1, DistanceReport) or not isinstance(d2, DistanceReport):
         raise errors.FormulaMismatch("assemble requires certified DistanceReports")
     c_product = ebits_product(C1, C2, s)

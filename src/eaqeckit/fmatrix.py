@@ -1,34 +1,35 @@
 """Dense exact matrices over a single finite field.
 
-Matrices are value objects: every operation returns a new matrix and no
-mutation is observable through the public surface.  Pivoting during
-elimination always takes the first nonzero entry scanning top to bottom,
-so reduced row echelon forms (and everything derived from them) are
-deterministic.
+Entries are stored as enc integers in [0, q) and every operation computes
+with the field's enc-level arithmetic; Element appears only at the API
+boundary (``M[i, j]``).  Matrices are value objects: every operation returns
+a new matrix and no mutation is observable through the public surface.
+Pivoting during elimination always takes the first nonzero entry scanning
+top to bottom, so reduced row echelon forms (and everything derived from
+them) are deterministic.
 
 Text format (bit-exact round trip):
     line 1:  "p e rows cols"
     line 2:  modulus coefficients c_0 .. c_{e-1}, space separated
-    then one line per row of enc values, space separated
+    then one line per row of enc values in [0, q), space separated
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import errors
 from .gf import Element, FieldSpec
 
 
 class FMatrix:
-    """Dense matrix over one FieldSpec, stored row-major as Element tuples."""
+    """Dense matrix over one FieldSpec, stored row-major as tuples of enc ints."""
 
     __slots__ = ("field", "nrows", "ncols", "rows", "_rref")
 
     def __init__(self, field: FieldSpec, rows: Iterable[Iterable], ncols: int | None = None):
-        self.field = field
-        converted = []
-        for row in rows:
-            converted.append(tuple(field.element(x) for x in row))
+        """Entries may be Elements of field, ints (reduced mod q) or coefficient sequences."""
+        to_enc = field.to_enc
+        converted = [tuple(map(to_enc, row)) for row in rows]
         if converted:
             ncols_seen = {len(r) for r in converted}
             if len(ncols_seen) != 1:
@@ -39,22 +40,31 @@ class FMatrix:
             ncols = width
         elif ncols is None:
             raise errors.ShapeMismatch("empty matrix needs an explicit column count")
-        self.rows = tuple(converted)
+        self._set(field, converted, ncols)
+
+    def _set(self, field: FieldSpec, rows, ncols: int) -> None:
+        self.field = field
+        self.rows = tuple(map(tuple, rows))
         self.nrows = len(self.rows)
         self.ncols = ncols
         self._rref = None
+
+    @classmethod
+    def _of(cls, field: FieldSpec, rows, ncols: int) -> "FMatrix":
+        """Matrix from rows of enc ints already in [0, q), without checks."""
+        m = cls.__new__(cls)
+        m._set(field, rows, ncols)
+        return m
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "FMatrix":
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols)
+        return cls._of(field, [[0] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field: FieldSpec, n: int) -> "FMatrix":
-        z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)], n)
+        return cls._of(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     # -- basics ---------------------------------------------------------------
 
@@ -64,13 +74,7 @@ class FMatrix:
 
     def __getitem__(self, ij) -> Element:
         i, j = ij
-        return self.rows[i][j]
-
-    def row(self, i: int) -> tuple[Element, ...]:
-        return self.rows[i]
-
-    def col(self, j: int) -> tuple[Element, ...]:
-        return tuple(r[j] for r in self.rows)
+        return self.field.element(self.rows[i][j])
 
     def __eq__(self, other):
         return (isinstance(other, FMatrix) and self.field == other.field
@@ -84,10 +88,10 @@ class FMatrix:
 
     def encs(self) -> list[list[int]]:
         """Entries as enc integers, row-major."""
-        return [[x.enc for x in r] for r in self.rows]
+        return [list(r) for r in self.rows]
 
     def is_zero(self) -> bool:
-        return all(not x for r in self.rows for x in r)
+        return not any(map(any, self.rows))
 
     # -- elimination ------------------------------------------------------------
 
@@ -95,6 +99,8 @@ class FMatrix:
         """Reduced row echelon form, rank and pivot columns."""
         if self._rref is not None:
             return self._rref
+        f = self.field
+        sub, mul = f.sub, f.mul
         work = [list(r) for r in self.rows]
         pivots = []
         r = 0
@@ -107,18 +113,17 @@ class FMatrix:
             if piv is None:
                 continue
             work[r], work[piv] = work[piv], work[r]
-            inv = work[r][c].inverse()
-            work[r] = [x * inv for x in work[r]]
-            prow = work[r]
+            inv = f.inv(work[r][c])
+            prow = work[r] = [mul(x, inv) for x in work[r]]
             for i in range(len(work)):
-                if i != r and work[i][c]:
-                    f = work[i][c]
-                    work[i] = [x - f * y for x, y in zip(work[i], prow)]
+                fac = work[i][c]
+                if i != r and fac:
+                    work[i] = [sub(x, mul(fac, y)) for x, y in zip(work[i], prow)]
             pivots.append(c)
             r += 1
             if r == len(work):
                 break
-        R = FMatrix(self.field, work, self.ncols)
+        R = FMatrix._of(f, work, self.ncols)
         result = (R, r, pivots)
         self._rref = result
         R._rref = result
@@ -130,7 +135,7 @@ class FMatrix:
     def row_basis(self) -> "FMatrix":
         """Canonical basis of the row space: the nonzero rows of the RREF."""
         R, rank, _ = self.rref()
-        return FMatrix(self.field, R.rows[:rank], self.ncols)
+        return FMatrix._of(self.field, R.rows[:rank], self.ncols)
 
     def kernel_basis(self) -> "FMatrix":
         """Canonical basis of the right kernel {x : self @ x^T = 0}.
@@ -139,18 +144,17 @@ class FMatrix:
         column order, so the result is deterministic.
         """
         R, rank, pivots = self.rref()
-        field = self.field
-        z, o = field.zero, field.one
+        neg = self.field.neg
         pivot_set = set(pivots)
         free = [c for c in range(self.ncols) if c not in pivot_set]
         basis = []
         for f in free:
-            v = [z] * self.ncols
-            v[f] = o
+            v = [0] * self.ncols
+            v[f] = 1
             for i, pc in enumerate(pivots):
-                v[pc] = -R.rows[i][f]
+                v[pc] = neg(R.rows[i][f])
             basis.append(v)
-        return FMatrix(field, basis, self.ncols)
+        return FMatrix._of(self.field, basis, self.ncols)
 
     # -- entrywise Frobenius -------------------------------------------------
 
@@ -160,9 +164,14 @@ class FMatrix:
         if t == 0:
             return self
         exp = self.field.p**t
-        return FMatrix(self.field, [[x**exp for x in r] for r in self.rows], self.ncols)
+        power = self.field.pow
+        return FMatrix._of(self.field, [[power(x, exp) for x in r] for r in self.rows],
+                           self.ncols)
 
     # -- products and stacking -------------------------------------------------
+
+    def _columns(self) -> list[tuple[int, ...]]:
+        return [tuple(r[j] for r in self.rows) for j in range(self.ncols)]
 
     def __matmul__(self, other: "FMatrix") -> "FMatrix":
         if not isinstance(other, FMatrix):
@@ -172,22 +181,22 @@ class FMatrix:
         if self.ncols != other.nrows:
             raise errors.ShapeMismatch(
                 f"cannot multiply {self.shape} by {other.shape}")
-        z = self.field.zero
-        bcols = [other.col(j) for j in range(other.ncols)]
+        add, mul = self.field.add, self.field.mul
+        bcols = other._columns()
         out = []
         for arow in self.rows:
             orow = []
             for bcol in bcols:
-                acc = z
+                acc = 0
                 for x, y in zip(arow, bcol):
                     if x and y:
-                        acc = acc + x * y
+                        acc = add(acc, mul(x, y))
                 orow.append(acc)
             out.append(orow)
-        return FMatrix(self.field, out, other.ncols)
+        return FMatrix._of(self.field, out, other.ncols)
 
     def transpose(self) -> "FMatrix":
-        return FMatrix(self.field, [self.col(j) for j in range(self.ncols)], self.nrows)
+        return FMatrix._of(self.field, self._columns(), self.nrows)
 
     def vstack(self, other: "FMatrix") -> "FMatrix":
         if self.field != other.field:
@@ -195,10 +204,7 @@ class FMatrix:
         if self.ncols != other.ncols:
             raise errors.ShapeMismatch(
                 f"cannot stack {self.shape} on {other.shape}")
-        return FMatrix(self.field, self.rows + other.rows, self.ncols)
-
-    def scaled_row(self, i: int, factor: Element) -> tuple[Element, ...]:
-        return tuple(factor * x for x in self.rows[i])
+        return FMatrix._of(self.field, self.rows + other.rows, self.ncols)
 
     # -- serialization ----------------------------------------------------------
 
@@ -206,51 +212,28 @@ class FMatrix:
         f = self.field
         lines = [f"{f.p} {f.e} {self.nrows} {self.ncols}",
                  " ".join(map(str, f.modulus))]
-        lines.extend(" ".join(str(x.enc) for x in r) for r in self.rows)
+        lines.extend(" ".join(map(str, r)) for r in self.rows)
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "FMatrix":
+        """Parse the text format; an entry outside [0, q) is a FieldMismatch."""
         lines = [ln for ln in text.strip().splitlines()]
         p, e, nrows, ncols = map(int, lines[0].split())
         modulus = tuple(map(int, lines[1].split()))
         field = FieldSpec(p, e, modulus)
         rows = []
         for ln in lines[2:2 + nrows]:
-            rows.append([field.element(int(v)) for v in ln.split()])
+            rows.append([int(v) for v in ln.split()])
             if len(rows[-1]) != ncols:
                 raise errors.ShapeMismatch("row width disagrees with header")
+            bad = [v for v in rows[-1] if not 0 <= v < field.q]
+            if bad:
+                raise errors.FieldMismatch(
+                    f"entry {bad[0]} is not an enc in [0, {field.q}) of GF({field.label})")
         if len(rows) != nrows:
             raise errors.ShapeMismatch("row count disagrees with header")
-        return cls(field, rows, ncols)
-
-
-def matmul(a: FMatrix, b: FMatrix) -> FMatrix:
-    return a @ b
-
-
-def transpose(a: FMatrix) -> FMatrix:
-    return a.transpose()
-
-
-def vstack(a: FMatrix, b: FMatrix) -> FMatrix:
-    return a.vstack(b)
-
-
-def rref(m: FMatrix):
-    return m.rref()
-
-
-def rank(m: FMatrix) -> int:
-    return m.rank()
-
-
-def kernel_basis(m: FMatrix) -> FMatrix:
-    return m.kernel_basis()
-
-
-def frobenius_entrywise(m: FMatrix, t: int) -> FMatrix:
-    return m.frobenius_entrywise(t)
+        return cls._of(field, rows, ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -258,19 +241,20 @@ def frobenius_entrywise(m: FMatrix, t: int) -> FMatrix:
 # ---------------------------------------------------------------------------
 
 def batched_full_rank(field: FieldSpec, mats) -> "list[bool]":
-    """True per batch entry iff the square matrix has full rank.
+    """True per batch entry iff the matrix has full column rank.
 
-    mats: numpy int array of shape (B, w, w) holding enc values.  Requires
-    field.vec_ops(); callers fall back to per-matrix rank() otherwise.
+    mats: numpy int array of shape (B, r, w) with r >= w, holding enc
+    values.  Requires field.vec_ops(); callers fall back to per-matrix
+    rank() otherwise.
     """
     import numpy as np
     ops = field.vec_ops()
     if ops is None:
         raise errors.UnsupportedSize(f"no vectorized tables for GF({field.label})")
     M = np.array(mats, dtype=np.int64, copy=True)
-    B, w, w2 = M.shape
-    if w != w2:
-        raise errors.ShapeMismatch("batched_full_rank expects square matrices")
+    B, r, w = M.shape
+    if r < w:
+        raise errors.ShapeMismatch("batched_full_rank expects at least as many rows as columns")
     ok = np.ones(B, dtype=bool)
     bidx = np.arange(B)
     for i in range(w):
@@ -286,7 +270,7 @@ def batched_full_rank(field: FieldSpec, mats) -> "list[bool]":
         piv = M[:, i, i].copy()
         piv[piv == 0] = 1  # keep arithmetic defined on dead batches
         pinv = ops.inv(piv)
-        if i + 1 < w:
+        if i + 1 < r:
             factor = ops.mul(M[:, i + 1:, i], pinv[:, None])
             M[:, i + 1:, i:] = ops.sub(M[:, i + 1:, i:],
                                        ops.mul(factor[:, :, None], M[:, None, i, i:]))

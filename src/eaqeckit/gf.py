@@ -7,6 +7,10 @@ every canonical choice made here (defining modulus, primitive element,
 element ordering) minimizes this encoding, so all downstream constructions
 are bit-reproducible.
 
+Enc integers are the working representation: matrices and codes store them
+and compute with the field's enc-level add/sub/neg/mul/inv/pow.  Element is
+the API-boundary type; its operators delegate to those same operations.
+
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
 """
@@ -167,13 +171,16 @@ def _min_irreducible_tail(p: int, e: int) -> tuple[int, ...]:
 class FieldSpec:
     """The finite field GF(p^e) with a fixed defining modulus.
 
-    Immutable after construction; all arithmetic helpers are pure.  Prefer
-    :func:`field_new`, which caches instances and always selects the
-    canonical (enc-minimal) modulus.
+    Immutable after construction.  Arithmetic works on enc integers through
+    add, sub, neg, mul, inv and pow.  The field picks add, sub, mul and pow
+    once from its size: residues mod p for prime fields, log/exp and Zech
+    tables for extension fields with q <= _LOG_TABLE_MAX, and the
+    coefficient routines above that.  Prefer :func:`field_new`, which caches
+    instances and always selects the canonical (enc-minimal) modulus.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_xpow", "_log", "_exp",
-                 "_cache", "_primitive", "_vec")
+                 "_cache", "_primitive", "_vec", "add", "sub", "mul", "pow")
 
     def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -213,8 +220,18 @@ class FieldSpec:
         self._primitive: Element | None = None
         self._vec = None
         self._log = self._exp = None
-        if 2 < self.q <= _LOG_TABLE_MAX:
-            self._build_log_tables()
+        self.add, self.sub, self.mul, self.pow = (
+            _prime_ops(p) if e == 1 else _poly_ops(self))
+        if e > 1 and self.q <= _LOG_TABLE_MAX:
+            # the tables are built with the coefficient routines installed above
+            self.add, self.sub, self.mul, self.pow = _log_ops(self)
+
+    def neg(self, a: int) -> int:
+        return self.sub(0, a)
+
+    def inv(self, a: int) -> int:
+        """Inverse of a nonzero enc; DivisionByZero for 0."""
+        return self.pow(a, -1)
 
     # -- identity / ordering ------------------------------------------------
 
@@ -225,6 +242,9 @@ class FieldSpec:
 
     def __hash__(self):
         return hash((self.p, self.e, self.modulus))
+
+    def __reduce__(self):  # the installed operations are closures; rebuild them
+        return FieldSpec, (self.p, self.e, self.modulus)
 
     def __repr__(self):
         return f"FieldSpec({self.text!r})"
@@ -243,36 +263,34 @@ class FieldSpec:
     def from_text(cls, text: str) -> "FieldSpec":
         head, _, mod = text.partition(";mod=")
         p, _, e = head.partition("^")
-        spec = cls(int(p), int(e) if e else 1,
+        return cls(int(p), int(e) if e else 1,
                    tuple(int(c) for c in mod.split(",")) if mod else None)
-        return spec
 
     # -- element construction ----------------------------------------------
 
-    def element(self, value) -> "Element":
-        """Element from an enc integer, a coefficient sequence, or an Element."""
+    def to_enc(self, value) -> int:
+        """Enc of an int (reduced mod q), a coefficient sequence, or an Element."""
+        if isinstance(value, int):
+            return value % self.q
         if isinstance(value, Element):
             if value.field != self:
                 raise errors.FieldMismatch(f"{value!r} is not in {self!r}")
-            return value
-        if isinstance(value, int):
-            enc = value % self.q
-            cached = self._cache.get(enc)
-            if cached is not None:
-                return cached
-            coeffs, v = [], enc
-            for _ in range(self.e):
-                coeffs.append(v % self.p)
-                v //= self.p
-            el = Element(self, tuple(coeffs))
-            if self.q <= _LOG_TABLE_MAX:
-                self._cache[enc] = el
-            return el
+            return value.enc
         coeffs = tuple(int(c) % self.p for c in value)
         if len(coeffs) != self.e:
             raise errors.LengthMismatch(
                 f"expected {self.e} coefficients, got {len(coeffs)}")
-        return self.element(sum(c * self.p**i for i, c in enumerate(coeffs)))
+        return self._enc(coeffs)
+
+    def element(self, value) -> "Element":
+        """Element from an enc integer, a coefficient sequence, or an Element."""
+        enc = self.to_enc(value)
+        el = self._cache.get(enc)
+        if el is None:
+            el = Element(self, enc)
+            if self.q <= _LOG_TABLE_MAX:
+                self._cache[enc] = el
+        return el
 
     @property
     def zero(self) -> "Element":
@@ -319,13 +337,9 @@ class FieldSpec:
 
     def _pow(self, a, n: int):
         if not any(a):
-            if n == 0:
-                return self.one.coeffs  # 0^0 = 1 convention
-            if n < 0:
-                raise errors.DivisionByZero("0 has no inverse")
-            return a
+            return self._coeffs(_zero_power(n))
         n %= self.q - 1 if self.q > 1 else 1
-        result = self.one.coeffs
+        result = self._coeffs(1)
         base = a
         while n:
             if n & 1:
@@ -339,22 +353,6 @@ class FieldSpec:
             raise errors.DivisionByZero("0 has no inverse")
         return self._pow(a, self.q - 2)
 
-    # -- acceleration tables --------------------------------------------------
-
-    def _build_log_tables(self):
-        g = self.primitive_element()
-        q = self.q
-        exp = [0] * (q - 1)
-        log = [0] * q
-        cur = self.one.coeffs
-        gco = g.coeffs
-        for i in range(q - 1):
-            enc = self._enc(cur)
-            exp[i] = enc
-            log[enc] = i
-            cur = self._mul(cur, gco)
-        self._exp, self._log = exp, log
-
     def _enc(self, coeffs) -> int:
         enc, m = 0, 1
         for c in coeffs:
@@ -362,20 +360,25 @@ class FieldSpec:
             m *= self.p
         return enc
 
+    def _coeffs(self, enc: int) -> tuple[int, ...]:
+        p = self.p
+        out = []
+        for _ in range(self.e):
+            enc, c = divmod(enc, p)
+            out.append(c)
+        return tuple(out)
+
+    # -- acceleration tables --------------------------------------------------
+
     def primitive_element(self) -> "Element":
         """The enc-minimal generator of the multiplicative group."""
-        if self._primitive is not None:
-            return self._primitive
-        if self.q == 2:
-            self._primitive = self.one
-            return self._primitive
-        order_factors = _prime_factors(self.q - 1)
-        for enc in range(1, self.q):
-            a = self.element(enc)
-            if all((a ** ((self.q - 1) // r)).enc != 1 for r in order_factors):
-                self._primitive = a
-                return a
-        raise errors.UnsupportedSize("no primitive element found")  # unreachable
+        if self._primitive is None:
+            q = self.q
+            order_factors = _prime_factors(q - 1)
+            self._primitive = self.element(next(
+                a for a in range(1, q)
+                if all(self.pow(a, (q - 1) // r) != 1 for r in order_factors)))
+        return self._primitive
 
     def vec_ops(self):
         """Numpy-vectorized enc arithmetic, or None for fields too large.
@@ -389,6 +392,107 @@ class FieldSpec:
         if self._vec is None:
             self._vec = _VecOps(self)
         return self._vec
+
+
+# ---------------------------------------------------------------------------
+# Enc-level operations.  Each builder returns (add, sub, mul, pow) on enc
+# integers in [0, q); FieldSpec installs one set at construction.
+# ---------------------------------------------------------------------------
+
+def _zero_power(n: int) -> int:
+    """0^n, with the convention 0^0 = 1 (constant row of evaluation maps)."""
+    if n < 0:
+        raise errors.DivisionByZero("0 has no inverse")
+    return 1 if n == 0 else 0
+
+
+def _prime_ops(p: int):
+    """GF(p): the enc is the residue itself."""
+    def add(a, b):
+        return (a + b) % p
+
+    def sub(a, b):
+        return (a - b) % p
+
+    def mul(a, b):
+        return a * b % p
+
+    def power(a, n):
+        return pow(a, n % (p - 1), p) if a else _zero_power(n)
+
+    return add, sub, mul, power
+
+
+def _log_ops(field: FieldSpec):
+    """Small extension fields: log/exp tables plus one Zech table.
+
+    Addition uses Zech logarithms (Lidl & Niederreiter, *Finite Fields*):
+    g^i + g^j = g^(i + Z(j - i)) with Z(k) = log(1 + g^k), and Z(k) = -1
+    where 1 + g^k = 0.  The exp and Zech tables are stored twice over, so a
+    sum of two logs needs no reduction mod q-1 and a negative difference
+    indexes from the end of the doubled table.
+    """
+    p, q1 = field.p, field.q - 1
+    g = field.primitive_element().coeffs
+    exp, log = [0] * q1, [0] * field.q
+    cur = field._coeffs(1)
+    for i in range(q1):
+        x = field._enc(cur)
+        exp[i], log[x] = x, i
+        cur = field._mul(cur, g)
+    field._exp, field._log = exp, log
+    half = q1 // 2 if p != 2 else 0  # log(-1)
+    zech = []
+    for x in exp:
+        one_plus = x - x % p + (x + 1) % p  # enc(1 + x): only digit 0 changes
+        zech.append(log[one_plus] if one_plus else -1)
+    exp2, zech2 = exp + exp, zech + zech
+
+    def add(a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        z = zech2[log[b] - la]
+        return exp2[la + z] if z >= 0 else 0
+
+    def sub(a, b):
+        if not b:
+            return a
+        lb = log[b] + half  # log(-b)
+        if not a:
+            return exp2[lb]
+        la = log[a]
+        z = zech2[lb - la]
+        return exp2[la + z] if z >= 0 else 0
+
+    def mul(a, b):
+        return exp2[log[a] + log[b]] if a and b else 0
+
+    def power(a, n):
+        return exp2[log[a] * n % q1] if a else _zero_power(n)
+
+    return add, sub, mul, power
+
+
+def _poly_ops(field: FieldSpec):
+    """Large extension fields: the coefficient routines, through enc <-> coeffs."""
+    enc, coeffs = field._enc, field._coeffs
+
+    def add(a, b):
+        return enc(field._add(coeffs(a), coeffs(b))) if a and b else a or b
+
+    def sub(a, b):
+        return enc(field._sub(coeffs(a), coeffs(b))) if b else a
+
+    def mul(a, b):
+        return enc(field._mul(coeffs(a), coeffs(b))) if a and b else 0
+
+    def power(a, n):
+        return enc(field._pow(coeffs(a), n))
+
+    return add, sub, mul, power
 
 
 class _VecOps:
@@ -459,14 +563,18 @@ class _VecOps:
 
 
 class Element:
-    """An element of a :class:`FieldSpec`, immutable and hashable."""
+    """An element of a :class:`FieldSpec`, immutable and hashable.
+
+    The API-boundary type: matrices and codes store enc integers, and every
+    operator here delegates to the field's enc-level operations.
+    """
 
     __slots__ = ("field", "coeffs", "enc")
 
-    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]):
+    def __init__(self, field: FieldSpec, enc: int):
         self.field = field
-        self.coeffs = coeffs
-        self.enc = field._enc(coeffs)
+        self.enc = enc
+        self.coeffs = field._coeffs(enc)
 
     def _coerce(self, other) -> "Element":
         if isinstance(other, Element):
@@ -478,19 +586,19 @@ class Element:
             return self.field.element(other)
         return NotImplemented
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.field.element(self.field._enc(self.field._add(self.coeffs, o.coeffs)))
+    def _binary(op: str):
+        def method(self, other):
+            o = self._coerce(other)
+            if o is NotImplemented:
+                return o
+            f = self.field
+            return f.element(getattr(f, op)(self.enc, o.enc))
+        return method
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self.field.element(self.field._enc(self.field._sub(self.coeffs, o.coeffs)))
+    __add__ = __radd__ = _binary("add")
+    __sub__ = _binary("sub")
+    __mul__ = __rmul__ = _binary("mul")
+    del _binary
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -499,20 +607,7 @@ class Element:
         return o - self
 
     def __neg__(self):
-        return self.field.element(self.field._enc(self.field._neg(self.coeffs)))
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        f = self.field
-        if f._log is not None:
-            if self.enc == 0 or o.enc == 0:
-                return f.element(0)
-            return f.element(f._exp[(f._log[self.enc] + f._log[o.enc]) % (f.q - 1)])
-        return f.element(f._enc(f._mul(self.coeffs, o.coeffs)))
-
-    __rmul__ = __mul__
+        return self.field.element(self.field.neg(self.enc))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -527,24 +622,10 @@ class Element:
         return o / self
 
     def inverse(self) -> "Element":
-        f = self.field
-        if self.enc == 0:
-            raise errors.DivisionByZero("0 has no inverse")
-        if f._log is not None:
-            return f.element(f._exp[(-f._log[self.enc]) % (f.q - 1)])
-        return f.element(f._enc(f._inv(self.coeffs)))
+        return self.field.element(self.field.inv(self.enc))
 
     def __pow__(self, n: int):
-        f = self.field
-        if self.enc == 0:
-            if n == 0:
-                return f.one  # 0^0 = 1 convention (constant row of evaluation maps)
-            if n < 0:
-                raise errors.DivisionByZero("0 has no inverse")
-            return self
-        if f._log is not None:
-            return f.element(f._exp[(f._log[self.enc] * n) % (f.q - 1)])
-        return f.element(f._enc(f._pow(self.coeffs, n)))
+        return self.field.element(self.field.pow(self.enc, n))
 
     def __bool__(self):
         return self.enc != 0
@@ -605,10 +686,3 @@ def galois_form(x: Sequence[Element], y: Sequence[Element], s: int) -> Element:
         acc = acc + xi * frobenius(yi, s)
     return acc
 
-
-def primitive_element(field: FieldSpec) -> Element:
-    return field.primitive_element()
-
-
-def enumerate_elements(field: FieldSpec) -> list[Element]:
-    return field.elements()

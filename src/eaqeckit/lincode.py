@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import errors
 from .fmatrix import FMatrix, batched_full_rank
-from .gf import Element, FieldSpec, frobenius, galois_form
+from .gf import Element, FieldSpec
 
 DEFAULT_BUDGET = 2**22
 DEFAULT_COLUMN_SEARCH_MAX = 6
@@ -42,25 +42,13 @@ class LinearCode:
         """Membership test via the parity-check matrix."""
         if len(v) != self.n:
             raise errors.LengthMismatch(f"vector length {len(v)} != n={self.n}")
-        z = self.field.zero
-        for hrow in self.H.rows:
-            acc = z
-            for x, h in zip(v, hrow):
-                if x and h:
-                    acc = acc + x * h
-            if acc:
-                return False
-        return True
+        return (FMatrix(self.field, [v], self.n) @ self.H.transpose()).is_zero()
 
     def codewords(self):
-        """All q^k codewords (message enc order).  Small codes only."""
-        z = self.field.zero
-        for msg in itertools.product(self.field.elements(), repeat=self.k):
-            word = [z] * self.n
-            for m, grow in zip(msg, self.G.rows):
-                if m:
-                    word = [w + m * g for w, g in zip(word, grow)]
-            yield tuple(word)
+        """All q^k codewords as Element tuples (message enc order).  Small codes only."""
+        element = self.field.element
+        for msg in itertools.product(range(self.field.q), repeat=self.k):
+            yield tuple(map(element, combine(self.G, msg)))
 
     def to_text(self) -> str:
         return f"code {self.n} {self.k}\n" + self.G.to_text()
@@ -144,12 +132,17 @@ def galois_dual(C: LinearCode, s: int) -> LinearCode:
 # Intersections
 # ---------------------------------------------------------------------------
 
-def intersection_dim(C1: LinearCode, C2: LinearCode, s: int) -> int:
-    """dim(C1 ∩ galois_dual(C2, s)) from one stacked-rank computation."""
+def check_pair(C1: LinearCode, C2: LinearCode) -> None:
+    """Raise unless the two codes share their field and length."""
     if C1.field != C2.field:
         raise errors.FieldMismatch("codes over different fields")
     if C1.n != C2.n:
         raise errors.LengthMismatch(f"lengths {C1.n} and {C2.n} differ")
+
+
+def intersection_dim(C1: LinearCode, C2: LinearCode, s: int) -> int:
+    """dim(C1 ∩ galois_dual(C2, s)) from one stacked-rank computation."""
+    check_pair(C1, C2)
     e = C1.field.e
     stacked = C1.G.vstack(C2.H.frobenius_entrywise((e - s) % e))
     return C1.k + C1.n - C2.k - stacked.rank()
@@ -158,16 +151,11 @@ def intersection_dim(C1: LinearCode, C2: LinearCode, s: int) -> int:
 def intersection_basis_bruteforce(C1: LinearCode, C2dual: LinearCode,
                                   budget: int = DEFAULT_BUDGET) -> FMatrix:
     """Basis of C1 ∩ C2dual by literal enumeration of C1 (test oracle)."""
-    if C1.field != C2dual.field:
-        raise errors.FieldMismatch("codes over different fields")
-    if C1.n != C2dual.n:
-        raise errors.LengthMismatch(f"lengths {C1.n} and {C2dual.n} differ")
+    check_pair(C1, C2dual)
     if C1.field.q**C1.k > budget:
         raise errors.BudgetExceeded(
             f"{C1.field.q}^{C1.k} codewords exceed budget {budget}")
-    members = [w for w in C1.codewords() if C2dual.contains(w)]
-    if not members:
-        return FMatrix(C1.field, [], C1.n)
+    members = [w for w in C1.codewords() if C2dual.contains(w)]  # the zero word at least
     return FMatrix(C1.field, members, C1.n).row_basis()
 
 
@@ -178,27 +166,22 @@ def intersection_basis_bruteforce(C1: LinearCode, C2dual: LinearCode,
 def _all_subsets_full_rank(M: FMatrix, w: int) -> Optional[tuple[int, ...]]:
     """First w-subset of M's columns with rank < w, or None if all have rank w.
 
-    Subsets are scanned in lexicographic order; uses the batched numpy
-    elimination when the field has dense tables, the generic exact path
-    otherwise.
+    Needs w <= M.nrows.  Subsets are scanned in lexicographic order; uses the
+    batched numpy elimination, 2^16 subsets at a time, when the field has
+    dense tables, the generic exact path otherwise.
     """
-    combos = list(itertools.combinations(range(M.ncols), w))
-    if not combos:
-        return None
+    combos = itertools.combinations(range(M.ncols), w)
     if M.field.vec_ops() is not None:
         import numpy as np
-        enc = np.array(M.encs(), dtype=np.int64)  # (w, ncols) rows x cols
-        idx = np.array(combos, dtype=np.int64)  # (B, w)
-        mats = enc[:, idx].transpose(1, 0, 2)  # (B, w, w): rows, then chosen cols
-        chunk = 1 << 16
-        for start in range(0, len(combos), chunk):
-            ok = batched_full_rank(M.field, mats[start:start + chunk])
+        enc = np.array(M.rows, dtype=np.int64)
+        while chunk := list(itertools.islice(combos, 1 << 16)):
+            mats = enc[:, np.array(chunk)].transpose(1, 0, 2)  # (B, rows, w)
+            ok = batched_full_rank(M.field, mats)
             if not ok.all():
-                bad = int(np.flatnonzero(~ok)[0])
-                return combos[start + bad]
+                return chunk[int(np.flatnonzero(~ok)[0])]
         return None
     for cols in combos:
-        sub = FMatrix(M.field, [[r[c] for c in cols] for r in M.rows], w)
+        sub = FMatrix._of(M.field, [[r[c] for c in cols] for r in M.rows], w)
         if sub.rank() < w:
             return cols
     return None
@@ -226,30 +209,32 @@ def is_mds(C: LinearCode) -> MdsReport:
 # Minimum distance
 # ---------------------------------------------------------------------------
 
-def _min_weight_exhaustive(C: LinearCode) -> tuple[int, tuple[int, ...]]:
-    """Exact minimum weight by projective message enumeration.
+def combine(G: FMatrix, msg: Sequence[int]) -> list[int]:
+    """The word sum_i msg_i * G_i, with message and word as enc integers."""
+    add, mul = G.field.add, G.field.mul
+    word = [0] * G.ncols
+    for m, grow in zip(msg, G.rows):
+        if m:
+            word = [add(w, mul(m, g)) for w, g in zip(word, grow)]
+    return word
 
-    Scaling a codeword by a nonzero constant preserves weight, so only
-    messages whose first nonzero coordinate is 1 are expanded.  The witness
-    is the first minimum-weight codeword in message enc order.
+
+def projective_min_weight(C: LinearCode, weight) -> tuple[int, tuple[int, ...]]:
+    """Least weight(word) over the nonzero codewords, by projective enumeration.
+
+    weight maps a word of enc integers to an int >= 1 on nonzero words and
+    must be invariant under scaling by a nonzero constant (Hamming and rank
+    weight are), so only messages whose first nonzero coordinate is 1 are
+    expanded.  The witness is the first least-weight codeword in message enc
+    order.  Needs C.k >= 1.
     """
-    field = C.field
-    z = field.zero
-    els = field.elements()
-    best = C.n + 1
-    best_word: tuple[int, ...] = ()
-    rows = C.G.rows
+    best, best_word = C.n + 1, ()
     for lead in range(C.k):
-        base = rows[lead]
-        for tail in itertools.product(els, repeat=C.k - lead - 1):
-            word = list(base)
-            for m, grow in zip(tail, rows[lead + 1:]):
-                if m:
-                    word = [w + m * g for w, g in zip(word, grow)]
-            weight = sum(1 for x in word if x)
-            if weight < best:
-                best = weight
-                best_word = tuple(x.enc for x in word)
+        for tail in itertools.product(range(C.field.q), repeat=C.k - lead - 1):
+            word = combine(C.G, (0,) * lead + (1,) + tail)
+            w = weight(word)
+            if w < best:
+                best, best_word = w, tuple(word)
                 if best == 1:
                     return best, best_word
     return best, best_word
@@ -268,32 +253,16 @@ def min_distance(C: LinearCode, budget: int = DEFAULT_BUDGET,
     if C.k < 1:
         raise errors.ZeroCode("distance of the zero code is undefined")
     if C.field.q**C.k <= budget:
-        d, witness = _min_weight_exhaustive(C)
+        d, witness = projective_min_weight(C, lambda word: len(word) - word.count(0))
         return DistanceReport(d, "exhaustive", witness)
-    report = is_mds(C)
-    if report.is_mds:
+    if is_mds(C).is_mds:
         return DistanceReport(C.n - C.k + 1, "mds-columns")
-    if C.k == C.n:
-        return DistanceReport(1, "mds-columns")
-    for w in range(1, min(column_search_max, C.n - C.k + 1) + 1):
-        dep = None
-        if w > C.n - C.k:
-            dep = tuple(range(w))  # any n-k+1 columns of H are dependent
-        else:
-            found = _first_dependent_subset(C.H, w)
-            if found is not None:
-                dep = found
+    # Not MDS, so some n-k columns of H are dependent and w <= n-k suffices.
+    for w in range(1, min(column_search_max, C.n - C.k) + 1):
+        dep = _all_subsets_full_rank(C.H, w)
         if dep is not None:
             return DistanceReport(w, "parity-columns", dep)
     raise errors.Infeasible(
         f"q^k = {C.field.q}^{C.k} over budget, not MDS, and no dependent "
         f"column set of size <= {column_search_max}")
 
-
-def _first_dependent_subset(M: FMatrix, w: int) -> Optional[tuple[int, ...]]:
-    """First w-subset of M's columns with rank < w, or None."""
-    for cols in itertools.combinations(range(M.ncols), w):
-        sub = FMatrix(M.field, [[r[c] for c in cols] for r in M.rows], w)
-        if sub.rank() < w:
-            return cols
-    return None

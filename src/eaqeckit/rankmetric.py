@@ -8,7 +8,6 @@ vector of coordinates that are independent over the prime field.
 """
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -16,7 +15,7 @@ from typing import Optional, Sequence
 from . import errors
 from .fmatrix import FMatrix
 from .gf import Element, FieldSpec, field_new
-from .lincode import LinearCode
+from .lincode import LinearCode, combine, projective_min_weight
 
 DEFAULT_SAMPLE_SIZE = 10_000
 DEFAULT_SAMPLE_SEED = 20240913
@@ -43,28 +42,23 @@ class MrdReport:
         return self.is_mrd
 
 
-def _coefficient_matrix(v: Sequence[Element]) -> FMatrix:
-    """n x e matrix over GF(p) whose rows are the coordinate coefficient vectors."""
-    field = v[0].field
-    prime = field_new(field.p, 1)
-    return FMatrix(prime, [[prime.element(c) for c in x.coeffs] for x in v],
-                   field.e)
+def _coefficient_rank(field: FieldSpec, v: Sequence[int]) -> int:
+    """Rank over GF(p) of the n x e matrix of the coordinates' coefficient vectors."""
+    if not any(v):
+        return 0
+    return FMatrix._of(field_new(field.p, 1), map(field._coeffs, v), field.e).rank()
 
 
 def rank_weight(v: Sequence[Element]) -> int:
     """Dimension over GF(p) of the span of the vector's coordinates."""
-    if not v:
-        return 0
-    if any(x.enc for x in v):
-        return _coefficient_matrix(v).rank()
-    return 0
+    return _coefficient_rank(v[0].field, [x.enc for x in v]) if v else 0
 
 
 def linearly_independent_over_base(g: Sequence[Element]) -> bool:
     """True iff the coordinates are linearly independent over GF(p)."""
     if not g:
         return True
-    return _coefficient_matrix(g).rank() == len(g)
+    return _coefficient_rank(g[0].field, [x.enc for x in g]) == len(g)
 
 
 def moore_matrix(spec: MooreSpec) -> FMatrix:
@@ -78,11 +72,10 @@ def moore_matrix(spec: MooreSpec) -> FMatrix:
     if not linearly_independent_over_base(spec.g):
         raise errors.DependentGenerators(
             "generators are dependent over the prime subfield")
-    rows = []
-    for i in range(spec.k):
-        exp = field.p ** ((spec.t + i) % m)
-        rows.append([g**exp for g in spec.g])
-    return FMatrix(field, rows, n)
+    g = [field.to_enc(x) for x in spec.g]
+    rows = [[field.pow(x, field.p ** ((spec.t + i) % m)) for x in g]
+            for i in range(spec.k)]
+    return FMatrix._of(field, rows, n)
 
 
 def min_rank_distance_exhaustive(C: LinearCode, budget: int = 2**22) -> int:
@@ -96,20 +89,7 @@ def min_rank_distance_exhaustive(C: LinearCode, budget: int = 2**22) -> int:
         raise errors.ZeroCode("rank distance of the zero code is undefined")
     if C.field.q**C.k > budget:
         raise errors.BudgetExceeded(f"{C.field.q}^{C.k} codewords exceed budget {budget}")
-    els = C.field.elements()
-    best = min(C.n, C.field.e) + 1
-    rows = C.G.rows
-    for lead in range(C.k):
-        base = rows[lead]
-        for tail in itertools.product(els, repeat=C.k - lead - 1):
-            word = list(base)
-            for m, grow in zip(tail, rows[lead + 1:]):
-                if m:
-                    word = [w + m * g for w, g in zip(word, grow)]
-            best = min(best, rank_weight(word))
-            if best == 1:
-                return 1
-    return best
+    return projective_min_weight(C, lambda word: _coefficient_rank(C.field, word))[0]
 
 
 def is_mrd(C: LinearCode, budget: int = 2**22,
@@ -135,13 +115,7 @@ def is_mrd(C: LinearCode, budget: int = 2**22,
         msg = [rng.randrange(q) for _ in range(C.k)]
         if not any(msg):
             msg[rng.randrange(C.k)] = 1 + rng.randrange(q - 1)
-        word = None
-        for menc, grow in zip(msg, C.G.rows):
-            if menc:
-                m = C.field.element(menc)
-                scaled = [m * g for g in grow]
-                word = scaled if word is None else [w + x for w, x in zip(word, scaled)]
-        best = min(best, rank_weight(word))
+        best = min(best, _coefficient_rank(C.field, combine(C.G, msg)))
         if best < target:
             return MrdReport(False, "sampled", min_rank=best, seed=seed, samples=samples)
     return MrdReport(best == target, "sampled", min_rank=best, seed=seed, samples=samples)

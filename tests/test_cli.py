@@ -121,6 +121,21 @@ class TestEbits:
                            str(tmp_path / "no2.txt"))
         assert code == 4
 
+    def test_out_of_range_entry(self, capsys, tmp_path, f13):
+        g1 = tmp_path / "g1.txt"
+        h2 = tmp_path / "h2.txt"
+        g1.write_text("13 1 1 3\n0\n1 20 -1\n")
+        h2.write_text(FMatrix(f13, [[1, 2, 3]], 3).to_text())
+        code, out, err = run(capsys, "ebits", str(g1), str(h2))
+        assert code == 4 and out == "" and "bad input" in err
+
+    def test_nonprime_field(self, capsys, tmp_path):
+        g1 = tmp_path / "g1.txt"
+        g1.write_text("4 1 1 3\n0\n1 2 3\n")
+        code, out, err = run(capsys, "ebits", str(g1), str(g1))
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1 and "bad input" in err
+
     def test_twist_agreement_random(self, capsys, tmp_path, f9):
         rng = random.Random(7)
         for i in range(10):
@@ -169,6 +184,12 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path), "--k", "2")
         assert code == 1 and json.loads(out)["verdict"] == "refuted"
 
+    def test_out_of_range_entry(self, capsys, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("code 3 1\n13 1 1 3\n0\n1 20 -1\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 4 and out == "" and "bad input" in err
+
     def test_infeasible(self, capsys, tmp_path, f13):
         # MDS [10,4] plus a zero column: d = 7 but not MDS, so with a tiny
         # budget no distance strategy applies
@@ -185,6 +206,20 @@ class TestSelftest:
         code, out, _ = run(capsys, "selftest", "--trials", "60")
         assert code == 0
         assert "60 trials, 0 failures" in out
+
+    def test_wrong_dual_formula_detected(self, capsys, monkeypatch):
+        # galois_dual with exponent s in place of e-s agrees with the true
+        # twisted dual only when s = e-s mod e; over GF(8) and GF(27) it does not
+        from eaqeckit import cli
+        from eaqeckit.lincode import from_generator
+
+        def wrong_dual(C, s):
+            return from_generator(C.H.frobenius_entrywise(s % C.field.e), allow_zero=True)
+
+        monkeypatch.setattr(cli, "galois_dual", wrong_dual)
+        code, out, err = run(capsys, "selftest", "--trials", "60")
+        assert code == 3
+        assert "dual route mismatch" in err and " 0 failures" not in out
 
     def test_other_seed(self, capsys):
         code, out, _ = run(capsys, "--seed", "5", "selftest", "--trials", "40")

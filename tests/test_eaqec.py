@@ -5,7 +5,7 @@ import pytest
 from eaqeckit import (EaqecParams, FMatrix, assemble, ebits_product,
                       ebits_stack, errors, euclidean_dual, field_new,
                       from_generator, galois_dual, intersection_dim, is_mds,
-                      min_distance, singleton_slack)
+                      min_distance)
 from conftest import random_code
 
 
@@ -114,7 +114,7 @@ class TestParams:
     def test_slack_mds_tuple(self, f9):
         p = EaqecParams.build(f9, 10, 1, 7, 3)
         assert p.slack == 0 and p.is_mds
-        assert singleton_slack(p) == 0
+        assert p.slack == 0
         assert str(p) == "[[10,1,7;3]]_3^2"
 
     def test_slack_positive(self, f2):

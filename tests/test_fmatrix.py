@@ -170,6 +170,18 @@ class TestSerialization:
         assert again == M
         assert again.to_text() == M.to_text()
 
+    def test_rows_hold_enc_ints(self, f27):
+        M = FMatrix(f27, [[f27.element(5), 26, (1, 2, 0)]], 3)
+        assert M.rows == ((5, 26, 7),)
+        assert all(type(x) is int for x in M.rows[0])
+        assert all(type(x) is int for r in M.rref()[0].rows for x in r)
+        assert M[0, 1] == f27.element(26)
+
+    @pytest.mark.parametrize("row", ["1 20 -1", "1 13 0", "-1 0 0"])
+    def test_out_of_range_entry_rejected(self, row):
+        with pytest.raises(errors.CodingError):
+            FMatrix.from_text(f"13 1 1 3\n0\n{row}\n")
+
     def test_format_shape(self, f27):
         M = FMatrix(f27, [[0, 1, 26]], 3)
         lines = M.to_text().splitlines()
@@ -196,3 +208,14 @@ class TestBatchedFullRank:
             expect.append(M.rank() == w)
         got = batched_full_rank(field, np.stack(mats))
         assert list(got) == expect
+
+    @pytest.mark.parametrize("p,e", [(13, 1), (3, 3)])
+    def test_tall_matrices_full_column_rank(self, p, e):
+        import numpy as np
+        field = field_new(p, e)
+        rng = random.Random(5)
+        mats = [random_matrix(rng, field, 5, 3) for _ in range(200)]
+        mats += [FMatrix(field, [[1, 2, 4]] * 5, 3)]  # rank 1
+        got = batched_full_rank(field, np.array([M.encs() for M in mats]))
+        assert list(got) == [M.rank() == 3 for M in mats]
+        assert not got[-1]

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -51,6 +52,13 @@ class TestFieldNew:
     def test_deterministic_and_cached(self):
         assert field_new(17, 8) is field_new(17, 8)
         assert FieldSpec(3, 3) == field_new(3, 3)
+
+    @pytest.mark.parametrize("p,e", [(13, 1), (3, 3), (17, 8)])
+    def test_pickle_roundtrip(self, p, e):
+        field = field_new(p, e)
+        again = pickle.loads(pickle.dumps(field))
+        assert again == field and again.mul(5, 7) == field.mul(5, 7)
+        assert pickle.loads(pickle.dumps(field.element(5))) == field.element(5)
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(errors.UnsupportedSize):
@@ -230,3 +238,48 @@ class TestTextForms:
 
     def test_element_text(self, f9):
         assert str(f9.element(7)) == "7"
+
+
+class TestEncArithmetic:
+    """The enc-level operations against the coefficient routines.
+
+    Element arithmetic delegates to the same enc-level operations, so this is
+    the independent check of the log/exp and Zech tables (small extension
+    fields), the residue arithmetic (prime fields) and the enc <-> coefficient
+    conversions (large fields).
+    """
+
+    @staticmethod
+    def check(field, a, b):
+        co, enc = field._coeffs, field._enc
+        assert field.add(a, b) == enc(field._add(co(a), co(b)))
+        assert field.sub(a, b) == enc(field._sub(co(a), co(b)))
+        assert field.mul(a, b) == enc(field._mul(co(a), co(b)))
+        assert field.neg(a) == enc(field._neg(co(a)))
+        for n in (0, 1, 2, b, field.q - 2, -1 - b):
+            if a or n >= 0:
+                assert field.pow(a, n) == enc(field._pow(co(a), n))
+        if a:
+            assert field.inv(a) == enc(field._inv(co(a)))
+
+    @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (13, 1)])
+    def test_every_pair(self, p, e):
+        field = field_new(p, e)
+        for a in range(field.q):
+            for b in range(field.q):
+                self.check(field, a, b)
+
+    @pytest.mark.parametrize("p,e", [(2, 16), (17, 8)])
+    def test_seeded_sample(self, p, e):
+        field = field_new(p, e)
+        rng = random.Random(p * 1000 + e)
+        for _ in range(300):
+            self.check(field, rng.randrange(field.q), rng.randrange(field.q))
+        self.check(field, 0, rng.randrange(field.q))
+
+    def test_zero(self, f9):
+        assert f9.pow(0, 0) == 1 and f9.pow(0, 5) == 0
+        with pytest.raises(errors.DivisionByZero):
+            f9.inv(0)
+        with pytest.raises(errors.DivisionByZero):
+            f9.pow(0, -1)
