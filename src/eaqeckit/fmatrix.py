@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import errors
-from .gf import Element, FieldSpec
+from .gf import Element, FieldSpec, field_new
 
 
 class FMatrix:
@@ -217,11 +217,13 @@ class FMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "FMatrix":
-        """Parse the text format; an entry outside [0, q) is a FieldMismatch."""
-        lines = [ln for ln in text.strip().splitlines()]
+        """Parse the text format over field_new's shared field; entries outside [0, q)
+        are a FieldMismatch, a missing header or modulus line a ShapeMismatch."""
+        lines = text.strip().splitlines()
+        if len(lines) < 2:
+            raise errors.ShapeMismatch("missing 'p e rows cols' header or modulus line")
         p, e, nrows, ncols = map(int, lines[0].split())
-        modulus = tuple(map(int, lines[1].split()))
-        field = FieldSpec(p, e, modulus)
+        field = field_new(p, e, tuple(map(int, lines[1].split())))
         rows = []
         for ln in lines[2:2 + nrows]:
             rows.append([int(v) for v in ln.split()])
@@ -237,41 +239,43 @@ class FMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Batched full-rank testing (numpy fast path for small fields)
+# Batched elimination (numpy fast path for small fields)
 # ---------------------------------------------------------------------------
+
+def pivot_step(ops, X, cols):
+    """One elimination step on each matrix of a (B, R, n) batch of enc values.
+
+    Matrix b is pivoted on column cols[b] at its first nonzero row, which is
+    dropped: the result (B, R-1, n) is the other rows reduced on that column,
+    unchanged where it is zero (ops.inv(0) is 0).  X is not modified.
+    """
+    import numpy as np
+    b = np.arange(len(X))
+    v = X[b, :, cols]  # (B, R)
+    i = (v != 0).argmax(axis=1)
+    fac = ops.mul(v, ops.inv(v[b, i])[:, None])
+    X = ops.sub(X, ops.mul(fac[:, :, None], X[b, i][:, None, :]))
+    X[b, i] = X[:, -1]
+    return X[:, :-1]
+
 
 def batched_full_rank(field: FieldSpec, mats) -> "list[bool]":
     """True per batch entry iff the matrix has full column rank.
 
     mats: numpy int array of shape (B, r, w) with r >= w, holding enc
-    values.  Requires field.vec_ops(); callers fall back to per-matrix
-    rank() otherwise.
+    values.  Columns 0..w-1 are eliminated in turn by pivot_step, the kernel
+    of the subset scanner in lincode.  Requires field.vec_ops().
     """
     import numpy as np
     ops = field.vec_ops()
     if ops is None:
         raise errors.UnsupportedSize(f"no vectorized tables for GF({field.label})")
-    M = np.array(mats, dtype=np.int64, copy=True)
-    B, r, w = M.shape
+    X = np.asarray(mats, dtype=np.int64)
+    B, r, w = X.shape
     if r < w:
         raise errors.ShapeMismatch("batched_full_rank expects at least as many rows as columns")
     ok = np.ones(B, dtype=bool)
-    bidx = np.arange(B)
     for i in range(w):
-        col = M[:, i:, i]
-        nz = col != 0
-        ok &= nz.any(axis=1)
-        j = nz.argmax(axis=1)  # 0 for dead batches; harmless
-        # swap rows i and i+j
-        tgt = i + j
-        rows_tgt = M[bidx, tgt, :].copy()
-        M[bidx, tgt, :] = M[:, i, :]
-        M[:, i, :] = rows_tgt
-        piv = M[:, i, i].copy()
-        piv[piv == 0] = 1  # keep arithmetic defined on dead batches
-        pinv = ops.inv(piv)
-        if i + 1 < r:
-            factor = ops.mul(M[:, i + 1:, i], pinv[:, None])
-            M[:, i + 1:, i:] = ops.sub(M[:, i + 1:, i:],
-                                       ops.mul(factor[:, :, None], M[:, None, i, i:]))
+        ok &= X[:, :, i].any(axis=1)
+        X = pivot_step(ops, X, np.full(B, i))
     return ok

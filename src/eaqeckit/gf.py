@@ -16,7 +16,6 @@ Python integers, so q = p^e itself may exceed machine word size.
 """
 from __future__ import annotations
 
-import functools
 from typing import Iterable, Sequence
 
 from . import errors
@@ -175,8 +174,8 @@ class FieldSpec:
     add, sub, neg, mul, inv and pow.  The field picks add, sub, mul and pow
     once from its size: residues mod p for prime fields, log/exp and Zech
     tables for extension fields with q <= _LOG_TABLE_MAX, and the
-    coefficient routines above that.  Prefer :func:`field_new`, which caches
-    instances and always selects the canonical (enc-minimal) modulus.
+    coefficient routines above that.  Prefer :func:`field_new`, which shares
+    one instance per modulus, the canonical (enc-minimal) one by default.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_xpow", "_log", "_exp",
@@ -548,7 +547,7 @@ class _VecOps:
 
     def sub(self, a, b):
         if self.prime:
-            return (a - b) % self.p
+            return (a - b + self.p) % self.p  # nonnegative before %, which is faster
         return self.add(a, self.neg_t[b])
 
     def mul(self, a, b):
@@ -654,10 +653,21 @@ class Element:
 # Module-level operations
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=None)
-def field_new(p: int, e: int) -> FieldSpec:
-    """GF(p^e) with the canonical enc-minimal defining modulus."""
-    return FieldSpec(p, e)
+# The shared fields, by (p, e, modulus) as given and as normalized.
+_FIELDS: dict[tuple, FieldSpec] = {}
+
+
+def field_new(p: int, e: int, modulus: Sequence[int] | None = None) -> FieldSpec:
+    """GF(p^e), one shared instance per defining modulus.
+
+    Without a modulus the canonical enc-minimal one is taken, so passing that
+    modulus returns the same object as field_new(p, e).
+    """
+    key = (p, e, modulus and tuple(modulus))
+    if key not in _FIELDS:
+        field = FieldSpec(p, e, modulus)
+        _FIELDS[key] = _FIELDS.setdefault((p, e, field.modulus), field)
+    return _FIELDS[key]
 
 
 def frobenius(a: Element, s: int) -> Element:

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import errors
-from .fmatrix import FMatrix, batched_full_rank
+from .fmatrix import FMatrix, pivot_step
 from .gf import Element, FieldSpec
 
 DEFAULT_BUDGET = 2**22
 DEFAULT_COLUMN_SEARCH_MAX = 6
+# Sibling nodes expanded per numpy step of the subset scan.
+_SCAN_CHUNK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -166,25 +168,66 @@ def intersection_basis_bruteforce(C1: LinearCode, C2dual: LinearCode,
 def _all_subsets_full_rank(M: FMatrix, w: int) -> Optional[tuple[int, ...]]:
     """First w-subset of M's columns with rank < w, or None if all have rank w.
 
-    Needs w <= M.nrows.  Subsets are scanned in lexicographic order; uses the
-    batched numpy elimination, 2^16 subsets at a time, when the field has
-    dense tables, the generic exact path otherwise.
+    Depth-first in lexicographic order, sharing the elimination of each column
+    prefix: a node is a prefix P whose other rows are reduced on P, and child
+    P+{c} costs one pivot step on them.  If column c is zero there, every
+    subset extending P+{c} is dependent and the first, P + (c, c+1, ...), is
+    the witness.  Fields with numpy tables build up to _SCAN_CHUNK nodes per
+    step, which bounds memory; others run the recursion in plain Python.
     """
-    combos = itertools.combinations(range(M.ncols), w)
-    if M.field.vec_ops() is not None:
-        import numpy as np
-        enc = np.array(M.rows, dtype=np.int64)
-        while chunk := list(itertools.islice(combos, 1 << 16)):
-            mats = enc[:, np.array(chunk)].transpose(1, 0, 2)  # (B, rows, w)
-            ok = batched_full_rank(M.field, mats)
-            if not ok.all():
-                return chunk[int(np.flatnonzero(~ok)[0])]
+    if (ops := M.field.vec_ops()) is not None:
+        return _scan_batched(M, w, ops)
+    f, n = M.field, M.ncols
+
+    def visit(prefix, cols):
+        # cols: the columns after prefix, reduced on the rows it left over
+        depth, first = len(prefix), prefix[-1] + 1 if prefix else 0
+        for c, v in enumerate(cols[:n - w + depth + 1 - first], first):
+            if not any(v):
+                return prefix + tuple(range(c, c + w - depth))
+            if depth + 1 == w:
+                continue
+            i = next(r for r, x in enumerate(v) if x)
+            s, vi, rest = v[i], v[:i] + v[i + 1:], []
+            for u in cols[c - first + 1:]:
+                # s*u - a*v needs no field inverse; the factor s != 0 keeps ranks
+                a, u = u[i], u[:i] + u[i + 1:]
+                rest.append([f.sub(f.mul(s, x), f.mul(a, y)) for x, y in zip(u, vi)]
+                            if a else u)
+            if found := visit(prefix + (c,), rest):
+                return found
         return None
-    for cols in combos:
-        sub = FMatrix._of(M.field, [[r[c] for c in cols] for r in M.rows], w)
-        if sub.rank() < w:
-            return cols
-    return None
+
+    return visit((), M.transpose().rows)
+
+
+def _scan_batched(M: FMatrix, w: int, ops) -> Optional[tuple[int, ...]]:
+    """_all_subsets_full_rank on numpy tables: each pivot_step builds up to
+    _SCAN_CHUNK nodes of one level, and pending chunks wait on a stack."""
+    import numpy as np
+    n = M.ncols
+    columns = np.arange(n)
+    S = np.array(M.rows, dtype=np.int64).reshape(1, M.nrows, n)  # node states
+    last, prefix = np.full(1, -1), np.zeros((1, 0), dtype=np.int64)
+    stack, best = [], None
+    while True:
+        depth = prefix.shape[1]
+        valid = (columns > last[:, None]) & (columns <= n - w + depth)
+        nonzero = S.any(axis=1)
+        live, dead = valid & nonzero, valid & ~nonzero
+        if dead.any():
+            b, c = divmod(int(dead.argmax()), n)
+            best = tuple(prefix[b].tolist()) + tuple(range(c, c + w - depth))
+            stack.clear()  # every pending node comes after best
+            live.ravel()[b * n + c:] = False
+        if depth + 1 < w:
+            bs, cs = np.nonzero(live)
+            for a in reversed(range(0, len(bs), _SCAN_CHUNK)):
+                stack.append((S, prefix, bs[a:a + _SCAN_CHUNK], cs[a:a + _SCAN_CHUNK]))
+        if not stack:
+            return best
+        S, prefix, bs, last = stack.pop()
+        S, prefix = pivot_step(ops, S[bs], last), np.column_stack((prefix[bs], last))
 
 
 def is_mds(C: LinearCode) -> MdsReport:

@@ -129,6 +129,14 @@ class TestEbits:
         code, out, err = run(capsys, "ebits", str(g1), str(h2))
         assert code == 4 and out == "" and "bad input" in err
 
+    def test_empty_matrix_file(self, capsys, tmp_path, f13):
+        g1 = tmp_path / "g1.txt"
+        h2 = tmp_path / "h2.txt"
+        g1.write_text("")
+        h2.write_text(FMatrix(f13, [[1, 2, 3]], 3).to_text())
+        code, out, err = run(capsys, "ebits", str(g1), str(h2))
+        assert code == 4 and out == "" and len(err.splitlines()) == 1
+
     def test_nonprime_field(self, capsys, tmp_path):
         g1 = tmp_path / "g1.txt"
         g1.write_text("4 1 1 3\n0\n1 2 3\n")
@@ -189,6 +197,12 @@ class TestVerify:
         path.write_text("code 3 1\n13 1 1 3\n0\n1 20 -1\n")
         code, out, err = run(capsys, "verify", str(path))
         assert code == 4 and out == "" and "bad input" in err
+
+    def test_header_only_code_file(self, capsys, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("code 3 1\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 4 and out == "" and len(err.splitlines()) == 1
 
     def test_infeasible(self, capsys, tmp_path, f13):
         # MDS [10,4] plus a zero column: d = 7 but not MDS, so with a tiny

@@ -170,6 +170,11 @@ class TestSerialization:
         assert again == M
         assert again.to_text() == M.to_text()
 
+    def test_parsed_field_is_shared(self):
+        field = field_new(2, 11)
+        M = FMatrix(field, [[1, 2047, 5]], 3)
+        assert FMatrix.from_text(M.to_text()).field is field
+
     def test_rows_hold_enc_ints(self, f27):
         M = FMatrix(f27, [[f27.element(5), 26, (1, 2, 0)]], 3)
         assert M.rows == ((5, 26, 7),)

@@ -1,5 +1,10 @@
 import itertools
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +12,7 @@ from eaqeckit import (FMatrix, code_frobenius, errors, euclidean_dual, field_new
                       from_generator, from_parity_check, galois_dual, galois_form,
                       intersection_basis_bruteforce, intersection_dim, is_mds,
                       min_distance)
+from eaqeckit import lincode
 from eaqeckit.lincode import LinearCode
 from conftest import random_code, random_matrix
 
@@ -300,3 +306,75 @@ class TestIsMds:
             code = vandermonde_code(f13, 1, k, 8)
             assert is_mds(code).is_mds
             assert is_mds(euclidean_dual(code)).is_mds
+
+
+def first_dependent_subset(M, w):
+    """Reference scan: the first w-subset of M's columns in lexicographic
+    order whose submatrix has rank < w, one FMatrix.rank() per subset."""
+    for cols in itertools.combinations(range(M.ncols), w):
+        if FMatrix(M.field, [[r[c] for c in cols] for r in M.rows], w).rank() < w:
+            return cols
+    return None
+
+
+class TestSubsetScan:
+    """_all_subsets_full_rank against the per-subset reference, witness included."""
+
+    @staticmethod
+    def random_matrices(rng, field, count):
+        for _ in range(count):
+            w = rng.randint(1, 4)
+            nrows = w + rng.choice((0, 0, 1, 2))  # square and tall
+            n = rng.randint(w, 8)
+            cols = [[rng.randrange(field.q) for _ in range(nrows)] for _ in range(n)]
+            if rng.random() < 0.3:
+                cols[rng.randrange(n)] = [0] * nrows
+            if rng.random() < 0.3:
+                a, b = rng.randrange(n), rng.randrange(n)
+                cols[b] = [field.mul(rng.randrange(1, field.q), x) for x in cols[a]]
+            yield FMatrix(field, list(zip(*cols)), n), w
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("p,e", [(13, 1), (2, 4), (3, 2)])
+    def test_matches_reference(self, p, e, backend, monkeypatch):
+        field = field_new(p, e)
+        if backend == "numpy":
+            monkeypatch.setattr(lincode, "_SCAN_CHUNK", 3)  # many chunks per level
+        else:
+            monkeypatch.setattr(type(field), "vec_ops", lambda self: None)
+        rng = random.Random(p * 100 + e)
+        dependent = 0
+        for M, w in self.random_matrices(rng, field, 150):
+            expect = first_dependent_subset(M, w)
+            assert lincode._all_subsets_full_rank(M, w) == expect
+            dependent += expect is not None
+        assert 20 < dependent < 140
+
+    def test_matches_reference_without_tables(self):
+        field = field_new(2, 11)
+        assert field.vec_ops() is None
+        rng = random.Random(211)
+        for M, w in self.random_matrices(rng, field, 60):
+            assert lincode._all_subsets_full_rank(M, w) == first_dependent_subset(M, w)
+
+    def test_late_witness_across_chunks(self):
+        # Any 6 columns of a 6-row Vandermonde matrix over GF(1021) are
+        # independent, so with column 20 the sum of columns 17..19 the only
+        # dependent 4-subset is the last one.  The depth-3 frontier of C(20, 3)
+        # prefixes spans two chunks, and the witness sits in the second.
+        field = field_new(1021, 1)
+        assert math.comb(20, 3) > lincode._SCAN_CHUNK
+        cols = [[pow(a, i, 1021) for i in range(6)] for a in range(1, 21)]
+        cols.append([sum(c[i] for c in cols[17:20]) % 1021 for i in range(6)])
+        M = FMatrix(field, list(zip(*cols)), 21)
+        assert first_dependent_subset(M, 4) == (17, 18, 19, 20)
+        assert lincode._all_subsets_full_rank(M, 4) == (17, 18, 19, 20)
+
+    def test_generic_path_imports_no_numpy(self):
+        script = ("import sys\n"
+                  "from eaqeckit import field_new, gabidulin_family\n"
+                  "gabidulin_family(field_new(2, 16), 7, 4, 3, 2)\n"
+                  "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        src = str(Path(lincode.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", script], check=True, timeout=120,
+                       env={**os.environ, "PYTHONPATH": src})
