@@ -7,9 +7,10 @@ Subcommands:
     verify     certify or refute claimed code parameters from a code file
     selftest   run seeded consistency suites
 
-Exit codes are a stable contract:
-    0 success, 2 constraint violation, 3 internal formula mismatch,
-    4 input (field/length) mismatch, 5 infeasible.
+Exit codes are a stable contract, and main maps every error to one:
+    0 success, 1 refuted or not verified, 2 constraint violation,
+    3 internal formula mismatch, 4 bad input (field/length mismatch, any
+    other library error, ValueError or OSError), 5 infeasible.
 """
 from __future__ import annotations
 
@@ -19,12 +20,11 @@ import functools
 import json
 import random
 import sys
-from dataclasses import dataclass
 
 from . import errors, families
 from .eaqec import ebits_product, ebits_stack
 from .fmatrix import FMatrix
-from .gf import FieldSpec, field_new
+from .gf import MAX_DEGREE, MAX_PRIME, FieldSpec, field_new, is_prime
 from .lincode import (DEFAULT_BUDGET, LinearCode, from_generator,
                       from_parity_check, galois_dual, is_mds, min_distance)
 
@@ -36,33 +36,23 @@ EXIT_INPUT = 4
 EXIT_INFEASIBLE = 5
 
 
-@dataclass
-class CliConfig:
-    budget: int = DEFAULT_BUDGET
-    seed: int = 0
-    output: str = "json"  # json | csv | text
-    emit_matrices: bool = False
-
-
 def _parse_field(text: str) -> FieldSpec:
     """'13', '9', or '17^8' -> FieldSpec with the canonical modulus.
 
-    Bare prime powers are factored, so q=9 means GF(3^2).
+    A bare q is split as p^e by integer e-th roots, so q=9 means GF(3^2).
     """
     head, _, tail = text.partition("^")
     if tail:
         return field_new(int(head), int(tail))
     q = int(head)
-    for p in range(2, q + 1):
-        if q % p == 0:
-            e = 0
-            while q > 1 and q % p == 0:
-                q //= p
-                e += 1
-            if q != 1:
-                raise ValueError(f"{text} is not a prime power")
-            return field_new(p, e)
-    raise ValueError(f"{text} is not a prime power")
+    for e in range(1, MAX_DEGREE + 1):
+        lo, hi = 1, MAX_PRIME  # bisect for floor(q^(1/e)), capped at the bound on p
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if mid**e <= q else (lo, mid - 1)
+        if lo**e == q and is_prime(lo):
+            return field_new(lo, e)
+    raise ValueError(f"q={text} is not p^e with p < 2^31 prime and e <= {MAX_DEGREE}")
 
 
 def _parse_kv(pairs: list[str]) -> dict[str, str]:
@@ -101,29 +91,19 @@ def _construct(family: str, params: dict[str, str]) -> families.FamilyCertificat
     return families.gabidulin_family(field, *args)
 
 
-def _print_certificate(cert: families.FamilyCertificate, cfg: CliConfig) -> None:
-    if cfg.output == "text":
+def _print_certificate(cert: families.FamilyCertificate, args) -> None:
+    if args.output == "text":
         print(f"{cert.family}: computed {cert.params} "
               f"(c_product={cert.pair.c_product}, c_stack={cert.pair.c_stack}, "
               f"slack={cert.params.slack}) predicted {cert.predicted} "
               f"verified={cert.verified}")
     else:
-        print(json.dumps(cert.to_json(emit_matrices=cfg.emit_matrices), indent=2))
+        print(json.dumps(cert.to_json(emit_matrices=args.emit_matrices), indent=2))
 
 
-def cmd_construct(args, cfg: CliConfig) -> int:
-    try:
-        cert = _construct(args.family, _parse_kv(args.params))
-    except errors.ConstraintViolation as exc:
-        print(f"constraint violation: {exc}", file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except (errors.FormulaMismatch, errors.DualityFailure) as exc:
-        print(f"internal mismatch: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except (ValueError, errors.CodingError) as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    _print_certificate(cert, cfg)
+def cmd_construct(args) -> int:
+    cert = _construct(args.family, _parse_kv(args.params))
+    _print_certificate(cert, args)
     return EXIT_OK if cert.verified else EXIT_FAILED
 
 
@@ -131,14 +111,10 @@ _TABLE1_CSV_HEADER = "q,n,k,t,j,params,c_product,c_stack,slack"
 _TABLE2_CSV_HEADER = "q,n,k1,k2,t,params,c_product,c_stack,slack"
 
 
-def cmd_table(args, cfg: CliConfig) -> int:
-    try:
-        certs = families.table1() if args.which == 1 else families.table2()
-    except errors.CodingError as exc:
-        print(f"table generation failed: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
+def cmd_table(args) -> int:
+    certs = families.table1() if args.which == 1 else families.table2()
     keys = _FAMILY_SIGNATURES["vandermonde" if args.which == 1 else "gabidulin"]
-    if cfg.output == "csv":
+    if args.output == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
         header = _TABLE1_CSV_HEADER if args.which == 1 else _TABLE2_CSV_HEADER
         writer.writerow(header.split(","))
@@ -147,12 +123,12 @@ def cmd_table(args, cfg: CliConfig) -> int:
             fields += [str(cert.params), str(cert.pair.c_product),
                        str(cert.pair.c_stack), str(cert.params.slack)]
             writer.writerow(fields)
-    elif cfg.output == "json":
-        print(json.dumps([c.to_json(emit_matrices=cfg.emit_matrices) for c in certs],
+    elif args.output == "json":
+        print(json.dumps([c.to_json(emit_matrices=args.emit_matrices) for c in certs],
                          indent=2))
     else:
         for cert in certs:
-            _print_certificate(cert, cfg)
+            _print_certificate(cert, args)
     for i, cert in enumerate(certs):
         if not cert.verified:
             print(f"row {i} failed verification: {cert.params} != {cert.predicted}",
@@ -161,21 +137,17 @@ def cmd_table(args, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_ebits(args, cfg: CliConfig) -> int:
-    try:
-        with open(args.g1_file) as fh:
-            G1 = FMatrix.from_text(fh.read())
-        with open(args.h2_file) as fh:
-            H2 = FMatrix.from_text(fh.read())
-        C1 = from_generator(G1, allow_zero=True)
-        C2 = from_parity_check(H2)
-        c_product = ebits_product(C1, C2, args.s)
-        c_stack = ebits_stack(C1, C2, args.s)
-    except (errors.CodingError, OSError, ValueError) as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_ebits(args) -> int:
+    with open(args.g1_file) as fh:
+        G1 = FMatrix.from_text(fh.read())
+    with open(args.h2_file) as fh:
+        H2 = FMatrix.from_text(fh.read())
+    C1 = from_generator(G1, allow_zero=True)
+    C2 = from_parity_check(H2)
+    c_product = ebits_product(C1, C2, args.s)
+    c_stack = ebits_stack(C1, C2, args.s)
     agree = c_product == c_stack
-    if cfg.output == "text":
+    if args.output == "text":
         print(f"c_product={c_product} c_stack={c_stack} "
               f"{'agree' if agree else 'DISAGREE'}")
     else:
@@ -184,21 +156,13 @@ def cmd_ebits(args, cfg: CliConfig) -> int:
     return EXIT_OK if agree else EXIT_MISMATCH
 
 
-def cmd_verify(args, cfg: CliConfig) -> int:
-    try:
-        with open(args.code_file) as fh:
-            code = LinearCode.from_text(fh.read())
-    except (errors.CodingError, OSError, ValueError) as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+def cmd_verify(args) -> int:
+    with open(args.code_file) as fh:
+        code = LinearCode.from_text(fh.read())
     if args.k is not None and args.k != code.k:
         print(json.dumps({"claimed_k": args.k, "actual_k": code.k, "verdict": "refuted"}))
         return EXIT_FAILED
-    try:
-        report = min_distance(code, budget=cfg.budget)
-    except errors.Infeasible as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+    report = min_distance(code, budget=args.budget)
     result = {
         "n": code.n,
         "k": code.k,
@@ -215,9 +179,9 @@ def cmd_verify(args, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def cmd_selftest(args, cfg: CliConfig) -> int:
+def cmd_selftest(args) -> int:
     """Seeded consistency suites: both ebit formulas and both dual routes."""
-    rng = random.Random(cfg.seed)
+    rng = random.Random(args.seed)
     field_shapes = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (13, 1), (3, 3)]
     failures = 0
     for trial in range(args.trials):
@@ -246,7 +210,7 @@ def cmd_selftest(args, cfg: CliConfig) -> int:
             if dual_direct.G != dual_check.G:
                 failures += 1
                 print(f"trial {trial}: dual route mismatch", file=sys.stderr)
-    print(f"selftest: {args.trials} trials, {failures} failures (seed={cfg.seed})")
+    print(f"selftest: {args.trials} trials, {failures} failures (seed={args.seed})")
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 
@@ -294,13 +258,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; every library error maps to its documented exit code."""
     args = build_parser().parse_args(argv)
     if args.budget < 1:
         print("budget must be >= 1", file=sys.stderr)
         return EXIT_INPUT
-    cfg = CliConfig(budget=args.budget, seed=args.seed,
-                    output=args.output, emit_matrices=args.emit_matrices)
-    return args.func(args, cfg)
+    try:
+        return args.func(args)
+    except errors.ConstraintViolation as exc:
+        print(f"constraint violation: {exc}", file=sys.stderr)
+        return EXIT_CONSTRAINT
+    except (errors.FormulaMismatch, errors.DualityFailure) as exc:
+        print(f"internal mismatch: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
+    except errors.Infeasible as exc:
+        print(f"infeasible: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
+    except (errors.CodingError, ValueError, OSError) as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -1,22 +1,25 @@
 """Exact arithmetic in the finite field GF(p^e).
 
-Elements are coefficient vectors (c_0, ..., c_{e-1}) over Z_p in the
-polynomial basis 1, b, b^2, ... where b is a root of the defining modulus.
-The integer encoding enc(a) = sum c_i * p^i is a bijection onto [0, p^e);
-every canonical choice made here (defining modulus, primitive element,
-element ordering) minimizes this encoding, so all downstream constructions
-are bit-reproducible.
+Elements are polynomials c_0 + c_1 b + ... + c_{e-1} b^(e-1) over Z_p, where
+b is a root of the monic defining modulus f.  The integer encoding
+enc(a) = sum c_i * p^i is a bijection onto [0, p^e); every canonical choice
+made here (defining modulus, primitive element, element ordering) minimizes
+this encoding, so all downstream constructions are bit-reproducible.
 
 Enc integers are the working representation: matrices and codes store them
 and compute with the field's enc-level add/sub/neg/mul/inv/pow.  Element is
 the API-boundary type; its operators delegate to those same operations.
+One set of Z_p[x] routines serves the Rabin test that picks f and the
+arithmetic above q = 4096: a product is reduced through a table of
+x^(e+i) mod f, and an inverse is one extended Euclid against f.
 
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import zip_longest
+from typing import Sequence
 
 from . import errors
 
@@ -74,8 +77,8 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Dense polynomial helpers over Z_p.  Coefficients are plain lists, lowest
-# degree first, with trailing zeros trimmed ([] is the zero polynomial).
+# Z_p[x] on coefficient lists, lowest degree first.  Results are trimmed of
+# trailing zeros ([] is the zero polynomial); arguments need not be.
 # ---------------------------------------------------------------------------
 
 def _ptrim(a: list[int]) -> list[int]:
@@ -84,82 +87,97 @@ def _ptrim(a: list[int]) -> list[int]:
     return a
 
 
+def _psub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
+    return _ptrim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
+
+
 def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+    t = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
+            for j, bj in enumerate(b, i):
+                t[j] += ai * bj
+    return _ptrim([c % p for c in t])
 
 
-def _pmod(a: Sequence[int], f: Sequence[int], p: int) -> list[int]:
-    """a mod f, where f is monic."""
-    a = list(a)
-    df = len(f) - 1
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i]
+def _pdivmod(a: Sequence[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """(quotient, remainder) of a by b, which is trimmed and nonzero."""
+    r, db = list(a), len(b) - 1
+    lead_inv = pow(b[-1], p - 2, p)
+    quo = [0] * (len(r) - db)
+    for i in range(len(r) - 1, db - 1, -1):
+        c = r[i] * lead_inv % p
         if c:
-            a[i] = 0
-            for j in range(df):
-                a[i - df + j] = (a[i - df + j] - c * f[j]) % p
-    return _ptrim(a)
+            quo[i - db] = c
+            for j in range(db):
+                r[i - db + j] = (r[i - db + j] - c * b[j]) % p
+    return _ptrim(quo), _ptrim(r[:db])
 
 
-def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
-    while b:
-        # reduce a mod b after making b monic
-        lead_inv = pow(b[-1], p - 2, p)
-        bm = [(c * lead_inv) % p for c in b]
-        a, b = b, _pmod(a, bm, p)
-    return a
+def _pxgcd(a: Sequence[int], f: Sequence[int], p: int) -> tuple[list[int], list[int]]:
+    """Extended Euclid: (g, u) with g = gcd(a, f) monic and u * a = g mod f.
+
+    f is trimmed and nonzero.  For a prime to f, g = [1] and u = a^-1 mod f."""
+    r0, r1 = f, _ptrim(list(a))
+    u0, u1 = [], [1]
+    while r1:
+        quo, rem = _pdivmod(r0, r1, p)
+        r0, r1, u0, u1 = r1, rem, u1, _psub(u0, _pmul(quo, u1, p), p)
+    lead_inv = pow(r0[-1], p - 2, p)
+    return [c * lead_inv % p for c in r0], [c * lead_inv % p for c in u0]
 
 
-def _ppowmod(a: Sequence[int], n: int, f: Sequence[int], p: int) -> list[int]:
+def _reduction_table(f: list[int], p: int) -> list[list[int]]:
+    """x^(e+i) mod f for i < e, so e rows, where f is monic of degree e."""
+    return [_pdivmod([0] * (len(f) - 1 + i) + [1], f, p)[1] for i in range(len(f) - 1)]
+
+
+def _pmulmod(a: Sequence[int], b: Sequence[int], red: list, p: int) -> list[int]:
+    """a * b mod f for a, b of degree < e, with red = _reduction_table(f)."""
+    e = len(red)
+    t = _pmul(a, b, p)
+    for i in range(len(t) - 1, e - 1, -1):
+        c = t[i]  # reductions only write below e, so t[i] is still reduced
+        if c:
+            for j, r in enumerate(red[i - e]):
+                t[j] += c * r
+    return _ptrim([c % p for c in t[:e]])
+
+
+def _ppow(a: Sequence[int], n: int, red: list, p: int) -> list[int]:
+    """a^n mod f for n >= 0, by left-to-right square-and-multiply."""
     result = [1]
-    base = _pmod(a, f, p)
-    while n:
-        if n & 1:
-            result = _pmod(_pmul(result, base, p), f, p)
-        base = _pmod(_pmul(base, base, p), f, p)
-        n >>= 1
+    for bit in bin(n)[2:]:
+        result = _pmulmod(result, result, red, p)
+        if bit == "1":
+            result = _pmulmod(result, a, red, p)  # cheap for sparse a such as x
     return result
 
 
 def _is_irreducible(tail: Sequence[int], p: int, e: int) -> bool:
     """Rabin test for the monic polynomial x^e + tail (tail = c_0..c_{e-1})."""
-    f = list(tail) + [1]
     if e == 1:
         return True
+    f = list(tail) + [1]
+    red = _reduction_table(f, p)
     x = [0, 1]
     # x^(p^e) must equal x mod f
-    if _ppowmod(x, p**e, f, p) != x:
+    if _ppow(x, p**e, red, p) != x:
         return False
     for r in _prime_factors(e):
-        h = _ppowmod(x, p ** (e // r), f, p)
         # gcd(x^(p^(e/r)) - x, f) must be trivial
-        width = max(len(h), 2)
-        diff = _ptrim([((h[i] if i < len(h) else 0)
-                        - (x[i] if i < 2 else 0)) % p for i in range(width)])
-        if len(_pgcd(f, diff, p)) != 1:
+        g, _ = _pxgcd(_psub(_ppow(x, p ** (e // r), red, p), x, p), f, p)
+        if len(g) != 1:
             return False
     return True
 
 
 def _min_irreducible_tail(p: int, e: int) -> tuple[int, ...]:
     """Non-leading coefficients of the enc-minimal monic irreducible of degree e."""
-    if e == 1:
-        return (0,)  # the polynomial x
-    for enc in range(p**e):
-        tail, v = [], enc
-        for _ in range(e):
-            tail.append(v % p)
-            v //= p
+    for enc in range(p**e):  # e = 1 gives (0,), the polynomial x
+        tail = tuple(enc // p**i % p for i in range(e))
         if _is_irreducible(tail, p, e):
-            return tuple(tail)
+            return tail
     raise errors.UnsupportedSize(f"no irreducible polynomial found for p={p}, e={e}")
 
 
@@ -173,12 +191,12 @@ class FieldSpec:
     Immutable after construction.  Arithmetic works on enc integers through
     add, sub, neg, mul, inv and pow.  The field picks add, sub, mul and pow
     once from its size: residues mod p for prime fields, log/exp and Zech
-    tables for extension fields with q <= _LOG_TABLE_MAX, and the
-    coefficient routines above that.  Prefer :func:`field_new`, which shares
+    tables for extension fields with q <= _LOG_TABLE_MAX, and the Z_p[x]
+    routines above that.  Prefer :func:`field_new`, which shares
     one instance per modulus, the canonical (enc-minimal) one by default.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_xpow", "_log", "_exp",
+    __slots__ = ("p", "e", "q", "modulus", "_log", "_exp",
                  "_cache", "_primitive", "_vec", "add", "sub", "mul", "pow")
 
     def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
@@ -203,18 +221,6 @@ class FieldSpec:
                 raise errors.UnsupportedSize(
                     f"x^{e} + {list(modulus)} is not irreducible over GF({p})")
         self.modulus = tuple(modulus)
-        # reduction table: _xpow[i] = coefficients of x^(e+i) mod modulus
-        xpow = []
-        if e > 1:
-            cur = tuple((-c) % p for c in self.modulus)  # x^e
-            xpow.append(cur)
-            for _ in range(e - 2):
-                shifted = (0,) + cur[:-1]
-                top = cur[-1]
-                cur = tuple((s + top * r) % p
-                            for s, r in zip(shifted, xpow[0]))
-                xpow.append(cur)
-        self._xpow = tuple(xpow)
         self._cache: dict[int, "Element"] = {}
         self._primitive: Element | None = None
         self._vec = None
@@ -303,54 +309,7 @@ class FieldSpec:
         """All q elements in increasing enc order."""
         return [self.element(i) for i in range(self.q)]
 
-    # -- coefficient-level arithmetic ----------------------------------------
-
-    def _add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def _sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def _neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def _mul(self, a, b):
-        p, e = self.p, self.e
-        if e == 1:
-            return ((a[0] * b[0]) % p,)
-        t = [0] * (2 * e - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    t[i + j] = (t[i + j] + ai * bj) % p
-        for i in range(2 * e - 2, e - 1, -1):
-            c = t[i]
-            if c:
-                red = self._xpow[i - e]
-                for j in range(e):
-                    t[j] = (t[j] + c * red[j]) % p
-        return tuple(t[:e])
-
-    def _pow(self, a, n: int):
-        if not any(a):
-            return self._coeffs(_zero_power(n))
-        n %= self.q - 1 if self.q > 1 else 1
-        result = self._coeffs(1)
-        base = a
-        while n:
-            if n & 1:
-                result = self._mul(result, base)
-            base = self._mul(base, base)
-            n >>= 1
-        return result
-
-    def _inv(self, a):
-        if not any(a):
-            raise errors.DivisionByZero("0 has no inverse")
-        return self._pow(a, self.q - 2)
+    # -- enc <-> coefficients ---------------------------------------------------
 
     def _enc(self, coeffs) -> int:
         enc, m = 0, 1
@@ -432,13 +391,12 @@ def _log_ops(field: FieldSpec):
     indexes from the end of the doubled table.
     """
     p, q1 = field.p, field.q - 1
-    g = field.primitive_element().coeffs
+    g = field.primitive_element().enc
     exp, log = [0] * q1, [0] * field.q
-    cur = field._coeffs(1)
+    x = 1
     for i in range(q1):
-        x = field._enc(cur)
         exp[i], log[x] = x, i
-        cur = field._mul(cur, g)
+        x = field.mul(g, x)  # coefficient backend; the product skips g's zero digits
     field._exp, field._log = exp, log
     half = q1 // 2 if p != 2 else 0  # log(-1)
     zech = []
@@ -476,20 +434,27 @@ def _log_ops(field: FieldSpec):
 
 
 def _poly_ops(field: FieldSpec):
-    """Large extension fields: the coefficient routines, through enc <-> coeffs."""
-    enc, coeffs = field._enc, field._coeffs
+    """Large extension fields: the Z_p[x] routines, through enc <-> coeffs."""
+    p, q1, enc, co = field.p, field.q - 1, field._enc, field._coeffs
+    f = list(field.modulus) + [1]
+    red = _reduction_table(f, p)
 
     def add(a, b):
-        return enc(field._add(coeffs(a), coeffs(b))) if a and b else a or b
+        return enc([(x + y) % p for x, y in zip(co(a), co(b))]) if a and b else a or b
 
     def sub(a, b):
-        return enc(field._sub(coeffs(a), coeffs(b))) if b else a
+        return enc(_psub(co(a), co(b), p)) if b else a
 
     def mul(a, b):
-        return enc(field._mul(coeffs(a), coeffs(b))) if a and b else 0
+        return enc(_pmulmod(co(a), co(b), red, p)) if a and b else 0
 
     def power(a, n):
-        return enc(field._pow(coeffs(a), n))
+        if not a:
+            return _zero_power(n)
+        c = co(a)
+        if n < 0:
+            c, n = _pxgcd(c, f, p)[1], -n
+        return enc(_ppow(c, n % q1, red, p))
 
     return add, sub, mul, power
 

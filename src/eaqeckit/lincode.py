@@ -19,7 +19,8 @@ from .fmatrix import FMatrix, pivot_step
 from .gf import Element, FieldSpec
 
 DEFAULT_BUDGET = 2**22
-DEFAULT_COLUMN_SEARCH_MAX = 6
+# Largest dependent parity-check column set that min_distance rung (c) seeks.
+COLUMN_SEARCH_MAX = 6
 # Sibling nodes expanded per numpy step of the subset scan.
 _SCAN_CHUNK = 1 << 10
 
@@ -283,13 +284,12 @@ def projective_min_weight(C: LinearCode, weight) -> tuple[int, tuple[int, ...]]:
     return best, best_word
 
 
-def min_distance(C: LinearCode, budget: int = DEFAULT_BUDGET,
-                 column_search_max: int = DEFAULT_COLUMN_SEARCH_MAX) -> DistanceReport:
+def min_distance(C: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceReport:
     """Exact minimum distance via a fixed strategy ladder.
 
     (a) exhaustive projective enumeration when q^k <= budget;
     (b) the MDS column criterion, which when it holds proves d = n-k+1;
-    (c) smallest w <= column_search_max with w dependent parity-check
+    (c) smallest w <= COLUMN_SEARCH_MAX with w dependent parity-check
         columns, which is exactly d when found.
     Raises Infeasible when no rung applies.
     """
@@ -301,11 +301,11 @@ def min_distance(C: LinearCode, budget: int = DEFAULT_BUDGET,
     if is_mds(C).is_mds:
         return DistanceReport(C.n - C.k + 1, "mds-columns")
     # Not MDS, so some n-k columns of H are dependent and w <= n-k suffices.
-    for w in range(1, min(column_search_max, C.n - C.k) + 1):
+    for w in range(1, min(COLUMN_SEARCH_MAX, C.n - C.k) + 1):
         dep = _all_subsets_full_rank(C.H, w)
         if dep is not None:
             return DistanceReport(w, "parity-columns", dep)
     raise errors.Infeasible(
         f"q^k = {C.field.q}^{C.k} over budget, not MDS, and no dependent "
-        f"column set of size <= {column_search_max}")
+        f"column set of size <= {COLUMN_SEARCH_MAX}")
 

@@ -41,6 +41,18 @@ class TestConstruct:
         code, _, err = run(capsys, "construct", "grs-ext", "q=9", "n=10")
         assert code == 4 and "missing" in err
 
+    def test_bare_prime_q_is_split_by_roots(self, capsys):
+        args = ("--output", "text", "construct", "vandermonde", "n=4", "k=2", "t=2", "j=1")
+        code, out, _ = run(capsys, *args, "q=2147483647")
+        assert code == 0 and "[[4,1,3;1]]_2147483647" in out
+        assert run(capsys, *args, "q=2147483647^1") == (0, out, "")
+
+    @pytest.mark.parametrize("q", ["2147483659", "6", "1"])
+    def test_bare_q_not_a_supported_prime_power(self, capsys, q):
+        code, out, err = run(capsys, "construct", "vandermonde",
+                             f"q={q}", "n=4", "k=2", "t=2", "j=1")
+        assert code == 4 and out == "" and len(err.splitlines()) == 1
+
     def test_emit_matrices(self, capsys):
         code, out, _ = run(capsys, "--emit-matrices", "construct",
                            "gabidulin", "q=11^5", "n=5", "k1=3", "k2=2", "t=2")
@@ -201,6 +213,12 @@ class TestVerify:
     def test_header_only_code_file(self, capsys, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("code 3 1\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 4 and out == "" and len(err.splitlines()) == 1
+
+    def test_zero_code_file(self, capsys, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("code 3 0\n13 1 1 3\n0\n0 0 0\n")
         code, out, err = run(capsys, "verify", str(path))
         assert code == 4 and out == "" and len(err.splitlines()) == 1
 

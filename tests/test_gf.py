@@ -2,9 +2,11 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from sympy import Poly, symbols
 
 from eaqeckit import errors, field_new, frobenius, galois_form
-from eaqeckit.gf import FieldSpec, _is_irreducible
+from eaqeckit.gf import FieldSpec, _is_irreducible, _poly_ops
 
 
 def minimal_irreducible_oracle(p, e):
@@ -63,6 +65,62 @@ class TestFieldNew:
     def test_reducible_modulus_rejected(self):
         with pytest.raises(errors.UnsupportedSize):
             FieldSpec(3, 2, (0, 0))  # x^2 has root 0
+
+
+def sympy_poly(tail, p):
+    """x^e + tail as a sympy polynomial over GF(p)."""
+    return Poly([1] + list(tail)[::-1], symbols("x"), modulus=p)
+
+
+class TestIrreducible:
+    """The Rabin test and the canonical moduli against sympy's own test."""
+
+    @pytest.mark.parametrize("p", [2, 3, 17, 2**31 - 1])
+    def test_rabin_matches_sympy(self, p):
+        rng = random.Random(p)
+        seen = set()
+        for e in range(4, 17):
+            for _ in range(2 if p > 17 else 8):
+                tail = [rng.randrange(p) for _ in range(e)]
+                expected = sympy_poly(tail, p).is_irreducible
+                assert _is_irreducible(tail, p, e) == expected, (e, tail)
+                seen.add(expected)
+        assert seen == {True, False}
+
+    @pytest.mark.parametrize("p,e", [(2, 16), (17, 8), (3, 10), (5, 9), (13, 6),
+                                     (11, 5), (2, 11), (2**31 - 1, 2)])
+    def test_canonical_modulus_is_enc_minimal(self, p, e):
+        def tail(enc):
+            return [enc // p**i % p for i in range(e)]
+
+        modulus = field_new(p, e).modulus
+        enc = sum(c * p**i for i, c in enumerate(modulus))
+        assert sympy_poly(modulus, p).is_irreducible
+        assert not any(sympy_poly(tail(smaller), p).is_irreducible
+                       for smaller in range(enc))
+
+
+# One field per backend: residues (prime), log/exp with Zech tables
+# (q <= 4096), and the Z_p[x] routines (above).
+AXIOM_FIELDS = [(2**31 - 1, 1), (3, 3), (2, 11), (2, 16), (17, 8), (2**31 - 1, 2)]
+
+
+@pytest.mark.parametrize("p,e", AXIOM_FIELDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_field_axioms_property(p, e, data):
+    field = field_new(p, e)
+    q, add, mul, power = field.q, field.add, field.mul, field.pow
+    a, b, c = (data.draw(st.integers(0, q - 1)) for _ in range(3))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert power(add(a, b), p) == add(power(a, p), power(b, p))
+    if a:
+        assert mul(a, field.inv(a)) == 1
+        assert power(a, q - 1) == 1
+        # the exponent q-1 reduces to 0; a^(q-2) * a runs the full ladder
+        assert mul(power(a, q - 2), a) == 1
 
 
 class TestArith:
@@ -245,37 +303,41 @@ class TestEncArithmetic:
 
     Element arithmetic delegates to the same enc-level operations, so this is
     the independent check of the log/exp and Zech tables (small extension
-    fields), the residue arithmetic (prime fields) and the enc <-> coefficient
-    conversions (large fields).
+    fields) and the residue arithmetic (prime fields) against the Z_p[x]
+    routines of _poly_ops; on large fields, where _poly_ops is the installed
+    backend, a * a^-1 = 1 checks the extended-Euclid inverse.
     """
 
     @staticmethod
-    def check(field, a, b):
-        co, enc = field._coeffs, field._enc
-        assert field.add(a, b) == enc(field._add(co(a), co(b)))
-        assert field.sub(a, b) == enc(field._sub(co(a), co(b)))
-        assert field.mul(a, b) == enc(field._mul(co(a), co(b)))
-        assert field.neg(a) == enc(field._neg(co(a)))
+    def check(field, ref, a, b):
+        add, sub, mul, power = ref
+        assert field.add(a, b) == add(a, b)
+        assert field.sub(a, b) == sub(a, b)
+        assert field.mul(a, b) == mul(a, b)
+        assert field.neg(a) == sub(0, a)
         for n in (0, 1, 2, b, field.q - 2, -1 - b):
             if a or n >= 0:
-                assert field.pow(a, n) == enc(field._pow(co(a), n))
+                assert field.pow(a, n) == power(a, n)
         if a:
-            assert field.inv(a) == enc(field._inv(co(a)))
+            assert field.inv(a) == power(a, -1)
+            assert field.mul(a, field.inv(a)) == 1
 
     @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (13, 1)])
     def test_every_pair(self, p, e):
         field = field_new(p, e)
+        ref = _poly_ops(field)
         for a in range(field.q):
             for b in range(field.q):
-                self.check(field, a, b)
+                self.check(field, ref, a, b)
 
     @pytest.mark.parametrize("p,e", [(2, 16), (17, 8)])
     def test_seeded_sample(self, p, e):
         field = field_new(p, e)
+        ref = _poly_ops(field)
         rng = random.Random(p * 1000 + e)
         for _ in range(300):
-            self.check(field, rng.randrange(field.q), rng.randrange(field.q))
-        self.check(field, 0, rng.randrange(field.q))
+            self.check(field, ref, rng.randrange(field.q), rng.randrange(field.q))
+        self.check(field, ref, 0, rng.randrange(field.q))
 
     def test_zero(self, f9):
         assert f9.pow(0, 0) == 1 and f9.pow(0, 5) == 0
