@@ -25,6 +25,9 @@ CASES = {
     "table2_emit_matrices": ("--emit-matrices", "table", "2"),
     "construct_vandermonde": ("construct", "vandermonde", "q=13", "n=12", "k=4", "t=5", "j=7"),
     "construct_grs_ext": ("construct", "grs-ext", "q=9", "k=4"),
+    "construct_vandermonde_emit_matrices": ("--emit-matrices", "construct", "vandermonde", "q=13",
+                                            "n=12", "k=4", "t=5", "j=7"),
+    "construct_grs_ext_emit_matrices": ("--emit-matrices", "construct", "grs-ext", "q=9", "k=4"),
     "construct_gabidulin": ("construct", "gabidulin", "q=11^5", "n=5", "k1=3", "k2=2", "t=2"),
     "verify_exhaustive_gf9": ("verify", "exhaustive_gf9.txt"),
     "verify_exhaustive_gf2": ("verify", "exhaustive_gf2.txt", "--d", "3"),
