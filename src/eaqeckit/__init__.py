@@ -18,8 +18,7 @@ from .gf import Element, FieldSpec, field_new, frobenius, galois_form
 from .fmatrix import FMatrix
 from .lincode import (DistanceReport, LinearCode, MdsReport, code_frobenius,
                       euclidean_dual, from_generator, from_parity_check,
-                      galois_dual, intersection_basis_bruteforce,
-                      intersection_dim, is_mds, min_distance)
+                      galois_dual, intersection_dim, is_mds, min_distance)
 from .rankmetric import (MooreSpec, MrdReport, is_mrd, linearly_independent_over_base,
                          min_rank_distance_exhaustive, moore_matrix, rank_weight)
 from .eaqec import EaqecParams, PairReport, assemble, ebits_product, ebits_stack

@@ -107,17 +107,12 @@ def cmd_construct(args) -> int:
     return EXIT_OK if cert.verified else EXIT_FAILED
 
 
-_TABLE1_CSV_HEADER = "q,n,k,t,j,params,c_product,c_stack,slack"
-_TABLE2_CSV_HEADER = "q,n,k1,k2,t,params,c_product,c_stack,slack"
-
-
 def cmd_table(args) -> int:
     certs = families.table1() if args.which == 1 else families.table2()
     keys = _FAMILY_SIGNATURES["vandermonde" if args.which == 1 else "gabidulin"]
     if args.output == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        header = _TABLE1_CSV_HEADER if args.which == 1 else _TABLE2_CSV_HEADER
-        writer.writerow(header.split(","))
+        writer.writerow(("q",) + keys + ("params", "c_product", "c_stack", "slack"))
         for cert in certs:
             fields = [cert.inputs["q"]] + [str(cert.inputs[k]) for k in keys]
             fields += [str(cert.params), str(cert.pair.c_product),

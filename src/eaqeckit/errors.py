@@ -33,10 +33,6 @@ class ZeroCode(CodingError):
     pass
 
 
-class BudgetExceeded(CodingError):
-    pass
-
-
 class Infeasible(CodingError):
     pass
 

@@ -19,13 +19,12 @@ Canonical instantiations (the closed forms leave them open):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from . import errors
 from .eaqec import EaqecParams, PairReport, assemble
 from .fmatrix import FMatrix
 from .gf import Element, FieldSpec, field_new
-from .lincode import DistanceReport, LinearCode, from_generator, from_parity_check, is_mds
+from .lincode import DistanceReport, from_generator, from_parity_check, is_mds
 from .rankmetric import MooreSpec, moore_matrix
 
 
@@ -72,12 +71,25 @@ def _require(cond: bool, inequality: str, actual: str) -> None:
         raise errors.ConstraintViolation(f"{inequality} violated: {actual} is false")
 
 
-def _certified_mds_distance(C: LinearCode, label: str) -> DistanceReport:
-    report = is_mds(C)
-    if not report.is_mds:
-        raise errors.FormulaMismatch(
-            f"{label} failed MDS certification; dependent columns {report.witness}")
-    return DistanceReport(C.n - C.k + 1, "mds-columns")
+def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: int,
+             predicted: EaqecParams) -> FamilyCertificate:
+    """Certify the pair C1 = rowspace(G1), C2 = ker(H2) against its closed form.
+
+    A dimension other than k1, k2 or a code that fails the MDS column
+    criterion is a FormulaMismatch; the ebit count comes from assemble.
+    """
+    C1, C2 = from_generator(G1), from_parity_check(H2)
+    for label, C, k in (("C1", C1, k1), ("C2", C2, k2)):
+        if C.k != k:
+            raise errors.FormulaMismatch(f"{family} dim {label} = {C.k}, expected {k}")
+        report = is_mds(C)
+        if not report.is_mds:
+            raise errors.FormulaMismatch(f"{family} {label} failed MDS certification; "
+                                         f"dependent columns {report.witness}")
+    d1, d2 = (DistanceReport(C.n - C.k + 1, "mds-columns") for C in (C1, C2))
+    pair = assemble(C1, C2, 0, d1, d2)
+    return FamilyCertificate(family, inputs, G1, H2, pair, predicted,
+                             verified=pair.params == predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -99,26 +111,14 @@ def vandermonde_family(field: FieldSpec, n: int, k: int, t: int, j: int) -> Fami
     _require(t + j <= n, "t+j <= n", f"{t + j} <= {n}")
     _require(n - j - 1 >= 1, "n-j-1 >= 1", f"{n - j - 1} >= 1")
 
-    gamma = field.primitive_element()
-    nodes = [gamma ** (i - 1) for i in range(1, t + j + 1)]
-
-    def vrow(node: Element) -> list[Element]:
-        return [node**c for c in range(n)]
-
-    G1 = FMatrix(field, [vrow(nodes[i - 1]) for i in range(1, k + 1)], n)
-    H2 = FMatrix(field, [vrow(nodes[i - 1]) for i in range(t, t + j + 1)], n)
-    C1 = from_generator(G1)
-    C2 = from_parity_check(H2)
-    d1 = _certified_mds_distance(C1, "Vandermonde C1")
-    d2 = _certified_mds_distance(C2, "Vandermonde C2")
-    pair = assemble(C1, C2, 0, d1, d2)
-    predicted = EaqecParams.build(field, n, t - 1, min(n - k + 1, j + 2), j - k + t)
-    return FamilyCertificate(
-        family="vandermonde",
-        inputs={"q": field.label, "n": n, "k": k, "t": t, "j": j},
-        G1=G1, H2=H2, pair=pair, predicted=predicted,
-        verified=pair.params == predicted,
-    )
+    gamma = field.primitive_element().enc
+    # 0-based row i holds node^c = gamma^(i*c); rows 0..t+j-1 cover G1 and H2
+    rows = [[field.pow(gamma, i * c) for c in range(n)] for i in range(t + j)]
+    return _certify(
+        "vandermonde", {"q": field.label, "n": n, "k": k, "t": t, "j": j},
+        FMatrix._of(field, rows[:k], n), FMatrix._of(field, rows[t - 1:], n),
+        k, n - j - 1,
+        EaqecParams.build(field, n, t - 1, min(n - k + 1, j + 2), j - k + t))
 
 
 # ---------------------------------------------------------------------------
@@ -140,21 +140,19 @@ def grs_extended_generator(spec: GrsSpec) -> FMatrix:
     field = spec.a[0].field
     if not 1 <= spec.k <= len(spec.a):
         raise errors.ShapeMismatch(f"k={spec.k} out of range for {len(spec.a)} points")
-    z, o = field.zero, field.one
-    rows = []
-    for i in range(spec.k):
-        row = [v * (a**i) for a, v in zip(spec.a, spec.v)]
-        row.append(o if i == spec.k - 1 else z)
-        rows.append(row)
-    return FMatrix(field, rows, len(spec.a) + 1)
+    mul, power = field.mul, field.pow
+    av = [(a.enc, v.enc) for a, v in zip(spec.a, spec.v)]
+    rows = [[mul(v, power(a, i)) for a, v in av] + [int(i == spec.k - 1)]
+            for i in range(spec.k)]
+    return FMatrix._of(field, rows, len(spec.a) + 1)
 
 
 def grs_extended_family(field: FieldSpec, k: int) -> FamilyCertificate:
     """Pair an extended evaluation code with its dual-description twin.
 
     C1 is generated by the k-row matrix; C2 is defined by the
-    (q-k+1)-row matrix as parity checks.  The orthogonality G1 H2^T = 0 and
-    dim C2 = k are verified before anything else; both codes are the same
+    (q-k+1)-row matrix as parity checks.  The orthogonality G1 H2^T = 0 is
+    verified before anything else; both codes are the same
     [q+1, k, q-k+2] MDS code and the pair yields [[q+1, 1, q-k+2; q-2k+2]]_q.
 
     k stays below ceil((q+1)/2): at k = (q+1)/2 the two generators coincide,
@@ -170,22 +168,8 @@ def grs_extended_family(field: FieldSpec, k: int) -> FamilyCertificate:
     H2 = grs_extended_generator(grs_extended_spec(field, q - k + 1))
     if not (G1 @ H2.transpose()).is_zero():
         raise errors.DualityFailure("G1 H2^T != 0 for the canonical points/weights")
-    C1 = from_generator(G1)
-    C2 = from_parity_check(H2)
-    if C1.k != k:
-        raise errors.DualityFailure(f"dim C1 = {C1.k}, expected {k}")
-    if C2.k != k:
-        raise errors.DualityFailure(f"dim C2 = {C2.k}, expected {k}")
-    d1 = _certified_mds_distance(C1, "extended GRS C1")
-    d2 = _certified_mds_distance(C2, "extended GRS C2")
-    pair = assemble(C1, C2, 0, d1, d2)
-    predicted = EaqecParams.build(field, q + 1, 1, q - k + 2, q - 2 * k + 2)
-    return FamilyCertificate(
-        family="grs_extended",
-        inputs={"q": field.label, "k": k},
-        G1=G1, H2=H2, pair=pair, predicted=predicted,
-        verified=pair.params == predicted,
-    )
+    return _certify("grs_extended", {"q": field.label, "k": k}, G1, H2, k, k,
+                    EaqecParams.build(field, q + 1, 1, q - k + 2, q - 2 * k + 2))
 
 
 # ---------------------------------------------------------------------------
@@ -208,26 +192,12 @@ def gabidulin_family(field: FieldSpec, n: int, k1: int, k2: int, t: int) -> Fami
     _require(k2 <= m - t, "k2 <= m-t", f"{k2} <= {m - t}")
     _require(k2 <= n - 1, "k2 <= n-1", f"{k2} <= {n - 1}")
 
-    beta = field.element(field.p)
-    g = tuple(beta**i for i in range(n))
-    G1 = moore_matrix(MooreSpec(field, g, k1, 0))
-    H2 = moore_matrix(MooreSpec(field, g, k2, t))
-    C1 = from_generator(G1)
-    C2 = from_parity_check(H2)
-    if C1.k != k1:
-        raise errors.DependentGenerators(f"dim C1 = {C1.k}, expected {k1}")
-    if C2.k != n - k2:
-        raise errors.DependentGenerators(f"dim C2 = {C2.k}, expected {n - k2}")
-    d1 = _certified_mds_distance(C1, "Gabidulin C1")
-    d2 = _certified_mds_distance(C2, "Gabidulin C2")
-    pair = assemble(C1, C2, 0, d1, d2)
-    predicted = EaqecParams.build(field, n, t, min(n - k1 + 1, k2 + 1), k2 - k1 + t)
-    return FamilyCertificate(
-        family="gabidulin",
-        inputs={"q": field.label, "n": n, "k1": k1, "k2": k2, "t": t},
-        G1=G1, H2=H2, pair=pair, predicted=predicted,
-        verified=pair.params == predicted,
-    )
+    g = tuple(field.element(field.p**i) for i in range(n))  # x^i has enc p^i
+    return _certify(
+        "gabidulin", {"q": field.label, "n": n, "k1": k1, "k2": k2, "t": t},
+        moore_matrix(MooreSpec(field, g, k1, 0)), moore_matrix(MooreSpec(field, g, k2, t)),
+        k1, n - k2,
+        EaqecParams.build(field, n, t, min(n - k1 + 1, k2 + 1), k2 - k1 + t))
 
 
 # ---------------------------------------------------------------------------

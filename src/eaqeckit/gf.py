@@ -174,7 +174,10 @@ def _is_irreducible(tail: Sequence[int], p: int, e: int) -> bool:
 
 def _min_irreducible_tail(p: int, e: int) -> tuple[int, ...]:
     """Non-leading coefficients of the enc-minimal monic irreducible of degree e."""
-    for enc in range(p**e):  # e = 1 gives (0,), the polynomial x
+    # The binomials x^e + c_0 (enc < p) are all reducible unless every prime
+    # factor of e divides p-1 and p = 1 mod 4 when 4 | e (Lidl-Niederreiter 3.75).
+    binomials = all((p - 1) % r == 0 for r in _prime_factors(e)) and (e % 4 or p % 4 == 1)
+    for enc in range(0 if binomials else p, p**e):  # e = 1 gives (0,), the polynomial x
         tail = tuple(enc // p**i % p for i in range(e))
         if _is_irreducible(tail, p, e):
             return tail

@@ -151,17 +151,6 @@ def intersection_dim(C1: LinearCode, C2: LinearCode, s: int) -> int:
     return C1.k + C1.n - C2.k - stacked.rank()
 
 
-def intersection_basis_bruteforce(C1: LinearCode, C2dual: LinearCode,
-                                  budget: int = DEFAULT_BUDGET) -> FMatrix:
-    """Basis of C1 ∩ C2dual by literal enumeration of C1 (test oracle)."""
-    check_pair(C1, C2dual)
-    if C1.field.q**C1.k > budget:
-        raise errors.BudgetExceeded(
-            f"{C1.field.q}^{C1.k} codewords exceed budget {budget}")
-    members = [w for w in C1.codewords() if C2dual.contains(w)]  # the zero word at least
-    return FMatrix(C1.field, members, C1.n).row_basis()
-
-
 # ---------------------------------------------------------------------------
 # MDS certification (column criterion)
 # ---------------------------------------------------------------------------

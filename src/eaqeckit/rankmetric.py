@@ -8,17 +8,13 @@ vector of coordinates that are independent over the prime field.
 """
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import errors
 from .fmatrix import FMatrix
 from .gf import Element, FieldSpec, field_new
-from .lincode import LinearCode, combine, projective_min_weight
-
-DEFAULT_SAMPLE_SIZE = 10_000
-DEFAULT_SAMPLE_SEED = 20240913
+from .lincode import DEFAULT_BUDGET, LinearCode, projective_min_weight
 
 
 @dataclass(frozen=True)
@@ -33,10 +29,7 @@ class MooreSpec:
 @dataclass(frozen=True)
 class MrdReport:
     is_mrd: bool
-    method: str  # "exhaustive" or "sampled"
-    min_rank: Optional[int] = None  # exact for exhaustive, best bound for sampled
-    seed: Optional[int] = None
-    samples: Optional[int] = None
+    min_rank: int  # exact, by exhaustive enumeration
 
     def __bool__(self):
         return self.is_mrd
@@ -78,7 +71,7 @@ def moore_matrix(spec: MooreSpec) -> FMatrix:
     return FMatrix._of(field, rows, n)
 
 
-def min_rank_distance_exhaustive(C: LinearCode, budget: int = 2**22) -> int:
+def min_rank_distance_exhaustive(C: LinearCode, budget: int = DEFAULT_BUDGET) -> int:
     """Exact minimum rank weight over nonzero codewords.
 
     Enumerates one representative per projective message class; scaling by a
@@ -88,34 +81,17 @@ def min_rank_distance_exhaustive(C: LinearCode, budget: int = 2**22) -> int:
     if C.k < 1:
         raise errors.ZeroCode("rank distance of the zero code is undefined")
     if C.field.q**C.k > budget:
-        raise errors.BudgetExceeded(f"{C.field.q}^{C.k} codewords exceed budget {budget}")
+        raise errors.Infeasible(f"{C.field.q}^{C.k} codewords exceed budget {budget}")
     return projective_min_weight(C, lambda word: _coefficient_rank(C.field, word))[0]
 
 
-def is_mrd(C: LinearCode, budget: int = 2**22,
-           samples: int = DEFAULT_SAMPLE_SIZE,
-           seed: int = DEFAULT_SAMPLE_SEED) -> MrdReport:
+def is_mrd(C: LinearCode, budget: int = DEFAULT_BUDGET) -> MrdReport:
     """True iff the minimum rank distance attains n - k + 1.
 
-    Exhaustive (a proof) when q^k is within budget; otherwise a fixed-seed
-    random sample of nonzero codewords, reported as a "sampled" verdict and
-    never as a proof.
+    Proved by exhaustive enumeration; Infeasible when q^k exceeds budget.
     """
     if C.n > C.field.e:
         raise errors.LengthExceedsDegree(
             f"rank-metric certification needs n <= m ({C.n} > {C.field.e})")
-    target = C.n - C.k + 1
-    if C.field.q**C.k <= budget:
-        dr = min_rank_distance_exhaustive(C, budget)
-        return MrdReport(dr == target, "exhaustive", min_rank=dr)
-    rng = random.Random(seed)
-    q = C.field.q
-    best = C.n
-    for _ in range(samples):
-        msg = [rng.randrange(q) for _ in range(C.k)]
-        if not any(msg):
-            msg[rng.randrange(C.k)] = 1 + rng.randrange(q - 1)
-        best = min(best, _coefficient_rank(C.field, combine(C.G, msg)))
-        if best < target:
-            return MrdReport(False, "sampled", min_rank=best, seed=seed, samples=samples)
-    return MrdReport(best == target, "sampled", min_rank=best, seed=seed, samples=samples)
+    dr = min_rank_distance_exhaustive(C, budget)
+    return MrdReport(dr == C.n - C.k + 1, dr)

@@ -11,11 +11,10 @@ import time
 
 from eaqeckit import (ebits_product, ebits_stack, errors, euclidean_dual, field_new,
                       from_generator, galois_dual, code_frobenius,
-                      grs_extended_family, intersection_basis_bruteforce,
-                      intersection_dim, is_mds, is_mrd, min_distance,
+                      grs_extended_family, intersection_dim, is_mds, is_mrd, min_distance,
                       min_rank_distance_exhaustive, moore_matrix, MooreSpec,
                       FMatrix, table1, table2, vandermonde_family)
-from conftest import random_code
+from conftest import intersection_basis_bruteforce, random_code
 
 COLLECTED_PARAMS = []  # every assembled tuple seen by the earlier criteria
 

@@ -1,12 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eaqeckit import (EaqecParams, FMatrix, assemble, ebits_product,
                       ebits_stack, errors, euclidean_dual, field_new,
                       from_generator, galois_dual, intersection_dim, is_mds,
                       min_distance)
-from conftest import random_code
+from conftest import BACKEND_FIELDS, draw_matrix, random_code
 
 
 def vandermonde_code(field, first_row, nrows, ncols):
@@ -14,6 +15,25 @@ def vandermonde_code(field, first_row, nrows, ncols):
     nodes = [g**i for i in range(first_row - 1, first_row - 1 + nrows)]
     return from_generator(
         FMatrix(field, [[a**c for c in range(ncols)] for a in nodes], ncols))
+
+
+@pytest.mark.parametrize("p,e", BACKEND_FIELDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_ebit_routes_agree_property(p, e, data):
+    field = field_new(p, e)
+    n = data.draw(st.integers(2, 6))
+    G1 = draw_matrix(data, field, data.draw(st.integers(1, n - 1)), n)
+    C1 = from_generator(G1, allow_zero=True)
+    s = data.draw(st.integers(0, e - 1))
+    if data.draw(st.booleans()):
+        # the twisted dual of C2 shares rows with C1, so c depends on s
+        D = from_generator(G1.vstack(draw_matrix(data, field, 1, n)), allow_zero=True)
+        C2 = galois_dual(D, s)
+    else:
+        C2 = from_generator(draw_matrix(data, field, data.draw(st.integers(1, n)), n),
+                            allow_zero=True)
+    assert ebits_product(C1, C2, s) == ebits_stack(C1, C2, s)
 
 
 class TestEbits:

@@ -5,6 +5,29 @@ from eaqeckit import (FMatrix, TABLE1_ROWS, TABLE2_ROWS, ebits_product,
                       from_parity_check, gabidulin_family, grs_extended_family,
                       grs_extended_generator, grs_extended_spec, is_mds,
                       table1, table2, vandermonde_family)
+from eaqeckit.families import _certify
+
+
+class TestCertify:
+    """The one certification path that all three constructions share."""
+
+    def test_certifies_a_table_pair(self, f13):
+        cert = vandermonde_family(f13, 12, 4, 5, 7)
+        again = _certify("vandermonde", cert.inputs, cert.G1, cert.H2, 4, 4,
+                         cert.predicted)
+        assert again == cert
+
+    @pytest.mark.parametrize("k1,k2,label", [(5, 4, "dim C1 = 4"), (4, 3, "dim C2 = 4")])
+    def test_wrong_dimension_is_a_formula_mismatch(self, f13, k1, k2, label):
+        cert = vandermonde_family(f13, 12, 4, 5, 7)
+        with pytest.raises(errors.FormulaMismatch, match=label):
+            _certify("vandermonde", cert.inputs, cert.G1, cert.H2, k1, k2, cert.predicted)
+
+    def test_non_mds_code_is_a_formula_mismatch(self, f13):
+        cert = vandermonde_family(f13, 12, 4, 5, 7)
+        G1 = FMatrix(f13, [[1, 0, 0] + [1] * 9, [0, 1, 0] + [2] * 9], 12)
+        with pytest.raises(errors.FormulaMismatch, match="C1 failed MDS certification"):
+            _certify("vandermonde", cert.inputs, G1, cert.H2, 2, 4, cert.predicted)
 
 
 class TestVandermonde:

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from eaqeckit import FMatrix, errors, field_new
 from eaqeckit.fmatrix import batched_full_rank
-from conftest import random_matrix
+from eaqeckit.lincode import combine
+from conftest import BACKEND_FIELDS, draw_matrix, random_matrix
 
 
 def vandermonde(field, nodes, ncols):
@@ -43,6 +45,31 @@ class TestRref:
             _, rank, pivots = M.rref()
             assert len(pivots) == rank
             assert all(a < b for a, b in zip(pivots, pivots[1:]))
+
+
+@pytest.mark.parametrize("p,e", BACKEND_FIELDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rref_properties(p, e, data):
+    field = field_new(p, e)
+    nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    M = draw_matrix(data, field, nrows, ncols)
+    R, rank, pivots = M.rref()
+    # reduced: zero rows last, a leading 1 at each of the strictly increasing
+    # pivot columns, and every other entry of a pivot column zero
+    assert R.shape == M.shape and len(pivots) == rank
+    assert not any(map(any, R.rows[rank:]))
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for i, c in enumerate(pivots):
+        assert not any(R.rows[i][:c])
+        assert [row[c] for row in R.rows] == [int(r == i) for r in range(nrows)]
+    # row space kept: each row of M is the combination of R's rows given by its
+    # pivot entries, and stacking R on M adds nothing
+    basis = M.row_basis()
+    for row in M.rows:
+        assert combine(basis, [row[c] for c in pivots]) == list(row)
+    assert M.vstack(R).rank() == rank
+    assert M.transpose().rank() == rank
 
 
 class TestRank:

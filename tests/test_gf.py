@@ -1,5 +1,6 @@
 import pickle
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -86,6 +87,26 @@ class TestIrreducible:
                 assert _is_irreducible(tail, p, e) == expected, (e, tail)
                 seen.add(expected)
         assert seen == {True, False}
+
+    @pytest.mark.parametrize("e", range(1, 17))
+    def test_canonical_modulus_at_largest_prime_in_bounded_time(self, e):
+        # For e in {4, 5, 8, 10, 12, 13, 15, 16} no binomial x^e + c is
+        # irreducible here, and the search must not test all p of them first.
+        p, limit = 2**31 - 1, 5
+
+        def expire(signum, frame):
+            raise TimeoutError
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(limit)
+        try:
+            modulus = field_new(p, e).modulus
+        except TimeoutError:
+            pytest.fail(f"field_new({p}, {e}) ran past {limit} s", pytrace=False)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert sympy_poly(modulus, p).is_irreducible
 
     @pytest.mark.parametrize("p,e", [(2, 16), (17, 8), (3, 10), (5, 9), (13, 6),
                                      (11, 5), (2, 11), (2**31 - 1, 2)])

@@ -136,7 +136,7 @@ class TestMinRankDistance:
     def test_budget(self):
         field = field_new(2, 16)
         code = gabidulin_code(field, 8, 4)
-        with pytest.raises(errors.BudgetExceeded):
+        with pytest.raises(errors.Infeasible):
             min_rank_distance_exhaustive(code, budget=100)
 
 
@@ -146,7 +146,7 @@ class TestIsMrd:
         for n in (2, 3, 4):
             for k in range(1, n + 1):
                 report = is_mrd(gabidulin_code(field, n, k))
-                assert report.is_mrd and report.method == "exhaustive"
+                assert report.is_mrd
                 assert report.min_rank == n - k + 1
 
     def test_offset_rows_still_mrd(self):
@@ -161,13 +161,12 @@ class TestIsMrd:
         report = is_mrd(from_generator(G))
         assert not report.is_mrd and report.min_rank == 1
 
-    def test_sampled_path_deterministic(self):
+    def test_over_budget_infeasible(self):
         field = field_new(3, 6)
-        code = gabidulin_code(field, 6, 3)
-        r1 = is_mrd(code, budget=1000, samples=300)
-        r2 = is_mrd(code, budget=1000, samples=300)
-        assert r1.method == "sampled" and r1 == r2
-        assert r1.min_rank == 4  # Gabidulin: sampled bound meets n - k + 1
+        code = gabidulin_code(field, 6, 3)  # 729^3 codewords
+        for budget in (1000, 2**22):
+            with pytest.raises(errors.Infeasible):
+                is_mrd(code, budget=budget)
 
     def test_length_guard(self, f9):
         code = from_generator(FMatrix.identity(f9, 3))
