@@ -176,6 +176,8 @@ def cmd_verify(args) -> int:
 
 def cmd_selftest(args) -> int:
     """Seeded consistency suites: both ebit formulas and both dual routes."""
+    if args.trials < 0:
+        raise ValueError(f"--trials must be >= 0, got {args.trials}")
     rng = random.Random(args.seed)
     field_shapes = [(2, 1), (3, 1), (2, 2), (5, 1), (2, 3), (3, 2), (13, 1), (3, 3)]
     failures = 0

@@ -11,7 +11,9 @@ and compute with the field's enc-level add/sub/neg/mul/inv/pow.  Element is
 the API-boundary type; its operators delegate to those same operations.
 One set of Z_p[x] routines serves the Rabin test that picks f and the
 arithmetic above q = 4096: a product is reduced through a table of
-x^(e+i) mod f, and an inverse is one extended Euclid against f.
+x^(e+i) mod f, and an inverse is one extended Euclid against f.  Every field
+with q <= 1024, prime or not, also has flat numpy tables of sub, mul and inv
+for the batched subset scan.
 
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
@@ -28,8 +30,8 @@ MAX_DEGREE = 16
 
 # Fields with q below this bound get log/exp tables for multiplication.
 _LOG_TABLE_MAX = 4096
-# Fields with q below this bound additionally get dense numpy operation
-# tables (used by the batched linear algebra in fmatrix/lincode).
+# Fields with q up to this bound, prime or extension, additionally get flat
+# numpy sub/mul/inv tables (used by the batched subset scan in fmatrix/lincode).
 _NP_TABLE_MAX = 1024
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
@@ -199,8 +201,8 @@ class FieldSpec:
     one instance per modulus, the canonical (enc-minimal) one by default.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_log", "_exp",
-                 "_cache", "_primitive", "_vec", "add", "sub", "mul", "pow")
+    __slots__ = ("p", "e", "q", "modulus", "_primitive", "_vec",
+                 "add", "sub", "mul", "pow")
 
     def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
         if not isinstance(p, int) or not is_prime(p):
@@ -213,9 +215,7 @@ class FieldSpec:
         self.p = p
         self.e = e
         self.q = p**e
-        if modulus is None:
-            modulus = _min_irreducible_tail(p, e)
-        else:
+        if modulus is not None:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != e:
                 raise errors.UnsupportedSize(
@@ -223,11 +223,11 @@ class FieldSpec:
             if not _is_irreducible(modulus, p, e):
                 raise errors.UnsupportedSize(
                     f"x^{e} + {list(modulus)} is not irreducible over GF({p})")
+        if modulus is None or e == 1:  # every x + c gives GF(p) the same arithmetic
+            modulus = _min_irreducible_tail(p, e)
         self.modulus = tuple(modulus)
-        self._cache: dict[int, "Element"] = {}
         self._primitive: Element | None = None
         self._vec = None
-        self._log = self._exp = None
         self.add, self.sub, self.mul, self.pow = (
             _prime_ops(p) if e == 1 else _poly_ops(self))
         if e > 1 and self.q <= _LOG_TABLE_MAX:
@@ -292,13 +292,7 @@ class FieldSpec:
 
     def element(self, value) -> "Element":
         """Element from an enc integer, a coefficient sequence, or an Element."""
-        enc = self.to_enc(value)
-        el = self._cache.get(enc)
-        if el is None:
-            el = Element(self, enc)
-            if self.q <= _LOG_TABLE_MAX:
-                self._cache[enc] = el
-        return el
+        return Element(self, self.to_enc(value))
 
     @property
     def zero(self) -> "Element":
@@ -344,9 +338,10 @@ class FieldSpec:
     def vec_ops(self):
         """Numpy-vectorized enc arithmetic, or None for fields too large.
 
-        Returned object has add/sub/mul/inv callables operating on integer
-        numpy arrays of enc values.  Built once, cached; results never depend
-        on whether this accelerator is used.
+        Returned object has sub/mul/inv callables operating on integer
+        numpy arrays of enc values, the same flat tables for prime and
+        extension fields.  Built once, cached; results never depend on
+        whether this accelerator is used.
         """
         if self.q > _NP_TABLE_MAX:
             return None
@@ -384,6 +379,17 @@ def _prime_ops(p: int):
     return add, sub, mul, power
 
 
+def _exp_log(field: FieldSpec) -> tuple[list[int], list[int]]:
+    """exp[i] = g^i for i < q-1 and log[g^i] = i, g the primitive element."""
+    g = field.primitive_element().enc
+    exp, log = [0] * (field.q - 1), [0] * field.q
+    x = 1
+    for i in range(field.q - 1):
+        exp[i], log[x] = x, i
+        x = field.mul(g, x)  # a coefficient product skips g's zero digits
+    return exp, log
+
+
 def _log_ops(field: FieldSpec):
     """Small extension fields: log/exp tables plus one Zech table.
 
@@ -394,13 +400,7 @@ def _log_ops(field: FieldSpec):
     indexes from the end of the doubled table.
     """
     p, q1 = field.p, field.q - 1
-    g = field.primitive_element().enc
-    exp, log = [0] * q1, [0] * field.q
-    x = 1
-    for i in range(q1):
-        exp[i], log[x] = x, i
-        x = field.mul(g, x)  # coefficient backend; the product skips g's zero digits
-    field._exp, field._log = exp, log
+    exp, log = _exp_log(field)  # built with the coefficient backend
     half = q1 // 2 if p != 2 else 0  # log(-1)
     zech = []
     for x in exp:
@@ -463,67 +463,35 @@ def _poly_ops(field: FieldSpec):
 
 
 class _VecOps:
-    """Dense numpy operation tables for one small field."""
+    """Flat numpy operation tables for one small field, prime or extension.
 
-    __slots__ = ("prime", "p", "add_t", "neg_t", "mul_t", "inv_t")
+    op(a, b) is op_t[a * q + b] on numpy arrays of enc values, which
+    broadcast as usual; inv_t[0] is 0.
+    """
+
+    __slots__ = ("q", "sub_t", "mul_t", "inv_t")
 
     def __init__(self, field: FieldSpec):
         import numpy as np
         q, p = field.q, field.p
-        self.prime = field.e == 1
-        self.p = p
-        if self.prime:
-            self.add_t = self.neg_t = self.mul_t = None
-            self.inv_t = np.array([0] + [pow(i, p - 2, p) for i in range(1, p)],
-                                  dtype=np.int64)
-        else:
-            idx = np.arange(q, dtype=np.int64)
-            digits = []
-            v = idx.copy()
-            for _ in range(field.e):
-                digits.append(v % p)
-                v //= p
-            # enc-level addition is digitwise addition mod p
-            add = np.zeros((q, q), dtype=np.int64)
-            m = 1
-            for d in digits:
-                add += ((d[:, None] + d[None, :]) % p) * m
-                m *= p
-            self.add_t = add
-            neg = np.zeros(q, dtype=np.int64)
-            m = 1
-            for d in digits:
-                neg += ((-d) % p) * m
-                m *= p
-            self.neg_t = neg
-            log = np.array(field._log, dtype=np.int64)
-            exp = np.array(field._exp, dtype=np.int64)
-            mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
-            mul[0, :] = 0
-            mul[:, 0] = 0
-            self.mul_t = mul
-            inv = exp[(-log) % (q - 1)]
-            inv[0] = 0
-            self.inv_t = inv
-
-    def add(self, a, b):
-        if self.prime:
-            return (a + b) % self.p
-        import numpy as np
-        a, b = np.broadcast_arrays(a, b)
-        return self.add_t[a, b]
+        a, b = np.arange(q)[:, None], np.arange(q)[None, :]
+        # enc-level subtraction is digitwise mod p, and a // m = digit i of a (mod p)
+        sub, m = np.zeros((q, q), dtype=np.int64), 1
+        for _ in range(field.e):
+            sub += (a // m - b // m) % p * m
+            m *= p
+        exp, log = (np.array(t, dtype=np.int64) for t in _exp_log(field))
+        mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
+        mul[0, :] = mul[:, 0] = 0
+        self.q, self.sub_t, self.mul_t = q, sub.ravel(), mul.ravel()
+        self.inv_t = exp[-log % (q - 1)]
+        self.inv_t[0] = 0
 
     def sub(self, a, b):
-        if self.prime:
-            return (a - b + self.p) % self.p  # nonnegative before %, which is faster
-        return self.add(a, self.neg_t[b])
+        return self.sub_t[a * self.q + b]
 
     def mul(self, a, b):
-        if self.prime:
-            return (a * b) % self.p
-        import numpy as np
-        a, b = np.broadcast_arrays(a, b)
-        return self.mul_t[a, b]
+        return self.mul_t[a * self.q + b]
 
     def inv(self, a):
         return self.inv_t[a]

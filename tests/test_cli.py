@@ -156,6 +156,16 @@ class TestEbits:
         assert code == 4 and out == ""
         assert len(err.splitlines()) == 1 and "bad input" in err
 
+    def test_prime_field_modulus_is_normalized(self, capsys, tmp_path, f13):
+        # x + 5 and x define the same GF(13); both files name one field
+        g1, h2 = self._write_pair(tmp_path, f13)
+        text = (tmp_path / "g1.txt").read_text()
+        assert text.splitlines()[1] == "0"
+        (tmp_path / "g1.txt").write_text(text.replace("\n0\n", "\n5\n", 1))
+        code, out, err = run(capsys, "ebits", g1, h2)
+        assert code == 0 and err == ""
+        assert json.loads(out)["agree"]
+
     def test_twist_agreement_random(self, capsys, tmp_path, f9):
         rng = random.Random(7)
         for i in range(10):
@@ -256,6 +266,11 @@ class TestSelftest:
     def test_other_seed(self, capsys):
         code, out, _ = run(capsys, "--seed", "5", "selftest", "--trials", "40")
         assert code == 0 and "(seed=5)" in out
+
+    def test_negative_trials_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "selftest", "--trials", "-3")
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1 and "bad input" in err
 
 
 class TestConfig:

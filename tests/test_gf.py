@@ -2,6 +2,7 @@ import pickle
 import random
 import signal
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, symbols
@@ -62,6 +63,12 @@ class TestFieldNew:
         again = pickle.loads(pickle.dumps(field))
         assert again == field and again.mul(5, 7) == field.mul(5, 7)
         assert pickle.loads(pickle.dumps(field.element(5))) == field.element(5)
+
+    def test_prime_field_modulus_is_normalized(self):
+        # every x + c defines GF(p) with the same arithmetic
+        assert field_new(13, 1, (5,)) is field_new(13, 1)
+        assert FieldSpec(13, 1, (5,)) == field_new(13, 1)
+        assert FieldSpec(13, 1, (5,)).modulus == (0,)
 
     def test_reducible_modulus_rejected(self):
         with pytest.raises(errors.UnsupportedSize):
@@ -366,3 +373,34 @@ class TestEncArithmetic:
             f9.inv(0)
         with pytest.raises(errors.DivisionByZero):
             f9.pow(0, -1)
+
+
+class TestVecOps:
+    """The flat numpy tables of vec_ops against the scalar enc operations."""
+
+    @staticmethod
+    def check(field, a, b):
+        ops = field.vec_ops()
+        A, B = np.array(a), np.array(b)
+        assert ops.sub(A, B).tolist() == [field.sub(x, y) for x, y in zip(a, b)]
+        assert ops.mul(A, B).tolist() == [field.mul(x, y) for x, y in zip(a, b)]
+        inv = ops.inv(np.arange(field.q)).tolist()
+        assert inv[0] == 0
+        assert all(field.mul(x, inv[x]) == 1 for x in range(1, field.q))
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (29, 1), (2, 2), (2, 4), (5, 2), (3, 3)])
+    def test_every_pair(self, p, e):
+        field = field_new(p, e)
+        pairs = [(a, b) for a in range(field.q) for b in range(field.q)]
+        self.check(field, *zip(*pairs))
+
+    @pytest.mark.parametrize("p,e", [(1021, 1), (2, 10), (31, 2)])
+    def test_seeded_sample(self, p, e):
+        field = field_new(p, e)
+        rng = random.Random(p * 100 + e)
+        a = [rng.randrange(field.q) for _ in range(5000)] + [0] * 10
+        b = [rng.randrange(field.q) for _ in range(5000)] + list(range(10))
+        self.check(field, a, b)
+
+    def test_no_tables_above_bound(self):
+        assert field_new(1031, 1).vec_ops() is None

@@ -334,7 +334,7 @@ class TestSubsetScan:
             yield FMatrix(field, list(zip(*cols)), n), w
 
     @pytest.mark.parametrize("backend", ["numpy", "python"])
-    @pytest.mark.parametrize("p,e", [(13, 1), (2, 4), (3, 2)])
+    @pytest.mark.parametrize("p,e", [(13, 1), (2, 4), (3, 2), (29, 1), (5, 2)])
     def test_matches_reference(self, p, e, backend, monkeypatch):
         field = field_new(p, e)
         if backend == "numpy":
