@@ -61,6 +61,8 @@ def _parse_kv(pairs: list[str]) -> dict[str, str]:
         key, sep, value = item.partition("=")
         if not sep:
             raise ValueError(f"expected key=value, got {item!r}")
+        if key in out:
+            raise ValueError(f"{key} given more than once")
         out[key] = value
     return out
 
@@ -202,8 +204,7 @@ def cmd_selftest(args) -> int:
                       file=sys.stderr)
             dual_direct = galois_dual(C1, s)
             # independent route: x is in the twisted dual iff G^(p^(e-s)) x^T = 0
-            dual_check = from_parity_check(
-                C1.G.frobenius_entrywise((field.e - s) % field.e))
+            dual_check = from_parity_check(C1.G.frobenius_entrywise(-s))
             if dual_direct.G != dual_check.G:
                 failures += 1
                 print(f"trial {trial}: dual route mismatch", file=sys.stderr)

@@ -63,16 +63,14 @@ class PairReport:
 def ebits_product(C1: LinearCode, C2: LinearCode, s: int) -> int:
     """rank(H1 (H2^(p^(e-s)))^T)."""
     check_pair(C1, C2)
-    e = C1.field.e
-    H2t = C2.H.frobenius_entrywise((e - s) % e)
+    H2t = C2.H.frobenius_entrywise(-s)
     return (C1.H @ H2t.transpose()).rank()
 
 
 def ebits_stack(C1: LinearCode, C2: LinearCode, s: int) -> int:
     """rank(G1 over H2^(p^(e-s))) - k1."""
     check_pair(C1, C2)
-    e = C1.field.e
-    H2t = C2.H.frobenius_entrywise((e - s) % e)
+    H2t = C2.H.frobenius_entrywise(-s)
     return C1.G.vstack(H2t).rank() - C1.k
 
 

@@ -124,10 +124,8 @@ class FMatrix:
             if r == len(work):
                 break
         R = FMatrix._of(f, work, self.ncols)
-        result = (R, r, pivots)
-        self._rref = result
-        R._rref = result
-        return result
+        self._rref = (R, r, pivots)
+        return self._rref
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -225,7 +223,7 @@ class FMatrix:
         p, e, nrows, ncols = map(int, lines[0].split())
         field = field_new(p, e, tuple(map(int, lines[1].split())))
         rows = []
-        for ln in lines[2:2 + nrows]:
+        for ln in lines[2:]:
             rows.append([int(v) for v in ln.split()])
             if len(rows[-1]) != ncols:
                 raise errors.ShapeMismatch("row width disagrees with header")

@@ -9,11 +9,12 @@ this encoding, so all downstream constructions are bit-reproducible.
 Enc integers are the working representation: matrices and codes store them
 and compute with the field's enc-level add/sub/neg/mul/inv/pow.  Element is
 the API-boundary type; its operators delegate to those same operations.
-One set of Z_p[x] routines serves the Rabin test that picks f and the
-arithmetic above q = 4096: a product is reduced through a table of
-x^(e+i) mod f, and an inverse is one extended Euclid against f.  Every field
-with q <= 1024, prime or not, also has flat numpy tables of sub, mul and inv
-for the batched subset scan.
+One set of Z_p[x] routines serves the Rabin test that picks f, the table
+builds and the arithmetic of extension fields above q = 1024: a product is
+reduced through a table of x^(e+i) mod f, and an inverse is one extended
+Euclid against f.  Every field with q <= 1024, prime or not, has one set of
+flat numpy tables of sub, mul and inv for the batched subset scan; extension
+fields of that size also read their scalar operations from those tables.
 
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
@@ -28,10 +29,9 @@ from . import errors
 MAX_PRIME = 2**31
 MAX_DEGREE = 16
 
-# Fields with q below this bound get log/exp tables for multiplication.
-_LOG_TABLE_MAX = 4096
-# Fields with q up to this bound, prime or extension, additionally get flat
-# numpy sub/mul/inv tables (used by the batched subset scan in fmatrix/lincode).
+# Fields with q up to this bound, prime or extension, get flat numpy
+# sub/mul/inv tables (the batched subset scan in fmatrix/lincode); extension
+# fields of that size take their scalar operations from the same tables.
 _NP_TABLE_MAX = 1024
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
@@ -195,8 +195,8 @@ class FieldSpec:
 
     Immutable after construction.  Arithmetic works on enc integers through
     add, sub, neg, mul, inv and pow.  The field picks add, sub, mul and pow
-    once from its size: residues mod p for prime fields, log/exp and Zech
-    tables for extension fields with q <= _LOG_TABLE_MAX, and the Z_p[x]
+    once from its size: residues mod p for prime fields, the flat tables of
+    vec_ops for extension fields with q <= _NP_TABLE_MAX, and the Z_p[x]
     routines above that.  Prefer :func:`field_new`, which shares
     one instance per modulus, the canonical (enc-minimal) one by default.
     """
@@ -230,9 +230,10 @@ class FieldSpec:
         self._vec = None
         self.add, self.sub, self.mul, self.pow = (
             _prime_ops(p) if e == 1 else _poly_ops(self))
-        if e > 1 and self.q <= _LOG_TABLE_MAX:
+        if e > 1 and self.q <= _NP_TABLE_MAX:
             # the tables are built with the coefficient routines installed above
-            self.add, self.sub, self.mul, self.pow = _log_ops(self)
+            self._vec = _VecOps(self)
+            self.add, self.sub, self.mul, self.pow = _table_ops(self._vec)
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
@@ -340,8 +341,9 @@ class FieldSpec:
 
         Returned object has sub/mul/inv callables operating on integer
         numpy arrays of enc values, the same flat tables for prime and
-        extension fields.  Built once, cached; results never depend on
-        whether this accelerator is used.
+        extension fields.  Built once: at construction for extension fields,
+        whose scalar operations read them, and on first call for prime
+        fields.  Results never depend on whether this accelerator is used.
         """
         if self.q > _NP_TABLE_MAX:
             return None
@@ -379,59 +381,26 @@ def _prime_ops(p: int):
     return add, sub, mul, power
 
 
-def _exp_log(field: FieldSpec) -> tuple[list[int], list[int]]:
-    """exp[i] = g^i for i < q-1 and log[g^i] = i, g the primitive element."""
-    g = field.primitive_element().enc
-    exp, log = [0] * (field.q - 1), [0] * field.q
-    x = 1
-    for i in range(field.q - 1):
-        exp[i], log[x] = x, i
-        x = field.mul(g, x)  # a coefficient product skips g's zero digits
-    return exp, log
+def _table_ops(vec: "_VecOps"):
+    """Small extension fields: the flat tables of vec_ops, read as Python ints.
 
-
-def _log_ops(field: FieldSpec):
-    """Small extension fields: log/exp tables plus one Zech table.
-
-    Addition uses Zech logarithms (Lidl & Niederreiter, *Finite Fields*):
-    g^i + g^j = g^(i + Z(j - i)) with Z(k) = log(1 + g^k), and Z(k) = -1
-    where 1 + g^k = 0.  The exp and Zech tables are stored twice over, so a
-    sum of two logs needs no reduction mod q-1 and a negative difference
-    indexes from the end of the doubled table.
+    sub_t[b] is -b, so a + b is a - (-b).  The memoryviews share the numpy
+    buffers and index to plain ints.
     """
-    p, q1 = field.p, field.q - 1
-    exp, log = _exp_log(field)  # built with the coefficient backend
-    half = q1 // 2 if p != 2 else 0  # log(-1)
-    zech = []
-    for x in exp:
-        one_plus = x - x % p + (x + 1) % p  # enc(1 + x): only digit 0 changes
-        zech.append(log[one_plus] if one_plus else -1)
-    exp2, zech2 = exp + exp, zech + zech
+    q, q1 = vec.q, vec.q - 1
+    sub_t, mul_t, exp, log = map(memoryview, (vec.sub_t, vec.mul_t, vec.exp, vec.log))
 
     def add(a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        la = log[a]
-        z = zech2[log[b] - la]
-        return exp2[la + z] if z >= 0 else 0
+        return sub_t[a * q + sub_t[b]]
 
     def sub(a, b):
-        if not b:
-            return a
-        lb = log[b] + half  # log(-b)
-        if not a:
-            return exp2[lb]
-        la = log[a]
-        z = zech2[lb - la]
-        return exp2[la + z] if z >= 0 else 0
+        return sub_t[a * q + b]
 
     def mul(a, b):
-        return exp2[log[a] + log[b]] if a and b else 0
+        return mul_t[a * q + b]
 
     def power(a, n):
-        return exp2[log[a] * n % q1] if a else _zero_power(n)
+        return exp[log[a] * n % q1] if a else _zero_power(n)
 
     return add, sub, mul, power
 
@@ -466,10 +435,11 @@ class _VecOps:
     """Flat numpy operation tables for one small field, prime or extension.
 
     op(a, b) is op_t[a * q + b] on numpy arrays of enc values, which
-    broadcast as usual; inv_t[0] is 0.
+    broadcast as usual; inv_t[0] is 0.  exp[i] = g^i for i < q-1 and
+    log[g^i] = i, g the primitive element, built with the field's mul.
     """
 
-    __slots__ = ("q", "sub_t", "mul_t", "inv_t")
+    __slots__ = ("q", "sub_t", "mul_t", "inv_t", "exp", "log")
 
     def __init__(self, field: FieldSpec):
         import numpy as np
@@ -480,11 +450,16 @@ class _VecOps:
         for _ in range(field.e):
             sub += (a // m - b // m) % p * m
             m *= p
-        exp, log = (np.array(t, dtype=np.int64) for t in _exp_log(field))
+        g, x = field.primitive_element().enc, 1
+        exp, log = [0] * (q - 1), [0] * q
+        for i in range(q - 1):
+            exp[i], log[x] = x, i
+            x = field.mul(g, x)  # a coefficient product skips g's zero digits
+        exp, log = np.array(exp, dtype=np.int64), np.array(log, dtype=np.int64)
         mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
         mul[0, :] = mul[:, 0] = 0
         self.q, self.sub_t, self.mul_t = q, sub.ravel(), mul.ravel()
-        self.inv_t = exp[-log % (q - 1)]
+        self.exp, self.log, self.inv_t = exp, log, exp[-log % (q - 1)]
         self.inv_t[0] = 0
 
     def sub(self, a, b):

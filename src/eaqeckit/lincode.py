@@ -59,11 +59,11 @@ class LinearCode:
     @classmethod
     def from_text(cls, text: str) -> "LinearCode":
         first, _, rest = text.partition("\n")
-        tag, n, k = first.split()
-        if tag != "code":
+        head = first.split()
+        if len(head) != 3 or head[0] != "code":
             raise errors.ShapeMismatch("missing 'code n k' header")
         code = from_generator(FMatrix.from_text(rest), allow_zero=True)
-        if (code.n, code.k) != (int(n), int(k)):
+        if (code.n, code.k) != (int(head[1]), int(head[2])):
             raise errors.ShapeMismatch("header disagrees with generator matrix")
         return code
 
@@ -103,7 +103,8 @@ def from_generator(G: FMatrix, allow_zero: bool = False) -> LinearCode:
     k = basis.nrows
     if k == 0 and not allow_zero:
         raise errors.ZeroCode("generator matrix spans only the zero code")
-    return LinearCode(G.field, G.ncols, k, basis, basis.kernel_basis())
+    # G and its row basis share a kernel, and G's RREF is already memoized
+    return LinearCode(G.field, G.ncols, k, basis, G.kernel_basis())
 
 
 def from_parity_check(H: FMatrix) -> LinearCode:
@@ -127,8 +128,7 @@ def galois_dual(C: LinearCode, s: int) -> LinearCode:
     dual; the equivalence with the defining linear system is covered by the
     test suite.
     """
-    e = C.field.e
-    return from_generator(C.H.frobenius_entrywise((e - s) % e), allow_zero=True)
+    return from_generator(C.H.frobenius_entrywise(-s), allow_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +146,7 @@ def check_pair(C1: LinearCode, C2: LinearCode) -> None:
 def intersection_dim(C1: LinearCode, C2: LinearCode, s: int) -> int:
     """dim(C1 ∩ galois_dual(C2, s)) from one stacked-rank computation."""
     check_pair(C1, C2)
-    e = C1.field.e
-    stacked = C1.G.vstack(C2.H.frobenius_entrywise((e - s) % e))
+    stacked = C1.G.vstack(C2.H.frobenius_entrywise(-s))
     return C1.k + C1.n - C2.k - stacked.rank()
 
 

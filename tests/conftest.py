@@ -20,8 +20,8 @@ def random_code(rng: random.Random, field, n: int, rows: int):
             return code
 
 
-# One field per arithmetic backend: residues mod p, log/exp and Zech tables
-# (q <= 4096), and the Z_p[x] routines above that.
+# One field per arithmetic backend: residues mod p, the flat tables of
+# vec_ops (extension fields with q <= 1024), and the Z_p[x] routines above that.
 BACKEND_FIELDS = [(13, 1), (3, 3), (17, 8)]
 
 

@@ -60,6 +60,12 @@ class TestConstruct:
         blob = json.loads(out)
         assert FMatrix.from_text(blob["G1"]).nrows == 3
 
+    def test_repeated_key_rejected(self, capsys):
+        code, out, err = run(capsys, "construct", "vandermonde",
+                             "q=13", "n=12", "k=4", "t=5", "j=3", "j=7")
+        assert code == 4 and out == "" and len(err.splitlines()) == 1
+        assert "j given more than once" in err
+
     def test_json_deterministic(self, capsys):
         args = ("construct", "vandermonde", "q=13", "n=12", "k=5", "t=6", "j=6")
         _, out1, _ = run(capsys, *args)
@@ -149,6 +155,14 @@ class TestEbits:
         code, out, err = run(capsys, "ebits", str(g1), str(h2))
         assert code == 4 and out == "" and len(err.splitlines()) == 1
 
+    def test_rows_past_header_count(self, capsys, tmp_path, f13):
+        g1 = tmp_path / "g1.txt"
+        h2 = tmp_path / "h2.txt"
+        g1.write_text("13 1 2 3\n0\n1 2 3\n4 5 6\n7 8 9\n")
+        h2.write_text(FMatrix(f13, [[1, 2, 3]], 3).to_text())
+        code, out, err = run(capsys, "ebits", str(g1), str(h2))
+        assert code == 4 and out == "" and len(err.splitlines()) == 1
+
     def test_nonprime_field(self, capsys, tmp_path):
         g1 = tmp_path / "g1.txt"
         g1.write_text("4 1 1 3\n0\n1 2 3\n")
@@ -223,6 +237,20 @@ class TestVerify:
     def test_header_only_code_file(self, capsys, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("code 3 1\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 4 and out == "" and len(err.splitlines()) == 1
+
+    def test_bare_matrix_file(self, capsys, tmp_path, f13):
+        path = tmp_path / "c.txt"
+        path.write_text(FMatrix(f13, [[1, 2, 3]], 3).to_text())
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 4 and out == "" and len(err.splitlines()) == 1
+        assert "missing 'code n k' header" in err
+
+    def test_rows_past_header_count(self, capsys, tmp_path):
+        # three rows under a header that declares two: not the code of the first two
+        path = tmp_path / "c.txt"
+        path.write_text("code 3 2\n13 1 2 3\n0\n1 0 0\n0 1 0\n0 0 1\n")
         code, out, err = run(capsys, "verify", str(path))
         assert code == 4 and out == "" and len(err.splitlines()) == 1
 

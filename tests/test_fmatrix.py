@@ -214,6 +214,10 @@ class TestSerialization:
         with pytest.raises(errors.CodingError):
             FMatrix.from_text(f"13 1 1 3\n0\n{row}\n")
 
+    def test_rows_past_header_count_rejected(self):
+        with pytest.raises(errors.ShapeMismatch):
+            FMatrix.from_text("13 1 2 3\n0\n1 2 3\n4 5 6\n7 8 9\n")
+
     def test_format_shape(self, f27):
         M = FMatrix(f27, [[0, 1, 26]], 3)
         lines = M.to_text().splitlines()

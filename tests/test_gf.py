@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sympy import Poly, symbols
 
 from eaqeckit import errors, field_new, frobenius, galois_form
-from eaqeckit.gf import FieldSpec, _is_irreducible, _poly_ops
+from eaqeckit.gf import _NP_TABLE_MAX, FieldSpec, _is_irreducible, _poly_ops, is_prime
 
 
 def minimal_irreducible_oracle(p, e):
@@ -128,8 +128,8 @@ class TestIrreducible:
                        for smaller in range(enc))
 
 
-# One field per backend: residues (prime), log/exp with Zech tables
-# (q <= 4096), and the Z_p[x] routines (above).
+# One field per backend: residues (prime), the flat tables (extension fields
+# with q <= 1024), and the Z_p[x] routines (above).
 AXIOM_FIELDS = [(2**31 - 1, 1), (3, 3), (2, 11), (2, 16), (17, 8), (2**31 - 1, 2)]
 
 
@@ -326,12 +326,17 @@ class TestTextForms:
         assert str(f9.element(7)) == "7"
 
 
+# Every extension field whose scalar operations read the flat tables.
+TABLE_FIELDS = [(p, e) for p in range(2, 32) if is_prime(p)
+                for e in range(2, 11) if p**e <= _NP_TABLE_MAX]
+
+
 class TestEncArithmetic:
     """The enc-level operations against the coefficient routines.
 
     Element arithmetic delegates to the same enc-level operations, so this is
-    the independent check of the log/exp and Zech tables (small extension
-    fields) and the residue arithmetic (prime fields) against the Z_p[x]
+    the independent check of the flat tables (extension fields with
+    q <= 1024) and the residue arithmetic (prime fields) against the Z_p[x]
     routines of _poly_ops; on large fields, where _poly_ops is the installed
     backend, a * a^-1 = 1 checks the extended-Euclid inverse.
     """
@@ -358,7 +363,8 @@ class TestEncArithmetic:
             for b in range(field.q):
                 self.check(field, ref, a, b)
 
-    @pytest.mark.parametrize("p,e", [(2, 16), (17, 8)])
+    # GF(2^10) and GF(31^2) are the largest fields on the flat tables
+    @pytest.mark.parametrize("p,e", [(2, 16), (17, 8), (2, 10), (31, 2)])
     def test_seeded_sample(self, p, e):
         field = field_new(p, e)
         ref = _poly_ops(field)
@@ -366,6 +372,17 @@ class TestEncArithmetic:
         for _ in range(300):
             self.check(field, ref, rng.randrange(field.q), rng.randrange(field.q))
         self.check(field, ref, 0, rng.randrange(field.q))
+
+    @pytest.mark.parametrize("p,e", TABLE_FIELDS)
+    def test_results_are_python_ints(self, p, e):
+        # a numpy scalar from the tables would not survive json.dumps
+        field = field_new(p, e)
+        rng = random.Random(p + e)
+        for _ in range(20):
+            a, b = rng.randrange(1, field.q), rng.randrange(field.q)
+            results = [field.add(a, b), field.sub(a, b), field.mul(a, b), field.neg(b),
+                       field.pow(a, b), field.pow(a, -b), field.inv(a), field.pow(0, b)]
+            assert all(type(x) is int for x in results), results
 
     def test_zero(self, f9):
         assert f9.pow(0, 0) == 1 and f9.pow(0, 5) == 0
@@ -404,3 +421,4 @@ class TestVecOps:
 
     def test_no_tables_above_bound(self):
         assert field_new(1031, 1).vec_ops() is None
+        assert field_new(2, 11).vec_ops() is None

@@ -80,6 +80,25 @@ class TestConstruction:
         code = random_code(rng, f9, 5, 2)
         assert LinearCode.from_text(code.to_text()) == code
 
+    def test_each_matrix_reduced_once(self, f9, monkeypatch):
+        # from_generator reduces G only; from_parity_check reduces H and the
+        # kernel basis it builds.  Reductions are rref calls with no memo yet.
+        reductions = []
+        rref = FMatrix.rref
+
+        def counting(M):
+            if M._rref is None:
+                reductions.append(M)
+            return rref(M)
+
+        monkeypatch.setattr(FMatrix, "rref", counting)
+        rng = random.Random(31)
+        from_generator(random_matrix(rng, f9, 3, 6))
+        assert len(reductions) == 1
+        reductions.clear()
+        from_parity_check(random_matrix(rng, f9, 2, 6))
+        assert len(reductions) == 2
+
 
 class TestDuals:
     def test_galois_dual_zero_is_euclidean(self, f9):
@@ -371,8 +390,9 @@ class TestSubsetScan:
 
     def test_generic_path_imports_no_numpy(self):
         script = ("import sys\n"
-                  "from eaqeckit import field_new, gabidulin_family\n"
+                  "from eaqeckit import field_new, gabidulin_family, vandermonde_family\n"
                   "gabidulin_family(field_new(2, 16), 7, 4, 3, 2)\n"
+                  "vandermonde_family(field_new(2, 11), 8, 3, 2, 4)\n"
                   "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
         src = str(Path(lincode.__file__).parents[1])
         subprocess.run([sys.executable, "-c", script], check=True, timeout=120,
