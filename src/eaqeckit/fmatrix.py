@@ -220,7 +220,10 @@ class FMatrix:
         lines = text.strip().splitlines()
         if len(lines) < 2:
             raise errors.ShapeMismatch("missing 'p e rows cols' header or modulus line")
-        p, e, nrows, ncols = map(int, lines[0].split())
+        try:
+            p, e, nrows, ncols = map(int, lines[0].split())
+        except ValueError:
+            raise errors.ShapeMismatch("missing 'p e rows cols' header") from None
         field = field_new(p, e, tuple(map(int, lines[1].split())))
         rows = []
         for ln in lines[2:]:

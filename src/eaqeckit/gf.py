@@ -9,12 +9,12 @@ this encoding, so all downstream constructions are bit-reproducible.
 Enc integers are the working representation: matrices and codes store them
 and compute with the field's enc-level add/sub/neg/mul/inv/pow.  Element is
 the API-boundary type; its operators delegate to those same operations.
-One set of Z_p[x] routines serves the Rabin test that picks f, the table
-builds and the arithmetic of extension fields above q = 1024: a product is
-reduced through a table of x^(e+i) mod f, and an inverse is one extended
-Euclid against f.  Every field with q <= 1024, prime or not, has one set of
-flat numpy tables of sub, mul and inv for the batched subset scan; extension
-fields of that size also read their scalar operations from those tables.
+Every field with q <= 1024, prime or not, has one set of flat numpy tables
+of sub, mul and inv for the batched subset scan, and extension fields of that
+size read their scalar operations from them.  Above that, GF(2^e) computes
+on the enc as a bit vector and odd p digit by digit on the enc.  Z_p[x]
+routines on coefficient lists serve the Rabin test that picks f and the
+powers and inverses of odd p.
 
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
@@ -22,6 +22,7 @@ Python integers, so q = p^e itself may exceed machine word size.
 from __future__ import annotations
 
 from itertools import zip_longest
+from operator import xor
 from typing import Sequence
 
 from . import errors
@@ -195,10 +196,10 @@ class FieldSpec:
 
     Immutable after construction.  Arithmetic works on enc integers through
     add, sub, neg, mul, inv and pow.  The field picks add, sub, mul and pow
-    once from its size: residues mod p for prime fields, the flat tables of
-    vec_ops for extension fields with q <= _NP_TABLE_MAX, and the Z_p[x]
-    routines above that.  Prefer :func:`field_new`, which shares
-    one instance per modulus, the canonical (enc-minimal) one by default.
+    once from p, e and q: residues mod p for prime fields, the flat tables of
+    vec_ops for extension fields with q <= _NP_TABLE_MAX, and above that the
+    enc as a bit vector for p = 2 and digit by digit for odd p.  Prefer
+    :func:`field_new`: one shared instance per modulus, enc-minimal by default.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_primitive", "_vec",
@@ -212,9 +213,7 @@ class FieldSpec:
         if p >= MAX_PRIME or e > MAX_DEGREE:
             raise errors.UnsupportedSize(
                 f"GF({p}^{e}) exceeds supported bounds (p < 2^31, e <= 16)")
-        self.p = p
-        self.e = e
-        self.q = p**e
+        self.p, self.e, self.q = p, e, p**e
         if modulus is not None:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != e:
@@ -229,9 +228,9 @@ class FieldSpec:
         self._primitive: Element | None = None
         self._vec = None
         self.add, self.sub, self.mul, self.pow = (
-            _prime_ops(p) if e == 1 else _poly_ops(self))
+            _prime_ops(p) if e == 1 else _bin_ops(self) if p == 2 else _poly_ops(self))
         if e > 1 and self.q <= _NP_TABLE_MAX:
-            # the tables are built with the coefficient routines installed above
+            # the tables are built with the enc routines installed above
             self._vec = _VecOps(self)
             self.add, self.sub, self.mul, self.pow = _table_ops(self._vec)
 
@@ -339,11 +338,10 @@ class FieldSpec:
     def vec_ops(self):
         """Numpy-vectorized enc arithmetic, or None for fields too large.
 
-        Returned object has sub/mul/inv callables operating on integer
-        numpy arrays of enc values, the same flat tables for prime and
-        extension fields.  Built once: at construction for extension fields,
-        whose scalar operations read them, and on first call for prime
-        fields.  Results never depend on whether this accelerator is used.
+        sub/mul/inv on integer numpy arrays of enc values, the same flat
+        tables for prime and extension fields.  Built at construction for
+        extension fields, whose scalar operations read them, and on first
+        call for prime fields.  Results never depend on this accelerator.
         """
         if self.q > _NP_TABLE_MAX:
             return None
@@ -405,28 +403,87 @@ def _table_ops(vec: "_VecOps"):
     return add, sub, mul, power
 
 
-def _poly_ops(field: FieldSpec):
-    """Large extension fields: the Z_p[x] routines, through enc <-> coeffs."""
-    p, q1, enc, co = field.p, field.q - 1, field._enc, field._coeffs
-    f = list(field.modulus) + [1]
-    red = _reduction_table(f, p)
+def _bin_ops(field: FieldSpec):
+    """GF(2^e), e > 1: the enc is the coefficient bit vector, so add and sub
+    are xor and a product is shift-and-xor, reduced by f at each shift."""
+    q1, top = field.q - 1, 1 << field.e
+    f = field._enc(field.modulus) | top
 
-    def add(a, b):
-        return enc([(x + y) % p for x, y in zip(co(a), co(b))]) if a and b else a or b
-
-    def sub(a, b):
-        return enc(_psub(co(a), co(b), p)) if b else a
-
-    def mul(a, b):
-        return enc(_pmulmod(co(a), co(b), red, p)) if a and b else 0
+    def mul(a, b):  # one step per bit of a, so a small first factor is cheap
+        r = 0
+        while a:
+            if a & 1:
+                r ^= b
+            a, b = a >> 1, b << 1
+            if b & top:
+                b ^= f
+        return r
 
     def power(a, n):
         if not a:
             return _zero_power(n)
-        c = co(a)
+        if n < 0:  # extended Euclid, with g1 * a = u and g2 * a = v mod f throughout
+            u, v, g1, g2 = a, f, 1, 0
+            while u != 1:
+                j = u.bit_length() - v.bit_length()
+                if j < 0:
+                    u, v, g1, g2, j = v, u, g2, g1, -j
+                u ^= v << j
+                g1 ^= g2 << j
+            a, n = g1, -n
+        r = 1
+        for bit in bin(n % q1)[2:]:
+            r = mul(r, r)
+            if bit == "1":
+                r = mul(a, r)
+        return r
+
+    return xor, xor, mul, power
+
+
+def _poly_ops(field: FieldSpec):
+    """Large extension fields of odd p: add, sub and mul digit by digit on the
+    enc (digit i of a is a // p^i mod p), pow through the Z_p[x] routines."""
+    p, e, q1, f = field.p, field.e, field.q - 1, list(field.modulus) + [1]
+    red, pw = _reduction_table(f, p), [p**i for i in range(e)]
+
+    def add(a, b):
+        r = 0
+        for m in pw:
+            r += (a // m + b // m) % p * m
+        return r
+
+    def sub(a, b):
+        if not b:
+            return a
+        r = 0
+        for m in pw:
+            r += (a // m - b // m) % p * m
+        return r
+
+    def mul(a, b):
+        if not (a and b):
+            return 0
+        bd, t = [b // m % p for m in pw], [0] * (2 * e - 1)
+        for i, m in enumerate(pw):
+            c = a // m % p
+            if c:
+                for j, d in enumerate(bd, i):
+                    t[j] += c * d
+        for i in range(2 * e - 2, e - 1, -1):  # x^i mod f writes below e: t[i] is final
+            c = t[i] % p
+            if c:
+                for j, x in enumerate(red[i - e]):
+                    t[j] += c * x
+        return sum([c % p * m for c, m in zip(t, pw)])
+
+    def power(a, n):
+        if not a:
+            return _zero_power(n)
+        c = field._coeffs(a)
         if n < 0:
             c, n = _pxgcd(c, f, p)[1], -n
-        return enc(_ppow(c, n % q1, red, p))
+        return field._enc(_ppow(c, n % q1, red, p))
 
     return add, sub, mul, power
 
@@ -454,7 +511,7 @@ class _VecOps:
         exp, log = [0] * (q - 1), [0] * q
         for i in range(q - 1):
             exp[i], log[x] = x, i
-            x = field.mul(g, x)  # a coefficient product skips g's zero digits
+            x = field.mul(g, x)  # a product skips g's zero digits (bits for p = 2)
         exp, log = np.array(exp, dtype=np.int64), np.array(log, dtype=np.int64)
         mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
         mul[0, :] = mul[:, 0] = 0

@@ -163,6 +163,20 @@ class TestEbits:
         code, out, err = run(capsys, "ebits", str(g1), str(h2))
         assert code == 4 and out == "" and len(err.splitlines()) == 1
 
+    def test_short_header(self, capsys, tmp_path):
+        g1 = tmp_path / "g1.txt"
+        g1.write_text("13 1 2\n0\n1 2 3\n4 5 6\n")
+        code, out, err = run(capsys, "ebits", str(g1), str(g1))
+        assert code == 4 and out == ""
+        assert err.strip() == "bad input: missing 'p e rows cols' header"
+
+    def test_code_file_is_not_a_matrix(self, capsys, tmp_path, f13):
+        path = tmp_path / "code.txt"
+        path.write_text(from_generator(FMatrix(f13, [[1, 2, 3]], 3)).to_text())
+        code, out, err = run(capsys, "ebits", str(path), str(path))
+        assert code == 4 and out == ""
+        assert err.strip() == "bad input: missing 'p e rows cols' header"
+
     def test_nonprime_field(self, capsys, tmp_path):
         g1 = tmp_path / "g1.txt"
         g1.write_text("4 1 1 3\n0\n1 2 3\n")

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, symbols
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_gcdex, gf_mul, gf_pow_mod, gf_rem, gf_sub
 
 from eaqeckit import errors, field_new, frobenius, galois_form
 from eaqeckit.gf import _NP_TABLE_MAX, FieldSpec, _is_irreducible, _poly_ops, is_prime
@@ -128,8 +130,8 @@ class TestIrreducible:
                        for smaller in range(enc))
 
 
-# One field per backend: residues (prime), the flat tables (extension fields
-# with q <= 1024), and the Z_p[x] routines (above).
+# Fields of every backend: residues (prime), the flat tables (extension
+# fields with q <= 1024), bit vectors (GF(2^e) above) and enc digits (odd p).
 AXIOM_FIELDS = [(2**31 - 1, 1), (3, 3), (2, 11), (2, 16), (17, 8), (2**31 - 1, 2)]
 
 
@@ -334,11 +336,12 @@ TABLE_FIELDS = [(p, e) for p in range(2, 32) if is_prime(p)
 class TestEncArithmetic:
     """The enc-level operations against the coefficient routines.
 
-    Element arithmetic delegates to the same enc-level operations, so this is
-    the independent check of the flat tables (extension fields with
-    q <= 1024) and the residue arithmetic (prime fields) against the Z_p[x]
-    routines of _poly_ops; on large fields, where _poly_ops is the installed
-    backend, a * a^-1 = 1 checks the extended-Euclid inverse.
+    Element arithmetic delegates to the same enc-level operations, so this
+    checks the flat tables (extension fields with q <= 1024), the residue
+    arithmetic (prime fields) and the bit vectors of GF(2^e) against the
+    digit routines of _poly_ops.  On odd-p fields above q = 1024, where
+    _poly_ops is the installed backend, TestSympyOracle is the independent
+    check.
     """
 
     @staticmethod
@@ -390,6 +393,85 @@ class TestEncArithmetic:
             f9.inv(0)
         with pytest.raises(errors.DivisionByZero):
             f9.pow(0, -1)
+
+
+class SympyField:
+    """GF(p^e) through sympy's dense Z_p[x] routines, highest degree first;
+    shares no arithmetic with eaqeckit, only the enc convention."""
+
+    def __init__(self, field):
+        self.p, self.e = field.p, field.e
+        self.f = [1] + list(field.modulus)[::-1]
+
+    def poly(self, enc):
+        digits = []
+        for _ in range(self.e):
+            enc, c = divmod(enc, self.p)
+            digits.append(c)
+        while digits and digits[-1] == 0:
+            digits.pop()
+        return digits[::-1]
+
+    def enc(self, poly):
+        assert len(poly) <= self.e
+        return sum(c * self.p**i for i, c in enumerate(reversed(poly)))
+
+    def add(self, a, b):
+        return self.enc(gf_add(self.poly(a), self.poly(b), self.p, ZZ))
+
+    def sub(self, a, b):
+        return self.enc(gf_sub(self.poly(a), self.poly(b), self.p, ZZ))
+
+    def mul(self, a, b):
+        product = gf_mul(self.poly(a), self.poly(b), self.p, ZZ)
+        return self.enc(gf_rem(product, self.f, self.p, ZZ))
+
+    def inv(self, a):
+        s, _, g = gf_gcdex(self.poly(a), self.f, self.p, ZZ)
+        assert g == [1]
+        return self.enc(gf_rem(s, self.f, self.p, ZZ))
+
+    def pow(self, a, n):
+        if n < 0:
+            a, n = self.inv(a), -n
+        return self.enc(gf_pow_mod(self.poly(a), n, self.f, self.p, ZZ))
+
+
+class TestSympyOracle:
+    """The installed arithmetic of the fields above q = 1024 (bit vectors for
+    p = 2, digits of the enc for odd p) against sympy's galoistools."""
+
+    @pytest.mark.parametrize("p,e", [(2, 11), (2, 16), (3, 10), (5, 9), (11, 5),
+                                     (13, 6), (17, 8), (2**31 - 1, 2)])
+    def test_seeded_pairs(self, p, e):
+        field = field_new(p, e)
+        ref = SympyField(field)
+        rng = random.Random(p * 100 + e)
+        for _ in range(300):
+            a, b = rng.randrange(field.q), rng.randrange(field.q)
+            assert field.add(a, b) == ref.add(a, b), (a, b)
+            assert field.sub(a, b) == ref.sub(a, b), (a, b)
+            assert field.neg(b) == ref.sub(0, b), b
+            assert field.mul(a, b) == ref.mul(a, b), (a, b)
+            if a:
+                assert field.inv(a) == ref.inv(a), a
+                for n in (0, 1, 2, b, -1 - b):
+                    assert field.pow(a, n) == ref.pow(a, n), (a, n)
+
+    @pytest.mark.parametrize("p,e", [(2, 16), (17, 8)])
+    def test_zero_and_int_results(self, p, e):
+        field = field_new(p, e)
+        assert field.pow(0, 0) == 1 and field.pow(0, 5) == 0
+        with pytest.raises(errors.DivisionByZero):
+            field.inv(0)
+        rng = random.Random(p + e)
+        for _ in range(20):
+            a, b = rng.randrange(1, field.q), rng.randrange(field.q)
+            results = [field.add(a, b), field.sub(a, b), field.mul(a, b), field.neg(b),
+                       field.mul(0, b), field.add(0, b), field.sub(a, 0),
+                       field.pow(a, b), field.pow(a, -b), field.inv(a),
+                       field.pow(0, 0), field.pow(0, b + 1)]
+            assert all(type(x) is int for x in results), results
 
 
 class TestVecOps:
