@@ -2,10 +2,10 @@
 
 Layers, bottom to top:
 
-  gf          arithmetic in GF(p^e), Frobenius maps, twisted bilinear forms
+  gf          arithmetic in GF(p^e), canonical moduli and primitive elements
   fmatrix     dense exact matrices: RREF, rank, kernels, entrywise Frobenius
-  lincode     linear codes, duals, intersections, distance, MDS certificates
-  rankmetric  rank weight, Moore matrices, MRD certification
+  lincode     linear codes, Galois duals, distance, MDS certificates
+  rankmetric  Moore matrices, MRD certification
   eaqec       ebit counts (two routes) and [[n,k,d;c]]_q assembly
   families    the three verified constructions and the published tables
   cli         command-line front end
@@ -14,13 +14,12 @@ Matrices and codes hold enc integers and compute with the field's enc-level
 operations; Element is the API-boundary type (M[i, j], codewords()).
 """
 from .errors import CodingError
-from .gf import Element, FieldSpec, field_new, frobenius, galois_form
+from .gf import Element, FieldSpec, field_new
 from .fmatrix import FMatrix
-from .lincode import (DistanceReport, LinearCode, MdsReport, code_frobenius,
-                      euclidean_dual, from_generator, from_parity_check,
-                      galois_dual, intersection_dim, is_mds, min_distance)
+from .lincode import (DistanceReport, LinearCode, MdsReport, from_generator,
+                      from_parity_check, galois_dual, is_mds, min_distance)
 from .rankmetric import (MooreSpec, MrdReport, is_mrd, linearly_independent_over_base,
-                         min_rank_distance_exhaustive, moore_matrix, rank_weight)
+                         min_rank_distance_exhaustive, moore_matrix)
 from .eaqec import EaqecParams, PairReport, assemble, ebits_product, ebits_stack
 from .families import (TABLE1_ROWS, TABLE2_ROWS, FamilyCertificate, GrsSpec,
                        gabidulin_family, grs_extended_family,

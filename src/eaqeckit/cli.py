@@ -139,7 +139,7 @@ def cmd_ebits(args) -> int:
         G1 = FMatrix.from_text(fh.read())
     with open(args.h2_file) as fh:
         H2 = FMatrix.from_text(fh.read())
-    C1 = from_generator(G1, allow_zero=True)
+    C1 = from_generator(G1)
     C2 = from_parity_check(H2)
     c_product = ebits_product(C1, C2, args.s)
     c_stack = ebits_stack(C1, C2, args.s)
@@ -193,8 +193,8 @@ def cmd_selftest(args) -> int:
                              for _ in range(k1)], n)
         G2 = FMatrix(field, [[rng.randrange(field.q) for _ in range(n)]
                              for _ in range(k2)], n)
-        C1 = from_generator(G1, allow_zero=True)
-        C2 = from_generator(G2, allow_zero=True)
+        C1 = from_generator(G1)
+        C2 = from_generator(G2)
         for s in range(field.e):
             cp = ebits_product(C1, C2, s)
             cs = ebits_stack(C1, C2, s)

@@ -86,10 +86,6 @@ class FMatrix:
     def __repr__(self):
         return f"FMatrix({self.field.label}, {self.nrows}x{self.ncols})"
 
-    def encs(self) -> list[list[int]]:
-        """Entries as enc integers, row-major."""
-        return [list(r) for r in self.rows]
-
     def is_zero(self) -> bool:
         return not any(map(any, self.rows))
 
@@ -216,7 +212,8 @@ class FMatrix:
     @classmethod
     def from_text(cls, text: str) -> "FMatrix":
         """Parse the text format over field_new's shared field; entries outside [0, q)
-        are a FieldMismatch, a missing header or modulus line a ShapeMismatch."""
+        are a FieldMismatch, a missing header or modulus line or a negative size a
+        ShapeMismatch."""
         lines = text.strip().splitlines()
         if len(lines) < 2:
             raise errors.ShapeMismatch("missing 'p e rows cols' header or modulus line")
@@ -224,6 +221,8 @@ class FMatrix:
             p, e, nrows, ncols = map(int, lines[0].split())
         except ValueError:
             raise errors.ShapeMismatch("missing 'p e rows cols' header") from None
+        if nrows < 0 or ncols < 0:
+            raise errors.ShapeMismatch(f"negative size in header '{lines[0].strip()}'")
         field = field_new(p, e, tuple(map(int, lines[1].split())))
         rows = []
         for ln in lines[2:]:

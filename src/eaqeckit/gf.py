@@ -267,13 +267,6 @@ class FieldSpec:
         """Canonical text form, e.g. '3^3;mod=1,2,0'."""
         return f"{self.label};mod={','.join(map(str, self.modulus))}"
 
-    @classmethod
-    def from_text(cls, text: str) -> "FieldSpec":
-        head, _, mod = text.partition(";mod=")
-        p, _, e = head.partition("^")
-        return cls(int(p), int(e) if e else 1,
-                   tuple(int(c) for c in mod.split(",")) if mod else None)
-
     # -- element construction ----------------------------------------------
 
     def to_enc(self, value) -> int:
@@ -636,31 +629,3 @@ def field_new(p: int, e: int, modulus: Sequence[int] | None = None) -> FieldSpec
         field = FieldSpec(p, e, modulus)
         _FIELDS[key] = _FIELDS.setdefault((p, e, field.modulus), field)
     return _FIELDS[key]
-
-
-def frobenius(a: Element, s: int) -> Element:
-    """a^(p^s).  s is reduced mod e, so s = e acts as the identity."""
-    f = a.field
-    s %= f.e
-    if s == 0:
-        return a
-    return a ** (f.p**s)
-
-
-def galois_form(x: Sequence[Element], y: Sequence[Element], s: int) -> Element:
-    """The twisted bilinear form sum_i x_i * y_i^(p^s).
-
-    s = 0 is the Euclidean inner product; s = e/2 (e even) the Hermitian one.
-    """
-    if len(x) != len(y):
-        raise errors.LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
-    if not x:
-        raise errors.LengthMismatch("empty vectors")
-    f = x[0].field
-    acc = f.zero
-    for xi, yi in zip(x, y):
-        if xi.field != f or yi.field != f:
-            raise errors.FieldMismatch("mixed fields in form arguments")
-        acc = acc + xi * frobenius(yi, s)
-    return acc
-

@@ -1,4 +1,4 @@
-"""Linear [n,k]_q codes: duals, intersections, distance, MDS certification.
+"""Linear [n,k]_q codes: Galois duals, distance, MDS certification.
 
 A code is stored canonically: G is the reduced row echelon basis of the row
 space, H the canonical kernel basis of G.  Two codes are equal exactly when
@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from . import errors
 from .fmatrix import FMatrix, pivot_step
-from .gf import Element, FieldSpec
+from .gf import FieldSpec
 
 DEFAULT_BUDGET = 2**22
 # Largest dependent parity-check column set that min_distance rung (c) seeks.
@@ -41,12 +41,6 @@ class LinearCode:
     def is_full(self) -> bool:
         return self.k == self.n
 
-    def contains(self, v: Sequence[Element]) -> bool:
-        """Membership test via the parity-check matrix."""
-        if len(v) != self.n:
-            raise errors.LengthMismatch(f"vector length {len(v)} != n={self.n}")
-        return (FMatrix(self.field, [v], self.n) @ self.H.transpose()).is_zero()
-
     def codewords(self):
         """All q^k codewords as Element tuples (message enc order).  Small codes only."""
         element = self.field.element
@@ -62,7 +56,7 @@ class LinearCode:
         head = first.split()
         if len(head) != 3 or head[0] != "code":
             raise errors.ShapeMismatch("missing 'code n k' header")
-        code = from_generator(FMatrix.from_text(rest), allow_zero=True)
+        code = from_generator(FMatrix.from_text(rest))
         if (code.n, code.k) != (int(head[1]), int(head[2])):
             raise errors.ShapeMismatch("header disagrees with generator matrix")
         return code
@@ -97,28 +91,16 @@ class MdsReport:
 # Construction
 # ---------------------------------------------------------------------------
 
-def from_generator(G: FMatrix, allow_zero: bool = False) -> LinearCode:
-    """Code spanned by the rows of G (rows may be dependent)."""
+def from_generator(G: FMatrix) -> LinearCode:
+    """Code spanned by the rows of G (dependent rows and the zero code allowed)."""
     basis = G.row_basis()
-    k = basis.nrows
-    if k == 0 and not allow_zero:
-        raise errors.ZeroCode("generator matrix spans only the zero code")
     # G and its row basis share a kernel, and G's RREF is already memoized
-    return LinearCode(G.field, G.ncols, k, basis, G.kernel_basis())
+    return LinearCode(G.field, G.ncols, basis.nrows, basis, G.kernel_basis())
 
 
 def from_parity_check(H: FMatrix) -> LinearCode:
     """Code {x : H x^T = 0}.  The zero code (H of full column rank) is allowed."""
-    return from_generator(H.kernel_basis(), allow_zero=True)
-
-
-def code_frobenius(C: LinearCode, t: int) -> LinearCode:
-    """The code {a^(p^t) : a in C}; same n, k and weight distribution."""
-    return from_generator(C.G.frobenius_entrywise(t), allow_zero=True)
-
-
-def euclidean_dual(C: LinearCode) -> LinearCode:
-    return from_generator(C.H, allow_zero=True)
+    return from_generator(H.kernel_basis())
 
 
 def galois_dual(C: LinearCode, s: int) -> LinearCode:
@@ -128,12 +110,8 @@ def galois_dual(C: LinearCode, s: int) -> LinearCode:
     dual; the equivalence with the defining linear system is covered by the
     test suite.
     """
-    return from_generator(C.H.frobenius_entrywise(-s), allow_zero=True)
+    return from_generator(C.H.frobenius_entrywise(-s))
 
-
-# ---------------------------------------------------------------------------
-# Intersections
-# ---------------------------------------------------------------------------
 
 def check_pair(C1: LinearCode, C2: LinearCode) -> None:
     """Raise unless the two codes share their field and length."""
@@ -141,13 +119,6 @@ def check_pair(C1: LinearCode, C2: LinearCode) -> None:
         raise errors.FieldMismatch("codes over different fields")
     if C1.n != C2.n:
         raise errors.LengthMismatch(f"lengths {C1.n} and {C2.n} differ")
-
-
-def intersection_dim(C1: LinearCode, C2: LinearCode, s: int) -> int:
-    """dim(C1 ∩ galois_dual(C2, s)) from one stacked-rank computation."""
-    check_pair(C1, C2)
-    stacked = C1.G.vstack(C2.H.frobenius_entrywise(-s))
-    return C1.k + C1.n - C2.k - stacked.rank()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Rank-metric machinery over GF(l^m) with l = p prime.
+"""Rank-metric machinery over GF(l^m) with l = p prime: Moore matrices, MRD checks.
 
-The rank weight of a vector is the dimension over the prime field of the
+The rank weight of a codeword is the dimension over the prime field of the
 span of its coordinates; coordinates are expanded to their coefficient
 vectors, so the base field is always the prime subfield.  Moore matrices
 apply successive Frobenius powers l^(t), l^(t+1), ... to a generator
@@ -40,11 +40,6 @@ def _coefficient_rank(field: FieldSpec, v: Sequence[int]) -> int:
     if not any(v):
         return 0
     return FMatrix._of(field_new(field.p, 1), map(field._coeffs, v), field.e).rank()
-
-
-def rank_weight(v: Sequence[Element]) -> int:
-    """Dimension over GF(p) of the span of the vector's coordinates."""
-    return _coefficient_rank(v[0].field, [x.enc for x in v]) if v else 0
 
 
 def linearly_independent_over_base(g: Sequence[Element]) -> bool:

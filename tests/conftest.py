@@ -15,7 +15,7 @@ def random_matrix(rng: random.Random, field, nrows: int, ncols: int) -> FMatrix:
 def random_code(rng: random.Random, field, n: int, rows: int):
     """Random nonzero code of length n spanned by `rows` random rows."""
     while True:
-        code = from_generator(random_matrix(rng, field, rows, n), allow_zero=True)
+        code = from_generator(random_matrix(rng, field, rows, n))
         if code.k > 0:
             return code
 
@@ -37,12 +37,32 @@ def draw_matrix(data, field, nrows: int, ncols: int) -> FMatrix:
 
 
 def intersection_basis_bruteforce(C1, C2dual, budget: int = DEFAULT_BUDGET) -> FMatrix:
-    """Basis of C1 ∩ C2dual by literal enumeration of C1 (oracle for intersection_dim)."""
+    """Basis of C1 ∩ C2dual (oracle for the stacked ebit route) by literal
+    enumeration of the smaller code: a word is a member when the other code's
+    parity checks vanish on it."""
     check_pair(C1, C2dual)
-    if C1.field.q**C1.k > budget:
-        raise errors.Infeasible(f"{C1.field.q}^{C1.k} codewords exceed budget {budget}")
-    members = [w for w in C1.codewords() if C2dual.contains(w)]  # the zero word at least
-    return FMatrix(C1.field, members, C1.n).row_basis()
+    small, other = sorted((C1, C2dual), key=lambda C: C.k)
+    if small.field.q**small.k > budget:
+        raise errors.Infeasible(f"{small.field.q}^{small.k} codewords exceed budget {budget}")
+    words = FMatrix(small.field, list(small.codewords()), small.n)
+    checks = words @ other.H.transpose()
+    members = [w for w, z in zip(words.rows, checks.rows) if not any(z)]  # 0 at least
+    return FMatrix(small.field, members, small.n).row_basis()
+
+
+def frobenius(a, s: int):
+    """a^(p^s), s reduced mod e: the Frobenius power of one Element."""
+    return a ** a.field.p ** (s % a.field.e)
+
+
+def galois_form(x, y, s: int):
+    """The twisted form sum_i x_i * y_i^(p^s) that defines galois_dual(., s).
+
+    s = 0 is the Euclidean inner product; s = e/2 (e even) the Hermitian one.
+    """
+    if len(x) != len(y):
+        raise errors.LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
+    return sum((xi * frobenius(yi, s) for xi, yi in zip(x, y)), x[0].field.zero)
 
 
 @pytest.fixture(scope="session")

@@ -170,6 +170,13 @@ class TestEbits:
         assert code == 4 and out == ""
         assert err.strip() == "bad input: missing 'p e rows cols' header"
 
+    def test_negative_column_count(self, capsys, tmp_path):
+        g1 = tmp_path / "g1.txt"
+        g1.write_text("13 1 0 -1\n0\n")
+        code, out, err = run(capsys, "ebits", str(g1), str(g1))
+        assert code == 4 and out == ""
+        assert err.strip() == "bad input: negative size in header '13 1 0 -1'"
+
     def test_code_file_is_not_a_matrix(self, capsys, tmp_path, f13):
         path = tmp_path / "code.txt"
         path.write_text(from_generator(FMatrix(f13, [[1, 2, 3]], 3)).to_text())
@@ -274,6 +281,13 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(path))
         assert code == 4 and out == "" and len(err.splitlines()) == 1
 
+    def test_negative_size_header(self, capsys, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("code -1 0\n13 1 0 -1\n0\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 4 and out == ""
+        assert err.strip() == "bad input: negative size in header '13 1 0 -1'"
+
     def test_infeasible(self, capsys, tmp_path, f13):
         # MDS [10,4] plus a zero column: d = 7 but not MDS, so with a tiny
         # budget no distance strategy applies
@@ -298,7 +312,7 @@ class TestSelftest:
         from eaqeckit.lincode import from_generator
 
         def wrong_dual(C, s):
-            return from_generator(C.H.frobenius_entrywise(s % C.field.e), allow_zero=True)
+            return from_generator(C.H.frobenius_entrywise(s % C.field.e))
 
         monkeypatch.setattr(cli, "galois_dual", wrong_dual)
         code, out, err = run(capsys, "selftest", "--trials", "60")

@@ -237,7 +237,7 @@ class TestBatchedFullRank:
             w = rng.randint(1, 4)
             M = random_matrix(rng, field, w, w)
             padded = np.zeros((4, 4), dtype=np.int64)
-            padded[:w, :w] = np.array(M.encs())
+            padded[:w, :w] = np.array(M.rows)
             for i in range(w, 4):
                 padded[i, i] = 1
             mats.append(padded)
@@ -252,6 +252,6 @@ class TestBatchedFullRank:
         rng = random.Random(5)
         mats = [random_matrix(rng, field, 5, 3) for _ in range(200)]
         mats += [FMatrix(field, [[1, 2, 4]] * 5, 3)]  # rank 1
-        got = batched_full_rank(field, np.array([M.encs() for M in mats]))
+        got = batched_full_rank(field, np.array([M.rows for M in mats]))
         assert list(got) == [M.rank() == 3 for M in mats]
         assert not got[-1]

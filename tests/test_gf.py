@@ -9,8 +9,9 @@ from sympy import Poly, symbols
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_gcdex, gf_mul, gf_pow_mod, gf_rem, gf_sub
 
-from eaqeckit import errors, field_new, frobenius, galois_form
+from eaqeckit import FMatrix, errors, field_new
 from eaqeckit.gf import _NP_TABLE_MAX, FieldSpec, _is_irreducible, _poly_ops, is_prime
+from conftest import frobenius, galois_form
 
 
 def minimal_irreducible_oracle(p, e):
@@ -209,39 +210,53 @@ class TestArith:
         assert a ** (field.q - 1) == field.one
 
 
+def frobenius_row(field, els, s):
+    """FMatrix.frobenius_entrywise on one row of Elements, read back as Elements."""
+    M = FMatrix(field, [els]).frobenius_entrywise(s)
+    return [M[0, j] for j in range(M.ncols)]
+
+
 class TestFrobenius:
+    # FMatrix.frobenius_entrywise, the Frobenius route of galois_dual and of
+    # both ebit formulas, against the element power a^(p^s)
     def test_identity_at_zero(self, f9):
-        for el in f9.elements():
-            assert frobenius(el, 0) == el
+        els = f9.elements()
+        assert frobenius_row(f9, els, 0) == els
 
     def test_f9_beta(self, f9):
-        assert frobenius(f9.element(3), 1).enc == 6  # b^3 = -b = 2b
+        assert frobenius_row(f9, [f9.element(3)], 1)[0].enc == 6  # b^3 = -b = 2b
+        assert frobenius(f9.element(3), 1).enc == 6
 
     def test_full_power_fixes_field(self, f4):
-        for el in f4.elements():
-            assert frobenius(el, f4.e) == el
+        els = f4.elements()
+        assert frobenius_row(f4, els, f4.e) == els
+        assert [el ** f4.q for el in els] == els
 
     @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
     def test_automorphism_exhaustive(self, p, e):
         field = field_new(p, e)
         els = field.elements()
+        xs = [a for a in els for _ in els]
+        ys = [b for _ in els for b in els]
         for s in range(e):
-            for a in els:
-                for b in els:
-                    assert frobenius(a * b, s) == frobenius(a, s) * frobenius(b, s)
-                    assert frobenius(a + b, s) == frobenius(a, s) + frobenius(b, s)
+            fx, fy = frobenius_row(field, xs, s), frobenius_row(field, ys, s)
+            assert fx == [frobenius(a, s) for a in xs]
+            assert frobenius_row(field, [a * b for a, b in zip(xs, ys)], s) == \
+                [a * b for a, b in zip(fx, fy)]
+            assert frobenius_row(field, [a + b for a, b in zip(xs, ys)], s) == \
+                [a + b for a, b in zip(fx, fy)]
 
     @pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (3, 3)])
     def test_composes_to_identity(self, p, e):
         field = field_new(p, e)
-        for a in field.elements():
-            x = a
-            for _ in range(e):
-                x = frobenius(x, 1)
-            assert x == a
+        M = X = FMatrix(field, [field.elements()])
+        for _ in range(e):
+            X = X.frobenius_entrywise(1)
+        assert X == M
 
 
 class TestGaloisForm:
+    # the element-level form of the tests' oracle (conftest.galois_form)
     def test_zero_vector(self, f9):
         x = [f9.zero] * 3
         y = [f9.element(i) for i in (1, 5, 7)]
@@ -258,15 +273,14 @@ class TestGaloisForm:
         assert galois_form(x, y, 0) == f5.zero
 
     def test_matches_frobenius_then_dot(self, f27):
+        # against the matrix route of galois_dual: entrywise Frobenius, then a product
         rng = random.Random(3)
         for _ in range(30):
             x = [f27.element(rng.randrange(27)) for _ in range(4)]
             y = [f27.element(rng.randrange(27)) for _ in range(4)]
             for s in range(3):
-                dot = f27.zero
-                for xi, yi in zip(x, y):
-                    dot = dot + xi * frobenius(yi, s)
-                assert galois_form(x, y, s) == dot
+                dot = FMatrix(f27, [x]) @ FMatrix(f27, [y]).frobenius_entrywise(s).transpose()
+                assert galois_form(x, y, s) == dot[0, 0]
 
     def test_length_mismatch(self, f9):
         with pytest.raises(errors.LengthMismatch):
@@ -322,7 +336,7 @@ class TestEnumeration:
 class TestTextForms:
     def test_field_text_roundtrip(self, f27):
         assert f27.text == "3^3;mod=1,2,0"
-        assert FieldSpec.from_text(f27.text) == f27
+        assert field_new(3, 3, (1, 2, 0)) is f27
 
     def test_element_text(self, f9):
         assert str(f9.element(7)) == "7"
