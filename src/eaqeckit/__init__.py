@@ -18,8 +18,8 @@ from .gf import Element, FieldSpec, field_new
 from .fmatrix import FMatrix
 from .lincode import (DistanceReport, LinearCode, MdsReport, from_generator,
                       from_parity_check, galois_dual, is_mds, min_distance)
-from .rankmetric import (MooreSpec, MrdReport, is_mrd, linearly_independent_over_base,
-                         min_rank_distance_exhaustive, moore_matrix)
+from .rankmetric import (MooreSpec, MrdReport, is_mrd, min_rank_distance_exhaustive,
+                         moore_matrix)
 from .eaqec import EaqecParams, PairReport, assemble, ebits_product, ebits_stack
 from .families import (TABLE1_ROWS, TABLE2_ROWS, FamilyCertificate, GrsSpec,
                        gabidulin_family, grs_extended_family,

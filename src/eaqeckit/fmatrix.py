@@ -157,9 +157,8 @@ class FMatrix:
         t %= self.field.e
         if t == 0:
             return self
-        exp = self.field.p**t
-        power = self.field.pow
-        return FMatrix._of(self.field, [[power(x, exp) for x in r] for r in self.rows],
+        frobenius = self.field.frobenius
+        return FMatrix._of(self.field, [[frobenius(x, t) for x in r] for r in self.rows],
                            self.ncols)
 
     # -- products and stacking -------------------------------------------------

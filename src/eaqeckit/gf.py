@@ -14,7 +14,9 @@ of sub, mul and inv for the batched subset scan, and extension fields of that
 size read their scalar operations from them.  Above that, GF(2^e) computes
 on the enc as a bit vector and odd p digit by digit on the enc.  Z_p[x]
 routines on coefficient lists serve the Rabin test that picks f and the
-powers and inverses of odd p.
+powers and inverses of odd p.  Frobenius powers a^(p^s) are a GF(p)-linear
+map on the basis, applied from the images of x^0 .. x^(e-1), one per field
+and s, built on first use.
 
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
@@ -195,14 +197,15 @@ class FieldSpec:
     """The finite field GF(p^e) with a fixed defining modulus.
 
     Immutable after construction.  Arithmetic works on enc integers through
-    add, sub, neg, mul, inv and pow.  The field picks add, sub, mul and pow
-    once from p, e and q: residues mod p for prime fields, the flat tables of
-    vec_ops for extension fields with q <= _NP_TABLE_MAX, and above that the
-    enc as a bit vector for p = 2 and digit by digit for odd p.  Prefer
-    :func:`field_new`: one shared instance per modulus, enc-minimal by default.
+    add, sub, neg, mul, inv, pow and frobenius.  The field picks add, sub,
+    mul and pow once from p, e and q: residues mod p for prime fields, the
+    flat tables of vec_ops for extension fields with q <= _NP_TABLE_MAX, and
+    above that the enc as a bit vector for p = 2 and digit by digit for odd
+    p.  Prefer :func:`field_new`: one shared instance per modulus,
+    enc-minimal by default.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_primitive", "_vec",
+    __slots__ = ("p", "e", "q", "modulus", "_primitive", "_vec", "_frob",
                  "add", "sub", "mul", "pow")
 
     def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
@@ -227,6 +230,7 @@ class FieldSpec:
         self.modulus = tuple(modulus)
         self._primitive: Element | None = None
         self._vec = None
+        self._frob: dict = {}  # s -> the map a -> a^(p^s), built on first use
         self.add, self.sub, self.mul, self.pow = (
             _prime_ops(p) if e == 1 else _bin_ops(self) if p == 2 else _poly_ops(self))
         if e > 1 and self.q <= _NP_TABLE_MAX:
@@ -240,6 +244,17 @@ class FieldSpec:
     def inv(self, a: int) -> int:
         """Inverse of a nonzero enc; DivisionByZero for 0."""
         return self.pow(a, -1)
+
+    def frobenius(self, a: int, s: int) -> int:
+        """a^(p^s), s taken mod e: a GF(p)-linear map, read off the images of
+        the basis powers x^i (see _frobenius_map)."""
+        s %= self.e
+        if not s:
+            return a
+        frob = self._frob.get(s)
+        if frob is None:
+            frob = self._frob[s] = _frobenius_map(self, s)
+        return frob(a)
 
     # -- identity / ordering ------------------------------------------------
 
@@ -479,6 +494,42 @@ def _poly_ops(field: FieldSpec):
         return field._enc(_ppow(c, n % q1, red, p))
 
     return add, sub, mul, power
+
+
+def _frobenius_map(field: FieldSpec, s: int):
+    """a -> a^(p^s) for 0 < s < e.  The map is GF(p)-linear, so with images
+    b_i = (x^i)^(p^s) it sends a = sum a_i x^i to sum a_i b_i; b_1 = x^(p^s)
+    comes from x^p by s - 1 steps of the s = 1 map, b_i = b_1^i by muls."""
+    p, e, mul = field.p, field.e, field.mul
+    xs = field.pow(p, p)  # the enc of x is p
+    for _ in range(s - 1):
+        xs = field.frobenius(xs, 1)
+    images = [1, xs]
+    while len(images) < e:
+        images.append(mul(images[-1], xs))
+
+    if p == 2:
+        def frob(a):  # xor the images over the set bits of a
+            r = 0
+            for b in images:
+                if a & 1:
+                    r ^= b
+                a >>= 1
+            return r
+        return frob
+
+    pw = [p**i for i in range(e)]
+    digits = [[b // m % p for m in pw] for b in images]
+
+    def frob(a):  # digit products as in _poly_ops's mul, with nothing to reduce
+        t = [0] * e
+        for d in digits:
+            a, c = divmod(a, p)
+            if c:
+                for j, x in enumerate(d):
+                    t[j] += c * x
+        return sum([c % p * m for c, m in zip(t, pw)])
+    return frob
 
 
 class _VecOps:

@@ -2,6 +2,8 @@ import random
 
 import pytest
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_gcdex, gf_mul, gf_pow_mod, gf_rem, gf_sub
 
 from eaqeckit import FMatrix, errors, field_new, from_generator
 from eaqeckit.lincode import DEFAULT_BUDGET, check_pair
@@ -63,6 +65,48 @@ def galois_form(x, y, s: int):
     if len(x) != len(y):
         raise errors.LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
     return sum((xi * frobenius(yi, s) for xi, yi in zip(x, y)), x[0].field.zero)
+
+
+class SympyField:
+    """GF(p^e) through sympy's dense Z_p[x] routines, highest degree first;
+    shares no arithmetic with eaqeckit, only the enc convention."""
+
+    def __init__(self, field):
+        self.p, self.e = field.p, field.e
+        self.f = [1] + list(field.modulus)[::-1]
+
+    def poly(self, enc):
+        digits = []
+        for _ in range(self.e):
+            enc, c = divmod(enc, self.p)
+            digits.append(c)
+        while digits and digits[-1] == 0:
+            digits.pop()
+        return digits[::-1]
+
+    def enc(self, poly):
+        assert len(poly) <= self.e
+        return sum(c * self.p**i for i, c in enumerate(reversed(poly)))
+
+    def add(self, a, b):
+        return self.enc(gf_add(self.poly(a), self.poly(b), self.p, ZZ))
+
+    def sub(self, a, b):
+        return self.enc(gf_sub(self.poly(a), self.poly(b), self.p, ZZ))
+
+    def mul(self, a, b):
+        product = gf_mul(self.poly(a), self.poly(b), self.p, ZZ)
+        return self.enc(gf_rem(product, self.f, self.p, ZZ))
+
+    def inv(self, a):
+        s, _, g = gf_gcdex(self.poly(a), self.f, self.p, ZZ)
+        assert g == [1]
+        return self.enc(gf_rem(s, self.f, self.p, ZZ))
+
+    def pow(self, a, n):
+        if n < 0:
+            a, n = self.inv(a), -n
+        return self.enc(gf_pow_mod(self.poly(a), n, self.f, self.p, ZZ))
 
 
 @pytest.fixture(scope="session")

@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, symbols
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_add, gf_gcdex, gf_mul, gf_pow_mod, gf_rem, gf_sub
 
 from eaqeckit import FMatrix, errors, field_new
 from eaqeckit.gf import _NP_TABLE_MAX, FieldSpec, _is_irreducible, _poly_ops, is_prime
-from conftest import frobenius, galois_form
+from conftest import SympyField, frobenius, galois_form
 
 
 def minimal_irreducible_oracle(p, e):
@@ -409,48 +407,6 @@ class TestEncArithmetic:
             f9.pow(0, -1)
 
 
-class SympyField:
-    """GF(p^e) through sympy's dense Z_p[x] routines, highest degree first;
-    shares no arithmetic with eaqeckit, only the enc convention."""
-
-    def __init__(self, field):
-        self.p, self.e = field.p, field.e
-        self.f = [1] + list(field.modulus)[::-1]
-
-    def poly(self, enc):
-        digits = []
-        for _ in range(self.e):
-            enc, c = divmod(enc, self.p)
-            digits.append(c)
-        while digits and digits[-1] == 0:
-            digits.pop()
-        return digits[::-1]
-
-    def enc(self, poly):
-        assert len(poly) <= self.e
-        return sum(c * self.p**i for i, c in enumerate(reversed(poly)))
-
-    def add(self, a, b):
-        return self.enc(gf_add(self.poly(a), self.poly(b), self.p, ZZ))
-
-    def sub(self, a, b):
-        return self.enc(gf_sub(self.poly(a), self.poly(b), self.p, ZZ))
-
-    def mul(self, a, b):
-        product = gf_mul(self.poly(a), self.poly(b), self.p, ZZ)
-        return self.enc(gf_rem(product, self.f, self.p, ZZ))
-
-    def inv(self, a):
-        s, _, g = gf_gcdex(self.poly(a), self.f, self.p, ZZ)
-        assert g == [1]
-        return self.enc(gf_rem(s, self.f, self.p, ZZ))
-
-    def pow(self, a, n):
-        if n < 0:
-            a, n = self.inv(a), -n
-        return self.enc(gf_pow_mod(self.poly(a), n, self.f, self.p, ZZ))
-
-
 class TestSympyOracle:
     """The installed arithmetic of the fields above q = 1024 (bit vectors for
     p = 2, digits of the enc for odd p) against sympy's galoistools."""
@@ -486,6 +442,26 @@ class TestSympyOracle:
                        field.pow(a, b), field.pow(a, -b), field.inv(a),
                        field.pow(0, 0), field.pow(0, b + 1)]
             assert all(type(x) is int for x in results), results
+
+
+class TestFrobeniusOracle:
+    """FieldSpec.frobenius and FMatrix.frobenius_entrywise, the GF(p)-linear
+    map a -> a^(p^s), against sympy's gf_pow_mod(a, p^(s mod e), f, p)."""
+
+    @pytest.mark.parametrize("p,e", [(2, 11), (2, 16), (3, 10), (5, 9), (11, 5),
+                                     (13, 6), (17, 8), (2**31 - 1, 2), (2, 4), (3, 3)])
+    def test_every_offset(self, p, e):
+        field = field_new(p, e)
+        ref = SympyField(field)
+        rng = random.Random(p * 1000 + e)
+        encs = [0, 1, p] + [rng.randrange(field.q) for _ in range(9)]
+        for s in range(-e, 2 * e + 1):
+            expected = [ref.pow(a, p ** (s % e)) for a in encs]
+            direct = [field.frobenius(a, s) for a in encs]
+            [row] = FMatrix(field, [encs]).frobenius_entrywise(s).rows
+            assert direct == expected, s
+            assert list(row) == expected, s
+            assert all(type(x) is int for x in direct + list(row)), s
 
 
 class TestVecOps:

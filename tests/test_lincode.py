@@ -403,6 +403,7 @@ class TestSubsetScan:
         script = ("import sys\n"
                   "from eaqeckit import field_new, gabidulin_family, vandermonde_family\n"
                   "gabidulin_family(field_new(2, 16), 7, 4, 3, 2)\n"
+                  "gabidulin_family(field_new(17, 8), 8, 4, 4, 1)\n"
                   "vandermonde_family(field_new(2, 11), 8, 3, 2, 4)\n"
                   "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
         src = str(Path(lincode.__file__).parents[1])

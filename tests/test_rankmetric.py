@@ -5,10 +5,9 @@ import random
 import pytest
 
 from eaqeckit import (FMatrix, MooreSpec, errors, field_new, from_generator,
-                      is_mrd, linearly_independent_over_base,
-                      min_rank_distance_exhaustive, moore_matrix)
+                      is_mrd, min_rank_distance_exhaustive, moore_matrix)
 from eaqeckit.rankmetric import _coefficient_rank
-from conftest import frobenius
+from conftest import SympyField, frobenius
 
 
 def gabidulin_code(field, n, k, t=0):
@@ -20,6 +19,11 @@ def gabidulin_code(field, n, k, t=0):
 def rank_weight(v):
     """The rank weight that the MRD checks compute, of a vector of Elements."""
     return _coefficient_rank(v[0].field, [x.enc for x in v])
+
+
+def independent(field, g):
+    """GF(p)-independence of the coordinates, the check that moore_matrix makes."""
+    return _coefficient_rank(field, [field.to_enc(x) for x in g]) == len(g)
 
 
 def span_rank_oracle(word):
@@ -80,17 +84,17 @@ class TestRankWeight:
 class TestIndependence:
     def test_powers_of_primitive(self, f27):
         b = f27.primitive_element()
-        assert linearly_independent_over_base([f27.one, b, b**2])
+        assert independent(f27, [f27.one, b, b**2])
 
     def test_prime_field_max_one(self, f13):
-        assert linearly_independent_over_base([f13.element(5)])
-        assert not linearly_independent_over_base([f13.one, f13.element(2)])
+        assert independent(f13, [f13.element(5)])
+        assert not independent(f13, [f13.one, f13.element(2)])
 
     def test_zero_dependent(self, f9):
-        assert not linearly_independent_over_base([f9.zero])
+        assert not independent(f9, [f9.zero])
 
     def test_empty(self, f9):
-        assert linearly_independent_over_base([])
+        assert independent(f9, [])
 
 
 class TestMooreMatrix:
@@ -117,6 +121,19 @@ class TestMooreMatrix:
             for k in range(1, n + 1):
                 assert moore_matrix(MooreSpec(field, g, k)).rank() == k
 
+    def test_int_generators(self):
+        # enc ints are accepted as everywhere else in the library
+        field = field_new(2, 4)
+        M = moore_matrix(MooreSpec(field, (1, 2), 2, 1))
+        assert M == moore_matrix(MooreSpec(field, (field.one, field.element(2)), 2, 1))
+        assert M.rows == ((1, 4), (1, 3))  # x^2 = 4, x^4 = x + 1 = 3
+        with pytest.raises(errors.DependentGenerators):
+            moore_matrix(MooreSpec(field_new(3, 3), (1, 2), 1))
+
+    def test_foreign_elements_rejected(self, f9, f27):
+        with pytest.raises(errors.FieldMismatch):
+            moore_matrix(MooreSpec(f27, (f9.one, f9.element(3)), 1))
+
     def test_too_many_generators(self, f9):
         b = f9.element(3)
         with pytest.raises(errors.LengthExceedsDegree):
@@ -130,6 +147,35 @@ class TestMooreMatrix:
         b = f9.element(3)
         with pytest.raises(errors.ShapeMismatch):
             moore_matrix(MooreSpec(f9, (f9.one, b), 0))
+
+
+class TestMooreDefinition:
+    """Every entry (i, j) of moore_matrix equals g_j^(p^((t+i) mod m)), with
+    sympy as the oracle; k = m + 2 rows, so the exponent wraps past m."""
+
+    @pytest.mark.parametrize("p,m", [(2, 16), (17, 8), (3, 10), (2, 4), (3, 3)])
+    def test_entries(self, p, m):
+        field = field_new(p, m)
+        ref, memo = SympyField(field), {}
+
+        def oracle(a, s):
+            if (a, s) not in memo:
+                memo[a, s] = ref.pow(a, p**s)
+            return memo[a, s]
+
+        rng = random.Random(p * 100 + m)
+        while True:  # seeded random generators, independent over GF(p)
+            drawn = [rng.randrange(field.q) for _ in range(rng.randint(2, m))]
+            if independent(field, drawn):
+                break
+        basis = tuple(field.element(p**i) for i in range(m))  # 1, x, ..., x^(m-1)
+        for g in (basis, tuple(drawn)):
+            encs = [field.to_enc(x) for x in g]
+            for t in (0, 1, m - 1, m, 2 * m + 1, -1):
+                M = moore_matrix(MooreSpec(field, g, m + 2, t))
+                assert (M.nrows, M.ncols) == (m + 2, len(g))
+                for i, row in enumerate(M.rows):
+                    assert list(row) == [oracle(a, (t + i) % m) for a in encs], (t, i)
 
 
 def rank_distance_oracle(code):
