@@ -11,15 +11,15 @@ Layers, bottom to top:
   cli         command-line front end
 
 Matrices and codes hold enc integers and compute with the field's enc-level
-operations; Element is the API-boundary type (M[i, j], codewords()).
+operations.  Element is the API-boundary type: M[i, j] and primitive_element()
+return it, and FMatrix and moore_matrix take it in place of an enc integer.
 """
 from .errors import CodingError
 from .gf import Element, FieldSpec, field_new
 from .fmatrix import FMatrix
 from .lincode import (DistanceReport, LinearCode, MdsReport, from_generator,
                       from_parity_check, galois_dual, is_mds, min_distance)
-from .rankmetric import (MooreSpec, MrdReport, is_mrd, min_rank_distance_exhaustive,
-                         moore_matrix)
+from .rankmetric import MrdReport, is_mrd, min_rank_distance_exhaustive, moore_matrix
 from .eaqec import EaqecParams, PairReport, assemble, ebits_product, ebits_stack
 from .families import (TABLE1_ROWS, TABLE2_ROWS, FamilyCertificate, GrsSpec,
                        gabidulin_family, grs_extended_family,

@@ -23,16 +23,18 @@ from dataclasses import dataclass
 from . import errors
 from .eaqec import EaqecParams, PairReport, assemble
 from .fmatrix import FMatrix
-from .gf import Element, FieldSpec, field_new
+from .gf import FieldSpec, field_new
 from .lincode import DistanceReport, from_generator, from_parity_check, is_mds
-from .rankmetric import MooreSpec, moore_matrix
+from .rankmetric import moore_matrix
 
 
 @dataclass(frozen=True)
 class GrsSpec:
-    """Extended evaluation code inputs: points a, weights v, dimension k."""
-    a: tuple[Element, ...]
-    v: tuple[Element, ...]
+    """Extended evaluation code inputs over field: points a and weights v as
+    enc ints, dimension k."""
+    field: FieldSpec
+    a: tuple[int, ...]
+    v: tuple[int, ...]
     k: int
 
 
@@ -127,8 +129,7 @@ def vandermonde_family(field: FieldSpec, n: int, k: int, t: int, j: int) -> Fami
 
 def grs_extended_spec(field: FieldSpec, k: int) -> GrsSpec:
     """Canonical inputs: all q points in enc order, all-one weights."""
-    return GrsSpec(tuple(field.elements()),
-                   tuple(field.one for _ in range(field.q)), k)
+    return GrsSpec(field, tuple(range(field.q)), (1,) * field.q, k)
 
 
 def grs_extended_generator(spec: GrsSpec) -> FMatrix:
@@ -137,14 +138,12 @@ def grs_extended_generator(spec: GrsSpec) -> FMatrix:
     Row i (0-based) is (v_1 a_1^i, ..., v_n a_n^i, [i == k-1]); the final
     coordinate tracks the coefficient of x^(k-1).  Uses 0^0 = 1.
     """
-    field = spec.a[0].field
     if not 1 <= spec.k <= len(spec.a):
         raise errors.ShapeMismatch(f"k={spec.k} out of range for {len(spec.a)} points")
-    mul, power = field.mul, field.pow
-    av = [(a.enc, v.enc) for a, v in zip(spec.a, spec.v)]
-    rows = [[mul(v, power(a, i)) for a, v in av] + [int(i == spec.k - 1)]
+    mul, power = spec.field.mul, spec.field.pow
+    rows = [[mul(v, power(a, i)) for a, v in zip(spec.a, spec.v)] + [int(i == spec.k - 1)]
             for i in range(spec.k)]
-    return FMatrix._of(field, rows, len(spec.a) + 1)
+    return FMatrix._of(spec.field, rows, len(spec.a) + 1)
 
 
 def grs_extended_family(field: FieldSpec, k: int) -> FamilyCertificate:
@@ -192,10 +191,10 @@ def gabidulin_family(field: FieldSpec, n: int, k1: int, k2: int, t: int) -> Fami
     _require(k2 <= m - t, "k2 <= m-t", f"{k2} <= {m - t}")
     _require(k2 <= n - 1, "k2 <= n-1", f"{k2} <= {n - 1}")
 
-    g = tuple(field.element(field.p**i) for i in range(n))  # x^i has enc p^i
+    g = [field.p**i for i in range(n)]  # x^i has enc p^i
     return _certify(
         "gabidulin", {"q": field.label, "n": n, "k1": k1, "k2": k2, "t": t},
-        moore_matrix(MooreSpec(field, g, k1, 0)), moore_matrix(MooreSpec(field, g, k2, t)),
+        moore_matrix(field, g, k1), moore_matrix(field, g, k2, t),
         k1, n - k2,
         EaqecParams.build(field, n, t, min(n - k1 + 1, k2 + 1), k2 - k1 + t))
 

@@ -40,6 +40,8 @@ class FMatrix:
             ncols = width
         elif ncols is None:
             raise errors.ShapeMismatch("empty matrix needs an explicit column count")
+        elif ncols < 0:
+            raise errors.ShapeMismatch(f"negative column count {ncols}")
         self._set(field, converted, ncols)
 
     def _set(self, field: FieldSpec, rows, ncols: int) -> None:
@@ -55,16 +57,6 @@ class FMatrix:
         m = cls.__new__(cls)
         m._set(field, rows, ncols)
         return m
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "FMatrix":
-        return cls._of(field, [[0] * ncols for _ in range(nrows)], ncols)
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "FMatrix":
-        return cls._of(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
 
     # -- basics ---------------------------------------------------------------
 

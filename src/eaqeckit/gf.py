@@ -303,16 +303,8 @@ class FieldSpec:
         return Element(self, self.to_enc(value))
 
     @property
-    def zero(self) -> "Element":
-        return self.element(0)
-
-    @property
     def one(self) -> "Element":
         return self.element(1)
-
-    def elements(self):
-        """All q elements in increasing enc order."""
-        return [self.element(i) for i in range(self.q)]
 
     # -- enc <-> coefficients ---------------------------------------------------
 
@@ -644,12 +636,12 @@ class Element:
     def __eq__(self, other):
         if isinstance(other, Element):
             return self.field == other.field and self.enc == other.enc
-        if isinstance(other, int):
-            return self.enc == other % self.field.q
+        if isinstance(other, int):  # exact, as the hash of an equal int must match
+            return self.enc == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field, self.enc))
+        return hash(self.enc)
 
     def __int__(self):
         return self.enc

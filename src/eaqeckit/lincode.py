@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import errors
 from .fmatrix import FMatrix, pivot_step
@@ -32,20 +32,6 @@ class LinearCode:
     k: int
     G: FMatrix  # k x n, canonical RREF basis
     H: FMatrix  # (n-k) x n, canonical kernel basis of G
-
-    @property
-    def is_zero(self) -> bool:
-        return self.k == 0
-
-    @property
-    def is_full(self) -> bool:
-        return self.k == self.n
-
-    def codewords(self):
-        """All q^k codewords as Element tuples (message enc order).  Small codes only."""
-        element = self.field.element
-        for msg in itertools.product(range(self.field.q), repeat=self.k):
-            yield tuple(map(element, combine(self.G, msg)))
 
     def to_text(self) -> str:
         return f"code {self.n} {self.k}\n" + self.G.to_text()
@@ -212,29 +198,25 @@ def is_mds(C: LinearCode) -> MdsReport:
 # Minimum distance
 # ---------------------------------------------------------------------------
 
-def combine(G: FMatrix, msg: Sequence[int]) -> list[int]:
-    """The word sum_i msg_i * G_i, with message and word as enc integers."""
-    add, mul = G.field.add, G.field.mul
-    word = [0] * G.ncols
-    for m, grow in zip(msg, G.rows):
-        if m:
-            word = [add(w, mul(m, g)) for w, g in zip(word, grow)]
-    return word
-
-
 def projective_min_weight(C: LinearCode, weight) -> tuple[int, tuple[int, ...]]:
     """Least weight(word) over the nonzero codewords, by projective enumeration.
 
     weight maps a word of enc integers to an int >= 1 on nonzero words and
     must be invariant under scaling by a nonzero constant (Hamming and rank
     weight are), so only messages whose first nonzero coordinate is 1 are
-    expanded.  The witness is the first least-weight codeword in message enc
-    order.  Needs C.k >= 1.
+    expanded: the word of message (0, .., 0, 1, tail) is row lead of G plus
+    m * G[r] for each nonzero tail digit m.  The witness is the first
+    least-weight codeword in message enc order.  Needs C.k >= 1.
     """
+    add, mul = C.field.add, C.field.mul
     best, best_word = C.n + 1, ()
     for lead in range(C.k):
-        for tail in itertools.product(range(C.field.q), repeat=C.k - lead - 1):
-            word = combine(C.G, (0,) * lead + (1,) + tail)
+        later = C.G.rows[lead + 1:]
+        for tail in itertools.product(range(C.field.q), repeat=len(later)):
+            word = C.G.rows[lead]
+            for m, grow in zip(tail, later):
+                if m:
+                    word = [add(w, mul(m, g)) for w, g in zip(word, grow)]
             w = weight(word)
             if w < best:
                 best, best_word = w, tuple(word)

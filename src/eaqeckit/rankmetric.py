@@ -4,9 +4,10 @@ The rank weight of a codeword is the dimension over the prime field of the
 span of its coordinates; coordinates are expanded to their coefficient
 vectors, so the base field is always the prime subfield.  Moore matrices
 apply successive Frobenius powers l^(t), l^(t+1), ... to a generator
-vector of coordinates that are independent over the prime field: the first
-row by FieldSpec.frobenius at offset t, every later row by iterating the
-GF(l)-linear map a -> a^l on the row above.
+vector g of coordinates that are independent over the prime field:
+moore_matrix(field, g, k, t) builds the first row by FieldSpec.frobenius at
+offset t and each of the k-1 later rows by the GF(l)-linear map a -> a^l on
+the row above.
 """
 from __future__ import annotations
 
@@ -17,15 +18,6 @@ from . import errors
 from .fmatrix import FMatrix
 from .gf import Element, FieldSpec, field_new
 from .lincode import DEFAULT_BUDGET, LinearCode, projective_min_weight
-
-
-@dataclass(frozen=True)
-class MooreSpec:
-    """Inputs of a Moore matrix: generators g, row count k, Frobenius offset t."""
-    field: FieldSpec
-    g: tuple[Element | int, ...]
-    k: int
-    t: int = 0
 
 
 @dataclass(frozen=True)
@@ -44,26 +36,26 @@ def _coefficient_rank(field: FieldSpec, v: Sequence[int]) -> int:
     return FMatrix._of(field_new(field.p, 1), map(field._coeffs, v), field.e).rank()
 
 
-def moore_matrix(spec: MooreSpec) -> FMatrix:
+def moore_matrix(field: FieldSpec, g: Sequence[Element | int], k: int,
+                 t: int = 0) -> FMatrix:
     """k x n matrix with entry (i, j) = g_j^(l^((t+i) mod m)).
 
     Row 0 is g under Frobenius^(t mod m), and each further row is the one
     above under Frobenius^1; x^(l^m) = x, so the exponent wraps by itself.
     Generators may be Elements of the field or enc ints.
     """
-    field = spec.field
-    n, m = len(spec.g), field.e
+    n, m = len(g), field.e
     if n > m:
         raise errors.LengthExceedsDegree(f"n={n} generators but extension degree m={m}")
-    if spec.k < 1:
+    if k < 1:
         raise errors.ShapeMismatch("k must be at least 1")
-    g = [field.to_enc(x) for x in spec.g]
+    g = [field.to_enc(x) for x in g]
     if _coefficient_rank(field, g) != n:
         raise errors.DependentGenerators(
             "generators are dependent over the prime subfield")
     frobenius = field.frobenius
-    rows = [[frobenius(x, spec.t) for x in g]]
-    for _ in range(spec.k - 1):
+    rows = [[frobenius(x, t) for x in g]]
+    for _ in range(k - 1):
         rows.append([frobenius(x, 1) for x in rows[-1]])
     return FMatrix._of(field, rows, n)
 

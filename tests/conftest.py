@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,19 @@ from eaqeckit.lincode import DEFAULT_BUDGET, check_pair
 def random_matrix(rng: random.Random, field, nrows: int, ncols: int) -> FMatrix:
     return FMatrix(field, [[rng.randrange(field.q) for _ in range(ncols)]
                            for _ in range(nrows)], ncols)
+
+
+def identity(field, n: int) -> FMatrix:
+    return FMatrix(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
+
+
+def codewords(code) -> list[tuple]:
+    """All q^k codewords as Element tuples, in message enc order: every
+    message times G in one matrix product, independent of lincode's
+    projective enumerator."""
+    field = code.field
+    messages = FMatrix(field, itertools.product(range(field.q), repeat=code.k), code.k)
+    return [tuple(map(field.element, word)) for word in (messages @ code.G).rows]
 
 
 def random_code(rng: random.Random, field, n: int, rows: int):
@@ -46,7 +60,7 @@ def intersection_basis_bruteforce(C1, C2dual, budget: int = DEFAULT_BUDGET) -> F
     small, other = sorted((C1, C2dual), key=lambda C: C.k)
     if small.field.q**small.k > budget:
         raise errors.Infeasible(f"{small.field.q}^{small.k} codewords exceed budget {budget}")
-    words = FMatrix(small.field, list(small.codewords()), small.n)
+    words = FMatrix(small.field, codewords(small), small.n)
     checks = words @ other.H.transpose()
     members = [w for w, z in zip(words.rows, checks.rows) if not any(z)]  # 0 at least
     return FMatrix(small.field, members, small.n).row_basis()
@@ -64,7 +78,7 @@ def galois_form(x, y, s: int):
     """
     if len(x) != len(y):
         raise errors.LengthMismatch(f"lengths {len(x)} and {len(y)} differ")
-    return sum((xi * frobenius(yi, s) for xi, yi in zip(x, y)), x[0].field.zero)
+    return sum((xi * frobenius(yi, s) for xi, yi in zip(x, y)), x[0].field.element(0))
 
 
 class SympyField:

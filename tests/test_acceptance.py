@@ -12,7 +12,7 @@ import time
 from eaqeckit import (ebits_product, ebits_stack, errors, field_new,
                       from_generator, galois_dual,
                       grs_extended_family, is_mds, is_mrd, min_distance,
-                      min_rank_distance_exhaustive, moore_matrix, MooreSpec,
+                      min_rank_distance_exhaustive, moore_matrix,
                       FMatrix, table1, table2, vandermonde_family)
 from conftest import intersection_basis_bruteforce, random_code
 
@@ -240,7 +240,7 @@ def test_criterion_8_gabidulin_mrd(capsys):
     g = tuple(b**i for i in range(4))
     results = []
     for k in (1, 2, 3):
-        code = from_generator(moore_matrix(MooreSpec(field, g, k)))
+        code = from_generator(moore_matrix(field, g, k))
         dr = min_rank_distance_exhaustive(code)
         results.append(dr == 4 - k + 1 and bool(is_mrd(code))
                        and bool(is_mds(code)))

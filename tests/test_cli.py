@@ -6,7 +6,7 @@ import pytest
 
 from eaqeckit import FMatrix, from_generator
 from eaqeckit.cli import main
-from conftest import random_code
+from conftest import identity, random_code
 import random
 
 
@@ -121,7 +121,7 @@ class TestEbits:
     def test_full_space_zero(self, capsys, tmp_path, f13):
         g1 = tmp_path / "g1.txt"
         h2 = tmp_path / "h2.txt"
-        g1.write_text(FMatrix.identity(f13, 4).to_text())
+        g1.write_text(identity(f13, 4).to_text())
         h2.write_text(FMatrix(f13, [[1, 2, 3, 4]], 4).to_text())
         code, out, _ = run(capsys, "ebits", str(g1), str(h2))
         assert code == 0 and json.loads(out)["c_product"] == 0
@@ -129,8 +129,8 @@ class TestEbits:
     def test_field_mismatch(self, capsys, tmp_path, f13, f9):
         g1 = tmp_path / "g1.txt"
         h2 = tmp_path / "h2.txt"
-        g1.write_text(FMatrix.identity(f13, 4).to_text())
-        h2.write_text(FMatrix.identity(f9, 4).to_text())
+        g1.write_text(identity(f13, 4).to_text())
+        h2.write_text(identity(f9, 4).to_text())
         code, _, err = run(capsys, "ebits", str(g1), str(h2))
         assert code == 4 and "bad input" in err
 
@@ -292,7 +292,7 @@ class TestVerify:
         # MDS [10,4] plus a zero column: d = 7 but not MDS, so with a tiny
         # budget no distance strategy applies
         g = f13.primitive_element()
-        rows = [[(g**i) ** c for c in range(10)] + [f13.zero] for i in range(4)]
+        rows = [[(g**i) ** c for c in range(10)] + [f13.element(0)] for i in range(4)]
         path = tmp_path / "big.txt"
         path.write_text(from_generator(FMatrix(f13, rows, 11)).to_text())
         code, _, err = run(capsys, "--budget", "10", "verify", str(path))

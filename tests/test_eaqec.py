@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from eaqeckit import (EaqecParams, FMatrix, assemble, ebits_product,
                       ebits_stack, errors, field_new, from_generator,
                       galois_dual, is_mds, min_distance)
-from conftest import (BACKEND_FIELDS, draw_matrix, intersection_basis_bruteforce,
+from conftest import (BACKEND_FIELDS, draw_matrix, identity, intersection_basis_bruteforce,
                       random_code)
 
 
@@ -57,7 +57,7 @@ class TestEbits:
 
     def test_full_space_zero(self, f9):
         rng = random.Random(89)
-        C1 = from_generator(FMatrix.identity(f9, 4))
+        C1 = from_generator(identity(f9, 4))
         C2 = random_code(rng, f9, 4, 2)
         assert ebits_product(C1, C2, 0) == 0
         assert ebits_stack(C1, C2, 0) == 0

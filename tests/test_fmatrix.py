@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from eaqeckit import FMatrix, errors, field_new
 from eaqeckit.fmatrix import batched_full_rank
-from eaqeckit.lincode import combine
-from conftest import BACKEND_FIELDS, draw_matrix, random_matrix
+from conftest import BACKEND_FIELDS, draw_matrix, identity, random_matrix
 
 
 def vandermonde(field, nodes, ncols):
@@ -16,13 +15,13 @@ def vandermonde(field, nodes, ncols):
 class TestRref:
     def test_identity_fixed(self):
         f5 = field_new(5, 1)
-        I = FMatrix.identity(f5, 3)
+        I = identity(f5, 3)
         R, rank, pivots = I.rref()
         assert R == I and rank == 3 and pivots == [0, 1, 2]
 
     def test_zero_matrix(self):
         f3 = field_new(3, 1)
-        Z = FMatrix.zeros(f3, 2, 4)
+        Z = FMatrix(f3, [[0] * 4] * 2, 4)
         R, rank, pivots = Z.rref()
         assert R == Z and rank == 0 and pivots == []
 
@@ -67,7 +66,8 @@ def test_rref_properties(p, e, data):
     # pivot entries, and stacking R on M adds nothing
     basis = M.row_basis()
     for row in M.rows:
-        assert combine(basis, [row[c] for c in pivots]) == list(row)
+        coords = FMatrix(M.field, [[row[c] for c in pivots]], rank)
+        assert (coords @ basis).rows == (row,)
     assert M.vstack(R).rank() == rank
     assert M.transpose().rank() == rank
 
@@ -108,7 +108,7 @@ class TestRank:
 
 class TestKernel:
     def test_identity_has_trivial_kernel(self, f9):
-        K = FMatrix.identity(f9, 4).kernel_basis()
+        K = identity(f9, 4).kernel_basis()
         assert K.nrows == 0 and K.ncols == 4
 
     def test_parity_code_kernel(self, f2):
@@ -158,7 +158,7 @@ class TestProducts:
     def test_identity_neutral(self, f9):
         rng = random.Random(12)
         A = random_matrix(rng, f9, 3, 4)
-        assert A @ FMatrix.identity(f9, 4) == A
+        assert A @ identity(f9, 4) == A
 
     def test_vstack_shape(self, f9):
         rng = random.Random(13)
@@ -176,15 +176,22 @@ class TestProducts:
         assert (H1 @ H2.transpose()).rank() == 8
 
     def test_shape_mismatch(self, f9):
-        A = FMatrix.zeros(f9, 2, 3)
+        A = FMatrix(f9, [[0] * 3] * 2, 3)
         with pytest.raises(errors.ShapeMismatch):
             A @ A
         with pytest.raises(errors.ShapeMismatch):
-            A.vstack(FMatrix.zeros(f9, 1, 4))
+            A.vstack(FMatrix(f9, [[0] * 4], 4))
 
     def test_field_mismatch(self, f9, f27):
         with pytest.raises(errors.FieldMismatch):
-            FMatrix.zeros(f9, 2, 2) @ FMatrix.zeros(f27, 2, 2)
+            FMatrix(f9, [[0] * 2] * 2, 2) @ FMatrix(f27, [[0] * 2] * 2, 2)
+
+    def test_negative_column_count_rejected(self):
+        # FMatrix.from_text rejects the header "5 1 0 -1", so no such matrix exists
+        f5 = field_new(5, 1)
+        with pytest.raises(errors.ShapeMismatch):
+            FMatrix(f5, [], -1)
+        assert FMatrix.from_text(FMatrix(f5, [], 0).to_text()).shape == (0, 0)
 
 
 class TestSerialization:

@@ -166,22 +166,29 @@ class TestArith:
 
     def test_division_by_zero(self, f9):
         with pytest.raises(errors.DivisionByZero):
-            f9.one / f9.zero
+            f9.one / f9.element(0)
         with pytest.raises(errors.DivisionByZero):
-            f9.zero.inverse()
+            f9.element(0).inverse()
 
     def test_field_mismatch(self, f9, f27):
         with pytest.raises(errors.FieldMismatch):
             f9.one + f27.one
 
+    def test_int_equality_agrees_with_hash(self, f9):
+        b = f9.element(3)
+        assert b == 3 and hash(b) == hash(3)
+        assert b in {3} and {3: "x"}.get(b) == "x"
+        assert b != 12  # an int is compared as it is, not reduced mod q
+        assert b in {f9.element(3)} and f9.element(3) != field_new(3, 3).element(3)
+
     @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 1)])
     def test_field_axioms_exhaustive(self, p, e):
         field = field_new(p, e)
-        els = field.elements()
+        els = [field.element(i) for i in range(field.q)]
         for a in els:
-            assert a + field.zero == a
+            assert a + field.element(0) == a
             assert a * field.one == a
-            assert a - a == field.zero
+            assert a - a == field.element(0)
             if a:
                 assert a * a.inverse() == field.one
         # associativity / distributivity on a sample
@@ -218,7 +225,7 @@ class TestFrobenius:
     # FMatrix.frobenius_entrywise, the Frobenius route of galois_dual and of
     # both ebit formulas, against the element power a^(p^s)
     def test_identity_at_zero(self, f9):
-        els = f9.elements()
+        els = [f9.element(i) for i in range(f9.q)]
         assert frobenius_row(f9, els, 0) == els
 
     def test_f9_beta(self, f9):
@@ -226,14 +233,14 @@ class TestFrobenius:
         assert frobenius(f9.element(3), 1).enc == 6
 
     def test_full_power_fixes_field(self, f4):
-        els = f4.elements()
+        els = [f4.element(i) for i in range(f4.q)]
         assert frobenius_row(f4, els, f4.e) == els
         assert [el ** f4.q for el in els] == els
 
     @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (3, 3), (3, 4)])
     def test_automorphism_exhaustive(self, p, e):
         field = field_new(p, e)
-        els = field.elements()
+        els = [field.element(i) for i in range(field.q)]
         xs = [a for a in els for _ in els]
         ys = [b for _ in els for b in els]
         for s in range(e):
@@ -247,7 +254,7 @@ class TestFrobenius:
     @pytest.mark.parametrize("p,e", [(2, 3), (3, 2), (3, 3)])
     def test_composes_to_identity(self, p, e):
         field = field_new(p, e)
-        M = X = FMatrix(field, [field.elements()])
+        M = X = FMatrix(field, [[field.element(i) for i in range(field.q)]])
         for _ in range(e):
             X = X.frobenius_entrywise(1)
         assert X == M
@@ -256,9 +263,9 @@ class TestFrobenius:
 class TestGaloisForm:
     # the element-level form of the tests' oracle (conftest.galois_form)
     def test_zero_vector(self, f9):
-        x = [f9.zero] * 3
+        x = [f9.element(0)] * 3
         y = [f9.element(i) for i in (1, 5, 7)]
-        assert galois_form(x, y, 1) == f9.zero
+        assert galois_form(x, y, 1) == f9.element(0)
 
     def test_f9_twisted_square(self, f9):
         b = f9.element(3)
@@ -268,7 +275,7 @@ class TestGaloisForm:
         f5 = field_new(5, 1)
         x = [f5.element(1), f5.element(2)]
         y = [f5.element(3), f5.element(1)]
-        assert galois_form(x, y, 0) == f5.zero
+        assert galois_form(x, y, 0) == f5.element(0)
 
     def test_matches_frobenius_then_dot(self, f27):
         # against the matrix route of galois_dual: entrywise Frobenius, then a product
@@ -320,14 +327,13 @@ class TestPrimitiveElement:
 
 class TestEnumeration:
     def test_f2(self, f2):
-        assert [el.enc for el in f2.elements()] == [0, 1]
+        assert [f2.element(i).coeffs for i in range(f2.q)] == [(0,), (1,)]
 
     def test_f4_count_and_order(self, f4):
-        els = f4.elements()
-        assert [el.enc for el in els] == [0, 1, 2, 3]
+        assert [f4.element(i).coeffs for i in range(f4.q)] == [(0, 0), (1, 0), (0, 1), (1, 1)]
 
     def test_f9_coeffs(self, f9):
-        el = f9.elements()[5]
+        el = f9.element(5)
         assert el.coeffs == (2, 1)  # 2 + beta
 
 

@@ -1,4 +1,5 @@
-"""Every name the package re-exports has a user outside the tests.
+"""Every name the package re-exports, and every public method or property of
+a re-exported class, has a user outside the tests.
 
 A name is used when it appears, by word boundary, in bench/, in a fenced
 code block of the README, or in src/eaqeckit/ (``__init__.py`` aside) in code
@@ -6,6 +7,11 @@ that is itself used.  Module-level code counts always.  The definition of a
 re-exported name counts only once that name is used, so a name that only
 another unused name calls is unused too.  Imports and module docstrings are
 not uses.
+
+A member is used when its attribute name is referenced outside its own
+definition, in src/eaqeckit/, in bench/ or in a fenced python block of the
+README, or when bench/tracing.py TARGETS names it as "Class.member".  A
+property counts where it is read, not where a same-named method is called.
 """
 import ast
 import re
@@ -59,3 +65,62 @@ def test_every_reexport_is_used_outside_tests():
                 used.add(name)
                 pending.extend(owned.get(name, []))
     assert not names - used, sorted(names - used)
+
+
+def attribute_uses(tree) -> list[tuple[str, bool, tuple]]:
+    """(attribute, is called, enclosing class method) of every attribute
+    reference in tree, leaving out those read from an imported outside module
+    (``np.zeros`` is numpy's, not a member of ours)."""
+    outside = {alias.asname or alias.name.partition(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.Import)
+               or isinstance(node, ast.ImportFrom) and node.level == 0
+               and not (node.module or "").startswith("eaqeckit")
+               for alias in node.names}
+    uses = []
+
+    def visit(node, owner):
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                inner = (node.name, child.name) if isinstance(child, ast.FunctionDef) else owner
+                visit(child, inner)
+            return
+        called = node.func if isinstance(node, ast.Call) else None
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and not (
+                    isinstance(child.value, ast.Name) and child.value.id in outside):
+                uses.append((child.attr, child is called, owner))
+            visit(child, owner)
+
+    visit(tree, None)
+    return uses
+
+
+def test_every_member_of_a_reexport_is_used_outside_tests():
+    names = reexported()
+    members = set()  # (class, member, is a property)
+    trees = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        trees.append(tree)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef) and cls.name in names:
+                members |= {(cls.name, f.name, any(isinstance(d, ast.Name) and d.id == "property"
+                                                   for d in f.decorator_list))
+                            for f in cls.body
+                            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")}
+    assert members
+    trees += [ast.parse(p.read_text()) for p in sorted((ROOT / "bench").glob("*.py"))]
+    trees += [ast.parse(block) for block in
+              re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)]
+    uses = [use for tree in trees for use in attribute_uses(tree)]
+    tracing = ast.parse((ROOT / "bench" / "tracing.py").read_text())
+    targets = next(ast.literal_eval(node.value) for node in tracing.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    traced = {tuple(attr.split(".")) for _module, attr, _span in targets if "." in attr}
+    unused = sorted(f"{cls}.{member}" for cls, member, prop in members
+                    if (cls, member) not in traced
+                    and not any(attr == member and owner != (cls, member)
+                                and not (prop and called)
+                                for attr, called, owner in uses))
+    assert not unused, unused

@@ -4,16 +4,16 @@ import random
 
 import pytest
 
-from eaqeckit import (FMatrix, MooreSpec, errors, field_new, from_generator,
+from eaqeckit import (FMatrix, errors, field_new, from_generator,
                       is_mrd, min_rank_distance_exhaustive, moore_matrix)
 from eaqeckit.rankmetric import _coefficient_rank
-from conftest import SympyField, frobenius
+from conftest import SympyField, frobenius, identity
 
 
 def gabidulin_code(field, n, k, t=0):
     b = field.primitive_element()
     g = tuple(b**i for i in range(n))
-    return from_generator(moore_matrix(MooreSpec(field, g, k, t)))
+    return from_generator(moore_matrix(field, g, k, t))
 
 
 def rank_weight(v):
@@ -30,7 +30,7 @@ def span_rank_oracle(word):
     """Independent rank weight: log_p of the size of the GF(p)-span of the
     coordinates, built by closure under adding multiples (no elimination)."""
     field = word[0].field
-    span = {field.zero}
+    span = {field.element(0)}
     for x in word:
         span = {y + field.element(c) * x for y in span for c in range(field.p)}
     return round(math.log(len(span), field.p))
@@ -38,7 +38,7 @@ def span_rank_oracle(word):
 
 class TestRankWeight:
     def test_zero_vector(self, f9):
-        assert rank_weight([f9.zero] * 4) == 0
+        assert rank_weight([f9.element(0)] * 4) == 0
         assert _coefficient_rank(f9, []) == 0
 
     def test_prime_field(self, f13):
@@ -91,7 +91,7 @@ class TestIndependence:
         assert not independent(f13, [f13.one, f13.element(2)])
 
     def test_zero_dependent(self, f9):
-        assert not independent(f9, [f9.zero])
+        assert not independent(f9, [f9.element(0)])
 
     def test_empty(self, f9):
         assert independent(f9, [])
@@ -101,7 +101,7 @@ class TestMooreMatrix:
     def test_f81_example(self):
         field = field_new(3, 4)
         b = field.primitive_element()
-        M = moore_matrix(MooreSpec(field, (field.one, b, b**2), 2))
+        M = moore_matrix(field, (field.one, b, b**2), 2)
         assert M.rows[0] == (field.one, b, b**2)
         assert M.rows[1] == (field.one, b**3, b**6)
 
@@ -109,7 +109,7 @@ class TestMooreMatrix:
         field = field_new(3, 4)
         b = field.primitive_element()
         g = (field.one, b, b**2)
-        M = moore_matrix(MooreSpec(field, g, 2, t=3))
+        M = moore_matrix(field, g, 2, t=3)
         assert M.rows[0] == tuple(x**27 for x in g)
         assert M.rows[1] == g  # exponent (3+1) mod 4 = 0
 
@@ -119,34 +119,34 @@ class TestMooreMatrix:
         for n in (2, 3, 4):
             g = tuple(b**i for i in range(n))
             for k in range(1, n + 1):
-                assert moore_matrix(MooreSpec(field, g, k)).rank() == k
+                assert moore_matrix(field, g, k).rank() == k
 
     def test_int_generators(self):
         # enc ints are accepted as everywhere else in the library
         field = field_new(2, 4)
-        M = moore_matrix(MooreSpec(field, (1, 2), 2, 1))
-        assert M == moore_matrix(MooreSpec(field, (field.one, field.element(2)), 2, 1))
+        M = moore_matrix(field, (1, 2), 2, 1)
+        assert M == moore_matrix(field, (field.one, field.element(2)), 2, 1)
         assert M.rows == ((1, 4), (1, 3))  # x^2 = 4, x^4 = x + 1 = 3
         with pytest.raises(errors.DependentGenerators):
-            moore_matrix(MooreSpec(field_new(3, 3), (1, 2), 1))
+            moore_matrix(field_new(3, 3), (1, 2), 1)
 
     def test_foreign_elements_rejected(self, f9, f27):
         with pytest.raises(errors.FieldMismatch):
-            moore_matrix(MooreSpec(f27, (f9.one, f9.element(3)), 1))
+            moore_matrix(f27, (f9.one, f9.element(3)), 1)
 
     def test_too_many_generators(self, f9):
         b = f9.element(3)
         with pytest.raises(errors.LengthExceedsDegree):
-            moore_matrix(MooreSpec(f9, (f9.one, b, b + f9.one), 2))
+            moore_matrix(f9, (f9.one, b, b + f9.one), 2)
 
     def test_dependent_generators(self, f9):
         with pytest.raises(errors.DependentGenerators):
-            moore_matrix(MooreSpec(f9, (f9.one, f9.element(2)), 1))
+            moore_matrix(f9, (f9.one, f9.element(2)), 1)
 
     def test_bad_row_count(self, f9):
         b = f9.element(3)
         with pytest.raises(errors.ShapeMismatch):
-            moore_matrix(MooreSpec(f9, (f9.one, b), 0))
+            moore_matrix(f9, (f9.one, b), 0)
 
 
 class TestMooreDefinition:
@@ -172,7 +172,7 @@ class TestMooreDefinition:
         for g in (basis, tuple(drawn)):
             encs = [field.to_enc(x) for x in g]
             for t in (0, 1, m - 1, m, 2 * m + 1, -1):
-                M = moore_matrix(MooreSpec(field, g, m + 2, t))
+                M = moore_matrix(field, g, m + 2, t)
                 assert (M.nrows, M.ncols) == (m + 2, len(g))
                 for i, row in enumerate(M.rows):
                     assert list(row) == [oracle(a, (t + i) % m) for a in encs], (t, i)
@@ -181,10 +181,10 @@ class TestMooreDefinition:
 def rank_distance_oracle(code):
     """Independent minimum rank weight: scan all nonzero messages."""
     best = code.n + 1
-    for msg in itertools.product(code.field.elements(), repeat=code.k):
+    for msg in itertools.product(map(code.field.element, range(code.field.q)), repeat=code.k):
         if not any(msg):
             continue
-        word = [code.field.zero] * code.n
+        word = [code.field.element(0)] * code.n
         for m, row in zip(msg, code.G.rows):
             word = [w + m * g for w, g in zip(word, row)]
         best = min(best, span_rank_oracle(word))
@@ -241,6 +241,6 @@ class TestIsMrd:
                 is_mrd(code, budget=budget)
 
     def test_length_guard(self, f9):
-        code = from_generator(FMatrix.identity(f9, 3))
+        code = from_generator(identity(f9, 3))
         with pytest.raises(errors.LengthExceedsDegree):
             is_mrd(code)
