@@ -569,7 +569,10 @@ class Element:
     """An element of a :class:`FieldSpec`, immutable and hashable.
 
     The API-boundary type: matrices and codes store enc integers, and every
-    operator here delegates to the field's enc-level operations.
+    operator here delegates to the field's enc-level operations.  An int
+    operand of +, -, * and / is the integer's image n*1 in GF(p), enc n mod p;
+    == against an int compares encs exactly, as the hash of an equal int must
+    match.
     """
 
     __slots__ = ("field", "coeffs", "enc")
@@ -586,7 +589,7 @@ class Element:
                     f"elements of {self.field.label} and {other.field.label}")
             return other
         if isinstance(other, int):
-            return self.field.element(other)
+            return self.field.element(other % self.field.p)
         return NotImplemented
 
     def _binary(op: str):

@@ -119,7 +119,9 @@ def _all_subsets_full_rank(M: FMatrix, w: int) -> Optional[tuple[int, ...]]:
     P+{c} costs one pivot step on them.  If column c is zero there, every
     subset extending P+{c} is dependent and the first, P + (c, c+1, ...), is
     the witness.  Fields with numpy tables build up to _SCAN_CHUNK nodes per
-    step, which bounds memory; others run the recursion in plain Python.
+    step, which bounds memory, and decide the last two columns of a square
+    scan (M has w rows) by projective column keys instead of pivoting; tall
+    scans pivot to the end.  Others run the recursion in plain Python.
     """
     if (ops := M.field.vec_ops()) is not None:
         return _scan_batched(M, w, ops)
@@ -147,9 +149,35 @@ def _all_subsets_full_rank(M: FMatrix, w: int) -> Optional[tuple[int, ...]]:
     return visit((), M.transpose().rows)
 
 
+def _first_dependent_pair(ops, S, last):
+    """(i, (c1, c2)) for the first node i of a (B, 2, n) batch with columns
+    last[i] < c1 < c2 dependent, c1 then c2 least, or None if there is none.
+
+    A column (a, b) is keyed by its projective point: b/a, q for a = 0 != b
+    and -1 for zero, so two columns are dependent iff one key is -1 or both
+    keys are equal.  Columns up to last[i] get distinct keys above q.
+    """
+    import numpy as np
+    n = S.shape[2]
+    columns = np.arange(n)
+    a, b = S[:, 0], S[:, 1]
+    key = np.where(a != 0, ops.mul(b, ops.inv(a)), np.where(b != 0, ops.q, -1))
+    key = np.where(columns > last[:, None], key, ops.q + 1 + columns)
+    ordered = np.sort(key, axis=1)
+    dead = (ordered[:, 0] < 0) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if not dead.any():
+        return None
+    i = int(dead.argmax())
+    k = key[i].tolist()
+    return i, next((c1, c2) for c1 in range(int(last[i]) + 1, n) for c2 in range(c1 + 1, n)
+                   if min(k[c1], k[c2]) < 0 or k[c1] == k[c2])
+
+
 def _scan_batched(M: FMatrix, w: int, ops) -> Optional[tuple[int, ...]]:
     """_all_subsets_full_rank on numpy tables: each pivot_step builds up to
-    _SCAN_CHUNK nodes of one level, and pending chunks wait on a stack."""
+    _SCAN_CHUNK nodes of one level, and pending chunks wait on a stack.  In a
+    square scan _first_dependent_pair decides the children of each depth w-2
+    node at once, so depth w-1 is never built."""
     import numpy as np
     n = M.ncols
     columns = np.arange(n)
@@ -158,18 +186,23 @@ def _scan_batched(M: FMatrix, w: int, ops) -> Optional[tuple[int, ...]]:
     stack, best = [], None
     while True:
         depth = prefix.shape[1]
-        valid = (columns > last[:, None]) & (columns <= n - w + depth)
-        nonzero = S.any(axis=1)
-        live, dead = valid & nonzero, valid & ~nonzero
-        if dead.any():
-            b, c = divmod(int(dead.argmax()), n)
-            best = tuple(prefix[b].tolist()) + tuple(range(c, c + w - depth))
-            stack.clear()  # every pending node comes after best
-            live.ravel()[b * n + c:] = False
-        if depth + 1 < w:
-            bs, cs = np.nonzero(live)
-            for a in reversed(range(0, len(bs), _SCAN_CHUNK)):
-                stack.append((S, prefix, bs[a:a + _SCAN_CHUNK], cs[a:a + _SCAN_CHUNK]))
+        if depth + 2 == w and S.shape[1] == 2:
+            if found := _first_dependent_pair(ops, S, last):
+                best = tuple(prefix[found[0]].tolist()) + found[1]
+                stack.clear()  # every pending node comes after best
+        else:
+            valid = (columns > last[:, None]) & (columns <= n - w + depth)
+            nonzero = S.any(axis=1)
+            live, dead = valid & nonzero, valid & ~nonzero
+            if dead.any():
+                b, c = divmod(int(dead.argmax()), n)
+                best = tuple(prefix[b].tolist()) + tuple(range(c, c + w - depth))
+                stack.clear()  # every pending node comes after best
+                live.ravel()[b * n + c:] = False
+            if depth + 1 < w:
+                bs, cs = np.nonzero(live)
+                for a in reversed(range(0, len(bs), _SCAN_CHUNK)):
+                    stack.append((S, prefix, bs[a:a + _SCAN_CHUNK], cs[a:a + _SCAN_CHUNK]))
         if not stack:
             return best
         S, prefix, bs, last = stack.pop()

@@ -181,6 +181,14 @@ class TestArith:
         assert b != 12  # an int is compared as it is, not reduced mod q
         assert b in {f9.element(3)} and f9.element(3) != field_new(3, 3).element(3)
 
+    def test_int_operand_is_its_image_in_prime_field(self, f9):
+        # n stands for n*1, so multiples of the characteristic are zero
+        f7 = field_new(7, 1)
+        assert f9.one * 3 == 0 and 3 * f9.one == 0
+        assert f9.one + 12 == 1 and f7.one * -1 == 6
+        x = f9.element(3)
+        assert 1 - x == f9.element(4) - 2 * x and x / 2 == x * 2 and x - 4 == x - 1
+
     @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3), (5, 1)])
     def test_field_axioms_exhaustive(self, p, e):
         field = field_new(p, e)

@@ -11,6 +11,7 @@ import pytest
 from eaqeckit import (FMatrix, ebits_stack, errors, field_new, from_generator,
                       from_parity_check, galois_dual, is_mds, min_distance)
 from eaqeckit import lincode
+from eaqeckit.fmatrix import pivot_step
 from eaqeckit.lincode import LinearCode
 from conftest import (codewords, galois_form, identity, intersection_basis_bruteforce,
                       random_code, random_matrix)
@@ -242,7 +243,7 @@ def exhaustive_weight_oracle(code):
             continue
         word = [code.field.element(0)] * code.n
         for m, row in zip(msg, code.G.rows):
-            word = [w + m * g for w, g in zip(word, row)]
+            word = [w + m * g for w, g in zip(word, map(code.field.element, row))]
         best = min(best, sum(1 for x in word if x))
     return best
 
@@ -399,6 +400,63 @@ class TestSubsetScan:
         M = FMatrix(field, list(zip(*cols)), 21)
         assert first_dependent_subset(M, 4) == (17, 18, 19, 20)
         assert lincode._all_subsets_full_rank(M, 4) == (17, 18, 19, 20)
+
+    @pytest.mark.parametrize("p,e", [(29, 1), (2, 4), (5, 2), (1021, 1)])
+    def test_pair_level_matches_reference(self, p, e, monkeypatch):
+        # Square scans decide their last two columns by projective keys; zero
+        # and scaled duplicate columns are planted so that level finds most
+        # witnesses.  Tall scans, which keep pivoting, are mixed in.
+        field = field_new(p, e)
+        monkeypatch.setattr(lincode, "_SCAN_CHUNK", 3)  # many chunks per level
+        rng = random.Random(p * 100 + e)
+        dependent = square = 0
+        for _ in range(80):
+            w = rng.randint(2, 5)
+            nrows = w + rng.choice((0, 0, 0, 1))
+            n = rng.randint(w, 9)
+            cols = [[rng.randrange(field.q) for _ in range(nrows)] for _ in range(n)]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                cols[rng.randrange(n)] = [0] * nrows
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                a, b = rng.randrange(n), rng.randrange(n)
+                cols[b] = [field.mul(rng.randrange(1, field.q), x) for x in cols[a]]
+            M = FMatrix(field, list(zip(*cols)), n)
+            expect = first_dependent_subset(M, w)
+            assert lincode._all_subsets_full_rank(M, w) == expect
+            dependent += expect is not None
+            square += nrows == w
+        assert 20 < dependent < 75 and square > 40
+
+    @pytest.mark.parametrize("p,e", [(29, 1), (2, 4), (5, 2), (1021, 1)])
+    def test_zero_column_pairs_with_earlier_column(self, p, e):
+        # Column 4 is zero and every other 3 columns are independent, so the
+        # first witness is (0, 1, 4), not the (0, 4, 5) that starts at the zero.
+        field = field_new(p, e)
+        g = field.primitive_element().enc
+        cols = [[field.pow(field.pow(g, j), i) for i in range(3)] for j in range(6)]
+        cols[4] = [0, 0, 0]
+        M = FMatrix(field, list(zip(*cols)), 6)
+        assert first_dependent_subset(M, 3) == (0, 1, 4)
+        assert lincode._all_subsets_full_rank(M, 3) == (0, 1, 4)
+        # w = 2 decides at the root; the zero is the last column
+        M = FMatrix(field, [[1, 1, 0], [1, g, 0]], 3)
+        assert lincode._all_subsets_full_rank(M, 2) == first_dependent_subset(M, 2) == (0, 2)
+
+    def test_square_scan_builds_no_last_level(self, monkeypatch):
+        # A node at depth w-1 of a square scan has one row left; the key test
+        # at depth w-2 replaces that level.  A tall scan still builds it.
+        field = field_new(29, 1)
+        rows = []
+        monkeypatch.setattr(lincode, "pivot_step",
+                            lambda *a: rows.append((out := pivot_step(*a)).shape[1]) or out)
+        H = FMatrix(field, [[pow(a, i, 29) for a in range(1, 29)] for i in range(5)], 28)
+        report = is_mds(from_parity_check(H))
+        assert report.is_mds and report.checked_matrix == "parity" and report.subset_size == 5
+        assert rows and min(rows) == 2
+        rows.clear()
+        tall = FMatrix(field, [[pow(a, i, 29) for a in range(1, 13)] for i in range(6)], 12)
+        assert lincode._all_subsets_full_rank(tall, 5) is None
+        assert min(rows) == 6 - 4
 
     def test_generic_path_imports_no_numpy(self):
         script = ("import sys\n"

@@ -186,7 +186,7 @@ def rank_distance_oracle(code):
             continue
         word = [code.field.element(0)] * code.n
         for m, row in zip(msg, code.G.rows):
-            word = [w + m * g for w, g in zip(word, row)]
+            word = [w + m * g for w, g in zip(word, map(code.field.element, row))]
         best = min(best, span_rank_oracle(word))
     return best
 
