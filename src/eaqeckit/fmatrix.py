@@ -237,17 +237,18 @@ def pivot_step(ops, X, cols):
     """One elimination step on each matrix of a (B, R, n) batch of enc values.
 
     Matrix b is pivoted on column cols[b] at its first nonzero row, which is
-    dropped: the result (B, R-1, n) is the other rows reduced on that column,
-    unchanged where it is zero (ops.inv(0) is 0).  X is not modified.
+    dropped and its slot taken by the last row: the result (B, R-1, n) is the
+    other rows reduced on that column, unchanged where it is zero (ops.inv(0)
+    is 0).  Only the R-1 kept rows are reduced.  X is not modified.
     """
     import numpy as np
     b = np.arange(len(X))
     v = X[b, :, cols]  # (B, R)
     i = (v != 0).argmax(axis=1)
     fac = ops.mul(v, ops.inv(v[b, i])[:, None])
-    X = ops.sub(X, ops.mul(fac[:, :, None], X[b, i][:, None, :]))
-    X[b, i] = X[:, -1]
-    return X[:, :-1]
+    pivot, X = X[b, i], X.copy()
+    X[b, i], fac[b, i] = X[:, -1], fac[:, -1]
+    return ops.sub(X[:, :-1], ops.mul(fac[:, :-1, None], pivot[:, None, :]))
 
 
 def batched_full_rank(field: FieldSpec, mats) -> "list[bool]":

@@ -12,11 +12,12 @@ the API-boundary type; its operators delegate to those same operations.
 Every field with q <= 1024, prime or not, has one set of flat numpy tables
 of sub, mul and inv for the batched subset scan, and extension fields of that
 size read their scalar operations from them.  Above that, GF(2^e) computes
-on the enc as a bit vector and odd p digit by digit on the enc.  Z_p[x]
-routines on coefficient lists serve the Rabin test that picks f and the
-powers and inverses of odd p.  Frobenius powers a^(p^s) are a GF(p)-linear
-map on the basis, applied from the images of x^0 .. x^(e-1), one per field
-and s, built on first use.
+on the enc as a bit vector and odd p digit by digit on the enc, each with one
+mul and one square-and-multiply on it; the Rabin test that picks f runs on
+the same mul in Z_p[x]/(f).  Frobenius powers a^(p^s), and the x^(p^i) of
+the Rabin test, are a GF(p)-linear map on the basis, applied from the images
+of x^0 .. x^(e-1), one per field and s, built on first use.  Z_p[x] routines
+on coefficient lists serve only Euclid: odd-p inverses and the Rabin gcds.
 
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
@@ -82,8 +83,9 @@ def _prime_factors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Z_p[x] on coefficient lists, lowest degree first.  Results are trimmed of
-# trailing zeros ([] is the zero polynomial); arguments need not be.
+# Z_p[x] on coefficient lists, lowest degree first, for Euclid (_pxgcd) and
+# the reduction table of the odd-p mul.  Results are trimmed of trailing
+# zeros ([] is the zero polynomial); arguments need not be.
 # ---------------------------------------------------------------------------
 
 def _ptrim(a: list[int]) -> list[int]:
@@ -137,44 +139,33 @@ def _reduction_table(f: list[int], p: int) -> list[list[int]]:
     return [_pdivmod([0] * (len(f) - 1 + i) + [1], f, p)[1] for i in range(len(f) - 1)]
 
 
-def _pmulmod(a: Sequence[int], b: Sequence[int], red: list, p: int) -> list[int]:
-    """a * b mod f for a, b of degree < e, with red = _reduction_table(f)."""
-    e = len(red)
-    t = _pmul(a, b, p)
-    for i in range(len(t) - 1, e - 1, -1):
-        c = t[i]  # reductions only write below e, so t[i] is still reduced
-        if c:
-            for j, r in enumerate(red[i - e]):
-                t[j] += c * r
-    return _ptrim([c % p for c in t[:e]])
-
-
-def _ppow(a: Sequence[int], n: int, red: list, p: int) -> list[int]:
-    """a^n mod f for n >= 0, by left-to-right square-and-multiply."""
-    result = [1]
-    for bit in bin(n)[2:]:
-        result = _pmulmod(result, result, red, p)
-        if bit == "1":
-            result = _pmulmod(result, a, red, p)  # cheap for sparse a such as x
-    return result
+def _digits(a: int, p: int, e: int) -> list[int]:
+    """The coefficients c_0 .. c_{e-1} of the enc a (its base-p digits)."""
+    out = []
+    for _ in range(e):
+        a, c = divmod(a, p)
+        out.append(c)
+    return out
 
 
 def _is_irreducible(tail: Sequence[int], p: int, e: int) -> bool:
-    """Rabin test for the monic polynomial x^e + tail (tail = c_0..c_{e-1})."""
+    """Rabin test for the monic f = x^e + tail (tail = c_0..c_{e-1}): x^(p^e) = x
+    mod f, and gcd(x^(p^(e/r)) - x, f) = 1 for each prime r | e.  x^(p^i) is x
+    after i steps of the GF(p)-linear map a -> a^p on Z_p[x]/(f)."""
     if e == 1:
         return True
     f = list(tail) + [1]
-    red = _reduction_table(f, p)
-    x = [0, 1]
-    # x^(p^e) must equal x mod f
-    if _ppow(x, p**e, red, p) != x:
-        return False
-    for r in _prime_factors(e):
-        # gcd(x^(p^(e/r)) - x, f) must be trivial
-        g, _ = _pxgcd(_psub(_ppow(x, p ** (e // r), red, p), x, p), f, p)
-        if len(g) != 1:
+    _, sub, mul, power = (_bin_ops if p == 2 else _poly_ops)(p, e, tail)
+    # x^p (the enc of x is p); p < q - 1, so power's reduction of the
+    # exponent mod q - 1, which holds only when f is irreducible, is void
+    step = _linear_map(p, e, mul, power(p, p))
+    gcd_at = {e // r for r in _prime_factors(e)}
+    y = p
+    for i in range(1, e + 1):
+        y = step(y)
+        if i in gcd_at and len(_pxgcd(_digits(sub(y, p), p, e), f, p)[0]) != 1:
             return False
-    return True
+    return y == p
 
 
 def _min_irreducible_tail(p: int, e: int) -> tuple[int, ...]:
@@ -232,7 +223,7 @@ class FieldSpec:
         self._vec = None
         self._frob: dict = {}  # s -> the map a -> a^(p^s), built on first use
         self.add, self.sub, self.mul, self.pow = (
-            _prime_ops(p) if e == 1 else _bin_ops(self) if p == 2 else _poly_ops(self))
+            _prime_ops(p) if e == 1 else (_bin_ops if p == 2 else _poly_ops)(p, e, self.modulus))
         if e > 1 and self.q <= _NP_TABLE_MAX:
             # the tables are built with the enc routines installed above
             self._vec = _VecOps(self)
@@ -246,14 +237,17 @@ class FieldSpec:
         return self.pow(a, -1)
 
     def frobenius(self, a: int, s: int) -> int:
-        """a^(p^s), s taken mod e: a GF(p)-linear map, read off the images of
-        the basis powers x^i (see _frobenius_map)."""
+        """a^(p^s), s taken mod e: the GF(p)-linear map sending x to x^(p^s),
+        which is x^p after s - 1 steps of the map for s = 1."""
         s %= self.e
         if not s:
             return a
         frob = self._frob.get(s)
         if frob is None:
-            frob = self._frob[s] = _frobenius_map(self, s)
+            xs = self.pow(self.p, self.p)  # the enc of x is p
+            for _ in range(s - 1):
+                xs = self.frobenius(xs, 1)
+            frob = self._frob[s] = _linear_map(self.p, self.e, self.mul, xs)
         return frob(a)
 
     # -- identity / ordering ------------------------------------------------
@@ -316,12 +310,7 @@ class FieldSpec:
         return enc
 
     def _coeffs(self, enc: int) -> tuple[int, ...]:
-        p = self.p
-        out = []
-        for _ in range(self.e):
-            enc, c = divmod(enc, p)
-            out.append(c)
-        return tuple(out)
+        return tuple(_digits(enc, self.p, self.e))
 
     # -- acceleration tables --------------------------------------------------
 
@@ -330,8 +319,9 @@ class FieldSpec:
         if self._primitive is None:
             q = self.q
             order_factors = _prime_factors(q - 1)
+            # for e > 1 the encs below p are GF(p) constants, of order < q - 1
             self._primitive = self.element(next(
-                a for a in range(1, q)
+                a for a in range(1 if self.e == 1 else self.p, q)
                 if all(self.pow(a, (q - 1) // r) != 1 for r in order_factors)))
         return self._primitive
 
@@ -403,11 +393,32 @@ def _table_ops(vec: "_VecOps"):
     return add, sub, mul, power
 
 
-def _bin_ops(field: FieldSpec):
-    """GF(2^e), e > 1: the enc is the coefficient bit vector, so add and sub
-    are xor and a product is shift-and-xor, reduced by f at each shift."""
-    q1, top = field.q - 1, 1 << field.e
-    f = field._enc(field.modulus) | top
+def _power(mul, inv, q1: int):
+    """pow on one representation's mul: a^n by left-to-right square-and-multiply
+    from a (n reduced mod q1 = q - 1), and a^-n as inv(a)^n."""
+    def power(a, n):
+        if not a:
+            return _zero_power(n)
+        if n < 0:
+            a, n = inv(a), -n
+        n %= q1
+        if not n:
+            return 1
+        r = a
+        for bit in bin(n)[3:]:
+            r = mul(r, r)
+            if bit == "1":
+                r = mul(a, r)  # a first: cheap for a sparse a such as x
+        return r
+
+    return power
+
+
+def _bin_ops(p: int, e: int, tail: Sequence[int]):
+    """Z_2[x]/(f), f = x^e + tail: the enc is the coefficient bit vector, so add
+    and sub are xor and a product is shift-and-xor, reduced by f at each shift."""
+    top = 1 << e
+    f = sum(c << i for i, c in enumerate(tail)) | top
 
     def mul(a, b):  # one step per bit of a, so a small first factor is cheap
         r = 0
@@ -419,33 +430,24 @@ def _bin_ops(field: FieldSpec):
                 b ^= f
         return r
 
-    def power(a, n):
-        if not a:
-            return _zero_power(n)
-        if n < 0:  # extended Euclid, with g1 * a = u and g2 * a = v mod f throughout
-            u, v, g1, g2 = a, f, 1, 0
-            while u != 1:
-                j = u.bit_length() - v.bit_length()
-                if j < 0:
-                    u, v, g1, g2, j = v, u, g2, g1, -j
-                u ^= v << j
-                g1 ^= g2 << j
-            a, n = g1, -n
-        r = 1
-        for bit in bin(n % q1)[2:]:
-            r = mul(r, r)
-            if bit == "1":
-                r = mul(a, r)
-        return r
+    def inv(a):  # extended Euclid, with g1 * a = u and g2 * a = v mod f throughout
+        u, v, g1, g2 = a, f, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
 
-    return xor, xor, mul, power
+    return xor, xor, mul, _power(mul, inv, top - 1)
 
 
-def _poly_ops(field: FieldSpec):
-    """Large extension fields of odd p: add, sub and mul digit by digit on the
-    enc (digit i of a is a // p^i mod p), pow through the Z_p[x] routines."""
-    p, e, q1, f = field.p, field.e, field.q - 1, list(field.modulus) + [1]
-    red, pw = _reduction_table(f, p), [p**i for i in range(e)]
+def _poly_ops(p: int, e: int, tail: Sequence[int]):
+    """Z_p[x]/(f), f = x^e + tail, for odd p: add, sub and mul digit by digit
+    on the enc (digit i of a is a // p^i mod p); an inverse is one _pxgcd."""
+    f, pw = list(tail) + [1], [p**i for i in range(e)]
+    red = _reduction_table(f, p)
 
     def add(a, b):
         r = 0
@@ -477,25 +479,15 @@ def _poly_ops(field: FieldSpec):
                     t[j] += c * x
         return sum([c % p * m for c, m in zip(t, pw)])
 
-    def power(a, n):
-        if not a:
-            return _zero_power(n)
-        c = field._coeffs(a)
-        if n < 0:
-            c, n = _pxgcd(c, f, p)[1], -n
-        return field._enc(_ppow(c, n % q1, red, p))
+    def inv(a):
+        return sum([c * m for c, m in zip(_pxgcd(_digits(a, p, e), f, p)[1], pw)])
 
-    return add, sub, mul, power
+    return add, sub, mul, _power(mul, inv, p**e - 1)
 
 
-def _frobenius_map(field: FieldSpec, s: int):
-    """a -> a^(p^s) for 0 < s < e.  The map is GF(p)-linear, so with images
-    b_i = (x^i)^(p^s) it sends a = sum a_i x^i to sum a_i b_i; b_1 = x^(p^s)
-    comes from x^p by s - 1 steps of the s = 1 map, b_i = b_1^i by muls."""
-    p, e, mul = field.p, field.e, field.mul
-    xs = field.pow(p, p)  # the enc of x is p
-    for _ in range(s - 1):
-        xs = field.frobenius(xs, 1)
+def _linear_map(p: int, e: int, mul, xs: int):
+    """The GF(p)-linear map of Z_p[x]/(f) sending x to xs (and 1 to 1), so
+    sum a_i x^i to sum a_i xs^i: the images xs^i, i < e, come from mul."""
     images = [1, xs]
     while len(images) < e:
         images.append(mul(images[-1], xs))
@@ -511,7 +503,7 @@ def _frobenius_map(field: FieldSpec, s: int):
         return frob
 
     pw = [p**i for i in range(e)]
-    digits = [[b // m % p for m in pw] for b in images]
+    digits = [_digits(b, p, e) for b in images]
 
     def frob(a):  # digit products as in _poly_ops's mul, with nothing to reduce
         t = [0] * e

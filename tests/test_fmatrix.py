@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from eaqeckit import FMatrix, errors, field_new
-from eaqeckit.fmatrix import batched_full_rank
+from eaqeckit.fmatrix import batched_full_rank, pivot_step
 from conftest import BACKEND_FIELDS, draw_matrix, identity, random_matrix
 
 
@@ -262,3 +262,40 @@ class TestBatchedFullRank:
         got = batched_full_rank(field, np.array([M.rows for M in mats]))
         assert list(got) == [M.rank() == 3 for M in mats]
         assert not got[-1]
+
+
+def pivot_step_reference(field, rows, c):
+    """One elimination step on one matrix, per entry: the first row nonzero in
+    column c is the pivot, it is dropped and the last row takes its slot, and
+    every kept row r becomes r - (r[c] / pivot[c]) * pivot.  A zero column
+    only drops row 0."""
+    i = next((k for k, r in enumerate(rows) if r[c]), 0)
+    pivot, kept = rows[i], list(rows[:-1])
+    if i < len(kept):
+        kept[i] = rows[-1]
+    if not pivot[c]:
+        return kept
+    inv = field.inv(pivot[c])
+    return [[field.sub(x, field.mul(field.mul(r[c], inv), y)) for x, y in zip(r, pivot)]
+            for r in kept]
+
+
+class TestPivotStep:
+    @pytest.mark.parametrize("p,e", [(29, 1), (2, 4)])
+    @pytest.mark.parametrize("R", [2, 3, 5])
+    def test_matches_per_matrix_reference(self, p, e, R):
+        import numpy as np
+        field = field_new(p, e)
+        rng = np.random.default_rng(p * 10 + R)
+        X = rng.integers(0, field.q, size=(300, R, 9))
+        cols = rng.integers(0, 9, size=300)
+        b = np.arange(300)
+        X[b[::4], :, cols[::4]] = 0  # planted zero pivot columns
+        X[b[1::4], :-1, cols[1::4]] = 0  # the pivot is the last row
+        X[b[2::4], 0, cols[2::4]] = 0  # the pivot is below row 0
+        before = X.copy()
+        got = pivot_step(field.vec_ops(), X, cols)
+        assert (X == before).all()
+        assert got.shape == (300, R - 1, 9)
+        for k in range(300):
+            assert got[k].tolist() == pivot_step_reference(field, X[k].tolist(), cols[k]), k

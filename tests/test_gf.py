@@ -1,11 +1,14 @@
 import pickle
 import random
 import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Poly, symbols
+from sympy import Poly, factorint, primefactors, symbols
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_gcd, gf_mul, gf_pow_mod, gf_sub
 
 from eaqeckit import FMatrix, errors, field_new
 from eaqeckit.gf import _NP_TABLE_MAX, FieldSpec, _is_irreducible, _poly_ops, is_prime
@@ -76,6 +79,23 @@ class TestFieldNew:
             FieldSpec(3, 2, (0, 0))  # x^2 has root 0
 
 
+@contextmanager
+def time_limit(seconds, what):
+    """Fail the test if the block runs past the given number of seconds."""
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    except TimeoutError:
+        pytest.fail(f"{what} ran past {seconds} s", pytrace=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def sympy_poly(tail, p):
     """x^e + tail as a sympy polynomial over GF(p)."""
     return Poly([1] + list(tail)[::-1], symbols("x"), modulus=p)
@@ -84,11 +104,11 @@ def sympy_poly(tail, p):
 class TestIrreducible:
     """The Rabin test and the canonical moduli against sympy's own test."""
 
-    @pytest.mark.parametrize("p", [2, 3, 17, 2**31 - 1])
+    @pytest.mark.parametrize("p", [2, 3, 5, 13, 17, 2**31 - 1])
     def test_rabin_matches_sympy(self, p):
         rng = random.Random(p)
         seen = set()
-        for e in range(4, 17):
+        for e in range(2, 17):
             for _ in range(2 if p > 17 else 8):
                 tail = [rng.randrange(p) for _ in range(e)]
                 expected = sympy_poly(tail, p).is_irreducible
@@ -100,21 +120,39 @@ class TestIrreducible:
     def test_canonical_modulus_at_largest_prime_in_bounded_time(self, e):
         # For e in {4, 5, 8, 10, 12, 13, 15, 16} no binomial x^e + c is
         # irreducible here, and the search must not test all p of them first.
-        p, limit = 2**31 - 1, 5
-
-        def expire(signum, frame):
-            raise TimeoutError
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(limit)
-        try:
+        p = 2**31 - 1
+        with time_limit(5, f"field_new({p}, {e})"):
             modulus = field_new(p, e).modulus
-        except TimeoutError:
-            pytest.fail(f"field_new({p}, {e}) ran past {limit} s", pytrace=False)
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert sympy_poly(modulus, p).is_irreducible
+
+    # (p, factors as (degree, rank among the enc-ordered irreducibles), the
+    # Rabin checks that reject the product: the gcd at i = e/r, or "end" for
+    # x^(p^e) = x mod f)
+    @pytest.mark.parametrize("p,factors,caught_by", [
+        (2, [(3, 0), (3, 1)], {3}),  # two cubics, e = 6: only the gcd at i = 3
+        (3, [(3, 0), (3, 1)], {3}),
+        (3, [(2, 0), (2, 1), (2, 2)], {2}),  # three quadratics, e = 6: only i = 2
+        (5, [(2, 0), (2, 1), (2, 2)], {2}),
+        (2, [(2, 0), (3, 0)], {"end"}),  # e = 5: only x^(p^5) = x
+        (3, [(2, 0), (3, 0)], {"end"}),
+        (3, [(2, 0), (2, 0)], {2, "end"}),  # (x^2 + 1)^2
+        (2, [(2, 0), (2, 0)], {2, "end"}),  # (x^2 + x + 1)^2
+    ])
+    def test_planted_reducible(self, p, factors, caught_by):
+        f = [1]  # coefficients highest degree first, as galoistools takes them
+        for d, rank in factors:
+            tails = ([enc // p**i % p for i in range(d)] for enc in range(p**d))
+            irreducible = [t for t in tails if sympy_poly(t, p).is_irreducible]
+            f = gf_mul(f, [1] + irreducible[rank][::-1], p, ZZ)
+        tail, e = f[:0:-1], len(f) - 1
+
+        def x_power(i):  # x^(p^i) mod f
+            return gf_pow_mod([1, 0], p**i, f, p, ZZ)
+
+        caught = {e // r for r in primefactors(e)
+                  if gf_gcd(gf_sub(x_power(e // r), [1, 0], p, ZZ), f, p, ZZ) != [1]}
+        assert caught | ({"end"} if x_power(e) != [1, 0] else set()) == caught_by
+        assert not _is_irreducible(tail, p, e)
 
     @pytest.mark.parametrize("p,e", [(2, 16), (17, 8), (3, 10), (5, 9), (13, 6),
                                      (11, 5), (2, 11), (2**31 - 1, 2)])
@@ -324,6 +362,22 @@ class TestPrimitiveElement:
         assert f13.primitive_element().enc == 2
         assert pow(2, 6, 13) != 1 and pow(2, 4, 13) != 1
 
+    @pytest.mark.parametrize("p", [65521, 2**31 - 1])
+    def test_large_prime_square_in_bounded_time(self, p):
+        # every enc below p is a GF(p) constant, of order dividing p - 1, and
+        # the search must not try them all first
+        field = field_new(p, 2)
+        with time_limit(5, f"GF({p}^2).primitive_element()"):
+            g = field.primitive_element().enc
+        ref, q = SympyField(field), field.q
+        factors = factorint(q - 1)
+
+        def generates(a):
+            return all(ref.pow(a, (q - 1) // r) != 1 for r in factors)
+
+        assert generates(g)
+        assert not any(generates(a) for a in range(p, g))
+
     @pytest.mark.parametrize("p,e", [(2, 2), (2, 4), (3, 3), (7, 1), (5, 2)])
     def test_minimality(self, p, e):
         field = field_new(p, e)
@@ -387,7 +441,7 @@ class TestEncArithmetic:
     @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3), (13, 1)])
     def test_every_pair(self, p, e):
         field = field_new(p, e)
-        ref = _poly_ops(field)
+        ref = _poly_ops(p, e, field.modulus)
         for a in range(field.q):
             for b in range(field.q):
                 self.check(field, ref, a, b)
@@ -396,7 +450,7 @@ class TestEncArithmetic:
     @pytest.mark.parametrize("p,e", [(2, 16), (17, 8), (2, 10), (31, 2)])
     def test_seeded_sample(self, p, e):
         field = field_new(p, e)
-        ref = _poly_ops(field)
+        ref = _poly_ops(p, e, field.modulus)
         rng = random.Random(p * 1000 + e)
         for _ in range(300):
             self.check(field, ref, rng.randrange(field.q), rng.randrange(field.q))
