@@ -4,9 +4,11 @@ Entries are stored as enc integers in [0, q) and every operation computes
 with the field's enc-level arithmetic; Element appears only at the API
 boundary (``M[i, j]``).  Matrices are value objects: every operation returns
 a new matrix and no mutation is observable through the public surface.
-Pivoting during elimination always takes the first nonzero entry scanning
-top to bottom, so reduced row echelon forms (and everything derived from
-them) are deterministic.
+rref reduces a matrix of at least _RREF_TABLE_MIN entries over a field with
+numpy op tables (q <= 1024, see FieldSpec.vec_ops) one array step per
+pivot, and every other matrix entry by entry.  A matrix has exactly one
+reduced row echelon form, so both routes return the same rows, rank and
+pivots, and everything derived from them is deterministic.
 
 Text format (bit-exact round trip):
     line 1:  "p e rows cols"
@@ -84,10 +86,17 @@ class FMatrix:
     # -- elimination ------------------------------------------------------------
 
     def rref(self) -> tuple["FMatrix", int, list[int]]:
-        """Reduced row echelon form, rank and pivot columns."""
+        """Reduced row echelon form, rank and pivot columns, as Python ints.
+
+        From _RREF_TABLE_MIN entries over a field with vec_ops, on its tables;
+        the RREF is unique, so the route never shows in the result."""
         if self._rref is not None:
             return self._rref
         f = self.field
+        if self.nrows * self.ncols >= _RREF_TABLE_MIN and (ops := f.vec_ops()) is not None:
+            work, r, pivots = _rref_tables(ops, self.rows, self.ncols)
+            self._rref = (FMatrix._of(f, work, self.ncols), r, pivots)
+            return self._rref
         sub, mul = f.sub, f.mul
         work = [list(r) for r in self.rows]
         pivots = []
@@ -230,8 +239,37 @@ class FMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Batched elimination (numpy fast path for small fields)
+# Elimination on the numpy op tables (fields with q <= 1024)
 # ---------------------------------------------------------------------------
+
+# rref reduces on vec_ops from this many entries: a table pivot costs about
+# 10 us whatever the size, the loop about 0.1 us per entry, and GF(2) breaks
+# even near 128 entries.  Below it, a process that never loads numpy stays so.
+_RREF_TABLE_MIN = 128
+
+
+def _rref_tables(ops, rows, ncols: int):
+    """FMatrix.rref's elimination, one array step per pivot: (rows, rank, pivots)."""
+    import numpy as np
+    W = np.array(rows, dtype=np.int64)
+    pivots, r = [], 0
+    for c in range(ncols):
+        nz = W[r:, c].nonzero()[0]
+        if not len(nz):
+            continue
+        if nz[0]:
+            W[[r, r + nz[0]]] = W[[r + nz[0], r]]
+        # rows at or below r are zero left of c, so only columns c.. change
+        W[r, c:] = ops.mul(W[r, c:], ops.inv(W[r, c]))
+        fac = W[:, c].copy()
+        fac[r] = 0
+        W[:, c:] = ops.sub(W[:, c:], ops.mul(fac[:, None], W[r, c:]))
+        pivots.append(c)
+        r += 1
+        if r == len(W):
+            break
+    return W.tolist(), r, pivots
+
 
 def pivot_step(ops, X, cols):
     """One elimination step on each matrix of a (B, R, n) batch of enc values.

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from eaqeckit import FMatrix, errors, field_new
 from eaqeckit.fmatrix import batched_full_rank, pivot_step
+from eaqeckit.rankmetric import moore_matrix
 from conftest import BACKEND_FIELDS, draw_matrix, identity, random_matrix
 
 
@@ -46,14 +47,9 @@ class TestRref:
             assert all(a < b for a, b in zip(pivots, pivots[1:]))
 
 
-@pytest.mark.parametrize("p,e", BACKEND_FIELDS)
-@settings(max_examples=40, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_rref_properties(p, e, data):
-    field = field_new(p, e)
-    nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
-    M = draw_matrix(data, field, nrows, ncols)
+def assert_rref_properties(M):
     R, rank, pivots = M.rref()
+    nrows = M.nrows
     # reduced: zero rows last, a leading 1 at each of the strictly increasing
     # pivot columns, and every other entry of a pivot column zero
     assert R.shape == M.shape and len(pivots) == rank
@@ -70,6 +66,128 @@ def test_rref_properties(p, e, data):
         assert (coords @ basis).rows == (row,)
     assert M.vstack(R).rank() == rank
     assert M.transpose().rank() == rank
+
+
+@pytest.mark.parametrize("p,e", BACKEND_FIELDS)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rref_properties(p, e, data):
+    field = field_new(p, e)
+    nrows, ncols = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 6))
+    assert_rref_properties(draw_matrix(data, field, nrows, ncols))
+
+
+# Matrices of at least 8 x 16 = 128 entries reduce on the numpy op tables.
+@pytest.mark.parametrize("p,e", [(p, e) for p, e in BACKEND_FIELDS if p**e <= 1024])
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_rref_properties_table_route(p, e, data):
+    field = field_new(p, e)
+    nrows, ncols = data.draw(st.integers(8, 16)), data.draw(st.integers(16, 24))
+    assert_rref_properties(draw_matrix(data, field, nrows, ncols))
+
+
+def rref_reference(field, rows):
+    """Gauss-Jordan elimination per entry: (rows, rank, pivots) of the RREF."""
+    work, pivots = [list(r) for r in rows], []
+    for c in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = field.inv(work[r][c])
+        work[r] = [field.mul(inv, x) for x in work[r]]
+        for i in range(len(work)):
+            if i != r:
+                fac = work[i][c]
+                work[i] = [field.sub(x, field.mul(fac, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    return tuple(map(tuple, work)), len(pivots), pivots
+
+
+def planted_matrices(rng, field, m, n):
+    """A uniform matrix and three with planted structure, all m x n."""
+    q = field.q
+    uniform = [[rng.randrange(q) for _ in range(n)] for _ in range(m)]
+    # a zero column, and column 0 nonzero only in the last row
+    planted = [row[:] for row in uniform]
+    zero_col = rng.randrange(1, n)
+    for i, row in enumerate(planted):
+        row[zero_col] = 0
+        row[0] = 0 if i < m - 1 else rng.randrange(1, q)
+    # rank deficient, with a repeated and a scaled row
+    r = max(1, min(m, n) // 2)
+    low = (random_matrix(rng, field, m, r) @ random_matrix(rng, field, r, n)).rows
+    low = [list(row) for row in low]
+    if m > 2:
+        low[-1] = low[0][:]
+        low[-2] = [field.mul(rng.randrange(1, q), x) for x in low[1]]
+    # a zero block on the left, so the first pivot is late
+    late = [[0] * (n // 2) + row[n // 2:] for row in uniform]
+    return [uniform, planted, low, late]
+
+
+class TestRrefTableRoute:
+    SHAPES = [(8, 15), (8, 16), (12, 12), (23, 28), (40, 40), (30, 6), (6, 40)]
+
+    @pytest.mark.parametrize("p,e", [(2, 1), (13, 1), (29, 1), (1021, 1), (2, 2),
+                                     (2, 4), (3, 3), (5, 2), (2, 10)])
+    def test_matches_reference_elimination(self, p, e):
+        field = field_new(p, e)
+        rng = random.Random(p * 100 + e)
+        for m, n in self.SHAPES:
+            for k, rows in enumerate(planted_matrices(rng, field, m, n)):
+                M = FMatrix(field, rows, n)
+                R, rank, pivots = M.rref()
+                assert (R.rows, rank, pivots) == rref_reference(field, rows), (m, n, k)
+                # verify json-dumps certificates read from these rows
+                assert all(type(x) is int for row in R.rows for x in row)
+                assert all(type(c) is int for c in pivots) and type(rank) is int
+                assert M.rref() is M.rref()
+
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the shape of every rref, and of every rref on the tables."""
+        from eaqeckit import fmatrix
+        seen, tabled = [], []
+        rref, tables = FMatrix.rref, fmatrix._rref_tables
+
+        def spy_rref(self):
+            seen.append(self.shape)
+            return rref(self)
+
+        def spy_tables(ops, rows, ncols):
+            tabled.append((len(rows), ncols))
+            return tables(ops, rows, ncols)
+
+        monkeypatch.setattr(FMatrix, "rref", spy_rref)
+        monkeypatch.setattr(fmatrix, "_rref_tables", spy_tables)
+        return seen, tabled
+
+    @pytest.mark.parametrize("p,e,m,n", [(29, 1, 23, 28), (3, 3, 15, 15)])
+    def test_large_matrix_takes_tables(self, monkeypatch, p, e, m, n):
+        field = field_new(p, e)
+        M = random_matrix(random.Random(1), field, m, n)
+        seen, tabled = self.spy(monkeypatch)
+        M.rref()
+        assert seen == tabled == [(m, n)]
+
+    @pytest.mark.parametrize("p,e,m,n", [(13, 1, 3, 5), (2, 11, 23, 28), (1031, 1, 23, 28)])
+    def test_small_matrix_or_large_field_keeps_loop(self, monkeypatch, p, e, m, n):
+        field = field_new(p, e)
+        M = random_matrix(random.Random(1), field, m, n)
+        seen, tabled = self.spy(monkeypatch)
+        M.rref()
+        assert seen == [(m, n)] and tabled == []
+
+    def test_moore_coefficient_rank_keeps_loop(self, monkeypatch):
+        # GF(2^16), n = 7: the generators' coefficient rank is a 7 x 16 matrix
+        # over GF(2), 112 entries, so it must not load numpy
+        field = field_new(2, 16)
+        seen, tabled = self.spy(monkeypatch)
+        moore_matrix(field, [2**i for i in range(7)], 4)
+        assert (7, 16) in seen and tabled == []
 
 
 class TestRank:
