@@ -12,12 +12,17 @@ the API-boundary type; its operators delegate to those same operations.
 Every field with q <= 1024, prime or not, has one set of flat numpy tables
 of sub, mul and inv for the batched subset scan, and extension fields of that
 size read their scalar operations from them.  Above that, GF(2^e) computes
-on the enc as a bit vector and odd p digit by digit on the enc, each with one
-mul and one square-and-multiply on it; the Rabin test that picks f runs on
-the same mul in Z_p[x]/(f).  Frobenius powers a^(p^s), and the x^(p^i) of
-the Rabin test, are a GF(p)-linear map on the basis, applied from the images
-of x^0 .. x^(e-1), one per field and s, built on first use.  Z_p[x] routines
-on coefficient lists serve only Euclid: odd-p inverses and the Rabin gcds.
+on the enc as a bit vector.  Odd p adds digit by digit on the enc and
+multiplies by Kronecker substitution: the digits go into bit slots of one
+integer, each slot wide enough for e(p-1)^2 (1 + (e-1)(p-1)) so that none
+carries, and a polynomial product is one integer product, folded by
+x^(e+i) mod f.  Each has one mul and one square-and-multiply on it; the
+Rabin test that picks f and the exp tables of the small fields run on the
+same mul in Z_p[x]/(f).  Frobenius powers a^(p^s), and the x^(p^i) of the
+Rabin test, are a GF(p)-linear map on the basis, applied from the images of
+x^0 .. x^(e-1), one per field and s, built on first use.  Z_p[x] routines on
+coefficient lists serve only Euclid (odd-p inverses and the Rabin gcds) and
+the reduction rows x^(e+i) mod f.
 
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
@@ -25,6 +30,7 @@ Python integers, so q = p^e itself may exceed machine word size.
 from __future__ import annotations
 
 from itertools import zip_longest
+from math import gcd
 from operator import xor
 from typing import Sequence
 
@@ -38,8 +44,16 @@ MAX_DEGREE = 16
 # fields of that size take their scalar operations from the same tables.
 _NP_TABLE_MAX = 1024
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.3 * 10^24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witnesses, the first 13 primes: is_prime is
+# exact for all n < _MR_PROVEN (about 3.3 * 10^24; Sorenson and Webster 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_PROVEN = 3317044064679887385961981
+
+# _prime_factors trial-divides below _TRIAL_MAX, then gives Pollard-Brent rho
+# _RHO_STEPS steps, rounded up to the end of a doubling round, to split each
+# cofactor left over.
+_TRIAL_MAX = 2**12
+_RHO_STEPS = 2**18
 
 
 def is_prime(n: int) -> bool:
@@ -68,18 +82,58 @@ def is_prime(n: int) -> bool:
 
 
 def _prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
+    """Distinct prime factors of n, ascending: trial division below _TRIAL_MAX,
+    then Pollard-Brent rho on what is left.  A factor counts as prime only when
+    is_prime proves it, so Infeasible for a cofactor that is a probable prime
+    of _MR_PROVEN or more, or that rho does not split within _RHO_STEPS."""
+    out, d = set(), 2
+    while d < _TRIAL_MAX and d * d <= n:
         if n % d == 0:
-            out.append(d)
+            out.add(d)
             while n % d == 0:
                 n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
+    rest = [n] if n > 1 else []
+    while rest:
+        m = rest.pop()
+        if is_prime(m):
+            if m >= _MR_PROVEN:
+                raise errors.Infeasible(f"cannot prove the probable prime {m} prime")
+            out.add(m)
+        else:
+            g = _rho(m)
+            rest += [g, m // g]
+    return sorted(out)
+
+
+def _rho(n: int) -> int:
+    """A proper factor of the composite n by Pollard-Brent rho on x^2 + c,
+    trying c = 1, 2, ...; Infeasible after the round that reaches _RHO_STEPS
+    steps in all."""
+    steps, c = 0, 0
+    while steps < _RHO_STEPS:
+        c += 1
+        y, r, g = 2, 1, 1
+        while g == 1 and steps < _RHO_STEPS:
+            x, acc, k = y, 1, 0
+            for _ in range(r):
+                y = (y * y + c) % n
+            while k < r and g == 1:  # gcd once per 128 steps: ys restarts a batch
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * (x - y) % n
+                g, k = gcd(acc, n), k + 128
+            steps += 2 * r
+            r *= 2
+        if g == n:  # the batch overshot: step it one gcd at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(x - ys, n)
+        if 1 < g < n:
+            return g
+    raise errors.Infeasible(f"no factor of {n} within {_RHO_STEPS} rho steps")
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +189,9 @@ def _pxgcd(a: Sequence[int], f: Sequence[int], p: int) -> tuple[list[int], list[
 
 
 def _reduction_table(f: list[int], p: int) -> list[list[int]]:
-    """x^(e+i) mod f for i < e, so e rows, where f is monic of degree e."""
-    return [_pdivmod([0] * (len(f) - 1 + i) + [1], f, p)[1] for i in range(len(f) - 1)]
+    """x^(e+i) mod f for i < e - 1, the degrees above e of a product of two
+    residues, where f is monic of degree e."""
+    return [_pdivmod([0] * (len(f) - 1 + i) + [1], f, p)[1] for i in range(len(f) - 2)]
 
 
 def _digits(a: int, p: int, e: int) -> list[int]:
@@ -191,9 +246,9 @@ class FieldSpec:
     add, sub, neg, mul, inv, pow and frobenius.  The field picks add, sub,
     mul and pow once from p, e and q: residues mod p for prime fields, the
     flat tables of vec_ops for extension fields with q <= _NP_TABLE_MAX, and
-    above that the enc as a bit vector for p = 2 and digit by digit for odd
-    p.  Prefer :func:`field_new`: one shared instance per modulus,
-    enc-minimal by default.
+    above that the enc as a bit vector for p = 2 and, for odd p, digitwise
+    add and sub and a Kronecker-substitution mul.  Prefer :func:`field_new`:
+    one shared instance per modulus, enc-minimal by default.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_primitive", "_vec", "_frob",
@@ -318,7 +373,10 @@ class FieldSpec:
         """The enc-minimal generator of the multiplicative group."""
         if self._primitive is None:
             q = self.q
-            order_factors = _prime_factors(q - 1)
+            try:
+                order_factors = _prime_factors(q - 1)
+            except errors.Infeasible as exc:
+                raise errors.Infeasible(f"GF({self.label}): cannot factor q - 1: {exc}") from None
             # for e > 1 the encs below p are GF(p) constants, of order < q - 1
             self._primitive = self.element(next(
                 a for a in range(1 if self.e == 1 else self.p, q)
@@ -408,7 +466,7 @@ def _power(mul, inv, q1: int):
         for bit in bin(n)[3:]:
             r = mul(r, r)
             if bit == "1":
-                r = mul(a, r)  # a first: cheap for a sparse a such as x
+                r = mul(a, r)  # a first: for p = 2, cheap for a sparse a such as x
         return r
 
     return power
@@ -444,10 +502,39 @@ def _bin_ops(p: int, e: int, tail: Sequence[int]):
 
 
 def _poly_ops(p: int, e: int, tail: Sequence[int]):
-    """Z_p[x]/(f), f = x^e + tail, for odd p: add, sub and mul digit by digit
-    on the enc (digit i of a is a // p^i mod p); an inverse is one _pxgcd."""
+    """Z_p[x]/(f), f = x^e + tail, for odd p: add and sub digit by digit on the
+    enc (digit i of a is a // p^i mod p); an inverse is one _pxgcd.
+
+    mul is Kronecker substitution: each operand's digits go into s-bit slots
+    of one integer, so the polynomial product is one integer product.  The
+    e - 1 high slots fold into the low e as slot times x^(e+i) mod f, packed
+    the same way, and the low slots read back mod p.  A product slot is below
+    e(p-1)^2, and the fold adds e - 1 of them times reduction entries below p,
+    so s bits hold e(p-1)^2 (1 + (e-1)(p-1)) and no slot carries into the next.
+    Operands are packed h digits at a time through tab, which maps v < p^h to
+    its digits in h slots; h is the largest with p^h <= _NP_TABLE_MAX (at most
+    e), and for h = 1 tab is range(p), the digit itself."""
     f, pw = list(tail) + [1], [p**i for i in range(e)]
-    red = _reduction_table(f, p)
+    s = (e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))).bit_length()
+    slot, low, h = (1 << s) - 1, (1 << s * e) - 1, 1
+    while h < e and p ** (h + 1) <= _NP_TABLE_MAX:
+        h += 1
+    base, step = p**h, s * h
+    tab = range(base)
+    if h > 1:
+        tab = [0]
+        for v in range(1, base):  # digit 0 of v in the lowest slot
+            tab.append(tab[v // p] << s | v % p)
+
+    def pack(a):
+        r, k = 0, 0
+        while a:
+            a, c = divmod(a, base)
+            r |= tab[c] << k
+            k += step
+        return r
+
+    red = [sum([c << s * j for j, c in enumerate(row)]) for row in _reduction_table(f, p)]
 
     def add(a, b):
         r = 0
@@ -466,18 +553,16 @@ def _poly_ops(p: int, e: int, tail: Sequence[int]):
     def mul(a, b):
         if not (a and b):
             return 0
-        bd, t = [b // m % p for m in pw], [0] * (2 * e - 1)
-        for i, m in enumerate(pw):
-            c = a // m % p
-            if c:
-                for j, d in enumerate(bd, i):
-                    t[j] += c * d
-        for i in range(2 * e - 2, e - 1, -1):  # x^i mod f writes below e: t[i] is final
-            c = t[i] % p
-            if c:
-                for j, x in enumerate(red[i - e]):
-                    t[j] += c * x
-        return sum([c % p * m for c, m in zip(t, pw)])
+        t = pack(a) * pack(b)
+        r, t = t & low, t >> s * e
+        for row in red:  # slot e + i times x^(e+i) mod f
+            r += (t & slot) * row
+            t >>= s
+        out = 0
+        for m in pw:
+            out += (r & slot) % p * m
+            r >>= s
+        return out
 
     def inv(a):
         return sum([c * m for c, m in zip(_pxgcd(_digits(a, p, e), f, p)[1], pw)])
@@ -505,7 +590,7 @@ def _linear_map(p: int, e: int, mul, xs: int):
     pw = [p**i for i in range(e)]
     digits = [_digits(b, p, e) for b in images]
 
-    def frob(a):  # digit products as in _poly_ops's mul, with nothing to reduce
+    def frob(a):  # digit times image, summed digitwise and reduced mod p once
         t = [0] * e
         for d in digits:
             a, c = divmod(a, p)
@@ -539,7 +624,7 @@ class _VecOps:
         exp, log = [0] * (q - 1), [0] * q
         for i in range(q - 1):
             exp[i], log[x] = x, i
-            x = field.mul(g, x)  # a product skips g's zero digits (bits for p = 2)
+            x = field.mul(g, x)  # for p = 2 a product skips g's zero bits
         exp, log = np.array(exp, dtype=np.int64), np.array(log, dtype=np.int64)
         mul = exp[(log[:, None] + log[None, :]) % (q - 1)]
         mul[0, :] = mul[:, 0] = 0

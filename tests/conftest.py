@@ -1,5 +1,7 @@
 import itertools
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import strategies as st
@@ -8,6 +10,23 @@ from sympy.polys.galoistools import gf_add, gf_gcdex, gf_mul, gf_pow_mod, gf_rem
 
 from eaqeckit import FMatrix, errors, field_new, from_generator
 from eaqeckit.lincode import DEFAULT_BUDGET, check_pair
+
+
+@contextmanager
+def time_limit(seconds, what):
+    """Fail the test if the block runs past the given number of seconds."""
+    def expire(signum, frame):
+        raise TimeoutError
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    except TimeoutError:
+        pytest.fail(f"{what} ran past {seconds} s", pytrace=False)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def random_matrix(rng: random.Random, field, nrows: int, ncols: int) -> FMatrix:

@@ -6,7 +6,7 @@ import pytest
 
 from eaqeckit import FMatrix, from_generator
 from eaqeckit.cli import main
-from conftest import identity, random_code
+from conftest import identity, random_code, time_limit
 import random
 
 
@@ -46,6 +46,21 @@ class TestConstruct:
         code, out, _ = run(capsys, *args, "q=2147483647")
         assert code == 0 and "[[4,1,3;1]]_2147483647" in out
         assert run(capsys, *args, "q=2147483647^1") == (0, out, "")
+
+    def test_q_minus_one_with_large_prime_factors(self, capsys):
+        # the primitive element needs the prime factors of q - 1, which for
+        # (2^31-1)^3 include 529510939 and 2903110321
+        args = ("--output", "text", "construct", "vandermonde", "n=4", "k=2", "t=2", "j=1")
+        with time_limit(5, "construct over GF((2^31-1)^3)"):
+            code, out, err = run(capsys, *args, "q=2147483647^3")
+        assert code == 0 and "[[4,1,3;1]]_2147483647^3" in out, err
+
+    def test_q_minus_one_not_provably_factored(self, capsys):
+        # (2^31-1)^5 - 1 has a 110-bit probable-prime cofactor
+        with time_limit(5, "construct over GF((2^31-1)^5)"):
+            code, out, err = run(capsys, "construct", "vandermonde",
+                                 "q=2147483647^5", "n=4", "k=2", "t=2", "j=1")
+        assert code == 5 and out == "" and "GF(2147483647^5)" in err
 
     @pytest.mark.parametrize("q", ["2147483659", "6", "1"])
     def test_bare_q_not_a_supported_prime_power(self, capsys, q):

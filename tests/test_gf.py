@@ -1,18 +1,21 @@
+import os
 import pickle
 import random
-import signal
-from contextlib import contextmanager
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Poly, factorint, primefactors, symbols
+from sympy import Poly, factorint, isprime, nextprime, primefactors, symbols
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_gcd, gf_mul, gf_pow_mod, gf_sub
 
 from eaqeckit import FMatrix, errors, field_new
-from eaqeckit.gf import _NP_TABLE_MAX, FieldSpec, _is_irreducible, _poly_ops, is_prime
-from conftest import SympyField, frobenius, galois_form
+from eaqeckit.gf import (_NP_TABLE_MAX, FieldSpec, _is_irreducible, _poly_ops, _prime_factors,
+                         is_prime)
+from conftest import SympyField, frobenius, galois_form, time_limit
 
 
 def minimal_irreducible_oracle(p, e):
@@ -77,23 +80,6 @@ class TestFieldNew:
     def test_reducible_modulus_rejected(self):
         with pytest.raises(errors.UnsupportedSize):
             FieldSpec(3, 2, (0, 0))  # x^2 has root 0
-
-
-@contextmanager
-def time_limit(seconds, what):
-    """Fail the test if the block runs past the given number of seconds."""
-    def expire(signum, frame):
-        raise TimeoutError
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    except TimeoutError:
-        pytest.fail(f"{what} ran past {seconds} s", pytrace=False)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def sympy_poly(tail, p):
@@ -387,6 +373,50 @@ class TestPrimitiveElement:
             assert self.order_oracle(field.element(enc)) != field.q - 1
 
 
+class TestPrimeFactors:
+    """_prime_factors (trial division, then Pollard-Brent rho) and is_prime
+    against sympy."""
+
+    def test_small_and_field_orders(self):
+        ns = list(range(1, 3000)) + [p**e - 1 for p, e in [(3, 10), (5, 9), (11, 5), (13, 6),
+                                                          (17, 8), (2, 16), (65521, 2)]]
+        # no factor below the trial bound: rho splits these, prime powers too
+        ns += [4099 * 4111, 4099**2, 4099**3, 65521 * 65537, 4099 * (2**31 - 1) ** 2]
+        for n in ns:
+            assert _prime_factors(n) == sorted(factorint(n)), n
+
+    @pytest.mark.parametrize("e", [3, 4, 6])
+    def test_largest_prime_powers(self, e):
+        # (2^31-1)^3 - 1 has the prime factors 529510939 and 2903110321, far
+        # past trial division
+        n = (2**31 - 1) ** e - 1
+        with time_limit(5, f"_prime_factors((2^31-1)^{e} - 1)"):
+            factors = _prime_factors(n)
+        assert factors == sorted(factorint(n))
+
+    def test_unprovable_cofactor_is_infeasible(self):
+        # (2^31-1)^5 - 1 has a 110-bit prime cofactor, past the range in
+        # which is_prime is a proof
+        with time_limit(5, "_prime_factors((2^31-1)^5 - 1)"):
+            with pytest.raises(errors.Infeasible, match="probable prime"):
+                _prime_factors((2**31 - 1) ** 5 - 1)
+
+    def test_rho_gives_up_within_its_step_cap(self):
+        n = nextprime(2**50) * nextprime(2**51)
+        with time_limit(5, "_prime_factors of a 101-bit semiprime"):
+            with pytest.raises(errors.Infeasible, match="rho steps"):
+                _prime_factors(n)
+
+    def test_is_prime(self):
+        # 318665857834031151167461 is a strong pseudoprime to every prime base
+        # up to 37, so base 41 is needed below 3.3 * 10^24
+        rng = random.Random(5)
+        ns = list(range(-2, 5000)) + [rng.randrange(2**80) | 1 for _ in range(300)]
+        ns += [318665857834031151167461, 3317044064679887385961981 - 2, 2**61 - 1, 2**31 - 1]
+        for n in ns:
+            assert is_prime(n) == isprime(n), n
+
+
 class TestEnumeration:
     def test_f2(self, f2):
         assert [f2.element(i).coeffs for i in range(f2.q)] == [(0,), (1,)]
@@ -419,9 +449,11 @@ class TestEncArithmetic:
     Element arithmetic delegates to the same enc-level operations, so this
     checks the flat tables (extension fields with q <= 1024), the residue
     arithmetic (prime fields) and the bit vectors of GF(2^e) against the
-    digit routines of _poly_ops.  On odd-p fields above q = 1024, where
-    _poly_ops is the installed backend, TestSympyOracle is the independent
-    check.
+    routines of _poly_ops.  The tables of odd-p fields are built with the
+    Kronecker mul of _poly_ops, so test_every_pair_against_sympy checks both
+    against sympy's galoistools on every pair of four such fields; on odd-p
+    fields above q = 1024, where _poly_ops is the installed backend,
+    TestSympyOracle is the independent check.
     """
 
     @staticmethod
@@ -445,6 +477,19 @@ class TestEncArithmetic:
         for a in range(field.q):
             for b in range(field.q):
                 self.check(field, ref, a, b)
+
+    @pytest.mark.parametrize("p,e", [(3, 2), (5, 2), (7, 2), (3, 3)])
+    def test_every_pair_against_sympy(self, p, e):
+        field = field_new(p, e)
+        ref, mul = SympyField(field), _poly_ops(p, e, field.modulus)[2]
+        for a in range(field.q):
+            for b in range(field.q):
+                expected = ref.mul(a, b)
+                assert field.mul(a, b) == expected and mul(a, b) == expected, (a, b)
+                assert field.add(a, b) == ref.add(a, b), (a, b)
+                assert field.sub(a, b) == ref.sub(a, b), (a, b)
+            if a:
+                assert field.inv(a) == ref.inv(a), a
 
     # GF(2^10) and GF(31^2) are the largest fields on the flat tables
     @pytest.mark.parametrize("p,e", [(2, 16), (17, 8), (2, 10), (31, 2)])
@@ -495,6 +540,49 @@ class TestSympyOracle:
                 assert field.inv(a) == ref.inv(a), a
                 for n in (0, 1, 2, b, -1 - b):
                     assert field.pow(a, n) == ref.pow(a, n), (a, n)
+
+    # the six large-field benchmark fields, a 16-digit odd-p field, and p
+    # near 2^16 and 2^31; GF((2^31-1)^16) needs the widest Kronecker slots
+    @pytest.mark.parametrize("p,e", [(2, 16), (3, 10), (5, 9), (11, 5), (13, 6), (17, 8),
+                                     (7, 16), (65521, 2), (2**31 - 1, 2), (2**31 - 1, 16)])
+    def test_worst_case_operands(self, p, e):
+        # q - 1 has every digit p - 1, so every product and fold slot is at its
+        # largest; p^(e-1) is x^(e-1), which pushes each digit one slot up.
+        # A wrong mul can send the modulus search past every candidate.
+        with time_limit(10, f"field_new({p}, {e})"):
+            field = field_new(p, e)
+        ref, q = SympyField(field), field.q
+        for a, b in [(q - 1, q - 1), (q - 1, p ** (e - 1)), (q - 1, q - 2)]:
+            for x, y in [(a, b), (b, a)]:
+                got = field.mul(x, y)
+                assert type(got) is int and got == ref.mul(x, y), (x, y)
+            got = field.pow(a, b)
+            assert type(got) is int and got == ref.pow(a, b), (a, b)
+
+    def test_no_p_entry_chunk_table(self):
+        # for p > 32 an operand is packed one digit at a time, with no table;
+        # a p-entry table would take megabytes at p = 65521 and would not fit
+        # at 2^31 - 1, so the child runs under a 1 GB address-space cap
+        script = ("import tracemalloc\n"
+                  "from eaqeckit.gf import FieldSpec\n"
+                  "tracemalloc.start()\n"
+                  "for p in (65521, 2**31 - 1):\n"
+                  "    tracemalloc.reset_peak()\n"
+                  "    base = tracemalloc.get_traced_memory()[0]\n"
+                  "    FieldSpec(p, 2)\n"
+                  "    print(tracemalloc.get_traced_memory()[1] - base)\n")
+        src = str(Path(errors.__file__).parents[1])
+
+        def cap():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             timeout=120, preexec_fn=cap,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, out.stderr
+        peaks = [int(line) for line in out.stdout.split()]
+        assert len(peaks) == 2 and max(peaks) < 2**20, peaks
 
     @pytest.mark.parametrize("p,e", [(2, 16), (17, 8)])
     def test_zero_and_int_results(self, p, e):
