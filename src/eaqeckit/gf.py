@@ -29,6 +29,7 @@ Python integers, so q = p^e itself may exceed machine word size.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import zip_longest
 from math import gcd
 from operator import xor
@@ -369,18 +370,40 @@ class FieldSpec:
 
     # -- acceleration tables --------------------------------------------------
 
+    def _norm(self, a: int) -> int:
+        """N(a) = a^(1+p+...+p^(e-1)) in GF(p) by the Itoh-Tsujii chain, with
+        t = a^(1+p+...+p^(k-1)) for k the leading bits of e read so far."""
+        t, k = a, 1
+        for bit in bin(self.e)[3:]:
+            t, k = self.mul(t, self.frobenius(t, k)), 2 * k
+            if bit == "1":
+                t, k = self.mul(a, self.frobenius(t, 1)), k + 1
+        if t >= self.p:
+            raise errors.FormulaMismatch(
+                f"GF({self.label}): the norm of {a} is {t}, not in GF({self.p})")
+        return t
+
     def primitive_element(self) -> "Element":
-        """The enc-minimal generator of the multiplicative group."""
+        """The enc-minimal generator: a^((q-1)/r) != 1 for each prime r | q - 1.
+        For r | p - 1 that power is N(a)^((p-1)/r), a power of a residue, and
+        only the candidates that pass those take a full pow for the other r."""
         if self._primitive is None:
-            q = self.q
+            p, q = self.p, self.q
             try:
                 order_factors = _prime_factors(q - 1)
             except errors.Infeasible as exc:
                 raise errors.Infeasible(f"GF({self.label}): cannot factor q - 1: {exc}") from None
+            by_norm = [(p - 1) // r for r in order_factors if (p - 1) % r == 0]
+            by_pow = [(q - 1) // r for r in order_factors if (p - 1) % r]
+
+            def generates(a):  # p = 2 has no r | p - 1 and takes no norm
+                t = self._norm(a) if by_norm else 1
+                return (all(pow(t, k, p) != 1 for k in by_norm)
+                        and all(self.pow(a, k) != 1 for k in by_pow))
+
             # for e > 1 the encs below p are GF(p) constants, of order < q - 1
             self._primitive = self.element(next(
-                a for a in range(1 if self.e == 1 else self.p, q)
-                if all(self.pow(a, (q - 1) // r) != 1 for r in order_factors)))
+                a for a in range(1 if self.e == 1 else p, q) if generates(a)))
         return self._primitive
 
     def vec_ops(self):
@@ -515,16 +538,9 @@ def _poly_ops(p: int, e: int, tail: Sequence[int]):
     its digits in h slots; h is the largest with p^h <= _NP_TABLE_MAX (at most
     e), and for h = 1 tab is range(p), the digit itself."""
     f, pw = list(tail) + [1], [p**i for i in range(e)]
-    s = (e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))).bit_length()
-    slot, low, h = (1 << s) - 1, (1 << s * e) - 1, 1
-    while h < e and p ** (h + 1) <= _NP_TABLE_MAX:
-        h += 1
+    s, h, tab = _chunk_table(p, e)
+    slot, low = (1 << s) - 1, (1 << s * e) - 1
     base, step = p**h, s * h
-    tab = range(base)
-    if h > 1:
-        tab = [0]
-        for v in range(1, base):  # digit 0 of v in the lowest slot
-            tab.append(tab[v // p] << s | v % p)
 
     def pack(a):
         r, k = 0, 0
@@ -568,6 +584,21 @@ def _poly_ops(p: int, e: int, tail: Sequence[int]):
         return sum([c * m for c, m in zip(_pxgcd(_digits(a, p, e), f, p)[1], pw)])
 
     return add, sub, mul, _power(mul, inv, p**e - 1)
+
+
+@cache
+def _chunk_table(p: int, e: int) -> tuple[int, int, Sequence[int]]:
+    """(s, h, tab) of _poly_ops, one per (p, e): they do not depend on f."""
+    s = (e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))).bit_length()
+    h = 1
+    while h < e and p ** (h + 1) <= _NP_TABLE_MAX:
+        h += 1
+    tab = range(p**h)
+    if h > 1:
+        tab = [0]
+        for v in range(1, p**h):  # digit 0 of v in the lowest slot
+            tab.append(tab[v // p] << s | v % p)
+    return s, h, tab
 
 
 def _linear_map(p: int, e: int, mul, xs: int):

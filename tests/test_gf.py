@@ -348,22 +348,6 @@ class TestPrimitiveElement:
         assert f13.primitive_element().enc == 2
         assert pow(2, 6, 13) != 1 and pow(2, 4, 13) != 1
 
-    @pytest.mark.parametrize("p", [65521, 2**31 - 1])
-    def test_large_prime_square_in_bounded_time(self, p):
-        # every enc below p is a GF(p) constant, of order dividing p - 1, and
-        # the search must not try them all first
-        field = field_new(p, 2)
-        with time_limit(5, f"GF({p}^2).primitive_element()"):
-            g = field.primitive_element().enc
-        ref, q = SympyField(field), field.q
-        factors = factorint(q - 1)
-
-        def generates(a):
-            return all(ref.pow(a, (q - 1) // r) != 1 for r in factors)
-
-        assert generates(g)
-        assert not any(generates(a) for a in range(p, g))
-
     @pytest.mark.parametrize("p,e", [(2, 2), (2, 4), (3, 3), (7, 1), (5, 2)])
     def test_minimality(self, p, e):
         field = field_new(p, e)
@@ -371,6 +355,63 @@ class TestPrimitiveElement:
         assert self.order_oracle(g) == field.q - 1
         for enc in range(1, g.enc):
             assert self.order_oracle(field.element(enc)) != field.q - 1
+
+    # odd p, so the norm decides every r | p - 1: on the tables (31^2) and
+    # above them, for r dividing e (17^8) and prime to it (5^9), up to p ~ 2^31
+    @pytest.mark.parametrize("p,e,enc", [(17, 8, 307), (13, 6, 182), (3, 10, 34), (5, 9, 5),
+                                         (11, 5, 13), (31, 2, 35), (7, 16, 7),
+                                         (65521, 2, 65533), (2**31 - 1, 2, 2147483659),
+                                         (2**31 - 1, 3, 2147483650)])
+    def test_pinned_against_sympy(self, p, e, enc):
+        # every enc below p is a GF(p) constant, of order dividing p - 1, and
+        # the search must not try them all first
+        with time_limit(5, f"GF({p}^{e}).primitive_element()"):
+            assert field_new(p, e).primitive_element().enc == enc
+        ref, q = SympyField(field_new(p, e)), p**e
+        factors = factorint(q - 1)
+
+        def generates(a):
+            return all(ref.pow(a, (q - 1) // r) != 1 for r in factors)
+
+        # every smaller enc fails a test; for large p only the non-constants
+        with time_limit(10, f"sympy order tests below {enc} in GF({p}^{e})"):
+            assert generates(enc)
+            assert not any(generates(a) for a in range(1 if p < 1024 else p, enc))
+
+    @pytest.mark.parametrize("p,e", [(13, 1), (2, 16), (3, 3), (3, 10), (5, 9), (11, 5),
+                                     (13, 6), (17, 8), (7, 16), (2**31 - 1, 3)])
+    def test_norm_against_sympy(self, p, e):
+        field = field_new(p, e)
+        ref, q = SympyField(field), field.q
+        rng = random.Random(p * 100 + e)
+        encs = [1, p - 1, p ** (e - 1), q - 1] + [rng.randrange(1, q) for _ in range(20)]
+        with time_limit(10, f"norms in GF({p}^{e})"):
+            for a in encs:
+                assert field._norm(a) == ref.pow(a, (q - 1) // (p - 1)), a
+
+    @pytest.mark.parametrize("wrong", ["mul", "frobenius"])
+    def test_wrong_arithmetic_fails_loudly(self, wrong):
+        # a fresh instance, so that no Frobenius map is built before the fault
+        field = FieldSpec(17, 8)
+        assert not field._frob
+        if wrong == "mul":
+            mul = field.mul
+            field.mul = lambda a, b: (mul(a, b) + 1) % field.q
+        else:
+            field._frob.update({s: (lambda a: a) for s in range(1, field.e)})
+        with time_limit(10, f"primitive_element() under a wrong {wrong}"):
+            with pytest.raises(errors.FormulaMismatch, match=r"GF\(17\^8\): the norm"):
+                field.primitive_element()
+
+    def test_few_full_powers(self):
+        # the norm decides r = 2 of 17^8 - 1 on a residue; a full pow per
+        # candidate and prime would make 312 calls here
+        field, calls = FieldSpec(17, 8), []
+        power = field.pow
+        field.pow = lambda a, n: calls.append(n) or power(a, n)
+        with time_limit(10, "GF(17^8).primitive_element()"):
+            assert field.primitive_element().enc == 307
+        assert len(calls) <= 40, len(calls)
 
 
 class TestPrimeFactors:
@@ -527,7 +568,9 @@ class TestSympyOracle:
     @pytest.mark.parametrize("p,e", [(2, 11), (2, 16), (3, 10), (5, 9), (11, 5),
                                      (13, 6), (17, 8), (2**31 - 1, 2)])
     def test_seeded_pairs(self, p, e):
-        field = field_new(p, e)
+        # a wrong mul can send the modulus search past every candidate
+        with time_limit(10, f"field_new({p}, {e})"):
+            field = field_new(p, e)
         ref = SympyField(field)
         rng = random.Random(p * 100 + e)
         for _ in range(300):
