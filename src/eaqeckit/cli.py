@@ -26,7 +26,7 @@ from .eaqec import ebits_product, ebits_stack
 from .fmatrix import FMatrix
 from .gf import MAX_DEGREE, MAX_PRIME, FieldSpec, field_new, is_prime
 from .lincode import (DEFAULT_BUDGET, LinearCode, from_generator,
-                      from_parity_check, galois_dual, is_mds, min_distance)
+                      from_parity_check, galois_dual, min_distance)
 
 EXIT_OK = 0
 EXIT_FAILED = 1

@@ -10,7 +10,7 @@ mismatch is surfaced as an internal error rather than silently trusted.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 from . import errors
 from .gf import FieldSpec

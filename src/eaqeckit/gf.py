@@ -20,9 +20,10 @@ x^(e+i) mod f.  Each has one mul and one square-and-multiply on it; the
 Rabin test that picks f and the exp tables of the small fields run on the
 same mul in Z_p[x]/(f).  Frobenius powers a^(p^s), and the x^(p^i) of the
 Rabin test, are a GF(p)-linear map on the basis, applied from the images of
-x^0 .. x^(e-1), one per field and s, built on first use.  Z_p[x] routines on
-coefficient lists serve only Euclid (odd-p inverses and the Rabin gcds) and
-the reduction rows x^(e+i) mod f.
+x^0 .. x^(e-1), one per field and s, built on first use.  GF(2^e) inverts
+by Euclid on the bit vector, odd p by the norm chain: a^-1 = b N(a)^(p-2)
+for b the conorm a^(p+...+p^(e-1)).  The Rabin test decides coprimality by
+the norm test on Z_p[x]/(f), so no code works on coefficient lists.
 
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
@@ -30,7 +31,6 @@ Python integers, so q = p^e itself may exceed machine word size.
 from __future__ import annotations
 
 from functools import cache
-from itertools import zip_longest
 from math import gcd
 from operator import xor
 from typing import Sequence
@@ -137,91 +137,33 @@ def _rho(n: int) -> int:
     raise errors.Infeasible(f"no factor of {n} within {_RHO_STEPS} rho steps")
 
 
-# ---------------------------------------------------------------------------
-# Z_p[x] on coefficient lists, lowest degree first, for Euclid (_pxgcd) and
-# the reduction table of the odd-p mul.  Results are trimmed of trailing
-# zeros ([] is the zero polynomial); arguments need not be.
-# ---------------------------------------------------------------------------
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _psub(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    return _ptrim([(x - y) % p for x, y in zip_longest(a, b, fillvalue=0)])
-
-
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    t = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                t[j] += ai * bj
-    return _ptrim([c % p for c in t])
-
-
-def _pdivmod(a: Sequence[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """(quotient, remainder) of a by b, which is trimmed and nonzero."""
-    r, db = list(a), len(b) - 1
-    lead_inv = pow(b[-1], p - 2, p)
-    quo = [0] * (len(r) - db)
-    for i in range(len(r) - 1, db - 1, -1):
-        c = r[i] * lead_inv % p
-        if c:
-            quo[i - db] = c
-            for j in range(db):
-                r[i - db + j] = (r[i - db + j] - c * b[j]) % p
-    return _ptrim(quo), _ptrim(r[:db])
-
-
-def _pxgcd(a: Sequence[int], f: Sequence[int], p: int) -> tuple[list[int], list[int]]:
-    """Extended Euclid: (g, u) with g = gcd(a, f) monic and u * a = g mod f.
-
-    f is trimmed and nonzero.  For a prime to f, g = [1] and u = a^-1 mod f."""
-    r0, r1 = f, _ptrim(list(a))
-    u0, u1 = [], [1]
-    while r1:
-        quo, rem = _pdivmod(r0, r1, p)
-        r0, r1, u0, u1 = r1, rem, u1, _psub(u0, _pmul(quo, u1, p), p)
-    lead_inv = pow(r0[-1], p - 2, p)
-    return [c * lead_inv % p for c in r0], [c * lead_inv % p for c in u0]
-
-
-def _reduction_table(f: list[int], p: int) -> list[list[int]]:
-    """x^(e+i) mod f for i < e - 1, the degrees above e of a product of two
-    residues, where f is monic of degree e."""
-    return [_pdivmod([0] * (len(f) - 1 + i) + [1], f, p)[1] for i in range(len(f) - 2)]
-
-
-def _digits(a: int, p: int, e: int) -> list[int]:
-    """The coefficients c_0 .. c_{e-1} of the enc a (its base-p digits)."""
-    out = []
-    for _ in range(e):
-        a, c = divmod(a, p)
-        out.append(c)
-    return out
-
-
 def _is_irreducible(tail: Sequence[int], p: int, e: int) -> bool:
-    """Rabin test for the monic f = x^e + tail (tail = c_0..c_{e-1}): x^(p^e) = x
-    mod f, and gcd(x^(p^(e/r)) - x, f) = 1 for each prime r | e.  x^(p^i) is x
-    after i steps of the GF(p)-linear map a -> a^p on Z_p[x]/(f)."""
+    """Rabin test for the monic f = x^e + tail (tail = c_0..c_{e-1}) on the ring
+    R = Z_p[x]/(f): y_i = x^(p^i), x after i steps of the GF(p)-linear map
+    a -> a^p, must reach y_e = x.  Then R is a product of fields GF(p^d) with
+    d | e, on which a -> a^p has period e, and f is irreducible iff for each
+    prime r | e, g = y_(e/r) - x is a unit: iff the product of its images
+    under a -> a^(p^j), j < e, M = prod_j (y_((e/r+j) mod e) - y_j), which
+    a -> a^p fixes and so lies in a product of copies of GF(p), has
+    M^(p-1) = 1."""
     if e == 1:
         return True
-    f = list(tail) + [1]
     _, sub, mul, power = (_bin_ops if p == 2 else _poly_ops)(p, e, tail)
-    # x^p (the enc of x is p); p < q - 1, so power's reduction of the
-    # exponent mod q - 1, which holds only when f is irreducible, is void
+    # x^p (the enc of x is p); power reduces exponents mod q - 1, valid only
+    # for an irreducible f, but p and p - 1 are below q - 1
     step = _linear_map(p, e, mul, power(p, p))
-    gcd_at = {e // r for r in _prime_factors(e)}
-    y = p
-    for i in range(1, e + 1):
-        y = step(y)
-        if i in gcd_at and len(_pxgcd(_digits(sub(y, p), p, e), f, p)[0]) != 1:
+    ys = [p]
+    for _ in range(e):
+        ys.append(step(ys[-1]))
+    if ys.pop() != p:
+        return False
+    for r in _prime_factors(e):
+        m = 1
+        for j in range(e):
+            m = mul(m, sub(ys[(e // r + j) % e], ys[j]))
+        if power(m, p - 1) != 1:
             return False
-    return y == p
+    return True
 
 
 def _min_irreducible_tail(p: int, e: int) -> tuple[int, ...]:
@@ -279,7 +221,8 @@ class FieldSpec:
         self._vec = None
         self._frob: dict = {}  # s -> the map a -> a^(p^s), built on first use
         self.add, self.sub, self.mul, self.pow = (
-            _prime_ops(p) if e == 1 else (_bin_ops if p == 2 else _poly_ops)(p, e, self.modulus))
+            _prime_ops(p) if e == 1 else _bin_ops(p, e, self.modulus) if p == 2
+            else _poly_ops(p, e, self.modulus, self._inv))
         if e > 1 and self.q <= _NP_TABLE_MAX:
             # the tables are built with the enc routines installed above
             self._vec = _VecOps(self)
@@ -366,22 +309,40 @@ class FieldSpec:
         return enc
 
     def _coeffs(self, enc: int) -> tuple[int, ...]:
-        return tuple(_digits(enc, self.p, self.e))
+        """The coefficients c_0 .. c_{e-1} of an enc (its base-p digits)."""
+        out = []
+        for _ in range(self.e):
+            enc, c = divmod(enc, self.p)
+            out.append(c)
+        return tuple(out)
 
     # -- acceleration tables --------------------------------------------------
 
-    def _norm(self, a: int) -> int:
-        """N(a) = a^(1+p+...+p^(e-1)) in GF(p) by the Itoh-Tsujii chain, with
-        t = a^(1+p+...+p^(k-1)) for k the leading bits of e read so far."""
+    def _conorm(self, a: int) -> int:
+        """b = a^(p+...+p^(e-1)), the image under a -> a^p of the Itoh-Tsujii
+        chain t = a^(1+p+...+p^(k-1)), for k the leading bits of e - 1 read
+        so far; 1 for e = 1."""
         t, k = a, 1
-        for bit in bin(self.e)[3:]:
+        for bit in bin(self.e - 1)[3:]:
             t, k = self.mul(t, self.frobenius(t, k)), 2 * k
             if bit == "1":
                 t, k = self.mul(a, self.frobenius(t, 1)), k + 1
+        return self.frobenius(t, 1) if self.e > 1 else 1
+
+    def _norm(self, a: int, b: int | None = None) -> int:
+        """N(a) = a^(1+p+...+p^(e-1)) = ab in GF(p), b the conorm of a (taken
+        when not given)."""
+        t = self.mul(a, self._conorm(a) if b is None else b)
         if t >= self.p:
             raise errors.FormulaMismatch(
                 f"GF({self.label}): the norm of {a} is {t}, not in GF({self.p})")
         return t
+
+    def _inv(self, a: int) -> int:
+        """a^-1 = b N(a)^(p-2) of a nonzero a, b the conorm: N(a) = ab is a
+        unit of GF(p)."""
+        b = self._conorm(a)
+        return self.mul(b, pow(self._norm(a, b), self.p - 2, self.p))
 
     def primitive_element(self) -> "Element":
         """The enc-minimal generator: a^((q-1)/r) != 1 for each prime r | q - 1.
@@ -402,8 +363,10 @@ class FieldSpec:
                         and all(self.pow(a, k) != 1 for k in by_pow))
 
             # for e > 1 the encs below p are GF(p) constants, of order < q - 1
-            self._primitive = self.element(next(
-                a for a in range(1 if self.e == 1 else p, q) if generates(a)))
+            g = next((a for a in range(1 if self.e == 1 else p, q) if generates(a)), None)
+            if g is None:
+                raise errors.FormulaMismatch(f"GF({self.label}): no element passes the order tests")
+            self._primitive = self.element(g)
         return self._primitive
 
     def vec_ops(self):
@@ -476,11 +439,12 @@ def _table_ops(vec: "_VecOps"):
 
 def _power(mul, inv, q1: int):
     """pow on one representation's mul: a^n by left-to-right square-and-multiply
-    from a (n reduced mod q1 = q - 1), and a^-n as inv(a)^n."""
+    from a (n reduced mod q1 = q - 1), and a^-n as inv(a)^n, or for inv None
+    by Fermat, as a^(n mod q1)."""
     def power(a, n):
         if not a:
             return _zero_power(n)
-        if n < 0:
+        if n < 0 and inv:
             a, n = inv(a), -n
         n %= q1
         if not n:
@@ -524,33 +488,22 @@ def _bin_ops(p: int, e: int, tail: Sequence[int]):
     return xor, xor, mul, _power(mul, inv, top - 1)
 
 
-def _poly_ops(p: int, e: int, tail: Sequence[int]):
+def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None):
     """Z_p[x]/(f), f = x^e + tail, for odd p: add and sub digit by digit on the
-    enc (digit i of a is a // p^i mod p); an inverse is one _pxgcd.
+    enc (digit i of a is a // p^i mod p); negative powers by inv, for FieldSpec
+    the norm-chain inverse, or else by Fermat.
 
-    mul is Kronecker substitution: each operand's digits go into s-bit slots
-    of one integer, so the polynomial product is one integer product.  The
-    e - 1 high slots fold into the low e as slot times x^(e+i) mod f, packed
-    the same way, and the low slots read back mod p.  A product slot is below
-    e(p-1)^2, and the fold adds e - 1 of them times reduction entries below p,
-    so s bits hold e(p-1)^2 (1 + (e-1)(p-1)) and no slot carries into the next.
-    Operands are packed h digits at a time through tab, which maps v < p^h to
-    its digits in h slots; h is the largest with p^h <= _NP_TABLE_MAX (at most
-    e), and for h = 1 tab is range(p), the digit itself."""
-    f, pw = list(tail) + [1], [p**i for i in range(e)]
-    s, h, tab = _chunk_table(p, e)
+    mul is Kronecker substitution: pack of _kronecker puts each operand's
+    digits into s-bit slots of one integer, so the polynomial product is one
+    integer product.  Its e - 1 high slots fold into the low e as slot times
+    x^(e+i) mod f, packed the same way, and unpack reads the low slots back
+    mod p.  A product slot is below e(p-1)^2, and the fold adds e - 1 of them
+    times reduction entries below p, so s bits hold e(p-1)^2 (1 + (e-1)(p-1))
+    and no slot carries into the next.  The fold rows follow from x^e = -tail
+    by x^(e+i+1) = x * x^(e+i), a product folded by the rows before it."""
+    pw = [p**i for i in range(e)]
+    s, pack, unpack = _kronecker(p, e)
     slot, low = (1 << s) - 1, (1 << s * e) - 1
-    base, step = p**h, s * h
-
-    def pack(a):
-        r, k = 0, 0
-        while a:
-            a, c = divmod(a, base)
-            r |= tab[c] << k
-            k += step
-        return r
-
-    red = [sum([c << s * j for j, c in enumerate(row)]) for row in _reduction_table(f, p)]
 
     def add(a, b):
         r = 0
@@ -574,21 +527,23 @@ def _poly_ops(p: int, e: int, tail: Sequence[int]):
         for row in red:  # slot e + i times x^(e+i) mod f
             r += (t & slot) * row
             t >>= s
-        out = 0
-        for m in pw:
-            out += (r & slot) % p * m
-            r >>= s
-        return out
+        return unpack(r)
 
-    def inv(a):
-        return sum([c * m for c, m in zip(_pxgcd(_digits(a, p, e), f, p)[1], pw)])
-
+    red, x_power = [], sub(0, sum([c * m for c, m in zip(tail, pw)]))  # x^e = -tail
+    for _ in range(e - 1):
+        red.append(pack(x_power))
+        x_power = mul(p, x_power)  # the enc of x is p
     return add, sub, mul, _power(mul, inv, p**e - 1)
 
 
 @cache
-def _chunk_table(p: int, e: int) -> tuple[int, int, Sequence[int]]:
-    """(s, h, tab) of _poly_ops, one per (p, e): they do not depend on f."""
+def _kronecker(p: int, e: int):
+    """(s, pack, unpack) of _poly_ops, one per (p, e): they do not depend on f.
+
+    pack puts the digits of an enc into s-bit slots, h digits at a time
+    through tab, which maps v < p^h to its digits in h slots; h is the
+    largest with p^h <= _NP_TABLE_MAX (at most e), and for h = 1 tab is
+    range(p), the digit itself.  unpack reads e slots back mod p as an enc."""
     s = (e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))).bit_length()
     h = 1
     while h < e and p ** (h + 1) <= _NP_TABLE_MAX:
@@ -598,7 +553,24 @@ def _chunk_table(p: int, e: int) -> tuple[int, int, Sequence[int]]:
         tab = [0]
         for v in range(1, p**h):  # digit 0 of v in the lowest slot
             tab.append(tab[v // p] << s | v % p)
-    return s, h, tab
+    base, step, slot, pw = p**h, s * h, (1 << s) - 1, [p**i for i in range(e)]
+
+    def pack(a):
+        r, k = 0, 0
+        while a:
+            a, c = divmod(a, base)
+            r |= tab[c] << k
+            k += step
+        return r
+
+    def unpack(r):
+        out = 0
+        for m in pw:
+            out += (r & slot) % p * m
+            r >>= s
+        return out
+
+    return s, pack, unpack
 
 
 def _linear_map(p: int, e: int, mul, xs: int):
@@ -618,17 +590,15 @@ def _linear_map(p: int, e: int, mul, xs: int):
             return r
         return frob
 
-    pw = [p**i for i in range(e)]
-    digits = [_digits(b, p, e) for b in images]
+    _, pack, unpack = _kronecker(p, e)
+    rows = [pack(b) for b in images]
 
-    def frob(a):  # digit times image, summed digitwise and reduced mod p once
-        t = [0] * e
-        for d in digits:
+    def frob(a):  # digit times image in the slots of pack (below e(p-1)^2)
+        r = 0
+        for row in rows:
             a, c = divmod(a, p)
-            if c:
-                for j, x in enumerate(d):
-                    t[j] += c * x
-        return sum([c % p * m for c, m in zip(t, pw)])
+            r += c * row
+        return unpack(r)
     return frob
 
 

@@ -12,7 +12,7 @@ from sympy import Poly, factorint, isprime, nextprime, primefactors, symbols
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_gcd, gf_mul, gf_pow_mod, gf_sub
 
-from eaqeckit import FMatrix, errors, field_new
+from eaqeckit import FMatrix, cli, errors, field_new, gf
 from eaqeckit.gf import (_NP_TABLE_MAX, FieldSpec, _is_irreducible, _poly_ops, _prime_factors,
                          is_prime)
 from conftest import SympyField, frobenius, galois_form, time_limit
@@ -102,6 +102,14 @@ class TestIrreducible:
                 seen.add(expected)
         assert seen == {True, False}
 
+    @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4),
+                                     (5, 2), (5, 3)])
+    def test_rabin_matches_sympy_on_every_monic(self, p, e):
+        # every tail, so c_0 = 0 and f = x^e are among them
+        for enc in range(p**e):
+            tail = [enc // p**i % p for i in range(e)]
+            assert _is_irreducible(tail, p, e) == sympy_poly(tail, p).is_irreducible, tail
+
     @pytest.mark.parametrize("e", range(1, 17))
     def test_canonical_modulus_at_largest_prime_in_bounded_time(self, e):
         # For e in {4, 5, 8, 10, 12, 13, 15, 16} no binomial x^e + c is
@@ -112,10 +120,11 @@ class TestIrreducible:
         assert sympy_poly(modulus, p).is_irreducible
 
     # (p, factors as (degree, rank among the enc-ordered irreducibles), the
-    # Rabin checks that reject the product: the gcd at i = e/r, or "end" for
-    # x^(p^e) = x mod f)
+    # Rabin checks that reject the product: the unit test at i = e/r, which
+    # fails when x^(p^i) - x is no unit mod f (sympy finds that as a gcd
+    # other than 1), or "end" for x^(p^e) = x mod f)
     @pytest.mark.parametrize("p,factors,caught_by", [
-        (2, [(3, 0), (3, 1)], {3}),  # two cubics, e = 6: only the gcd at i = 3
+        (2, [(3, 0), (3, 1)], {3}),  # two cubics, e = 6: only the unit test at i = 3
         (3, [(3, 0), (3, 1)], {3}),
         (3, [(2, 0), (2, 1), (2, 2)], {2}),  # three quadratics, e = 6: only i = 2
         (5, [(2, 0), (2, 1), (2, 2)], {2}),
@@ -403,6 +412,16 @@ class TestPrimitiveElement:
             with pytest.raises(errors.FormulaMismatch, match=r"GF\(17\^8\): the norm"):
                 field.primitive_element()
 
+    def test_no_generator_fails_loudly(self, monkeypatch, capsys):
+        # a norm of 1 fails the order test for r = 2 on every candidate, so
+        # no generator exists; an empty field cache makes the CLI build GF(9)
+        monkeypatch.setattr(FieldSpec, "_norm", lambda self, a, b=None: 1)
+        monkeypatch.setattr(gf, "_FIELDS", {})
+        with pytest.raises(errors.FormulaMismatch, match=r"GF\(3\^2\): no element"):
+            FieldSpec(3, 2)
+        assert cli.main(["construct", "vandermonde", "q=9", "n=8", "k=2", "t=2", "j=3"]) == 3
+        assert "internal mismatch: GF(3^2): no element" in capsys.readouterr().err
+
     def test_few_full_powers(self):
         # the norm decides r = 2 of 17^8 - 1 on a residue; a full pow per
         # candidate and prime would make 312 calls here
@@ -485,16 +504,18 @@ TABLE_FIELDS = [(p, e) for p in range(2, 32) if is_prime(p)
 
 
 class TestEncArithmetic:
-    """The enc-level operations against the coefficient routines.
+    """The enc-level operations against a bare _poly_ops(p, e, f).
 
     Element arithmetic delegates to the same enc-level operations, so this
     checks the flat tables (extension fields with q <= 1024), the residue
     arithmetic (prime fields) and the bit vectors of GF(2^e) against the
-    routines of _poly_ops.  The tables of odd-p fields are built with the
-    Kronecker mul of _poly_ops, so test_every_pair_against_sympy checks both
-    against sympy's galoistools on every pair of four such fields; on odd-p
-    fields above q = 1024, where _poly_ops is the installed backend,
-    TestSympyOracle is the independent check.
+    routines of _poly_ops.  Without the field's inverse, the reference takes
+    negative powers by Fermat, a route apart from the norm chain that odd-p
+    fields above q = 1024 invert by.  The tables of odd-p fields are built
+    with the Kronecker mul of _poly_ops, so test_every_pair_against_sympy
+    checks both against sympy's galoistools on every pair of four such
+    fields; on odd-p fields above q = 1024, where _poly_ops is the installed
+    backend, TestSympyOracle is the independent check.
     """
 
     @staticmethod
@@ -533,7 +554,7 @@ class TestEncArithmetic:
                 assert field.inv(a) == ref.inv(a), a
 
     # GF(2^10) and GF(31^2) are the largest fields on the flat tables
-    @pytest.mark.parametrize("p,e", [(2, 16), (17, 8), (2, 10), (31, 2)])
+    @pytest.mark.parametrize("p,e", [(2, 16), (17, 8), (3, 10), (2, 10), (31, 2)])
     def test_seeded_sample(self, p, e):
         field = field_new(p, e)
         ref = _poly_ops(p, e, field.modulus)
@@ -601,6 +622,12 @@ class TestSympyOracle:
                 assert type(got) is int and got == ref.mul(x, y), (x, y)
             got = field.pow(a, b)
             assert type(got) is int and got == ref.pow(a, b), (a, b)
+        # inverses by the norm chain and Frobenius maps take the same slots
+        for a in (q - 1, p ** (e - 1), q - 2):
+            got = field.inv(a)
+            assert type(got) is int and got == ref.inv(a), a
+            for s in range(1, e):
+                assert field.frobenius(a, s) == ref.pow(a, p**s), (a, s)
 
     def test_no_p_entry_chunk_table(self):
         # for p > 32 an operand is packed one digit at a time, with no table;

@@ -12,6 +12,9 @@ A member is used when its attribute name is referenced outside its own
 definition, in src/eaqeckit/, in bench/ or in a fenced python block of the
 README, or when bench/tracing.py TARGETS names it as "Class.member".  A
 property counts where it is read, not where a same-named method is called.
+
+Every name a module of src/eaqeckit/ (``__init__.py`` aside) imports is
+used in that module.
 """
 import ast
 import re
@@ -123,4 +126,20 @@ def test_every_member_of_a_reexport_is_used_outside_tests():
                     and not any(attr == member and owner != (cls, member)
                                 and not (prop and called)
                                 for attr, called, owner in uses))
+    assert not unused, unused
+
+
+def test_every_import_is_used_in_its_module():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - loaded)]
     assert not unused, unused
