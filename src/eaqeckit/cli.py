@@ -7,16 +7,20 @@ Subcommands:
     verify     certify or refute claimed code parameters from a code file
     selftest   run seeded consistency suites
 
+construct and table share one printer: json, text, or csv (the certificate
+inputs, then params, c_product, c_stack and slack).
+
 Exit codes are a stable contract, and main maps every error to one:
     0 success, 1 refuted or not verified, 2 constraint violation,
-    3 internal formula mismatch, 4 bad input (field/length mismatch, any
-    other library error, ValueError or OSError), 5 infeasible.
+    3 internal formula mismatch, 4 bad input (a usage error, field/length
+    mismatch, any other library error, ValueError or OSError), 5 infeasible.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import functools
+import inspect
 import json
 import random
 import sys
@@ -67,65 +71,52 @@ def _parse_kv(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-_FAMILY_SIGNATURES = {
-    "vandermonde": ("n", "k", "t", "j"),
-    "grs-ext": ("k",),
-    "gabidulin": ("n", "k1", "k2", "t"),
-}
+# construct's families: name -> (its function's name in families, looked up at
+# call time so that a wrapper installed there later is the one called, and its
+# parameters after field, read here from the unwrapped signature)
+_FAMILIES = {name: (fn.__name__, tuple(inspect.signature(fn).parameters)[1:])
+             for name, fn in (("vandermonde", families.vandermonde_family),
+                              ("grs-ext", families.grs_extended_family),
+                              ("gabidulin", families.gabidulin_family))}
 
 
-def _construct(family: str, params: dict[str, str]) -> families.FamilyCertificate:
-    if family not in _FAMILY_SIGNATURES:
-        raise ValueError(f"unknown family {family!r}; choose from "
-                         f"{sorted(_FAMILY_SIGNATURES)}")
-    needed = ("q",) + _FAMILY_SIGNATURES[family]
-    missing = [k for k in needed if k not in params]
-    extra = [k for k in params if k not in needed]
-    if missing or extra:
-        raise ValueError(f"family {family} takes {needed}; "
-                         f"missing={missing} unexpected={extra}")
-    field = _parse_field(params["q"])
-    args = [int(params[k]) for k in _FAMILY_SIGNATURES[family]]
-    if family == "vandermonde":
-        return families.vandermonde_family(field, *args)
-    if family == "grs-ext":
-        return families.grs_extended_family(field, *args)
-    return families.gabidulin_family(field, *args)
-
-
-def _print_certificate(cert: families.FamilyCertificate, args) -> None:
-    if args.output == "text":
-        print(f"{cert.family}: computed {cert.params} "
-              f"(c_product={cert.pair.c_product}, c_stack={cert.pair.c_stack}, "
-              f"slack={cert.params.slack}) predicted {cert.predicted} "
-              f"verified={cert.verified}")
+def _print_certificates(certs: list[families.FamilyCertificate], args) -> None:
+    """construct's certificate or table's rows; json prints a table as a list."""
+    if args.output == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow([*certs[0].inputs, "params", "c_product", "c_stack", "slack"])
+        for cert in certs:
+            writer.writerow([*cert.inputs.values(), cert.params, cert.pair.c_product,
+                             cert.pair.c_stack, cert.params.slack])
+    elif args.output == "json":
+        blobs = [cert.to_json(emit_matrices=args.emit_matrices) for cert in certs]
+        print(json.dumps(blobs if args.command == "table" else blobs[0], indent=2))
     else:
-        print(json.dumps(cert.to_json(emit_matrices=args.emit_matrices), indent=2))
+        for cert in certs:
+            print(f"{cert.family}: computed {cert.params} "
+                  f"(c_product={cert.pair.c_product}, c_stack={cert.pair.c_stack}, "
+                  f"slack={cert.params.slack}) predicted {cert.predicted} "
+                  f"verified={cert.verified}")
 
 
 def cmd_construct(args) -> int:
-    cert = _construct(args.family, _parse_kv(args.params))
-    _print_certificate(cert, args)
+    params = _parse_kv(args.params)
+    attr, names = _FAMILIES[args.family]
+    needed = ("q",) + names
+    missing = [k for k in needed if k not in params]
+    extra = [k for k in params if k not in needed]
+    if missing or extra:
+        raise ValueError(f"family {args.family} takes {needed}; "
+                         f"missing={missing} unexpected={extra}")
+    field = _parse_field(params["q"])
+    cert = getattr(families, attr)(field, *(int(params[k]) for k in names))
+    _print_certificates([cert], args)
     return EXIT_OK if cert.verified else EXIT_FAILED
 
 
 def cmd_table(args) -> int:
     certs = families.table1() if args.which == 1 else families.table2()
-    keys = _FAMILY_SIGNATURES["vandermonde" if args.which == 1 else "gabidulin"]
-    if args.output == "csv":
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(("q",) + keys + ("params", "c_product", "c_stack", "slack"))
-        for cert in certs:
-            fields = [cert.inputs["q"]] + [str(cert.inputs[k]) for k in keys]
-            fields += [str(cert.params), str(cert.pair.c_product),
-                       str(cert.pair.c_stack), str(cert.params.slack)]
-            writer.writerow(fields)
-    elif args.output == "json":
-        print(json.dumps([c.to_json(emit_matrices=args.emit_matrices) for c in certs],
-                         indent=2))
-    else:
-        for cert in certs:
-            _print_certificate(cert, args)
+    _print_certificates(certs, args)
     for i, cert in enumerate(certs):
         if not cert.verified:
             print(f"row {i} failed verification: {cert.params} != {cert.predicted}",
@@ -135,12 +126,9 @@ def cmd_table(args) -> int:
 
 
 def cmd_ebits(args) -> int:
-    with open(args.g1_file) as fh:
-        G1 = FMatrix.from_text(fh.read())
-    with open(args.h2_file) as fh:
-        H2 = FMatrix.from_text(fh.read())
-    C1 = from_generator(G1)
-    C2 = from_parity_check(H2)
+    with open(args.g1_file) as g1, open(args.h2_file) as h2:
+        G1, H2 = FMatrix.from_text(g1.read()), FMatrix.from_text(h2.read())
+    C1, C2 = from_generator(G1), from_parity_check(H2)
     c_product = ebits_product(C1, C2, args.s)
     c_stack = ebits_stack(C1, C2, args.s)
     agree = c_product == c_stack
@@ -160,13 +148,8 @@ def cmd_verify(args) -> int:
         print(json.dumps({"claimed_k": args.k, "actual_k": code.k, "verdict": "refuted"}))
         return EXIT_FAILED
     report = min_distance(code, budget=args.budget)
-    result = {
-        "n": code.n,
-        "k": code.k,
-        "d": report.d,
-        "method": report.method,
-        "certificate": list(report.certificate) if report.certificate else None,
-    }
+    result = {"n": code.n, "k": code.k, "d": report.d, "method": report.method,
+              "certificate": list(report.certificate) if report.certificate else None}
     if args.d is not None:
         result["claimed_d"] = args.d
         result["verdict"] = "confirmed" if args.d == report.d else "refuted"
@@ -189,12 +172,8 @@ def cmd_selftest(args) -> int:
         n = rng.randint(2, 8)
         k1 = rng.randint(1, n)
         k2 = rng.randint(1, n)
-        G1 = FMatrix(field, [[rng.randrange(field.q) for _ in range(n)]
-                             for _ in range(k1)], n)
-        G2 = FMatrix(field, [[rng.randrange(field.q) for _ in range(n)]
-                             for _ in range(k2)], n)
-        C1 = from_generator(G1)
-        C2 = from_generator(G2)
+        C1, C2 = (from_generator(FMatrix(field, [[rng.randrange(field.q) for _ in range(n)]
+                                                 for _ in range(k)], n)) for k in (k1, k2))
         for s in range(field.e):
             cp = ebits_product(C1, C2, s)
             cs = ebits_stack(C1, C2, s)
@@ -212,9 +191,14 @@ def cmd_selftest(args) -> int:
     return EXIT_OK if failures == 0 else EXIT_MISMATCH
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # main maps a usage error to bad input (exit 4)
+        raise ValueError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eaqeckit",
         description="Construct and verify entanglement-assisted MDS codes "
                     "over exact finite fields.")
@@ -228,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build one family instance")
-    p.add_argument("family", choices=sorted(_FAMILY_SIGNATURES))
+    p.add_argument("family", choices=sorted(_FAMILIES))
     p.add_argument("params", nargs="+", metavar="key=value")
     p.set_defaults(func=cmd_construct)
 
@@ -257,11 +241,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command; every library error maps to its documented exit code."""
-    args = build_parser().parse_args(argv)
-    if args.budget < 1:
-        print("budget must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
     try:
+        args = build_parser().parse_args(argv)
+        if args.budget < 1:
+            raise ValueError("--budget must be >= 1")
         return args.func(args)
     except errors.ConstraintViolation as exc:
         print(f"constraint violation: {exc}", file=sys.stderr)

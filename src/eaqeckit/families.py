@@ -3,8 +3,8 @@
 Each construction returns a FamilyCertificate holding the built matrices,
 the closed-form parameter prediction, the machine-computed parameters (with
 both ebit formulas), and a verdict.  Nothing is trusted from the closed
-forms: classical distances are certified by the MDS column criterion and
-the ebit count is computed twice.
+forms: classical distances are certified by the MDS column criterion, once
+per distinct code, and the ebit count is computed twice.
 
 Canonical instantiations (the closed forms leave them open):
   * Vandermonde nodes are powers of the canonical primitive element, which
@@ -12,7 +12,7 @@ Canonical instantiations (the closed forms leave them open):
     provably MDS instance by instance.
   * The extended evaluation construction uses all q field elements in enc
     order with all-one weights; its duality identity is checked per instance
-    and a failure is a hard error, never patched over.
+    on the canonical codes, and a failure is a hard error, never patched over.
   * The rank-metric construction uses the polynomial-basis prefix
     (1, b, ..., b^(n-1)) as generator vector.
 """
@@ -24,17 +24,16 @@ from . import errors
 from .eaqec import EaqecParams, PairReport, assemble
 from .fmatrix import FMatrix
 from .gf import FieldSpec, field_new
-from .lincode import DistanceReport, from_generator, from_parity_check, is_mds
+from .lincode import (DEFAULT_BUDGET, DistanceReport, from_generator,
+                      from_parity_check, is_mds)
 from .rankmetric import moore_matrix
 
 
 @dataclass(frozen=True)
 class GrsSpec:
-    """Extended evaluation code inputs over field: points a and weights v as
-    enc ints, dimension k."""
+    """Extended evaluation code inputs: dimension k over field, evaluated at
+    every field element in enc order with all-one weights."""
     field: FieldSpec
-    a: tuple[int, ...]
-    v: tuple[int, ...]
     k: int
 
 
@@ -73,17 +72,29 @@ def _require(cond: bool, inequality: str, actual: str) -> None:
         raise errors.ConstraintViolation(f"{inequality} violated: {actual} is false")
 
 
+def _within_budget(entries: int) -> None:
+    if entries > DEFAULT_BUDGET:
+        raise errors.Infeasible(f"the matrices would hold {entries} entries, "
+                                f"over the budget of {DEFAULT_BUDGET}")
+
+
 def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: int,
              predicted: EaqecParams) -> FamilyCertificate:
     """Certify the pair C1 = rowspace(G1), C2 = ker(H2) against its closed form.
 
     A dimension other than k1, k2 or a code that fails the MDS column
-    criterion is a FormulaMismatch; the ebit count comes from assemble.
+    criterion is a FormulaMismatch; each distinct canonical code is proved
+    MDS once.  The extended-GRS pair is one code: with both dimensions k,
+    G1 H2^T = 0 holds iff C1 = C2, and a pair that differs is a
+    DualityFailure.  The ebit count comes from assemble.
     """
     C1, C2 = from_generator(G1), from_parity_check(H2)
     for label, C, k in (("C1", C1, k1), ("C2", C2, k2)):
         if C.k != k:
             raise errors.FormulaMismatch(f"{family} dim {label} = {C.k}, expected {k}")
+    if family == "grs_extended" and C1 != C2:
+        raise errors.DualityFailure("G1 H2^T != 0 for the canonical points/weights")
+    for label, C in (("C1", C1),) if C1 == C2 else (("C1", C1), ("C2", C2)):
         report = is_mds(C)
         if not report.is_mds:
             raise errors.FormulaMismatch(f"{family} {label} failed MDS certification; "
@@ -112,6 +123,7 @@ def vandermonde_family(field: FieldSpec, n: int, k: int, t: int, j: int) -> Fami
     _require(k + 1 <= t + j, "k+1 <= t+j", f"{k + 1} <= {t + j}")
     _require(t + j <= n, "t+j <= n", f"{t + j} <= {n}")
     _require(n - j - 1 >= 1, "n-j-1 >= 1", f"{n - j - 1} >= 1")
+    _within_budget((t + j) * n)
 
     gamma = field.primitive_element().enc
     # 0-based row i holds node^c = gamma^(i*c); rows 0..t+j-1 cover G1 and H2
@@ -129,30 +141,31 @@ def vandermonde_family(field: FieldSpec, n: int, k: int, t: int, j: int) -> Fami
 
 def grs_extended_spec(field: FieldSpec, k: int) -> GrsSpec:
     """Canonical inputs: all q points in enc order, all-one weights."""
-    return GrsSpec(field, tuple(range(field.q)), (1,) * field.q, k)
+    return GrsSpec(field, k)
 
 
 def grs_extended_generator(spec: GrsSpec) -> FMatrix:
-    """k x (n+1) generator: monomial evaluation rows plus a top-coefficient column.
+    """k x (q+1) generator: monomial evaluation rows plus a top-coefficient column.
 
-    Row i (0-based) is (v_1 a_1^i, ..., v_n a_n^i, [i == k-1]); the final
-    coordinate tracks the coefficient of x^(k-1).  Uses 0^0 = 1.
+    Row i (0-based) is (a^i for the q field elements a in enc order,
+    [i == k-1]); the final coordinate tracks the coefficient of x^(k-1).
+    Uses 0^0 = 1.
     """
-    if not 1 <= spec.k <= len(spec.a):
-        raise errors.ShapeMismatch(f"k={spec.k} out of range for {len(spec.a)} points")
-    mul, power = spec.field.mul, spec.field.pow
-    rows = [[mul(v, power(a, i)) for a, v in zip(spec.a, spec.v)] + [int(i == spec.k - 1)]
-            for i in range(spec.k)]
-    return FMatrix._of(spec.field, rows, len(spec.a) + 1)
+    q, k, power = spec.field.q, spec.k, spec.field.pow
+    if not 1 <= k <= q:
+        raise errors.ShapeMismatch(f"k={k} out of range for {q} points")
+    rows = [[power(a, i) for a in range(q)] + [int(i == k - 1)] for i in range(k)]
+    return FMatrix._of(spec.field, rows, q + 1)
 
 
 def grs_extended_family(field: FieldSpec, k: int) -> FamilyCertificate:
     """Pair an extended evaluation code with its dual-description twin.
 
     C1 is generated by the k-row matrix; C2 is defined by the
-    (q-k+1)-row matrix as parity checks.  The orthogonality G1 H2^T = 0 is
-    verified before anything else; both codes are the same
-    [q+1, k, q-k+2] MDS code and the pair yields [[q+1, 1, q-k+2; q-2k+2]]_q.
+    (q-k+1)-row matrix as parity checks.  Both are the same [q+1, k, q-k+2]
+    MDS code: the orthogonality G1 H2^T = 0 is checked as C1 = C2 on the
+    canonical codes, which are then proved MDS once, and the pair yields
+    [[q+1, 1, q-k+2; q-2k+2]]_q.
 
     k stays below ceil((q+1)/2): at k = (q+1)/2 the two generators coincide,
     the code is self-dual and the pair needs no ebits and encodes no logical
@@ -162,11 +175,10 @@ def grs_extended_family(field: FieldSpec, k: int) -> FamilyCertificate:
     _require(1 <= k, "1 <= k", f"1 <= {k}")
     half = (q + 2) // 2  # ceil((q+1)/2)
     _require(k < half, "k < ceil((q+1)/2)", f"{k} < {half}")
+    _within_budget((q + 2) * (q + 1))
 
     G1 = grs_extended_generator(grs_extended_spec(field, k))
     H2 = grs_extended_generator(grs_extended_spec(field, q - k + 1))
-    if not (G1 @ H2.transpose()).is_zero():
-        raise errors.DualityFailure("G1 H2^T != 0 for the canonical points/weights")
     return _certify("grs_extended", {"q": field.label, "k": k}, G1, H2, k, k,
                     EaqecParams.build(field, q + 1, 1, q - k + 2, q - 2 * k + 2))
 

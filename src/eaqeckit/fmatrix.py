@@ -80,9 +80,6 @@ class FMatrix:
     def __repr__(self):
         return f"FMatrix({self.field.label}, {self.nrows}x{self.ncols})"
 
-    def is_zero(self) -> bool:
-        return not any(map(any, self.rows))
-
     # -- elimination ------------------------------------------------------------
 
     def rref(self) -> tuple["FMatrix", int, list[int]]:

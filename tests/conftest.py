@@ -34,6 +34,10 @@ def random_matrix(rng: random.Random, field, nrows: int, ncols: int) -> FMatrix:
                            for _ in range(nrows)], ncols)
 
 
+def is_zero(M: FMatrix) -> bool:
+    return not any(map(any, M.rows))
+
+
 def identity(field, n: int) -> FMatrix:
     return FMatrix(field, [[int(i == j) for j in range(n)] for i in range(n)], n)
 

@@ -1,11 +1,16 @@
 import csv
+import inspect
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from eaqeckit import FMatrix, from_generator
-from eaqeckit.cli import main
+from eaqeckit import FMatrix, families, from_generator
+from eaqeckit.cli import _FAMILIES, main
 from conftest import identity, random_code, time_limit
 import random
 
@@ -80,6 +85,31 @@ class TestConstruct:
                              "q=13", "n=12", "k=4", "t=5", "j=3", "j=7")
         assert code == 4 and out == "" and len(err.splitlines()) == 1
         assert "j given more than once" in err
+
+    def test_parameters_are_certificate_inputs(self, capsys):
+        # construct's key=value names after q are the family's parameters
+        # after field, and its certificate records them as inputs after q
+        cases = {"vandermonde": ("q=13", "n=12", "k=4", "t=5", "j=7"),
+                 "grs-ext": ("q=9", "k=4"),
+                 "gabidulin": ("q=11^5", "n=5", "k1=3", "k2=2", "t=2")}
+        assert sorted(cases) == sorted(_FAMILIES)
+        for family, (attr, names) in _FAMILIES.items():
+            fn = getattr(families, attr)
+            assert names == tuple(inspect.signature(fn).parameters)[1:]
+            code, out, _ = run(capsys, "construct", family, *cases[family])
+            assert code == 0
+            assert tuple(json.loads(out)["inputs"])[1:] == names
+
+    @pytest.mark.parametrize("argv", [
+        ("grs-ext", "q=2147483647", "k=1"),
+        ("vandermonde", "q=2147483647", "n=100000000", "k=2", "t=2", "j=1"),
+    ])
+    def test_matrices_over_budget_are_infeasible(self, capsys, argv):
+        # (q+2)(q+1) and (t+j)n entries, far past the default budget
+        with time_limit(1, "construct " + " ".join(argv)):
+            code, out, err = run(capsys, "construct", *argv)
+        assert code == 5 and out == "" and len(err.splitlines()) == 1
+        assert "entries" in err and "4194304" in err
 
     def test_json_deterministic(self, capsys):
         args = ("construct", "vandermonde", "q=13", "n=12", "k=5", "t=6", "j=6")
@@ -348,3 +378,30 @@ class TestConfig:
     def test_bad_budget(self, capsys):
         code, _, err = run(capsys, "--budget", "0", "table", "1")
         assert code == 4 and "budget" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "3"),
+        ("construct", "foo", "q=3"),
+        ("verify",),
+        ("--budget", "x", "table", "1"),
+    ])
+    def test_usage_error_is_bad_input(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 4 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("bad input: ")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and "construct" in capsys.readouterr().out
+
+    def test_module_entry_point_exit_code(self):
+        # python -m eaqeckit.cli runs sys.exit(main())
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "eaqeckit.cli", "table", "3"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 4 and proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("bad input: ") and "invalid choice" in err[0]

@@ -5,7 +5,10 @@ from eaqeckit import (FMatrix, TABLE1_ROWS, TABLE2_ROWS, ebits_product,
                       from_parity_check, gabidulin_family, grs_extended_family,
                       grs_extended_generator, grs_extended_spec, is_mds,
                       table1, table2, vandermonde_family)
+from eaqeckit import families
+from eaqeckit.cli import main
 from eaqeckit.families import _certify
+from conftest import is_zero
 
 
 class TestCertify:
@@ -28,6 +31,39 @@ class TestCertify:
         G1 = FMatrix(f13, [[1, 0, 0] + [1] * 9, [0, 1, 0] + [2] * 9], 12)
         with pytest.raises(errors.FormulaMismatch, match="C1 failed MDS certification"):
             _certify("vandermonde", cert.inputs, G1, cert.H2, 2, 4, cert.predicted)
+
+
+    @pytest.mark.parametrize("family,p,e,args,scans", [
+        ("grs_extended_family", 3, 2, (4,), 1),
+        ("vandermonde_family", 13, 1, (12, 4, 5, 7), 2),
+        ("gabidulin_family", 11, 5, (5, 3, 2, 2), 2),
+    ])
+    def test_each_distinct_code_is_proved_once(self, monkeypatch, family, p, e, args, scans):
+        # the extended-GRS pair is one code; the other two pairs are two
+        calls = []
+        monkeypatch.setattr(families, "is_mds", lambda C: calls.append(C) or is_mds(C))
+        assert getattr(families, family)(field_new(p, e), *args).verified
+        assert len(calls) == len(set(calls)) == scans
+
+    def test_broken_duality_is_a_duality_failure(self, monkeypatch, capsys, f9):
+        # scaling one column of H2 keeps its rank, so both dimensions stay k,
+        # but moves ker(H2) off rowspace(G1)
+        generator = families.grs_extended_generator
+
+        def skewed(spec):
+            M = generator(spec)
+            if spec.k == 1 + spec.field.q - 4:  # H2 of k = 4
+                g = spec.field.primitive_element().enc
+                M = FMatrix(spec.field, [[spec.field.mul(g, r[0]), *r[1:]] for r in M.rows],
+                            M.ncols)
+            return M
+
+        monkeypatch.setattr(families, "grs_extended_generator", skewed)
+        with pytest.raises(errors.DualityFailure):
+            grs_extended_family(f9, 4)
+        assert main(["construct", "grs-ext", "q=9", "k=4"]) == 3
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("internal mismatch: G1 H2^T != 0")
 
 
 class TestVandermonde:
@@ -111,7 +147,7 @@ class TestGrsExtended:
         for k in range(1, (q + 2) // 2):
             G = grs_extended_generator(grs_extended_spec(field, k))
             H = grs_extended_generator(grs_extended_spec(field, q - k + 1))
-            assert (G @ H.transpose()).is_zero()
+            assert is_zero(G @ H.transpose())
 
     def test_f9_example(self, f9):
         cert = grs_extended_family(f9, 4)
@@ -143,7 +179,7 @@ class TestGrsExtended:
         G1 = grs_extended_generator(grs_extended_spec(field, k))
         H2 = grs_extended_generator(grs_extended_spec(field, field.q - k + 1))
         assert G1 == H2
-        assert (G1 @ G1.transpose()).is_zero()
+        assert is_zero(G1 @ G1.transpose())
         C1, C2 = from_generator(G1), from_parity_check(H2)
         assert ebits_product(C1, C2, 0) == ebits_stack(C1, C2, 0) == 0
         with pytest.raises(errors.ConstraintViolation, match="ceil"):

@@ -33,6 +33,8 @@ CASES = {
     "construct_grs_ext_emit_matrices": (("--emit-matrices", "construct", "grs-ext", "q=9", "k=4"),
                                         0),
     "construct_gabidulin": (("construct", "gabidulin", "q=11^5", "n=5", "k1=3", "k2=2", "t=2"), 0),
+    "construct_gabidulin_csv": (("--output", "csv", "construct", "gabidulin",
+                                 "q=11^5", "n=5", "k1=3", "k2=2", "t=2"), 0),
     "verify_exhaustive_gf9": (("verify", "exhaustive_gf9.txt"), 0),
     "verify_exhaustive_gf2": (("verify", "exhaustive_gf2.txt", "--d", "3"), 0),
     "verify_mds_gf13": (("--budget", "10", "verify", "mds_gf13.txt", "--k", "4", "--d", "9"), 0),
