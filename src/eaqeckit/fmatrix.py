@@ -6,9 +6,11 @@ boundary (``M[i, j]``).  Matrices are value objects: every operation returns
 a new matrix and no mutation is observable through the public surface.
 rref reduces a matrix of at least _RREF_TABLE_MIN entries over a field with
 numpy op tables (q <= 1024, see FieldSpec.vec_ops) one array step per
-pivot, and every other matrix entry by entry.  A matrix has exactly one
-reduced row echelon form, so both routes return the same rows, rank and
-pivots, and everything derived from them is deterministic.
+pivot, and every other matrix one row operation at a time on the field's
+row layout (FieldSpec.row_ops: one packed integer per row for odd-p
+extension fields above q = 1024, a list of encs otherwise).  A matrix has
+exactly one reduced row echelon form, so every route returns the same rows,
+rank and pivots, and everything derived from them is deterministic.
 
 Text format (bit-exact round trip):
     line 1:  "p e rows cols"
@@ -92,33 +94,9 @@ class FMatrix:
         f = self.field
         if self.nrows * self.ncols >= _RREF_TABLE_MIN and (ops := f.vec_ops()) is not None:
             work, r, pivots = _rref_tables(ops, self.rows, self.ncols)
-            self._rref = (FMatrix._of(f, work, self.ncols), r, pivots)
-            return self._rref
-        sub, mul = f.sub, f.mul
-        work = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
-        for c in range(self.ncols):
-            piv = None
-            for i in range(r, len(work)):
-                if work[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            inv = f.inv(work[r][c])
-            prow = work[r] = [mul(x, inv) for x in work[r]]
-            for i in range(len(work)):
-                fac = work[i][c]
-                if i != r and fac:
-                    work[i] = [sub(x, mul(fac, y)) for x, y in zip(work[i], prow)]
-            pivots.append(c)
-            r += 1
-            if r == len(work):
-                break
-        R = FMatrix._of(f, work, self.ncols)
-        self._rref = (R, r, pivots)
+        else:
+            work, r, pivots = _rref_rows(f.row_ops(), self.rows, self.ncols)
+        self._rref = (FMatrix._of(f, work, self.ncols), r, pivots)
         return self._rref
 
     def rank(self) -> int:
@@ -236,8 +214,34 @@ class FMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Elimination on the numpy op tables (fields with q <= 1024)
+# Elimination on the field's row layout, and on the numpy op tables (fields
+# with q <= 1024)
 # ---------------------------------------------------------------------------
+
+def _rref_rows(ops, rows, ncols: int):
+    """FMatrix.rref's elimination on the row operations of FieldSpec.row_ops:
+    (rows, rank, pivots).  Each row is packed once and unpacked once, and a
+    pivot that is already 1 takes no inverse."""
+    pack, unpack, get, _, _, comb, inv = ops
+    work = list(map(pack, rows))
+    pivots, r, m = [], 0, len(work)
+    for c in range(ncols):
+        if r == m:
+            break
+        piv = next((i for i in range(r, m) if get(work[i], c)), None)
+        if piv is None:
+            continue
+        prow, work[piv] = work[piv], work[r]
+        if (s := get(prow, c)) != 1:
+            prow = comb(inv(s), prow, 0, prow)
+        work[r] = prow
+        for i in range(m):
+            if i != r and (a := get(work[i], c)):
+                work[i] = comb(1, work[i], a, prow)
+        pivots.append(c)
+        r += 1
+    return [unpack(x, ncols) for x in work], r, pivots
+
 
 # rref reduces on vec_ops from this many entries: a table pivot costs about
 # 10 us whatever the size, the loop about 0.1 us per entry, and GF(2) breaks
@@ -257,7 +261,8 @@ def _rref_tables(ops, rows, ncols: int):
         if nz[0]:
             W[[r, r + nz[0]]] = W[[r + nz[0], r]]
         # rows at or below r are zero left of c, so only columns c.. change
-        W[r, c:] = ops.mul(W[r, c:], ops.inv(W[r, c]))
+        if W[r, c] != 1:
+            W[r, c:] = ops.mul(W[r, c:], ops.inv(W[r, c]))
         fac = W[:, c].copy()
         fac[r] = 0
         W[:, c:] = ops.sub(W[:, c:], ops.mul(fac[:, None], W[r, c:]))

@@ -25,6 +25,13 @@ by Euclid on the bit vector, odd p by the norm chain: a^-1 = b N(a)^(p-2)
 for b the conorm a^(p+...+p^(e-1)).  The Rabin test decides coprimality by
 the norm test on Z_p[x]/(f), so no code works on coefficient lists.
 
+Exact elimination (FMatrix.rref, the plain subset scan) works on rows
+through the row operations of row_ops, built on first use.  Odd-p extension
+fields above q = 1024 pack each row into one integer, every entry in slots
+of its own, so s X - a V is two integer products, one polynomial Barrett
+reduction by f of every entry at once and one Barrett step mod p of every
+slot; the other fields keep rows as lists of encs on the scalar operations.
+
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
 """
@@ -32,8 +39,8 @@ from __future__ import annotations
 
 from functools import cache
 from math import gcd
-from operator import xor
-from typing import Sequence
+from operator import getitem, xor
+from typing import Callable, NamedTuple, Sequence
 
 from . import errors
 
@@ -194,7 +201,7 @@ class FieldSpec:
     one shared instance per modulus, enc-minimal by default.
     """
 
-    __slots__ = ("p", "e", "q", "modulus", "_primitive", "_vec", "_frob",
+    __slots__ = ("p", "e", "q", "modulus", "_primitive", "_vec", "_frob", "_rows",
                  "add", "sub", "mul", "pow")
 
     def __init__(self, p: int, e: int, modulus: Sequence[int] | None = None):
@@ -219,6 +226,7 @@ class FieldSpec:
         self.modulus = tuple(modulus)
         self._primitive: Element | None = None
         self._vec = None
+        self._rows: RowOps | None = None
         self._frob: dict = {}  # s -> the map a -> a^(p^s), built on first use
         self.add, self.sub, self.mul, self.pow = (
             _prime_ops(p) if e == 1 else _bin_ops(p, e, self.modulus) if p == 2
@@ -368,6 +376,15 @@ class FieldSpec:
                 raise errors.FormulaMismatch(f"GF({self.label}): no element passes the order tests")
             self._primitive = self.element(g)
         return self._primitive
+
+    def row_ops(self) -> "RowOps":
+        """The row layout of exact elimination, built on first call: packed
+        rows (_packed_rows) for odd p, e >= 2 and q > _NP_TABLE_MAX, lists of
+        encs on the scalar operations for every other field."""
+        if self._rows is None:
+            packed = self.p > 2 and self.e > 1 and self.q > _NP_TABLE_MAX
+            self._rows = (_packed_rows if packed else _enc_rows)(self)
+        return self._rows
 
     def vec_ops(self):
         """Numpy-vectorized enc arithmetic, or None for fields too large.
@@ -538,13 +555,18 @@ def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None):
 
 @cache
 def _kronecker(p: int, e: int):
-    """(s, pack, unpack) of _poly_ops, one per (p, e): they do not depend on f.
-
-    pack puts the digits of an enc into s-bit slots, h digits at a time
-    through tab, which maps v < p^h to its digits in h slots; h is the
-    largest with p^h <= _NP_TABLE_MAX (at most e), and for h = 1 tab is
-    range(p), the digit itself.  unpack reads e slots back mod p as an enc."""
+    """(s, pack, unpack) of _poly_ops, one per (p, e): they do not depend on f."""
     s = (e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))).bit_length()
+    return (s, *_slot_packer(p, e, s))
+
+
+def _slot_packer(p: int, e: int, s: int):
+    """(pack, unpack) between encs and e digit slots of s bits.
+
+    pack puts the digits of an enc into the slots h digits at a time through
+    tab, which maps v < p^h to its digits in h slots; h is the largest with
+    p^h <= _NP_TABLE_MAX (at most e), and for h = 1 tab is range(p), the
+    digit itself.  unpack reads e slots back mod p as an enc."""
     h = 1
     while h < e and p ** (h + 1) <= _NP_TABLE_MAX:
         h += 1
@@ -570,7 +592,7 @@ def _kronecker(p: int, e: int):
             r >>= s
         return out
 
-    return s, pack, unpack
+    return pack, unpack
 
 
 def _linear_map(p: int, e: int, mul, xs: int):
@@ -600,6 +622,130 @@ def _linear_map(p: int, e: int, mul, xs: int):
             r += c * row
         return unpack(r)
     return frob
+
+
+class RowOps(NamedTuple):
+    """The row operations of one field's elimination layout (FieldSpec.row_ops).
+
+    A row holds a sequence of encs and an entry one enc, each in the layout's
+    own form: an entry is truthy iff its enc is nonzero and equals 1 iff its
+    enc is 1.  comb(s, X, a, V) is s X - a V for an entry s != 0.
+    """
+    pack: Callable      # encs -> row
+    unpack: Callable    # (row, n) -> its n encs, a list
+    get: Callable       # (row, j) -> entry j
+    drop: Callable      # (row, j) -> the row without entry j
+    lead: Callable      # row -> index of its first nonzero entry, None for 0
+    comb: Callable      # (s, X, a, V) -> s X - a V
+    inv: Callable       # entry -> its inverse
+
+
+def _enc_rows(field: FieldSpec) -> RowOps:
+    """Rows as lists of encs, on the field's scalar sub and mul."""
+    sub, mul = field.sub, field.mul
+
+    def unpack(X, n):
+        return X
+
+    def drop(X, j):
+        return X[:j] + X[j + 1:]
+
+    def lead(X):
+        x = next(filter(None, X), 0)
+        return X.index(x) if x else None
+
+    def comb(s, X, a, V):
+        if not a:
+            return [mul(s, x) for x in X]
+        if s == 1:
+            return [sub(x, mul(a, y)) for x, y in zip(X, V)]
+        return [sub(mul(s, x), mul(a, y)) for x, y in zip(X, V)]
+
+    return RowOps(list, unpack, getitem, drop, lead, comb, field.inv)
+
+
+def _packed_rows(field: FieldSpec) -> RowOps:
+    """Rows of an odd-p extension field as one integer each (Kronecker
+    substitution on whole rows): entry j takes the E bits from E j, E =
+    (2e - 1) w, with its digits c_0..c_{e-1} in the low e of 2e - 1 w-bit
+    slots.  An entry is the same integer for one element, so 1 is 1.
+
+    comb takes T = s X + (P - a) V in two integer products: P holds p in
+    each digit slot, so P - a has digits in [1, p] and adds P V, a multiple
+    of p, instead of a negative.  Each entry's product fills its 2e - 1
+    slots with values up to b = e (p-1) (2p-1) and carries into no other
+    entry.  Every entry is then reduced by f = x^e + tail at once, by
+    polynomial Barrett (exact for monic f): with hi = T div x^e and
+    mu = x^(2e-2) div f mod p, Q = hi mu div x^(e-2) is T div f, so T mod f
+    = (T mod x^e) + C - (Q tail mod x^e), C a multiple of p in each slot that
+    keeps every slot nonnegative.  Q and the result are reduced mod p by one
+    Barrett step each, v - p ((v M >> k) & mask) on every slot: M =
+    floor(2^k / p) + 1 with 2^k > t p gives v M >> k = v // p for every
+    v <= t, t bounding both, and w is wide enough for t M, so no slot's
+    product reaches the next slot."""
+    p, e = field.p, field.e
+    b = e * (p - 1) * (2 * p - 1)
+    c = -(-(e - 1) * (p - 1) ** 2 // p)  # Q tail mod x^e < c p once Q is mod p
+    t = max((e - 1) * (p - 1) * b, b + c * p)  # bounds the slots of hi mu and of T mod f
+    k = (t * p).bit_length()
+    m = (1 << k) // p + 1
+    w = (t * m).bit_length()
+    E = (2 * e - 1) * w
+    pk, upk = _slot_packer(p, e, w)
+    f = [*field.modulus, 1]
+    mu, rem = [0] * (e - 1), [0] * (2 * e - 2) + [1]  # x^(2e-2), long-divided by f
+    for d in reversed(range(e - 1)):
+        mu[d] = rem[d + e] % p
+        rem[d:d + e + 1] = [x - mu[d] * y for x, y in zip(rem[d:d + e + 1], f)]
+    mu, tail, P = (sum(x << w * i for i, x in enumerate(v)) for v in (mu, f[:-1], [p] * e))
+    entry, lows = (1 << w * e) - 1, (1 << E) - 1
+    # masks of one entry: its digit slots, slot 0, slots 0..e-2, the quotients, C
+    one = (entry, (1 << w) - 1, (1 << w * (e - 1)) - 1,
+           sum(((1 << w - k) - 1) << w * i for i in range(e)), c * P)
+    cap, low, slot0, his, quot, offset = 0, 0, 0, 0, 0, 0
+
+    def pack(row):
+        nonlocal cap, low, slot0, his, quot, offset
+        if len(row) > cap:  # the masks cover cap entries; no row op lengthens a row
+            cap = max(len(row), 2 * cap)
+            rep = ((1 << E * cap) - 1) // lows
+            low, slot0, his, quot, offset = (x * rep for x in one)
+        X = 0
+        for j, a in enumerate(row):
+            if a:
+                X |= pk(a) << E * j
+        return X
+
+    def unpack(X, n):
+        S = 0
+        for d in range(e):  # every entry's digit d at once: its enc at E j
+            S += (X & slot0) * p**d
+            X >>= w
+        return [S >> E * j & lows for j in range(n)]
+
+    def get(X, j):
+        return X >> E * j & entry
+
+    def drop(X, j):
+        cut = E * j
+        return (X & (1 << cut) - 1) | (X >> cut + E) << cut
+
+    def lead(X):
+        return ((X & -X).bit_length() - 1) // E if X else None
+
+    def comb(s, X, a, V):
+        T = X if s == 1 else s * X
+        if a:
+            T += (P - a) * V
+        Q = ((T >> e * w & his) * mu >> (e - 2) * w) & his
+        Q -= p * (Q * m >> k & quot)
+        R = (T & low) + offset - (Q * tail & low)
+        return R - p * (R * m >> k & quot)
+
+    def inv(a):
+        return pk(field.inv(upk(a)))
+
+    return RowOps(pack, unpack, get, drop, lead, comb, inv)
 
 
 class _VecOps:

@@ -77,16 +77,30 @@ class MdsReport:
 # Construction
 # ---------------------------------------------------------------------------
 
+def _kernel_basis(M: FMatrix) -> FMatrix:
+    """M's kernel basis, Infeasible if it would hold more than DEFAULT_BUDGET
+    entries: (ncols - rank) * ncols, which ncols - nrows bounds from below
+    before any elimination."""
+    n = M.ncols
+    size = (n - M.nrows) * n
+    if size <= DEFAULT_BUDGET:
+        size = (n - M.rank()) * n
+    if size > DEFAULT_BUDGET:
+        raise errors.Infeasible(
+            f"a kernel basis of {size} entries exceeds the budget of {DEFAULT_BUDGET}")
+    return M.kernel_basis()
+
+
 def from_generator(G: FMatrix) -> LinearCode:
     """Code spanned by the rows of G (dependent rows and the zero code allowed)."""
-    basis = G.row_basis()
-    # G and its row basis share a kernel, and G's RREF is already memoized
-    return LinearCode(G.field, G.ncols, basis.nrows, basis, G.kernel_basis())
+    H = _kernel_basis(G)  # G and its row basis share a kernel
+    basis = G.row_basis()  # on the RREF that the kernel memoized
+    return LinearCode(G.field, G.ncols, basis.nrows, basis, H)
 
 
 def from_parity_check(H: FMatrix) -> LinearCode:
     """Code {x : H x^T = 0}.  The zero code (H of full column rank) is allowed."""
-    return from_generator(H.kernel_basis())
+    return from_generator(_kernel_basis(H))
 
 
 def galois_dual(C: LinearCode, s: int) -> LinearCode:
@@ -121,32 +135,34 @@ def _all_subsets_full_rank(M: FMatrix, w: int) -> Optional[tuple[int, ...]]:
     the witness.  Fields with numpy tables build up to _SCAN_CHUNK nodes per
     step, which bounds memory, and decide the last two columns of a square
     scan (M has w rows) by projective column keys instead of pivoting; tall
-    scans pivot to the end.  Others run the recursion in plain Python.
+    scans pivot to the end.  Others run the recursion in plain Python on the
+    field's row operations (FieldSpec.row_ops), one per column: each column
+    is one packed integer for odd-p extension fields, a list of encs else.
     """
     if (ops := M.field.vec_ops()) is not None:
         return _scan_batched(M, w, ops)
-    f, n = M.field, M.ncols
+    pack, _, get, drop, lead, comb, _ = M.field.row_ops()
+    n = M.ncols
 
     def visit(prefix, cols):
         # cols: the columns after prefix, reduced on the rows it left over
         depth, first = len(prefix), prefix[-1] + 1 if prefix else 0
         for c, v in enumerate(cols[:n - w + depth + 1 - first], first):
-            if not any(v):
+            i = lead(v)
+            if i is None:
                 return prefix + tuple(range(c, c + w - depth))
             if depth + 1 == w:
                 continue
-            i = next(r for r, x in enumerate(v) if x)
-            s, vi, rest = v[i], v[:i] + v[i + 1:], []
+            s, vi, rest = get(v, i), drop(v, i), []
             for u in cols[c - first + 1:]:
                 # s*u - a*v needs no field inverse; the factor s != 0 keeps ranks
-                a, u = u[i], u[:i] + u[i + 1:]
-                rest.append([f.sub(f.mul(s, x), f.mul(a, y)) for x, y in zip(u, vi)]
-                            if a else u)
+                a, u = get(u, i), drop(u, i)
+                rest.append(comb(s, u, a, vi) if a else u)
             if found := visit(prefix + (c,), rest):
                 return found
         return None
 
-    return visit((), M.transpose().rows)
+    return visit((), list(map(pack, M.transpose().rows)))
 
 
 def _first_dependent_pair(ops, S, last):

@@ -63,6 +63,31 @@ def random_code(rng: random.Random, field, n: int, rows: int):
 # vec_ops (extension fields with q <= 1024), and the Z_p[x] routines above that.
 BACKEND_FIELDS = [(13, 1), (3, 3), (17, 8)]
 
+# Fields of the Kronecker row layout (odd p, e >= 2, q > 1024): the smallest,
+# GF(3^7), three large-field benchmark fields, p near 2^16 and 2^31, and the
+# widest slots, GF((2^31-1)^16).
+KRONECKER_ROW_FIELDS = [(3, 7), (3, 10), (5, 9), (17, 8), (65521, 2), (2**31 - 1, 2),
+                        (2**31 - 1, 16)]
+
+
+def rref_reference(field, rows):
+    """Gauss-Jordan elimination per entry: (rows, rank, pivots) of the RREF."""
+    work, pivots = [list(r) for r in rows], []
+    for c in range(len(work[0]) if work else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = field.inv(work[r][c])
+        work[r] = [field.mul(inv, x) for x in work[r]]
+        for i in range(len(work)):
+            if i != r:
+                fac = work[i][c]
+                work[i] = [field.sub(x, field.mul(fac, y)) for x, y in zip(work[i], work[r])]
+        pivots.append(c)
+    return tuple(map(tuple, work)), len(pivots), pivots
+
 
 def draw_matrix(data, field, nrows: int, ncols: int) -> FMatrix:
     """Hypothesis-drawn product of an nrows x r and an r x ncols matrix, with

@@ -259,6 +259,30 @@ class TestEbits:
             assert code == 0 and json.loads(out)["agree"]
 
 
+class TestHugeHeaders:
+    @pytest.mark.parametrize("ncols", [10**12, 3 * 10**6])
+    @pytest.mark.parametrize("command", ["ebits", "verify"])
+    def test_no_rows_and_huge_width_is_infeasible(self, tmp_path, command, ncols):
+        # GF(3^7) with no row: rref used to walk all 10^12 columns, and 3M
+        # columns gave a 3M x 3M kernel basis, a MemoryError under the cap
+        matrix = f"3 7 0 {ncols}\n2 0 1 0 0 0 0\n"
+        path = tmp_path / "z.txt"
+        path.write_text(matrix if command == "ebits" else f"code {ncols} 0\n" + matrix)
+        argv = ["ebits", str(path), str(path)] if command == "ebits" else ["verify", str(path)]
+        src = str(Path(__file__).resolve().parent.parent / "src")
+
+        def cap():
+            import resource
+            resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+        proc = subprocess.run([sys.executable, "-m", "eaqeckit.cli", *argv], capture_output=True,
+                              text=True, timeout=30, preexec_fn=cap,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 5 and proc.stdout == ""
+        err = proc.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("infeasible: ") and "kernel basis" in err[0]
+
+
 class TestVerify:
     def test_repetition_confirmed(self, capsys, tmp_path, f2):
         path = tmp_path / "rep.txt"

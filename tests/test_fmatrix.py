@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from eaqeckit import FMatrix, errors, field_new
 from eaqeckit.fmatrix import batched_full_rank, pivot_step
 from eaqeckit.rankmetric import moore_matrix
-from conftest import BACKEND_FIELDS, draw_matrix, identity, is_zero, random_matrix
+from conftest import (BACKEND_FIELDS, KRONECKER_ROW_FIELDS, draw_matrix, identity, is_zero,
+                      random_matrix, rref_reference, time_limit)
 
 
 def vandermonde(field, nodes, ncols):
@@ -85,25 +86,6 @@ def test_rref_properties_table_route(p, e, data):
     field = field_new(p, e)
     nrows, ncols = data.draw(st.integers(8, 16)), data.draw(st.integers(16, 24))
     assert_rref_properties(draw_matrix(data, field, nrows, ncols))
-
-
-def rref_reference(field, rows):
-    """Gauss-Jordan elimination per entry: (rows, rank, pivots) of the RREF."""
-    work, pivots = [list(r) for r in rows], []
-    for c in range(len(work[0]) if work else 0):
-        r = len(pivots)
-        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = field.inv(work[r][c])
-        work[r] = [field.mul(inv, x) for x in work[r]]
-        for i in range(len(work)):
-            if i != r:
-                fac = work[i][c]
-                work[i] = [field.sub(x, field.mul(fac, y)) for x, y in zip(work[i], work[r])]
-        pivots.append(c)
-    return tuple(map(tuple, work)), len(pivots), pivots
 
 
 def planted_matrices(rng, field, m, n):
@@ -188,6 +170,64 @@ class TestRrefTableRoute:
         seen, tabled = self.spy(monkeypatch)
         moore_matrix(field, [2**i for i in range(7)], 4)
         assert (7, 16) in seen and tabled == []
+
+
+class TestRrefRowLayout:
+    """rref on FieldSpec.row_ops, the Kronecker-packed rows above all, against
+    the per-entry reference elimination on the field's scalar operations."""
+
+    @staticmethod
+    def worst_case(rng, field, m, n):
+        """Three m x n matrices: mostly q - 1 (every digit p - 1) with some
+        zeros; m - 1 rows e_(n-1) over a row of q - 1, so the first pivot is
+        in the last row; and [I | q - 1], whose pivots are all 1."""
+        q = field.q
+        rows = [[rng.choice((q - 1, q - 1, 0, rng.randrange(q))) for _ in range(n)]
+                for _ in range(m)]
+        unit = [[int(i == j) for j in range(m)] + [q - 1] * (n - m) for i in range(m)]
+        return [rows, [[0] * (n - 1) + [1]] * (m - 1) + [[q - 1] * n] if m > 1 else rows,
+                unit if n >= m else rows]
+
+    @pytest.mark.parametrize("p,e", KRONECKER_ROW_FIELDS)
+    def test_matches_reference_elimination(self, p, e):
+        with time_limit(10, f"field_new({p}, {e})"):
+            field = field_new(p, e)
+        rng = random.Random(p * 100 + e)
+        shapes = [(3, 5), (5, 5), (6, 9), (7, 3)] if e < 16 else [(3, 5), (5, 4)]
+        for m, n in shapes:
+            mats = planted_matrices(rng, field, m, n) + self.worst_case(rng, field, m, n)
+            for k, rows in enumerate(mats):
+                M = FMatrix(field, rows, n)
+                R, rank, pivots = M.rref()
+                assert (R.rows, rank, pivots) == rref_reference(field, rows), (m, n, k)
+                assert all(type(x) is int for row in R.rows for x in row)
+
+    @pytest.mark.parametrize("p,e", [(3, 7), (2, 16), (13, 1), (13, 2)])
+    def test_unit_pivots_take_no_inverse(self, monkeypatch, p, e):
+        # [I | A] (a kernel basis of a systematic matrix) and an RREF (the
+        # top of ebits_stack's stacked matrix) have unit pivots; GF(13^2)
+        # with 12 x 12 runs on the numpy tables
+        from eaqeckit.gf import _VecOps
+        field = field_new(p, e)
+        calls = []
+        ops = field.row_ops()
+        monkeypatch.setattr(field, "_rows", ops._replace(inv=lambda a: calls.append(a) or ops.inv(a)))
+        monkeypatch.setattr(_VecOps, "inv", lambda self, a: calls.append(a) or self.inv_t[a])
+        rng = random.Random(p + e)
+        m = 12 if (p, e) == (13, 2) else 3
+        A = random_matrix(rng, field, m, m)
+        M = identity(field, m).transpose().vstack(A.transpose()).transpose()
+        assert M.rref()[0] == M and calls == []
+        R = random_matrix(rng, field, m, m + 2).rref()[0]
+        calls.clear()
+        assert FMatrix(field, R.rows, m + 2).rref()[0] == R and calls == []
+
+    @pytest.mark.parametrize("p,e", [(3, 7), (13, 1)])
+    def test_no_rows_returns_at_once(self, p, e):
+        M = FMatrix(field_new(p, e), [], 10**12)
+        with time_limit(1, "rref of a 0 x 10^12 matrix"):
+            R, rank, pivots = M.rref()
+        assert R.shape == (0, 10**12) and rank == 0 and pivots == []
 
 
 class TestRank:

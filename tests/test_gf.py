@@ -15,7 +15,7 @@ from sympy.polys.galoistools import gf_gcd, gf_mul, gf_pow_mod, gf_sub
 from eaqeckit import FMatrix, cli, errors, field_new, gf
 from eaqeckit.gf import (_NP_TABLE_MAX, FieldSpec, _is_irreducible, _poly_ops, _prime_factors,
                          is_prime)
-from conftest import SympyField, frobenius, galois_form, time_limit
+from conftest import KRONECKER_ROW_FIELDS, SympyField, frobenius, galois_form, time_limit
 
 
 def minimal_irreducible_oracle(p, e):
@@ -580,6 +580,45 @@ class TestEncArithmetic:
             f9.inv(0)
         with pytest.raises(errors.DivisionByZero):
             f9.pow(0, -1)
+
+
+class TestRowOps:
+    """FieldSpec.row_ops, the row layout of exact elimination."""
+
+    @pytest.mark.parametrize("p,e", [(3, 7), (3, 10), (5, 5), (37, 2), (3, 6), (31, 2),
+                                     (2, 16), (2, 11), (1031, 1), (13, 1), (3, 3)])
+    def test_kronecker_layout_route(self, p, e):
+        # packed rows exactly for odd p, e >= 2 and q > 1024; GF(3^6) and
+        # GF(31^2) sit just below, GF(2^16), GF(1031), GF(13), GF(3^3) keep enc rows
+        row = field_new(p, e).row_ops().pack([1, 0])
+        packed = p > 2 and e >= 2 and p**e > 1024
+        assert type(row) is (int if packed else list)
+
+    @pytest.mark.parametrize("p,e", KRONECKER_ROW_FIELDS + [(2, 16), (13, 1), (3, 3)])
+    def test_row_operation_against_sympy(self, p, e):
+        # q - 1 has every digit p - 1, and 1 and x^(e-1) leave P - a at p in
+        # all slots but one: the largest product slots, Barrett quotients and
+        # offsets that operands can give
+        with time_limit(10, f"field_new({p}, {e})"):
+            field = field_new(p, e)
+        ref, q, top = SympyField(field), field.q, p ** (e - 1)
+        ops = field.row_ops()
+
+        def entry(a):
+            return ops.get(ops.pack([a]), 0)
+
+        X, V = [q - 1, q - 1, 0, top, q - 2], [q - 1, 1, q - 1, q - 1, p]
+        for s in (q - 1, 1, top):
+            for a in (0, 1, top, q - 1):
+                got = ops.unpack(ops.comb(entry(s), ops.pack(X), entry(a), ops.pack(V)), 5)
+                assert got == [ref.sub(ref.mul(s, x), ref.mul(a, y)) for x, y in zip(X, V)], (s, a)
+        for a in (1, top, q - 1):
+            assert ops.inv(entry(a)) == entry(ref.inv(a)) and bool(entry(a))
+        row = ops.pack(X)
+        assert [ops.get(row, j) for j in range(5)] == list(map(entry, X))
+        assert ops.unpack(ops.drop(row, 1), 4) == X[:1] + X[2:]
+        assert ops.lead(ops.drop(ops.drop(row, 0), 0)) == 1
+        assert ops.lead(ops.pack([0, 0, 0])) is None and not entry(0) and entry(1) == 1
 
 
 class TestSympyOracle:

@@ -5,8 +5,12 @@ Each case is one ``eaqeckit`` command line; its stdout must equal the file
 contract, the one listed.  The code files read by the ``verify`` cases live in
 the same directory and reach every ``min_distance`` route: exhaustive
 enumeration, the MDS column criterion and the dependent parity-check column
-search, the last two over a field with numpy tables (GF(11), GF(13)) and one
-without (GF(2^11)).
+search, the last two over a field with numpy tables (GF(11), GF(13)) and two
+without: GF(2^11) and GF(3^7).  The GF(3^7) files (q = 2187, odd p) pin the
+Kronecker row layout byte for byte: an exhaustive k = 1 code whose
+certificate codeword is its RREF row, an MDS code and a non-MDS code with
+its dependent parity-check columns; their outputs were captured before that
+layout existed.
 """
 import contextlib
 import io
@@ -41,6 +45,10 @@ CASES = {
     "verify_mds_gf2048": (("verify", "mds_gf2048.txt", "--d", "5"), 0),
     "verify_parity_gf11": (("--budget", "10", "verify", "parity_gf11.txt"), 0),
     "verify_parity_gf2048": (("verify", "parity_gf2048.txt", "--d", "2"), 1),
+    "verify_exhaustive_gf2187": (("verify", "exhaustive_gf2187.txt"), 0),
+    "verify_mds_gf2187": (("--budget", "10", "verify", "mds_gf2187.txt", "--k", "3", "--d", "6"),
+                          0),
+    "verify_parity_gf2187": (("--budget", "10", "verify", "parity_gf2187.txt"), 0),
 }
 
 

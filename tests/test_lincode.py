@@ -13,8 +13,9 @@ from eaqeckit import (FMatrix, ebits_stack, errors, field_new, from_generator,
 from eaqeckit import lincode
 from eaqeckit.fmatrix import pivot_step
 from eaqeckit.lincode import LinearCode
-from conftest import (codewords, galois_form, identity, intersection_basis_bruteforce,
-                      is_zero, random_code, random_matrix)
+from conftest import (KRONECKER_ROW_FIELDS, codewords, galois_form, identity,
+                      intersection_basis_bruteforce, is_zero, random_code, random_matrix,
+                      rref_reference, time_limit)
 
 
 def twist(C, t):
@@ -110,6 +111,18 @@ class TestConstruction:
         reductions.clear()
         from_parity_check(random_matrix(rng, f9, 2, 6))
         assert len(reductions) == 2
+
+
+    def test_kernel_over_budget_is_infeasible(self, f13, monkeypatch):
+        # (ncols - rank) * ncols entries: 8 * 8 for the zero 8 x 8 matrix,
+        # caught after elimination, and 9 * 9 for no rows, caught before
+        monkeypatch.setattr(lincode, "DEFAULT_BUDGET", 63)
+        assert from_generator(identity(f13, 8)).k == 8
+        for G in (FMatrix(f13, [[0] * 8] * 8, 8), FMatrix(f13, [], 9)):
+            with pytest.raises(errors.Infeasible, match="entries exceeds the budget of 63"):
+                from_generator(G)
+            with pytest.raises(errors.Infeasible):
+                from_parity_check(G)
 
 
 class TestDuals:
@@ -387,6 +400,38 @@ class TestSubsetScan:
         rng = random.Random(211)
         for M, w in self.random_matrices(rng, field, 60):
             assert lincode._all_subsets_full_rank(M, w) == first_dependent_subset(M, w)
+
+    @pytest.mark.parametrize("p,e", KRONECKER_ROW_FIELDS)
+    def test_kronecker_rows_match_reference(self, p, e):
+        # the reference ranks each subset by per-entry elimination on the
+        # scalar operations, so it shares no row operation with the scan;
+        # columns of q - 1 (every digit p - 1) are planted besides zero and
+        # scaled duplicates
+        with time_limit(10, f"field_new({p}, {e})"):
+            field = field_new(p, e)
+        rng = random.Random(p * 100 + e)
+
+        def first_dependent(M, w):
+            return next((cols for cols in itertools.combinations(range(M.ncols), w)
+                         if rref_reference(field, [[r[c] for c in cols] for r in M.rows])[1] < w),
+                        None)
+
+        q, dependent = field.q, 0
+        for _ in range(40 if e < 16 else 12):
+            w = rng.randint(1, 4)
+            nrows, n = w + rng.choice((0, 0, 1, 2)), rng.randint(w, 7)
+            cols = [[rng.choice((q - 1, rng.randrange(q))) for _ in range(nrows)]
+                    for _ in range(n)]
+            if rng.random() < 0.3:
+                cols[rng.randrange(n)] = [0] * nrows
+            if rng.random() < 0.3:
+                a, b = rng.randrange(n), rng.randrange(n)
+                cols[b] = [field.mul(rng.randrange(1, q), x) for x in cols[a]]
+            M = FMatrix(field, list(zip(*cols)), n)
+            expect = first_dependent(M, w)
+            assert lincode._all_subsets_full_rank(M, w) == expect
+            dependent += expect is not None
+        assert dependent > 2
 
     def test_late_witness_across_chunks(self):
         # Any 6 columns of a 6-row Vandermonde matrix over GF(1021) are
