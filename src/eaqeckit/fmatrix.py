@@ -8,9 +8,10 @@ rref reduces a matrix of at least _RREF_TABLE_MIN entries over a field with
 numpy op tables (q <= 1024, see FieldSpec.vec_ops) one array step per
 pivot, and every other matrix one row operation at a time on the field's
 row layout (FieldSpec.row_ops: one packed integer per row for odd-p
-extension fields above q = 1024, a list of encs otherwise).  A matrix has
-exactly one reduced row echelon form, so every route returns the same rows,
-rank and pivots, and everything derived from them is deterministic.
+extension fields above q = 1024, a list of encs otherwise), on which the
+product A @ B also builds each output row.  A matrix has exactly one reduced
+row echelon form, so every route returns the same rows, rank and pivots,
+and everything derived from them is deterministic.
 
 Text format (bit-exact round trip):
     line 1:  "p e rows cols"
@@ -139,9 +140,6 @@ class FMatrix:
 
     # -- products and stacking -------------------------------------------------
 
-    def _columns(self) -> list[tuple[int, ...]]:
-        return [tuple(r[j] for r in self.rows) for j in range(self.ncols)]
-
     def __matmul__(self, other: "FMatrix") -> "FMatrix":
         if not isinstance(other, FMatrix):
             return NotImplemented
@@ -150,22 +148,21 @@ class FMatrix:
         if self.ncols != other.nrows:
             raise errors.ShapeMismatch(
                 f"cannot multiply {self.shape} by {other.shape}")
-        add, mul = self.field.add, self.field.mul
-        bcols = other._columns()
-        out = []
-        for arow in self.rows:
-            orow = []
-            for bcol in bcols:
-                acc = 0
-                for x, y in zip(arow, bcol):
-                    if x and y:
-                        acc = add(acc, mul(x, y))
-                orow.append(acc)
-            out.append(orow)
-        return FMatrix._of(self.field, out, other.ncols)
+        # each output row is sum_k a_k B_k, built as acc - a_k (-B_k) on the row layout
+        pack, unpack, get, _, _, comb, _ = self.field.row_ops()
+        neg, n = self.field.neg, other.ncols
+        B, out = [pack([neg(y) for y in r]) for r in other.rows], []
+        for row in self.rows:
+            A, acc = pack(row), pack([0] * n)
+            for k, x in enumerate(row):
+                if x:
+                    acc = comb(1, acc, get(A, k), B[k])
+            out.append(unpack(acc, n))
+        return FMatrix._of(self.field, out, n)
 
     def transpose(self) -> "FMatrix":
-        return FMatrix._of(self.field, self._columns(), self.nrows)
+        return FMatrix._of(self.field, [tuple(r[j] for r in self.rows) for j in range(self.ncols)],
+                           self.nrows)
 
     def vstack(self, other: "FMatrix") -> "FMatrix":
         if self.field != other.field:
@@ -189,7 +186,7 @@ class FMatrix:
         """Parse the text format over field_new's shared field; entries outside [0, q)
         are a FieldMismatch, a missing header or modulus line or a negative size a
         ShapeMismatch."""
-        lines = text.strip().splitlines()
+        lines = text.lstrip().splitlines()
         if len(lines) < 2:
             raise errors.ShapeMismatch("missing 'p e rows cols' header or modulus line")
         try:
@@ -199,8 +196,12 @@ class FMatrix:
         if nrows < 0 or ncols < 0:
             raise errors.ShapeMismatch(f"negative size in header '{lines[0].strip()}'")
         field = field_new(p, e, tuple(map(int, lines[1].split())))
+        # exactly nrows row lines, blank for ncols = 0, then only blank lines
+        body, rest = lines[2:2 + nrows], lines[2 + nrows:]
+        if len(body) != nrows or any(map(str.strip, rest)):
+            raise errors.ShapeMismatch("row count disagrees with header")
         rows = []
-        for ln in lines[2:]:
+        for ln in body:
             rows.append([int(v) for v in ln.split()])
             if len(rows[-1]) != ncols:
                 raise errors.ShapeMismatch("row width disagrees with header")
@@ -208,8 +209,6 @@ class FMatrix:
             if bad:
                 raise errors.FieldMismatch(
                     f"entry {bad[0]} is not an enc in [0, {field.q}) of GF({field.label})")
-        if len(rows) != nrows:
-            raise errors.ShapeMismatch("row count disagrees with header")
         return cls._of(field, rows, ncols)
 
 

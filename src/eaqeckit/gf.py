@@ -12,25 +12,28 @@ the API-boundary type; its operators delegate to those same operations.
 Every field with q <= 1024, prime or not, has one set of flat numpy tables
 of sub, mul and inv for the batched subset scan, and extension fields of that
 size read their scalar operations from them.  Above that, GF(2^e) computes
-on the enc as a bit vector.  Odd p adds digit by digit on the enc and
-multiplies by Kronecker substitution: the digits go into bit slots of one
-integer, each slot wide enough for e(p-1)^2 (1 + (e-1)(p-1)) so that none
-carries, and a polynomial product is one integer product, folded by
-x^(e+i) mod f.  Each has one mul and one square-and-multiply on it; the
-Rabin test that picks f and the exp tables of the small fields run on the
-same mul in Z_p[x]/(f).  Frobenius powers a^(p^s), and the x^(p^i) of the
-Rabin test, are a GF(p)-linear map on the basis, applied from the images of
-x^0 .. x^(e-1), one per field and s, built on first use.  GF(2^e) inverts
-by Euclid on the bit vector, odd p by the norm chain: a^-1 = b N(a)^(p-2)
-for b the conorm a^(p+...+p^(e-1)).  The Rabin test decides coprimality by
-the norm test on Z_p[x]/(f), so no code works on coefficient lists.
+on the enc as a bit vector.  Odd p adds digit by digit on the enc, and every
+odd-p product in Z_p[x]/(f) is Kronecker substitution on one slot layout
+(_kronecker, one per p and e): the digits go into w-bit slots of one
+integer, a polynomial product is one integer product, and one reduction by
+f (_barrett: polynomial Barrett, then one Barrett step mod p on every slot)
+brings every entry of it back to digits below p.  Each has one mul and one
+square-and-multiply on it; the Rabin test that picks f and the exp tables of
+the small fields run on the same mul.  Frobenius powers a^(p^s), and the
+x^(p^i) of the Rabin test, are a GF(p)-linear map on the basis, applied from
+the images of x^0 .. x^(e-1) in the same slots, one per field and s, built
+on first use.  GF(2^e) inverts by Euclid on the bit vector, odd p by the
+norm chain: a^-1 = b N(a)^(p-2) for b the conorm a^(p+...+p^(e-1)).  The
+Rabin test decides coprimality by the norm test on Z_p[x]/(f), so no code
+works on coefficient lists.
 
-Exact elimination (FMatrix.rref, the plain subset scan) works on rows
-through the row operations of row_ops, built on first use.  Odd-p extension
-fields above q = 1024 pack each row into one integer, every entry in slots
-of its own, so s X - a V is two integer products, one polynomial Barrett
-reduction by f of every entry at once and one Barrett step mod p of every
-slot; the other fields keep rows as lists of encs on the scalar operations.
+Exact elimination and matrix products (FMatrix.rref and __matmul__, the
+plain subset scan) work on rows through the row operations of row_ops,
+built on first use.  Odd-p extension fields above q = 1024 pack each row
+into one integer, every entry in the slots of a scalar product, so s X - a V
+is two integer products and one call of the same reduction for every entry
+at once; the other fields keep rows as lists of encs on the scalar
+operations.
 
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
@@ -506,21 +509,14 @@ def _bin_ops(p: int, e: int, tail: Sequence[int]):
 
 
 def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None):
-    """Z_p[x]/(f), f = x^e + tail, for odd p: add and sub digit by digit on the
-    enc (digit i of a is a // p^i mod p); negative powers by inv, for FieldSpec
-    the norm-chain inverse, or else by Fermat.
-
-    mul is Kronecker substitution: pack of _kronecker puts each operand's
-    digits into s-bit slots of one integer, so the polynomial product is one
-    integer product.  Its e - 1 high slots fold into the low e as slot times
-    x^(e+i) mod f, packed the same way, and unpack reads the low slots back
-    mod p.  A product slot is below e(p-1)^2, and the fold adds e - 1 of them
-    times reduction entries below p, so s bits hold e(p-1)^2 (1 + (e-1)(p-1))
-    and no slot carries into the next.  The fold rows follow from x^e = -tail
-    by x^(e+i+1) = x * x^(e+i), a product folded by the rows before it."""
+    """Z_p[x]/(f), f = x^e + tail, for odd p (and right for any p and e):
+    add and sub digit by digit on the enc (digit i of a is a // p^i mod p),
+    mul one integer product of two entries of _kronecker reduced by
+    _barrett, and negative powers by inv (for FieldSpec the norm-chain
+    inverse) or else by Fermat."""
     pw = [p**i for i in range(e)]
-    s, pack, unpack = _kronecker(p, e)
-    slot, low = (1 << s) - 1, (1 << s * e) - 1
+    *_, pack, unpack = _kronecker(p, e)
+    reduce = _barrett(p, e, tail)
 
     def add(a, b):
         r = 0
@@ -539,60 +535,90 @@ def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None):
     def mul(a, b):
         if not (a and b):
             return 0
-        t = pack(a) * pack(b)
-        r, t = t & low, t >> s * e
-        for row in red:  # slot e + i times x^(e+i) mod f
-            r += (t & slot) * row
-            t >>= s
-        return unpack(r)
+        return unpack(reduce(pack(a) * pack(b)))
 
-    red, x_power = [], sub(0, sum([c * m for c, m in zip(tail, pw)]))  # x^e = -tail
-    for _ in range(e - 1):
-        red.append(pack(x_power))
-        x_power = mul(p, x_power)  # the enc of x is p
     return add, sub, mul, _power(mul, inv, p**e - 1)
 
 
 @cache
 def _kronecker(p: int, e: int):
-    """(s, pack, unpack) of _poly_ops, one per (p, e): they do not depend on f."""
-    s = (e * (p - 1) ** 2 * (1 + (e - 1) * (p - 1))).bit_length()
-    return (s, *_slot_packer(p, e, s))
+    """The slot layout of every product in Z_p[x]/(f), one per (p, e) as it
+    does not depend on f: (b, c, t, k, m, w, pack, unpack).
 
-
-def _slot_packer(p: int, e: int, s: int):
-    """(pack, unpack) between encs and e digit slots of s bits.
+    An entry holds the digits c_0 .. c_{e-1} of an enc in the low e of
+    2e - 1 slots of w bits.  A product s X + (P - a) V of entries with digits
+    below p, P - a having digits in [1, p], fills each slot with at most
+    b = e (p-1) (2p-1).  _barrett adds c p to every slot so that none goes
+    negative, and keeps every slot that it reduces mod p at most t.  Its
+    Barrett step v - p ((v m >> k) & mask) reduces all slots at once:
+    m = floor(2^k / p) + 1 with 2^k > t p gives v m >> k = v // p for every
+    v <= t, and t m < 2^w, so no slot's product reaches the next slot.
 
     pack puts the digits of an enc into the slots h digits at a time through
-    tab, which maps v < p^h to its digits in h slots; h is the largest with
-    p^h <= _NP_TABLE_MAX (at most e), and for h = 1 tab is range(p), the
-    digit itself.  unpack reads e slots back mod p as an enc."""
-    h = 1
-    while h < e and p ** (h + 1) <= _NP_TABLE_MAX:
-        h += 1
-    tab = range(p**h)
-    if h > 1:
-        tab = [0]
-        for v in range(1, p**h):  # digit 0 of v in the lowest slot
-            tab.append(tab[v // p] << s | v % p)
-    base, step, slot, pw = p**h, s * h, (1 << s) - 1, [p**i for i in range(e)]
+    tab, which maps v < p^h to its digits in h slots; h is the largest in
+    1..e with p^h <= _NP_TABLE_MAX, or 1.  unpack reads e slots back mod p
+    as an enc."""
+    b = e * (p - 1) * (2 * p - 1)
+    c = -(-(e - 1) * (p - 1) ** 2 // p)  # Q tail mod x^e < c p once Q is mod p
+    t = max((e - 1) * (p - 1) * b, b + c * p)  # bounds the slots of hi mu and of T mod f
+    k = (t * p).bit_length()
+    m = (1 << k) // p + 1
+    w = (t * m).bit_length()
+    h = next(h for h in range(e, 0, -1) if h == 1 or p**h <= _NP_TABLE_MAX)
+    tab = range(p)
+    for _ in range(h - 1):  # tab[u p + d]: tab[u] one slot up, d in the lowest slot
+        tab = [x << w | d for x in tab for d in range(p)]
+    base, step, slot, pw = p**h, w * h, (1 << w) - 1, [p**i for i in range(e)]
 
     def pack(a):
-        r, k = 0, 0
+        r, i = 0, 0
         while a:
-            a, c = divmod(a, base)
-            r |= tab[c] << k
-            k += step
+            a, d = divmod(a, base)
+            r |= tab[d] << i
+            i += step
         return r
 
     def unpack(r):
         out = 0
-        for m in pw:
-            out += (r & slot) % p * m
-            r >>= s
+        for mp in pw:
+            out += (r & slot) % p * mp
+            r >>= w
         return out
 
-    return pack, unpack
+    return b, c, t, k, m, w, pack, unpack
+
+
+def _barrett(p: int, e: int, tail: Sequence[int], rep: int = 1):
+    """T -> T mod f, f = x^e + tail, on every entry of T at once: entry j at
+    bit E j, E = (2e - 1) w, in the slots of _kronecker, each at most b.
+    rep has a 1 at bit E j for every entry j, and repeats one entry's masks.
+
+    Polynomial Barrett, exact for monic f: with hi = T div x^e and
+    mu = x^(2e-2) div f mod p, Q = hi mu div x^(e-2) is T div f, so
+    T mod f = (T mod x^e) + C - (Q tail mod x^e), C holding c p in every
+    digit slot.  Q and then the result are reduced mod p by the Barrett
+    step of _kronecker, which leaves every digit below p."""
+    _, c, _, k, m, w, _, _ = _kronecker(p, e)
+    f = [*tail, 1]
+    mu, rem = [0] * (e - 1), [0] * (2 * e - 2) + [1]  # x^(2e-2), long-divided by f
+    for d in reversed(range(e - 1)):
+        mu[d] = rem[d + e] % p
+        rem[d:d + e + 1] = [x - mu[d] * y for x, y in zip(rem[d:d + e + 1], f)]
+    mu, tail = (sum(x << w * i for i, x in enumerate(v)) for v in (mu, tail))
+    # masks: the digit slots, slots 0..e-2, the quotient bits of each slot, C
+    low, his, quot, offset = (rep * x for x in (
+        (1 << w * e) - 1, (1 << w * (e - 1)) - 1,
+        sum(((1 << w - k) - 1) << w * i for i in range(e)),
+        sum(c * p << w * i for i in range(e))))
+    ew, sh = e * w, max(e - 2, 0) * w
+
+    def reduce(T):
+        Q = (T >> ew & his) * mu >> sh & his
+        Q -= p * (Q * m >> k & quot)
+        R = (T & low) + offset - (Q * tail & low)
+        return R - p * (R * m >> k & quot)
+
+    return reduce
 
 
 def _linear_map(p: int, e: int, mul, xs: int):
@@ -612,10 +638,10 @@ def _linear_map(p: int, e: int, mul, xs: int):
             return r
         return frob
 
-    _, pack, unpack = _kronecker(p, e)
+    *_, pack, unpack = _kronecker(p, e)
     rows = [pack(b) for b in images]
 
-    def frob(a):  # digit times image in the slots of pack (below e(p-1)^2)
+    def frob(a):  # digit times image in the slots of _kronecker (below e(p-1)^2)
         r = 0
         for row in rows:
             a, c = divmod(a, p)
@@ -666,50 +692,26 @@ def _enc_rows(field: FieldSpec) -> RowOps:
 
 def _packed_rows(field: FieldSpec) -> RowOps:
     """Rows of an odd-p extension field as one integer each (Kronecker
-    substitution on whole rows): entry j takes the E bits from E j, E =
-    (2e - 1) w, with its digits c_0..c_{e-1} in the low e of 2e - 1 w-bit
-    slots.  An entry is the same integer for one element, so 1 is 1.
+    substitution on whole rows): entry j is the entry of _kronecker at bit
+    E j, E = (2e - 1) w, so an entry is the same integer for one element
+    and 1 is 1.
 
     comb takes T = s X + (P - a) V in two integer products: P holds p in
     each digit slot, so P - a has digits in [1, p] and adds P V, a multiple
-    of p, instead of a negative.  Each entry's product fills its 2e - 1
-    slots with values up to b = e (p-1) (2p-1) and carries into no other
-    entry.  Every entry is then reduced by f = x^e + tail at once, by
-    polynomial Barrett (exact for monic f): with hi = T div x^e and
-    mu = x^(2e-2) div f mod p, Q = hi mu div x^(e-2) is T div f, so T mod f
-    = (T mod x^e) + C - (Q tail mod x^e), C a multiple of p in each slot that
-    keeps every slot nonnegative.  Q and the result are reduced mod p by one
-    Barrett step each, v - p ((v M >> k) & mask) on every slot: M =
-    floor(2^k / p) + 1 with 2^k > t p gives v M >> k = v // p for every
-    v <= t, t bounding both, and w is wide enough for t M, so no slot's
-    product reaches the next slot."""
+    of p, instead of a negative.  Each entry's product stays in its own
+    2e - 1 slots, and _barrett reduces every entry at once."""
     p, e = field.p, field.e
-    b = e * (p - 1) * (2 * p - 1)
-    c = -(-(e - 1) * (p - 1) ** 2 // p)  # Q tail mod x^e < c p once Q is mod p
-    t = max((e - 1) * (p - 1) * b, b + c * p)  # bounds the slots of hi mu and of T mod f
-    k = (t * p).bit_length()
-    m = (1 << k) // p + 1
-    w = (t * m).bit_length()
+    *_, w, pk, upk = _kronecker(p, e)
     E = (2 * e - 1) * w
-    pk, upk = _slot_packer(p, e, w)
-    f = [*field.modulus, 1]
-    mu, rem = [0] * (e - 1), [0] * (2 * e - 2) + [1]  # x^(2e-2), long-divided by f
-    for d in reversed(range(e - 1)):
-        mu[d] = rem[d + e] % p
-        rem[d:d + e + 1] = [x - mu[d] * y for x, y in zip(rem[d:d + e + 1], f)]
-    mu, tail, P = (sum(x << w * i for i, x in enumerate(v)) for v in (mu, f[:-1], [p] * e))
-    entry, lows = (1 << w * e) - 1, (1 << E) - 1
-    # masks of one entry: its digit slots, slot 0, slots 0..e-2, the quotients, C
-    one = (entry, (1 << w) - 1, (1 << w * (e - 1)) - 1,
-           sum(((1 << w - k) - 1) << w * i for i in range(e)), c * P)
-    cap, low, slot0, his, quot, offset = 0, 0, 0, 0, 0, 0
+    P, entry, lows = sum(p << w * i for i in range(e)), (1 << w * e) - 1, (1 << E) - 1
+    cap, slot0, reduce = 0, 0, None
 
     def pack(row):
-        nonlocal cap, low, slot0, his, quot, offset
+        nonlocal cap, slot0, reduce
         if len(row) > cap:  # the masks cover cap entries; no row op lengthens a row
             cap = max(len(row), 2 * cap)
             rep = ((1 << E * cap) - 1) // lows
-            low, slot0, his, quot, offset = (x * rep for x in one)
+            slot0, reduce = ((1 << w) - 1) * rep, _barrett(p, e, field.modulus, rep)
         X = 0
         for j, a in enumerate(row):
             if a:
@@ -737,10 +739,7 @@ def _packed_rows(field: FieldSpec) -> RowOps:
         T = X if s == 1 else s * X
         if a:
             T += (P - a) * V
-        Q = ((T >> e * w & his) * mu >> (e - 2) * w) & his
-        Q -= p * (Q * m >> k & quot)
-        R = (T & low) + offset - (Q * tail & low)
-        return R - p * (R * m >> k & quot)
+        return reduce(T)
 
     def inv(a):
         return pk(field.inv(upk(a)))

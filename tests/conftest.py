@@ -70,6 +70,20 @@ KRONECKER_ROW_FIELDS = [(3, 7), (3, 10), (5, 9), (17, 8), (65521, 2), (2**31 - 1
                         (2**31 - 1, 16)]
 
 
+def matmul_reference(A: FMatrix, B: FMatrix) -> list[list[int]]:
+    """The rows of A @ B entry by entry: sum_k a_ik b_kj on the field's
+    scalar add and mul."""
+    field, out = A.field, []
+    for row in A.rows:
+        out.append([])
+        for j in range(B.ncols):
+            acc = 0
+            for a, brow in zip(row, B.rows):
+                acc = field.add(acc, field.mul(a, brow[j]))
+            out[-1].append(acc)
+    return out
+
+
 def rref_reference(field, rows):
     """Gauss-Jordan elimination per entry: (rows, rank, pivots) of the RREF."""
     work, pivots = [list(r) for r in rows], []

@@ -7,7 +7,7 @@ from eaqeckit import FMatrix, errors, field_new
 from eaqeckit.fmatrix import batched_full_rank, pivot_step
 from eaqeckit.rankmetric import moore_matrix
 from conftest import (BACKEND_FIELDS, KRONECKER_ROW_FIELDS, draw_matrix, identity, is_zero,
-                      random_matrix, rref_reference, time_limit)
+                      matmul_reference, random_matrix, rref_reference, time_limit)
 
 
 def vandermonde(field, nodes, ncols):
@@ -318,6 +318,29 @@ class TestProducts:
         A = random_matrix(rng, f9, 3, 4)
         assert A @ identity(f9, 4) == A
 
+    # packed rows (odd p, e >= 2, q > 1024) and enc-list rows: GF(2^16) on bit
+    # vectors, GF(13) on residues, GF(3^3) on the flat tables, and GF(2)
+    @pytest.mark.parametrize("p,e", [(3, 7), (17, 8), (2**31 - 1, 2),
+                                     (2, 16), (13, 1), (3, 3), (2, 1)])
+    @pytest.mark.parametrize("m,r,n", [(4, 5, 3), (3, 1, 6), (3, 0, 4), (0, 3, 4), (4, 3, 0),
+                                       (0, 0, 0)])
+    def test_product_against_reference(self, p, e, m, r, n):
+        field = field_new(p, e)
+        rng = random.Random(p * 100 + e * 10 + m + r + n)
+
+        def factor(rows, cols):
+            # row 0 holds q - 1, row 1 and the last column are zero, as far
+            # as the shape has them
+            M = [[field.q - 1] * cols, [0] * cols] + [
+                [rng.randrange(field.q) for _ in range(cols)] for _ in range(rows - 2)]
+            return FMatrix(field, [r[:-1] + [0] if cols > 1 else r for r in M[:rows]], cols)
+
+        A, B = factor(m, r), factor(r, n)
+        AB = A @ B
+        assert AB.shape == (m, n)
+        assert [list(row) for row in AB.rows] == matmul_reference(A, B)
+        assert all(type(x) is int for row in AB.rows for x in row)
+
     def test_vstack_shape(self, f9):
         rng = random.Random(13)
         A = random_matrix(rng, f9, 2, 4)
@@ -382,6 +405,21 @@ class TestSerialization:
     def test_rows_past_header_count_rejected(self):
         with pytest.raises(errors.ShapeMismatch):
             FMatrix.from_text("13 1 2 3\n0\n1 2 3\n4 5 6\n7 8 9\n")
+
+    @pytest.mark.parametrize("nrows,ncols", [(2, 0), (0, 3), (0, 0)])
+    def test_empty_dimension_roundtrip(self, nrows, ncols):
+        # a row of no entries is a blank line, and each of them is a row
+        M = FMatrix._of(field_new(3, 1), [()] * nrows, ncols)
+        text = M.to_text()
+        again = FMatrix.from_text(text)
+        assert again == M and again.to_text() == text
+        with pytest.raises(errors.ShapeMismatch):
+            FMatrix.from_text(text + "1\n")
+
+    def test_trailing_blank_lines_accepted(self):
+        assert FMatrix.from_text("13 1 1 3\n0\n1 2 0\n\n\n").rows == ((1, 2, 0),)
+        with pytest.raises(errors.ShapeMismatch):
+            FMatrix.from_text("13 1 2 0\n0\n")  # the blank row lines cut away
 
     def test_format_shape(self, f27):
         M = FMatrix(f27, [[0, 1, 26]], 3)

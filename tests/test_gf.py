@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, factorint, isprime, nextprime, primefactors, symbols
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_gcd, gf_mul, gf_pow_mod, gf_sub
+from sympy.polys.galoistools import gf_gcd, gf_mul, gf_pow_mod, gf_rem, gf_sub
 
 from eaqeckit import FMatrix, cli, errors, field_new, gf
-from eaqeckit.gf import (_NP_TABLE_MAX, FieldSpec, _is_irreducible, _poly_ops, _prime_factors,
-                         is_prime)
+from eaqeckit.gf import (_NP_TABLE_MAX, FieldSpec, _barrett, _is_irreducible, _kronecker,
+                         _poly_ops, _prime_factors, is_prime)
 from conftest import KRONECKER_ROW_FIELDS, SympyField, frobenius, galois_form, time_limit
 
 
@@ -619,6 +619,52 @@ class TestRowOps:
         assert ops.unpack(ops.drop(row, 1), 4) == X[:1] + X[2:]
         assert ops.lead(ops.drop(ops.drop(row, 0), 0)) == 1
         assert ops.lead(ops.pack([0, 0, 0])) is None and not entry(0) and entry(1) == 1
+
+
+# The row-layout fields and the odd-p fields of the large-field benchmark workload
+SLOT_FIELDS = sorted(set(KRONECKER_ROW_FIELDS) | {(3, 10), (5, 9), (11, 5), (13, 6), (17, 8)})
+
+
+class TestKroneckerSlots:
+    """The slot bounds of _kronecker and the reduction of _barrett at them.
+
+    No product of operands reaches the bounds b and t (its high slots have
+    fewer than e terms, and mu leads with 1), so these tests build T at the
+    bounds and reduce it directly, by any monic f: no field is constructed,
+    so a wrong constant fails here instead of sending the modulus search past
+    every candidate."""
+
+    @pytest.mark.parametrize("p,e", SLOT_FIELDS)
+    def test_constants(self, p, e):
+        b, c, t, k, m, w, _, _ = _kronecker(p, e)
+        assert b >= e * (p - 1) * (2 * p - 1)  # a slot of s X + (P - a) V
+        assert c * p >= (e - 1) * (p - 1) ** 2  # a slot of Q tail mod x^e
+        assert t >= (e - 1) * (p - 1) * b and t >= b + c * p  # hi mu, T mod f + C
+        assert 2**k > t * p and m == 2**k // p + 1 and t * m < 2**w
+
+    @pytest.mark.parametrize("p,e", SLOT_FIELDS)
+    def test_reduction_at_the_bounds(self, p, e):
+        b, c, t, k, m, w, _, _ = _kronecker(p, e)
+        E, rng = (2 * e - 1) * w, random.Random(p + e)
+        # f = x^e + (p-1)(x^(e-1) + ... + 1) gives Q tail its largest slots
+        for tail in ((p - 1,) * e, tuple(rng.randrange(p) for _ in range(e))):
+            f = [1, *reversed(tail)]  # sympy's order: leading coefficient first
+            # T = x^e (Q f div x^e) has quotient Q = (p-1)(1 + ... + x^(e-2))
+            # and T mod x^e = 0, so T mod f + C is C - Q tail mod x^e
+            qf = gf_mul([p - 1] * (e - 1), f, p, ZZ)[::-1]
+            cases = [[b] * (2 * e - 1),  # every product slot at b
+                     [0] * e + qf[e:] + [0] * (2 * e - 1 - len(qf)),
+                     [t - c * p] * e + [0] * (e - 1),  # T mod f + C: t in every slot
+                     [0] * e + [t] + [0] * (e - 2)]  # hi mu: t in the slot of Q's x^0
+            for one in cases:
+                for pair in ([one], [one, cases[0]], [one, cases[2]]):
+                    T = sum(v << w * i + E * j for j, s in enumerate(pair) for i, v in enumerate(s))
+                    rep = sum(1 << E * j for j in range(len(pair)))
+                    expected = 0
+                    for j, s in enumerate(pair):
+                        r = gf_rem([v % p for v in reversed(s)], f, p, ZZ)[::-1]
+                        expected += sum(v << w * i + E * j for i, v in enumerate(r))
+                    assert _barrett(p, e, tail, rep)(T) == expected, (tail, pair)
 
 
 class TestSympyOracle:

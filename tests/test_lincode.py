@@ -93,6 +93,16 @@ class TestConstruction:
         code = random_code(rng, f9, 5, 2)
         assert LinearCode.from_text(code.to_text()) == code
 
+    def test_empty_generator_code_file(self):
+        # the zero code of length 3 (a 0 x 3 generator), and a code file whose
+        # generator is 2 x 0: the code of length 0
+        f3 = field_new(3, 1)
+        zero = from_generator(FMatrix(f3, [], 3))
+        assert LinearCode.from_text(zero.to_text()) == zero and zero.to_text().endswith("0\n")
+        code = LinearCode.from_text("code 0 0\n" + FMatrix._of(f3, [(), ()], 0).to_text())
+        assert (code.n, code.k) == (0, 0)
+        assert LinearCode.from_text(code.to_text()) == code
+
     def test_each_matrix_reduced_once(self, f9, monkeypatch):
         # from_generator reduces G only; from_parity_check reduces H and the
         # kernel basis it builds.  Reductions are rref calls with no memo yet.

@@ -14,7 +14,8 @@ README, or when bench/tracing.py TARGETS names it as "Class.member".  A
 property counts where it is read, not where a same-named method is called.
 
 Every name a module of src/eaqeckit/ (``__init__.py`` aside) imports is
-used in that module.
+used in that module, and every module-level private function or class is
+named by code in src/eaqeckit/ outside its own definition.
 """
 import ast
 import re
@@ -142,4 +143,23 @@ def test_every_import_is_used_in_its_module():
                     for alias in node.names}
         loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(imported - loaded)]
+    assert not unused, unused
+
+
+def test_every_private_helper_is_used_in_src():
+    # a module-level _function or _Class of src/eaqeckit/ is used when code
+    # in src/eaqeckit/ outside its own definition names it; the AST has no
+    # comments, and a docstring is a string, not a name
+    helpers, uses = set(), set()  # (module, name); (name, top-level statement it is in)
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            owner = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and owner.startswith("_") \
+                    and not owner.startswith("__"):
+                helpers.add((path.name, owner))
+            uses |= {(n.id if isinstance(n, ast.Name) else n.attr, owner)
+                     for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+    assert helpers
+    unused = sorted(f"{module}: {name}" for module, name in helpers
+                    if not any(used == name and owner != name for used, owner in uses))
     assert not unused, unused
