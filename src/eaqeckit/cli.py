@@ -121,7 +121,7 @@ def cmd_table(args) -> int:
         if not cert.verified:
             print(f"row {i} failed verification: {cert.params} != {cert.predicted}",
                   file=sys.stderr)
-            return EXIT_MISMATCH
+            return EXIT_FAILED
     return EXIT_OK
 
 

@@ -4,14 +4,16 @@ Entries are stored as enc integers in [0, q) and every operation computes
 with the field's enc-level arithmetic; Element appears only at the API
 boundary (``M[i, j]``).  Matrices are value objects: every operation returns
 a new matrix and no mutation is observable through the public surface.
-rref reduces a matrix of at least _RREF_TABLE_MIN entries over a field with
-numpy op tables (q <= 1024, see FieldSpec.vec_ops) one array step per
-pivot, and every other matrix one row operation at a time on the field's
-row layout (FieldSpec.row_ops: one packed integer per row for odd-p
-extension fields above q = 1024, a list of encs otherwise), on which the
-product A @ B also builds each output row.  A matrix has exactly one reduced
-row echelon form, so every route returns the same rows, rank and pivots,
-and everything derived from them is deterministic.
+
+All elimination lives here, in four kernels: rref and the column-subset
+scan first_dependent_columns, each on the numpy op tables of
+FieldSpec.vec_ops (_rref_tables, _scan_batched) or on the row layout of
+FieldSpec.row_ops (_rref_rows, the scan's own recursion), on which the
+product A @ B also builds each output row.  The one rule: a field with
+tables (q <= 1024) scans on them and reduces on them from _RREF_TABLE_MIN
+entries, and everything else runs on rows, so no elimination above
+q = 1024 imports numpy.  A matrix has one reduced row echelon form and one
+first dependent subset, so the route never shows in a result.
 
 Text format (bit-exact round trip):
     line 1:  "p e rows cols"
@@ -99,6 +101,42 @@ class FMatrix:
             work, r, pivots = _rref_rows(f.row_ops(), self.rows, self.ncols)
         self._rref = (FMatrix._of(f, work, self.ncols), r, pivots)
         return self._rref
+
+    def first_dependent_columns(self, w: int) -> tuple[int, ...] | None:
+        """First w-subset of the columns, in lexicographic order, with rank
+        < w, or None if there is none (1 <= w <= ncols).
+
+        Depth-first, sharing the elimination of each column prefix: a node is
+        a prefix P whose other rows are reduced on P, and child P+{c} costs
+        one pivot step on them.  If column c is zero there, every subset
+        extending P+{c} is dependent and the first, P + (c, c+1, ...), is the
+        witness.  Without tables the search runs here, one row_ops row per
+        column; with them, _scan_batched runs it on batches of sibling nodes.
+        """
+        if (ops := self.field.vec_ops()) is not None:
+            return _scan_batched(self, w, ops)
+        pack, _, get, drop, lead, comb, _ = self.field.row_ops()
+        n = self.ncols
+
+        def visit(prefix, cols):
+            # cols: the columns after prefix, reduced on the rows it left over
+            depth, first = len(prefix), prefix[-1] + 1 if prefix else 0
+            for c, v in enumerate(cols[:n - w + depth + 1 - first], first):
+                i = lead(v)
+                if i is None:
+                    return prefix + tuple(range(c, c + w - depth))
+                if depth + 1 == w:
+                    continue
+                s, vi, rest = get(v, i), drop(v, i), []
+                for u in cols[c - first + 1:]:
+                    # s*u - a*v needs no field inverse; the factor s != 0 keeps ranks
+                    a, u = get(u, i), drop(u, i)
+                    rest.append(comb(s, u, a, vi) if a else u)
+                if found := visit(prefix + (c,), rest):
+                    return found
+            return None
+
+        return visit((), list(map(pack, zip(*self.rows))) if self.rows else [pack(())] * n)
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -213,8 +251,7 @@ class FMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Elimination on the field's row layout, and on the numpy op tables (fields
-# with q <= 1024)
+# Elimination on the field's row layout, and on the numpy op tables
 # ---------------------------------------------------------------------------
 
 def _rref_rows(ops, rows, ncols: int):
@@ -272,6 +309,69 @@ def _rref_tables(ops, rows, ncols: int):
     return W.tolist(), r, pivots
 
 
+# Sibling nodes expanded per numpy step of _scan_batched.
+_SCAN_CHUNK = 1 << 10
+
+
+def _first_dependent_pair(ops, S, last):
+    """(i, (c1, c2)) for the first node i of a (B, 2, n) batch with columns
+    last[i] < c1 < c2 dependent, c1 then c2 least, or None if there is none.
+
+    A column (a, b) is keyed by its projective point: b/a, q for a = 0 != b
+    and -1 for zero, so two columns are dependent iff one key is -1 or both
+    keys are equal.  Columns up to last[i] get distinct keys above q.
+    """
+    import numpy as np
+    n = S.shape[2]
+    columns = np.arange(n)
+    a, b = S[:, 0], S[:, 1]
+    key = np.where(a != 0, ops.mul(b, ops.inv(a)), np.where(b != 0, ops.q, -1))
+    key = np.where(columns > last[:, None], key, ops.q + 1 + columns)
+    ordered = np.sort(key, axis=1)
+    dead = (ordered[:, 0] < 0) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if not dead.any():
+        return None
+    i = int(dead.argmax())
+    k = key[i].tolist()
+    return i, next((c1, c2) for c1 in range(int(last[i]) + 1, n) for c2 in range(c1 + 1, n)
+                   if min(k[c1], k[c2]) < 0 or k[c1] == k[c2])
+
+
+def _scan_batched(M: FMatrix, w: int, ops):
+    """FMatrix.first_dependent_columns on numpy tables: visit takes sibling
+    nodes in order and recurses into their children in chunks of _SCAN_CHUNK,
+    each built by one pivot_step.  In a square scan _first_dependent_pair
+    decides the children of each depth w-2 node at once, so depth w-1 is
+    never built."""
+    import numpy as np
+    n = M.ncols
+    columns = np.arange(n)
+
+    def visit(S, prefix, last):
+        # S: (B, R, n) node states; node b has prefix[b], last[b] its last column
+        depth = prefix.shape[1]
+        if depth + 2 == w and S.shape[1] == 2:
+            found = _first_dependent_pair(ops, S, last)
+            return found and tuple(prefix[found[0]].tolist()) + found[1]
+        valid = (columns > last[:, None]) & (columns <= n - w + depth)
+        nonzero = S.any(axis=1)
+        live, dead, witness = valid & nonzero, valid & ~nonzero, None
+        if dead.any():  # children of earlier (node, column) pairs come first
+            b, c = divmod(int(dead.argmax()), n)
+            witness = tuple(prefix[b].tolist()) + tuple(range(c, c + w - depth))
+            live.ravel()[b * n + c:] = False
+        if depth + 1 < w:
+            bs, cs = np.nonzero(live)
+            for a in range(0, len(bs), _SCAN_CHUNK):
+                b, c = bs[a:a + _SCAN_CHUNK], cs[a:a + _SCAN_CHUNK]
+                if found := visit(pivot_step(ops, S[b], c), np.column_stack((prefix[b], c)), c):
+                    return found
+        return witness
+
+    return visit(np.array(M.rows, dtype=np.int64).reshape(1, M.nrows, n),
+                 np.zeros((1, 0), dtype=np.int64), np.full(1, -1))
+
+
 def pivot_step(ops, X, cols):
     """One elimination step on each matrix of a (B, R, n) batch of enc values.
 
@@ -295,7 +395,7 @@ def batched_full_rank(field: FieldSpec, mats) -> "list[bool]":
 
     mats: numpy int array of shape (B, r, w) with r >= w, holding enc
     values.  Columns 0..w-1 are eliminated in turn by pivot_step, the kernel
-    of the subset scanner in lincode.  Requires field.vec_ops().
+    of _scan_batched.  Requires field.vec_ops().
     """
     import numpy as np
     ops = field.vec_ops()

@@ -10,7 +10,7 @@ Enc integers are the working representation: matrices and codes store them
 and compute with the field's enc-level add/sub/neg/mul/inv/pow.  Element is
 the API-boundary type; its operators delegate to those same operations.
 Every field with q <= 1024, prime or not, has one set of flat numpy tables
-of sub, mul and inv for the batched subset scan, and extension fields of that
+of sub, mul and inv for fmatrix's elimination, and extension fields of that
 size read their scalar operations from them.  Above that, GF(2^e) computes
 on the enc as a bit vector.  Odd p adds digit by digit on the enc, and every
 odd-p product in Z_p[x]/(f) is Kronecker substitution on one slot layout
@@ -27,13 +27,12 @@ norm chain: a^-1 = b N(a)^(p-2) for b the conorm a^(p+...+p^(e-1)).  The
 Rabin test decides coprimality by the norm test on Z_p[x]/(f), so no code
 works on coefficient lists.
 
-Exact elimination and matrix products (FMatrix.rref and __matmul__, the
-plain subset scan) work on rows through the row operations of row_ops,
-built on first use.  Odd-p extension fields above q = 1024 pack each row
-into one integer, every entry in the slots of a scalar product, so s X - a V
-is two integer products and one call of the same reduction for every entry
-at once; the other fields keep rows as lists of encs on the scalar
-operations.
+row_ops is the row layout of elimination and matrix products; the fmatrix
+docstring says which kernel runs on it and which on vec_ops.  Odd-p
+extension fields above q = 1024 pack each row into one integer, every entry
+in the slots of a scalar product, so s X - a V is two integer products and
+one call of the same reduction for every entry at once; the other fields
+keep rows as lists of encs on the scalar operations.
 
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
@@ -51,8 +50,8 @@ MAX_PRIME = 2**31
 MAX_DEGREE = 16
 
 # Fields with q up to this bound, prime or extension, get flat numpy
-# sub/mul/inv tables (the batched subset scan in fmatrix/lincode); extension
-# fields of that size take their scalar operations from the same tables.
+# sub/mul/inv tables (vec_ops, for the elimination kernels of fmatrix);
+# extension fields of that size take their scalar operations from them.
 _NP_TABLE_MAX = 1024
 
 # Deterministic Miller-Rabin witnesses, the first 13 primes: is_prime is
@@ -270,8 +269,8 @@ class FieldSpec:
     def __hash__(self):
         return hash((self.p, self.e, self.modulus))
 
-    def __reduce__(self):  # the installed operations are closures; rebuild them
-        return FieldSpec, (self.p, self.e, self.modulus)
+    def __reduce__(self):  # unpickles to field_new's shared instance, tables and all
+        return field_new, (self.p, self.e, self.modulus)
 
     def __repr__(self):
         return f"FieldSpec({self.text!r})"
@@ -815,40 +814,29 @@ class Element:
             return self.field.element(other % self.field.p)
         return NotImplemented
 
-    def _binary(op: str):
+    def _binary(op, reflected=False):  # enc op(field, self, other), swapped if reflected
         def method(self, other):
             o = self._coerce(other)
             if o is NotImplemented:
                 return o
-            f = self.field
-            return f.element(getattr(f, op)(self.enc, o.enc))
+            x, y = (o, self) if reflected else (self, o)
+            return self.field.element(op(self.field, x.enc, y.enc))
         return method
 
-    __add__ = __radd__ = _binary("add")
-    __sub__ = _binary("sub")
-    __mul__ = __rmul__ = _binary("mul")
-    del _binary
+    def _sub(f, x, y):
+        return f.sub(x, y)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
+    def _div(f, x, y):  # DivisionByZero for y = 0
+        return f.mul(x, f.inv(y))
+
+    __add__ = __radd__ = _binary(lambda f, x, y: f.add(x, y))
+    __sub__, __rsub__ = _binary(_sub), _binary(_sub, reflected=True)
+    __mul__ = __rmul__ = _binary(lambda f, x, y: f.mul(x, y))
+    __truediv__, __rtruediv__ = _binary(_div), _binary(_div, reflected=True)
+    del _binary, _sub, _div
 
     def __neg__(self):
         return self.field.element(self.field.neg(self.enc))
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o / self
 
     def inverse(self) -> "Element":
         return self.field.element(self.field.inv(self.enc))

@@ -15,14 +15,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import errors
-from .fmatrix import FMatrix, pivot_step
+from .fmatrix import FMatrix
 from .gf import FieldSpec
 
 DEFAULT_BUDGET = 2**22
 # Largest dependent parity-check column set that min_distance rung (c) seeks.
 COLUMN_SEARCH_MAX = 6
-# Sibling nodes expanded per numpy step of the subset scan.
-_SCAN_CHUNK = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -125,121 +123,22 @@ def check_pair(C1: LinearCode, C2: LinearCode) -> None:
 # MDS certification (column criterion)
 # ---------------------------------------------------------------------------
 
-def _all_subsets_full_rank(M: FMatrix, w: int) -> Optional[tuple[int, ...]]:
-    """First w-subset of M's columns with rank < w, or None if all have rank w.
-
-    Depth-first in lexicographic order, sharing the elimination of each column
-    prefix: a node is a prefix P whose other rows are reduced on P, and child
-    P+{c} costs one pivot step on them.  If column c is zero there, every
-    subset extending P+{c} is dependent and the first, P + (c, c+1, ...), is
-    the witness.  Fields with numpy tables build up to _SCAN_CHUNK nodes per
-    step, which bounds memory, and decide the last two columns of a square
-    scan (M has w rows) by projective column keys instead of pivoting; tall
-    scans pivot to the end.  Others run the recursion in plain Python on the
-    field's row operations (FieldSpec.row_ops), one per column: each column
-    is one packed integer for odd-p extension fields, a list of encs else.
-    """
-    if (ops := M.field.vec_ops()) is not None:
-        return _scan_batched(M, w, ops)
-    pack, _, get, drop, lead, comb, _ = M.field.row_ops()
-    n = M.ncols
-
-    def visit(prefix, cols):
-        # cols: the columns after prefix, reduced on the rows it left over
-        depth, first = len(prefix), prefix[-1] + 1 if prefix else 0
-        for c, v in enumerate(cols[:n - w + depth + 1 - first], first):
-            i = lead(v)
-            if i is None:
-                return prefix + tuple(range(c, c + w - depth))
-            if depth + 1 == w:
-                continue
-            s, vi, rest = get(v, i), drop(v, i), []
-            for u in cols[c - first + 1:]:
-                # s*u - a*v needs no field inverse; the factor s != 0 keeps ranks
-                a, u = get(u, i), drop(u, i)
-                rest.append(comb(s, u, a, vi) if a else u)
-            if found := visit(prefix + (c,), rest):
-                return found
-        return None
-
-    return visit((), list(map(pack, M.transpose().rows)))
-
-
-def _first_dependent_pair(ops, S, last):
-    """(i, (c1, c2)) for the first node i of a (B, 2, n) batch with columns
-    last[i] < c1 < c2 dependent, c1 then c2 least, or None if there is none.
-
-    A column (a, b) is keyed by its projective point: b/a, q for a = 0 != b
-    and -1 for zero, so two columns are dependent iff one key is -1 or both
-    keys are equal.  Columns up to last[i] get distinct keys above q.
-    """
-    import numpy as np
-    n = S.shape[2]
-    columns = np.arange(n)
-    a, b = S[:, 0], S[:, 1]
-    key = np.where(a != 0, ops.mul(b, ops.inv(a)), np.where(b != 0, ops.q, -1))
-    key = np.where(columns > last[:, None], key, ops.q + 1 + columns)
-    ordered = np.sort(key, axis=1)
-    dead = (ordered[:, 0] < 0) | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
-    if not dead.any():
-        return None
-    i = int(dead.argmax())
-    k = key[i].tolist()
-    return i, next((c1, c2) for c1 in range(int(last[i]) + 1, n) for c2 in range(c1 + 1, n)
-                   if min(k[c1], k[c2]) < 0 or k[c1] == k[c2])
-
-
-def _scan_batched(M: FMatrix, w: int, ops) -> Optional[tuple[int, ...]]:
-    """_all_subsets_full_rank on numpy tables: each pivot_step builds up to
-    _SCAN_CHUNK nodes of one level, and pending chunks wait on a stack.  In a
-    square scan _first_dependent_pair decides the children of each depth w-2
-    node at once, so depth w-1 is never built."""
-    import numpy as np
-    n = M.ncols
-    columns = np.arange(n)
-    S = np.array(M.rows, dtype=np.int64).reshape(1, M.nrows, n)  # node states
-    last, prefix = np.full(1, -1), np.zeros((1, 0), dtype=np.int64)
-    stack, best = [], None
-    while True:
-        depth = prefix.shape[1]
-        if depth + 2 == w and S.shape[1] == 2:
-            if found := _first_dependent_pair(ops, S, last):
-                best = tuple(prefix[found[0]].tolist()) + found[1]
-                stack.clear()  # every pending node comes after best
-        else:
-            valid = (columns > last[:, None]) & (columns <= n - w + depth)
-            nonzero = S.any(axis=1)
-            live, dead = valid & nonzero, valid & ~nonzero
-            if dead.any():
-                b, c = divmod(int(dead.argmax()), n)
-                best = tuple(prefix[b].tolist()) + tuple(range(c, c + w - depth))
-                stack.clear()  # every pending node comes after best
-                live.ravel()[b * n + c:] = False
-            if depth + 1 < w:
-                bs, cs = np.nonzero(live)
-                for a in reversed(range(0, len(bs), _SCAN_CHUNK)):
-                    stack.append((S, prefix, bs[a:a + _SCAN_CHUNK], cs[a:a + _SCAN_CHUNK]))
-        if not stack:
-            return best
-        S, prefix, bs, last = stack.pop()
-        S, prefix = pivot_step(ops, S[bs], last), np.column_stack((prefix[bs], last))
-
-
 def is_mds(C: LinearCode) -> MdsReport:
     """Column criterion: d = n-k+1 iff every k-subset of G's columns has rank k.
 
     Equivalently every (n-k)-subset of H's columns has rank n-k; the cheaper
     side is checked (G on ties), which is sound because a code is MDS iff its
-    dual is.
+    dual is.  The scan is FMatrix.first_dependent_columns, whose backends
+    the fmatrix docstring states.
     """
     if not 1 <= C.k <= C.n:
         raise errors.ZeroCode("MDS certification needs 1 <= k <= n")
     if C.k == C.n:
         return MdsReport(True, "generator", C.n)
     if C.k <= C.n - C.k:
-        witness = _all_subsets_full_rank(C.G, C.k)
+        witness = C.G.first_dependent_columns(C.k)
         return MdsReport(witness is None, "generator", C.k, witness)
-    witness = _all_subsets_full_rank(C.H, C.n - C.k)
+    witness = C.H.first_dependent_columns(C.n - C.k)
     return MdsReport(witness is None, "parity", C.n - C.k, witness)
 
 
@@ -292,7 +191,7 @@ def min_distance(C: LinearCode, budget: int = DEFAULT_BUDGET) -> DistanceReport:
         return DistanceReport(C.n - C.k + 1, "mds-columns")
     # Not MDS, so some n-k columns of H are dependent and w <= n-k suffices.
     for w in range(1, min(COLUMN_SEARCH_MAX, C.n - C.k) + 1):
-        dep = _all_subsets_full_rank(C.H, w)
+        dep = C.H.first_dependent_columns(w)
         if dep is not None:
             return DistanceReport(w, "parity-columns", dep)
     raise errors.Infeasible(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -144,6 +145,20 @@ class TestTable:
         assert len(rows) == 14
         assert all(r["verified"] and r["computed"]["mds"] for r in rows)
 
+    @pytest.mark.parametrize("argv", [
+        ("table", "1"),
+        ("construct", "vandermonde", "q=13", "n=12", "k=4", "t=5", "j=7"),
+    ])
+    def test_unverified_certificate_exits_one(self, capsys, monkeypatch, argv):
+        # table and construct report a certificate that fails verification alike
+        family = families.vandermonde_family
+        monkeypatch.setattr(families, "vandermonde_family",
+                            lambda *args: dataclasses.replace(family(*args), verified=False))
+        code, out, err = run(capsys, "--output", "text", *argv)
+        assert code == 1 and "verified=False" in out
+        if argv[0] == "table":
+            assert err.startswith("row 0 failed verification: [[12,4,9;8]]_13")
+
 
 class TestEbits:
     def _write_pair(self, tmp_path, f13):
@@ -162,6 +177,11 @@ class TestEbits:
         assert code == 0
         blob = json.loads(out)
         assert blob["c_product"] == blob["c_stack"] == 8 and blob["agree"]
+
+    def test_text_output(self, capsys, tmp_path, f13):
+        g1, h2 = self._write_pair(tmp_path, f13)
+        code, out, _ = run(capsys, "--output", "text", "ebits", g1, h2)
+        assert code == 0 and out == "c_product=8 c_stack=8 agree\n"
 
     def test_full_space_zero(self, capsys, tmp_path, f13):
         g1 = tmp_path / "g1.txt"
@@ -388,6 +408,16 @@ class TestSelftest:
         assert code == 3
         assert "dual route mismatch" in err and " 0 failures" not in out
 
+    def test_wrong_ebit_formula_detected(self, capsys, monkeypatch):
+        from eaqeckit import cli
+        real = cli.ebits_stack
+        monkeypatch.setattr(cli, "ebits_stack", lambda *args: real(*args) + 1)
+        code, out, err = run(capsys, "selftest", "--trials", "5")
+        # one failure per twist s of each trial's field
+        failures = err.count("formula mismatch")
+        assert code == 3 and failures >= 5
+        assert f"5 trials, {failures} failures" in out
+
     def test_other_seed(self, capsys):
         code, out, _ = run(capsys, "--seed", "5", "selftest", "--trials", "40")
         assert code == 0 and "(seed=5)" in out
@@ -408,6 +438,7 @@ class TestConfig:
         ("construct", "foo", "q=3"),
         ("verify",),
         ("--budget", "x", "table", "1"),
+        ("construct", "vandermonde", "q=13", "n12", "k=4", "t=5", "j=7"),
     ])
     def test_usage_error_is_bad_input(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from eaqeckit import (EaqecParams, FMatrix, assemble, ebits_product,
                       ebits_stack, errors, field_new, from_generator,
                       galois_dual, is_mds, min_distance)
+from eaqeckit import eaqec
 from conftest import (BACKEND_FIELDS, draw_matrix, identity, intersection_basis_bruteforce,
                       random_code)
 
@@ -187,6 +188,21 @@ class TestAssemble:
         C = from_generator(FMatrix(f2, [[1, 0, 1, 0], [0, 1, 0, 1]], 4))
         with pytest.raises(errors.FormulaMismatch):
             assemble(C, C, 0, 2, 2)
+
+    def test_disagreeing_ebit_routes(self, f2, monkeypatch):
+        C = from_generator(FMatrix(f2, [[1, 0, 1, 0], [0, 1, 0, 1]], 4))
+        monkeypatch.setattr(eaqec, "ebits_stack", lambda *args: ebits_stack(*args) + 1)
+        with pytest.raises(errors.FormulaMismatch, match="ebit formulas disagree"):
+            assemble(C, C, 0, min_distance(C), min_distance(C))
+
+    def test_negative_logical_dimension(self, f2, monkeypatch):
+        # k1 = k2 = 1 and n = 4, so any c < n - k1 - k2 = 2 makes k negative
+        C = from_generator(FMatrix(f2, [[1, 1, 1, 1]], 4))
+        assert ebits_product(C, C, 0) >= 2
+        for route in ("ebits_product", "ebits_stack"):
+            monkeypatch.setattr(eaqec, route, lambda *args: 1)
+        with pytest.raises(errors.NegativeLogicalDim):
+            assemble(C, C, 0, min_distance(C), min_distance(C))
 
     def test_galois_twist_changes_c(self, f4):
         # a pair where the s = 0 and s = 1 forms give different ebit counts

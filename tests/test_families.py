@@ -131,6 +131,11 @@ class TestGrsExtended:
         assert G.nrows == 1 and G.ncols == 10
         assert all(x == f9.one for x in G.rows[0])
 
+    @pytest.mark.parametrize("k", [0, 10])
+    def test_k_out_of_range(self, f9, k):
+        with pytest.raises(errors.ShapeMismatch, match="out of range for 9 points"):
+            grs_extended_generator(grs_extended_spec(f9, k))
+
     def test_code_is_mds(self):
         for p, e, k in [(5, 1, 2), (7, 1, 3), (3, 2, 4)]:
             field = field_new(p, e)

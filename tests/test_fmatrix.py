@@ -367,6 +367,21 @@ class TestProducts:
         with pytest.raises(errors.FieldMismatch):
             FMatrix(f9, [[0] * 2] * 2, 2) @ FMatrix(f27, [[0] * 2] * 2, 2)
 
+    def test_vstack_field_mismatch(self, f9, f27):
+        with pytest.raises(errors.FieldMismatch):
+            FMatrix(f9, [[0] * 2], 2).vstack(FMatrix(f27, [[0] * 2], 2))
+
+    def test_product_with_a_scalar_is_a_type_error(self, f9):
+        with pytest.raises(TypeError):
+            FMatrix(f9, [[1, 2]], 2) @ 3
+
+    @pytest.mark.parametrize("rows,ncols,match", [([[1, 2], [3]], None, "ragged"),
+                                                  ([[1, 2]], 3, "expected 3"),
+                                                  ([], None, "explicit column count")])
+    def test_constructor_shape_rejected(self, f9, rows, ncols, match):
+        with pytest.raises(errors.ShapeMismatch, match=match):
+            FMatrix(f9, rows, ncols)
+
     def test_negative_column_count_rejected(self):
         # FMatrix.from_text rejects the header "5 1 0 -1", so no such matrix exists
         f5 = field_new(5, 1)
@@ -401,6 +416,10 @@ class TestSerialization:
     def test_out_of_range_entry_rejected(self, row):
         with pytest.raises(errors.CodingError):
             FMatrix.from_text(f"13 1 1 3\n0\n{row}\n")
+
+    def test_row_shorter_than_header_rejected(self):
+        with pytest.raises(errors.ShapeMismatch, match="row width"):
+            FMatrix.from_text("13 1 2 3\n0\n1 2 3\n4 5\n")
 
     def test_rows_past_header_count_rejected(self):
         with pytest.raises(errors.ShapeMismatch):
@@ -458,6 +477,14 @@ class TestBatchedFullRank:
         got = batched_full_rank(field, np.array([M.rows for M in mats]))
         assert list(got) == [M.rank() == 3 for M in mats]
         assert not got[-1]
+
+    def test_needs_tables(self):
+        with pytest.raises(errors.UnsupportedSize):
+            batched_full_rank(field_new(2, 11), [[[1]]])
+
+    def test_needs_as_many_rows_as_columns(self, f9):
+        with pytest.raises(errors.ShapeMismatch, match="at least as many rows"):
+            batched_full_rank(f9, [[[1, 0, 0], [0, 1, 0]]])
 
 
 def pivot_step_reference(field, rows, c):

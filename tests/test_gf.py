@@ -54,6 +54,11 @@ class TestFieldNew:
         with pytest.raises(errors.NonPrime):
             FieldSpec(6, 1)
 
+    @pytest.mark.parametrize("e,modulus", [(0, None), (2.0, None), (2, (1, 0, 0)), (2, (1,))])
+    def test_bad_degree_or_modulus_length_rejected(self, e, modulus):
+        with pytest.raises(errors.UnsupportedSize):
+            FieldSpec(3, e, modulus)
+
     def test_oversize_rejected(self):
         with pytest.raises(errors.UnsupportedSize):
             FieldSpec(2, 40)
@@ -68,7 +73,7 @@ class TestFieldNew:
     def test_pickle_roundtrip(self, p, e):
         field = field_new(p, e)
         again = pickle.loads(pickle.dumps(field))
-        assert again == field and again.mul(5, 7) == field.mul(5, 7)
+        assert again is field and again.mul(5, 7) == field.mul(5, 7)
         assert pickle.loads(pickle.dumps(field.element(5))) == field.element(5)
 
     def test_prime_field_modulus_is_normalized(self):
@@ -206,6 +211,32 @@ class TestArith:
     def test_field_mismatch(self, f9, f27):
         with pytest.raises(errors.FieldMismatch):
             f9.one + f27.one
+
+    @pytest.mark.parametrize("p,e", [(3, 2), (13, 1), (2, 11), (17, 8)])
+    def test_negation_and_reflected_operators(self, p, e):
+        # an int operand is its image in GF(p), so 2 stands for 2 mod p
+        field = field_new(p, e)
+        a, two = field.element(5), 2 % p
+        assert (-a).enc == field.neg(5) and -a + a == 0
+        assert (2 - a).enc == field.sub(two, 5) and (2 - a) + a == two
+        assert (2 / a).enc == field.mul(two, field.inv(5)) and (2 / a) * a == two
+        assert int(a) == 5 and type(int(a)) is int
+        with pytest.raises(errors.DivisionByZero):
+            a / 0
+        with pytest.raises(errors.DivisionByZero):
+            2 / field.element(0)
+
+    def test_foreign_operands(self, f9):
+        a = f9.element(5)
+        assert (a == "x") is False and a != "x"
+        for op in (lambda: a + "x", lambda: "x" - a, lambda: a / 1.5, lambda: 1.5 * a):
+            with pytest.raises(TypeError):
+                op()
+
+    @pytest.mark.parametrize("coeffs", [(1,), (1, 2, 0)])
+    def test_coefficient_tuple_of_wrong_length(self, f9, coeffs):
+        with pytest.raises(errors.LengthMismatch):
+            f9.to_enc(coeffs)
 
     def test_int_equality_agrees_with_hash(self, f9):
         b = f9.element(3)

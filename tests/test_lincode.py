@@ -10,7 +10,7 @@ import pytest
 
 from eaqeckit import (FMatrix, ebits_stack, errors, field_new, from_generator,
                       from_parity_check, galois_dual, is_mds, min_distance)
-from eaqeckit import lincode
+from eaqeckit import fmatrix, lincode
 from eaqeckit.fmatrix import pivot_step
 from eaqeckit.lincode import LinearCode
 from conftest import (KRONECKER_ROW_FIELDS, codewords, galois_form, identity,
@@ -92,6 +92,13 @@ class TestConstruction:
         rng = random.Random(30)
         code = random_code(rng, f9, 5, 2)
         assert LinearCode.from_text(code.to_text()) == code
+
+    @pytest.mark.parametrize("header", ["code 5 3", "code 4 2"])
+    def test_header_disagreeing_with_generator_rejected(self, f9, header):
+        code = random_code(random.Random(30), f9, 5, 2)
+        text = header + "\n" + code.G.to_text()
+        with pytest.raises(errors.ShapeMismatch, match="header disagrees"):
+            LinearCode.from_text(text)
 
     def test_empty_generator_code_file(self):
         # the zero code of length 3 (a 0 x 3 generator), and a code file whose
@@ -323,6 +330,10 @@ class TestIsMds:
     def test_full_space(self, f9):
         assert is_mds(from_generator(identity(f9, 4))).is_mds
 
+    def test_zero_code_rejected(self, f9):
+        with pytest.raises(errors.ZeroCode):
+            is_mds(from_parity_check(identity(f9, 3)))
+
     def test_false_with_witness(self, f2):
         code = from_generator(FMatrix(f2, [[1, 0, 0, 0], [0, 1, 0, 0]], 4))
         report = is_mds(code)
@@ -372,7 +383,7 @@ def first_dependent_subset(M, w):
 
 
 class TestSubsetScan:
-    """_all_subsets_full_rank against the per-subset reference, witness included."""
+    """FMatrix.first_dependent_columns against the per-subset reference, witness included."""
 
     @staticmethod
     def random_matrices(rng, field, count):
@@ -393,14 +404,14 @@ class TestSubsetScan:
     def test_matches_reference(self, p, e, backend, monkeypatch):
         field = field_new(p, e)
         if backend == "numpy":
-            monkeypatch.setattr(lincode, "_SCAN_CHUNK", 3)  # many chunks per level
+            monkeypatch.setattr(fmatrix, "_SCAN_CHUNK", 3)  # many chunks per level
         else:
             monkeypatch.setattr(type(field), "vec_ops", lambda self: None)
         rng = random.Random(p * 100 + e)
         dependent = 0
         for M, w in self.random_matrices(rng, field, 150):
             expect = first_dependent_subset(M, w)
-            assert lincode._all_subsets_full_rank(M, w) == expect
+            assert M.first_dependent_columns(w) == expect
             dependent += expect is not None
         assert 20 < dependent < 140
 
@@ -409,7 +420,7 @@ class TestSubsetScan:
         assert field.vec_ops() is None
         rng = random.Random(211)
         for M, w in self.random_matrices(rng, field, 60):
-            assert lincode._all_subsets_full_rank(M, w) == first_dependent_subset(M, w)
+            assert M.first_dependent_columns(w) == first_dependent_subset(M, w)
 
     @pytest.mark.parametrize("p,e", KRONECKER_ROW_FIELDS)
     def test_kronecker_rows_match_reference(self, p, e):
@@ -439,7 +450,7 @@ class TestSubsetScan:
                 cols[b] = [field.mul(rng.randrange(1, q), x) for x in cols[a]]
             M = FMatrix(field, list(zip(*cols)), n)
             expect = first_dependent(M, w)
-            assert lincode._all_subsets_full_rank(M, w) == expect
+            assert M.first_dependent_columns(w) == expect
             dependent += expect is not None
         assert dependent > 2
 
@@ -449,12 +460,12 @@ class TestSubsetScan:
         # dependent 4-subset is the last one.  The depth-3 frontier of C(20, 3)
         # prefixes spans two chunks, and the witness sits in the second.
         field = field_new(1021, 1)
-        assert math.comb(20, 3) > lincode._SCAN_CHUNK
+        assert math.comb(20, 3) > fmatrix._SCAN_CHUNK
         cols = [[pow(a, i, 1021) for i in range(6)] for a in range(1, 21)]
         cols.append([sum(c[i] for c in cols[17:20]) % 1021 for i in range(6)])
         M = FMatrix(field, list(zip(*cols)), 21)
         assert first_dependent_subset(M, 4) == (17, 18, 19, 20)
-        assert lincode._all_subsets_full_rank(M, 4) == (17, 18, 19, 20)
+        assert M.first_dependent_columns(4) == (17, 18, 19, 20)
 
     @pytest.mark.parametrize("p,e", [(29, 1), (2, 4), (5, 2), (1021, 1)])
     def test_pair_level_matches_reference(self, p, e, monkeypatch):
@@ -462,7 +473,7 @@ class TestSubsetScan:
         # and scaled duplicate columns are planted so that level finds most
         # witnesses.  Tall scans, which keep pivoting, are mixed in.
         field = field_new(p, e)
-        monkeypatch.setattr(lincode, "_SCAN_CHUNK", 3)  # many chunks per level
+        monkeypatch.setattr(fmatrix, "_SCAN_CHUNK", 3)  # many chunks per level
         rng = random.Random(p * 100 + e)
         dependent = square = 0
         for _ in range(80):
@@ -477,7 +488,7 @@ class TestSubsetScan:
                 cols[b] = [field.mul(rng.randrange(1, field.q), x) for x in cols[a]]
             M = FMatrix(field, list(zip(*cols)), n)
             expect = first_dependent_subset(M, w)
-            assert lincode._all_subsets_full_rank(M, w) == expect
+            assert M.first_dependent_columns(w) == expect
             dependent += expect is not None
             square += nrows == w
         assert 20 < dependent < 75 and square > 40
@@ -492,17 +503,27 @@ class TestSubsetScan:
         cols[4] = [0, 0, 0]
         M = FMatrix(field, list(zip(*cols)), 6)
         assert first_dependent_subset(M, 3) == (0, 1, 4)
-        assert lincode._all_subsets_full_rank(M, 3) == (0, 1, 4)
+        assert M.first_dependent_columns(3) == (0, 1, 4)
         # w = 2 decides at the root; the zero is the last column
         M = FMatrix(field, [[1, 1, 0], [1, g, 0]], 3)
-        assert lincode._all_subsets_full_rank(M, 2) == first_dependent_subset(M, 2) == (0, 2)
+        assert M.first_dependent_columns(2) == first_dependent_subset(M, 2) == (0, 2)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    def test_matrix_without_rows(self, backend, monkeypatch):
+        # every column of a 0 x n matrix is zero, so the first w are dependent
+        field = field_new(13, 1)
+        if backend == "python":
+            monkeypatch.setattr(type(field), "vec_ops", lambda self: None)
+        M = FMatrix(field, [], 4)
+        assert M.first_dependent_columns(2) == (0, 1) == first_dependent_subset(M, 2)
+        assert M.first_dependent_columns(4) == (0, 1, 2, 3)
 
     def test_square_scan_builds_no_last_level(self, monkeypatch):
         # A node at depth w-1 of a square scan has one row left; the key test
         # at depth w-2 replaces that level.  A tall scan still builds it.
         field = field_new(29, 1)
         rows = []
-        monkeypatch.setattr(lincode, "pivot_step",
+        monkeypatch.setattr(fmatrix, "pivot_step",
                             lambda *a: rows.append((out := pivot_step(*a)).shape[1]) or out)
         H = FMatrix(field, [[pow(a, i, 29) for a in range(1, 29)] for i in range(5)], 28)
         report = is_mds(from_parity_check(H))
@@ -510,7 +531,7 @@ class TestSubsetScan:
         assert rows and min(rows) == 2
         rows.clear()
         tall = FMatrix(field, [[pow(a, i, 29) for a in range(1, 13)] for i in range(6)], 12)
-        assert lincode._all_subsets_full_rank(tall, 5) is None
+        assert tall.first_dependent_columns(5) is None
         assert min(rows) == 6 - 4
 
     def test_generic_path_imports_no_numpy(self):

@@ -211,6 +211,11 @@ class TestMinRankDistance:
         with pytest.raises(errors.Infeasible):
             min_rank_distance_exhaustive(code, budget=100)
 
+    def test_zero_code_rejected(self, f9):
+        code = from_generator(FMatrix(f9, [], 3))
+        with pytest.raises(errors.ZeroCode):
+            min_rank_distance_exhaustive(code)
+
 
 class TestIsMrd:
     def test_gabidulin_exhaustive(self):
