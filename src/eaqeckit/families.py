@@ -4,7 +4,12 @@ Each construction returns a FamilyCertificate holding the built matrices,
 the closed-form parameter prediction, the machine-computed parameters (with
 both ebit formulas), and a verdict.  Nothing is trusted from the closed
 forms: classical distances are certified by the MDS column criterion, once
-per distinct code, and the ebit count is computed twice.
+per distinct code, and the ebit count is computed twice.  The Vandermonde
+family at n = q-1 (the cyclic shift) and the extended evaluation family
+(x -> gamma x and x -> x + 1) offer automorphisms of their codes to
+is_mds, which checks each one by a rank on the matrix it scans before it
+lets them shrink the scan to the subsets that hold column 0, or columns 0
+and 1; a map that fails its check leaves the full scan.
 
 Canonical instantiations (the closed forms leave them open):
   * Vandermonde nodes are powers of the canonical primitive element, which
@@ -79,14 +84,16 @@ def _within_budget(entries: int) -> None:
 
 
 def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: int,
-             predicted: EaqecParams) -> FamilyCertificate:
+             predicted: EaqecParams, symmetries=()) -> FamilyCertificate:
     """Certify the pair C1 = rowspace(G1), C2 = ker(H2) against its closed form.
 
     A dimension other than k1, k2 or a code that fails the MDS column
     criterion is a FormulaMismatch; each distinct canonical code is proved
-    MDS once.  The extended-GRS pair is one code: with both dimensions k,
-    G1 H2^T = 0 holds iff C1 = C2, and a pair that differs is a
-    DualityFailure.  The ebit count comes from assemble.
+    MDS once, by is_mds with the family's symmetries, monomial maps offered
+    as automorphisms of every code of the pair, which is_mds checks before
+    it uses them to shrink the scan.  The extended-GRS pair is one code:
+    with both dimensions k, G1 H2^T = 0 holds iff C1 = C2, and a pair that
+    differs is a DualityFailure.  The ebit count comes from assemble.
     """
     C1, C2 = from_generator(G1), from_parity_check(H2)
     for label, C, k in (("C1", C1, k1), ("C2", C2, k2)):
@@ -95,7 +102,7 @@ def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: i
     if family == "grs_extended" and C1 != C2:
         raise errors.DualityFailure("G1 H2^T != 0 for the canonical points/weights")
     for label, C in (("C1", C1),) if C1 == C2 else (("C1", C1), ("C2", C2)):
-        report = is_mds(C)
+        report = is_mds(C, symmetries)
         if not report.is_mds:
             raise errors.FormulaMismatch(f"{family} {label} failed MDS certification; "
                                          f"dependent columns {report.witness}")
@@ -128,11 +135,15 @@ def vandermonde_family(field: FieldSpec, n: int, k: int, t: int, j: int) -> Fami
     gamma = field.primitive_element().enc
     # 0-based row i holds node^c = gamma^(i*c); rows 0..t+j-1 cover G1 and H2
     rows = [[field.pow(gamma, i * c) for c in range(n)] for i in range(t + j)]
+    # at n = q-1 the nodes are all of GF(q)*, and x -> gamma x scales row i
+    # by gamma^i: the column shift c -> c+1 mod n fixes both codes
+    shift = ([(c + 1) % n for c in range(n)], [1] * n)
     return _certify(
         "vandermonde", {"q": field.label, "n": n, "k": k, "t": t, "j": j},
         FMatrix._of(field, rows[:k], n), FMatrix._of(field, rows[t - 1:], n),
         k, n - j - 1,
-        EaqecParams.build(field, n, t - 1, min(n - k + 1, j + 2), j - k + t))
+        EaqecParams.build(field, n, t - 1, min(n - k + 1, j + 2), j - k + t),
+        [shift] if n == q - 1 else ())
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +190,15 @@ def grs_extended_family(field: FieldSpec, k: int) -> FamilyCertificate:
 
     G1 = grs_extended_generator(grs_extended_spec(field, k))
     H2 = grs_extended_generator(grs_extended_spec(field, q - k + 1))
+    # x -> gamma x (row i scales by gamma^i, the marker column by gamma^(k-1))
+    # and x -> x + 1 on the q points generate AGL(1, q), 2-transitive on them
+    gamma = field.primitive_element().enc
+    scaling = ([field.mul(gamma, a) for a in range(q)] + [q],
+               [1] * q + [field.pow(gamma, k - 1)])
+    translation = ([field.add(a, 1) for a in range(q)] + [q], [1] * (q + 1))
     return _certify("grs_extended", {"q": field.label, "k": k}, G1, H2, k, k,
-                    EaqecParams.build(field, q + 1, 1, q - k + 2, q - 2 * k + 2))
+                    EaqecParams.build(field, q + 1, 1, q - k + 2, q - 2 * k + 2),
+                    (scaling, translation))
 
 
 # ---------------------------------------------------------------------------

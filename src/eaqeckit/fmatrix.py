@@ -13,7 +13,11 @@ product A @ B also builds each output row.  The one rule: a field with
 tables (q <= 1024) scans on them and reduces on them from _RREF_TABLE_MIN
 entries, and everything else runs on rows, so no elimination above
 q = 1024 imports numpy.  A matrix has one reduced row echelon form and one
-first dependent subset, so the route never shows in a result.
+first dependent subset, so the route never shows in a result.  The scan
+may fix its leading columns: both drivers then start at the node of the
+prefix 0..fixed-1 and search exactly its subtree, so the witness is the
+first dependent subset that holds the prefix (lincode.is_mds fixes columns
+only by automorphisms it has checked).
 
 Text format (bit-exact round trip):
     line 1:  "p e rows cols"
@@ -102,26 +106,33 @@ class FMatrix:
         self._rref = (FMatrix._of(f, work, self.ncols), r, pivots)
         return self._rref
 
-    def first_dependent_columns(self, w: int) -> tuple[int, ...] | None:
-        """First w-subset of the columns, in lexicographic order, with rank
-        < w, or None if there is none (1 <= w <= ncols).
+    def first_dependent_columns(self, w: int, fixed: int = 0) -> tuple[int, ...] | None:
+        """First w-subset of the columns, in lexicographic order, that holds
+        columns 0..fixed-1 and has rank < w, or None if there is none
+        (1 <= w <= ncols, 0 <= fixed <= w).
 
         Depth-first, sharing the elimination of each column prefix: a node is
         a prefix P whose other rows are reduced on P, and child P+{c} costs
         one pivot step on them.  If column c is zero there, every subset
         extending P+{c} is dependent and the first, P + (c, c+1, ...), is the
-        witness.  Without tables the search runs here, one row_ops row per
-        column; with them, _scan_batched runs it on batches of sibling nodes.
+        witness.  A node above depth fixed expands only its first child, so
+        the search starts at the node of the prefix 0..fixed-1 and visits
+        exactly its subtree of the full search.  Without tables the search
+        runs here, one row_ops row per column; with them, _scan_batched runs
+        it on batches of sibling nodes.
         """
+        if not 0 <= fixed <= w:
+            raise errors.ShapeMismatch(f"cannot fix {fixed} columns of a {w}-subset")
         if (ops := self.field.vec_ops()) is not None:
-            return _scan_batched(self, w, ops)
+            return _scan_batched(self, w, ops, fixed)
         pack, _, get, drop, lead, comb, _ = self.field.row_ops()
         n = self.ncols
 
         def visit(prefix, cols):
             # cols: the columns after prefix, reduced on the rows it left over
             depth, first = len(prefix), prefix[-1] + 1 if prefix else 0
-            for c, v in enumerate(cols[:n - w + depth + 1 - first], first):
+            stop = first + 1 if depth < fixed else n - w + depth + 1
+            for c, v in enumerate(cols[:stop - first], first):
                 i = lead(v)
                 if i is None:
                     return prefix + tuple(range(c, c + w - depth))
@@ -186,20 +197,23 @@ class FMatrix:
         if self.ncols != other.nrows:
             raise errors.ShapeMismatch(
                 f"cannot multiply {self.shape} by {other.shape}")
-        # each output row is sum_k a_k B_k, built as acc - a_k (-B_k) on the row layout
+        if _product_cost(other, self.nrows) < _product_cost(self, other.ncols):
+            return (other.transpose() @ self.transpose()).transpose()
+        # each output row is sum_k a_k B_k: acc - a_k B_k on the row layout,
+        # negated at the end as 0 - 1 acc
         pack, unpack, get, _, _, comb, _ = self.field.row_ops()
-        neg, n = self.field.neg, other.ncols
-        B, out = [pack([neg(y) for y in r]) for r in other.rows], []
+        n = other.ncols
+        B, zero, out = list(map(pack, other.rows)), pack([0] * n), []
         for row in self.rows:
-            A, acc = pack(row), pack([0] * n)
+            A, acc = pack(row), zero
             for k, x in enumerate(row):
                 if x:
                     acc = comb(1, acc, get(A, k), B[k])
-            out.append(unpack(acc, n))
+            out.append(unpack(comb(1, zero, 1, acc), n))
         return FMatrix._of(self.field, out, n)
 
     def transpose(self) -> "FMatrix":
-        return FMatrix._of(self.field, [tuple(r[j] for r in self.rows) for j in range(self.ncols)],
+        return FMatrix._of(self.field, zip(*self.rows) if self.rows else [()] * self.ncols,
                            self.nrows)
 
     def vstack(self, other: "FMatrix") -> "FMatrix":
@@ -248,6 +262,20 @@ class FMatrix:
                 raise errors.FieldMismatch(
                     f"entry {bad[0]} is not an enc in [0, {field.q}) of GF({field.label})")
         return cls._of(field, rows, ncols)
+
+
+# A row operation on lists of encs costs about as much as this many of its
+# entries (a call and a list comprehension against one product and one
+# reduction per entry).
+_ROW_OP_ENTRIES = 8
+
+
+def _product_cost(A: FMatrix, n: int) -> int:
+    """The cost of building A @ B row by row, B with n columns: one row
+    operation of n entries per nonzero entry of A, in entries.  A @ B is
+    built as (B^T A^T)^T when that costs less."""
+    nonzero = A.nrows * A.ncols - sum(row.count(0) for row in A.rows)
+    return nonzero * (n + _ROW_OP_ENTRIES)
 
 
 # ---------------------------------------------------------------------------
@@ -337,10 +365,11 @@ def _first_dependent_pair(ops, S, last):
                    if min(k[c1], k[c2]) < 0 or k[c1] == k[c2])
 
 
-def _scan_batched(M: FMatrix, w: int, ops):
+def _scan_batched(M: FMatrix, w: int, ops, fixed: int):
     """FMatrix.first_dependent_columns on numpy tables: visit takes sibling
     nodes in order and recurses into their children in chunks of _SCAN_CHUNK,
-    each built by one pivot_step.  In a square scan _first_dependent_pair
+    each built by one pivot_step.  A node above depth fixed has the one child
+    that extends the fixed prefix.  In a square scan _first_dependent_pair
     decides the children of each depth w-2 node at once, so depth w-1 is
     never built."""
     import numpy as np
@@ -350,10 +379,11 @@ def _scan_batched(M: FMatrix, w: int, ops):
     def visit(S, prefix, last):
         # S: (B, R, n) node states; node b has prefix[b], last[b] its last column
         depth = prefix.shape[1]
-        if depth + 2 == w and S.shape[1] == 2:
+        if depth + 2 == w and S.shape[1] == 2 and depth >= fixed:
             found = _first_dependent_pair(ops, S, last)
             return found and tuple(prefix[found[0]].tolist()) + found[1]
-        valid = (columns > last[:, None]) & (columns <= n - w + depth)
+        top = depth if depth < fixed else n - w + depth
+        valid = (columns > last[:, None]) & (columns <= top)
         nonzero = S.any(axis=1)
         live, dead, witness = valid & nonzero, valid & ~nonzero, None
         if dead.any():  # children of earlier (node, column) pairs come first

@@ -666,8 +666,10 @@ class RowOps(NamedTuple):
 
 
 def _enc_rows(field: FieldSpec) -> RowOps:
-    """Rows as lists of encs, on the field's scalar sub and mul."""
-    sub, mul = field.sub, field.mul
+    """Rows as lists of encs.  comb makes no call per entry over a prime
+    field, on residues, or over a small extension field, on the flat tables
+    of _VecOps; GF(2^e) above q = 1024 combines on the scalar sub and mul."""
+    sub, mul, q = field.sub, field.mul, field.q
 
     def unpack(X, n):
         return X
@@ -679,12 +681,25 @@ def _enc_rows(field: FieldSpec) -> RowOps:
         x = next(filter(None, X), 0)
         return X.index(x) if x else None
 
-    def comb(s, X, a, V):
-        if not a:
-            return [mul(s, x) for x in X]
-        if s == 1:
-            return [sub(x, mul(a, y)) for x, y in zip(X, V)]
-        return [sub(mul(s, x), mul(a, y)) for x, y in zip(X, V)]
+    if field.e == 1:
+        def comb(s, X, a, V):
+            return [(s * x - a * y) % q for x, y in zip(X, V)]
+    elif field._vec is not None:
+        sub_t, mul_t = memoryview(field._vec.sub_t), memoryview(field._vec.mul_t)
+
+        def comb(s, X, a, V):
+            aq = a * q
+            if s == 1:
+                return [sub_t[x * q + mul_t[aq + y]] for x, y in zip(X, V)]
+            sq = s * q
+            return [sub_t[mul_t[sq + x] * q + mul_t[aq + y]] for x, y in zip(X, V)]
+    else:
+        def comb(s, X, a, V):
+            if not a:
+                return [mul(s, x) for x in X]
+            if s == 1:
+                return [sub(x, mul(a, y)) for x, y in zip(X, V)]
+            return [sub(mul(s, x), mul(a, y)) for x, y in zip(X, V)]
 
     return RowOps(list, unpack, getitem, drop, lead, comb, field.inv)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import errors
 from .fmatrix import FMatrix
@@ -66,6 +66,7 @@ class MdsReport:
     checked_matrix: str  # "generator" or "parity"
     subset_size: int
     witness: Optional[tuple[int, ...]] = None  # dependent columns, when not MDS
+    fixed: int = 0  # leading columns that every scanned subset held
 
     def __bool__(self):
         return self.is_mds
@@ -123,23 +124,83 @@ def check_pair(C1: LinearCode, C2: LinearCode) -> None:
 # MDS certification (column criterion)
 # ---------------------------------------------------------------------------
 
-def is_mds(C: LinearCode) -> MdsReport:
+def is_mds(C: LinearCode, symmetries: Sequence[tuple[Sequence[int], Sequence[int]]] = ()
+           ) -> MdsReport:
     """Column criterion: d = n-k+1 iff every k-subset of G's columns has rank k.
 
     Equivalently every (n-k)-subset of H's columns has rank n-k; the cheaper
     side is checked (G on ties), which is sound because a code is MDS iff its
-    dual is.  The scan is FMatrix.first_dependent_columns, whose backends
-    the fmatrix docstring states.
+    dual is.  The scan is FMatrix.first_dependent_columns; the fmatrix
+    docstring states its backends and its fixed prefix.
+
+    symmetries are monomial maps (perm, scale) offered as automorphisms of
+    C: the image of a matrix M has column j equal to scale[j] (an enc) times
+    column perm[j] of M.  Nothing is taken on trust: _fixed_prefix checks
+    every map on the scanned matrix and, if all hold, the scan visits only
+    the subsets that hold column 0, or columns 0 and 1, as the orbits of the
+    checked permutations allow; the witness of a code that is not MDS then
+    holds them.  A map that fails its check leaves the full scan, never an
+    error.
     """
     if not 1 <= C.k <= C.n:
         raise errors.ZeroCode("MDS certification needs 1 <= k <= n")
     if C.k == C.n:
         return MdsReport(True, "generator", C.n)
     if C.k <= C.n - C.k:
-        witness = C.G.first_dependent_columns(C.k)
-        return MdsReport(witness is None, "generator", C.k, witness)
-    witness = C.H.first_dependent_columns(C.n - C.k)
-    return MdsReport(witness is None, "parity", C.n - C.k, witness)
+        M, side, w = C.G, "generator", C.k
+    else:
+        M, side, w = C.H, "parity", C.n - C.k
+    fixed = _fixed_prefix(M, w, symmetries, side == "parity") if symmetries else 0
+    witness = M.first_dependent_columns(w, fixed)
+    return MdsReport(witness is None, side, w, witness, fixed)
+
+
+def _fixed_prefix(M: FMatrix, w: int, maps, dual: bool) -> int:
+    """Leading columns that a scan of M's w-subsets may fix, by the maps.
+
+    Each map must send M's row space onto itself: perm a permutation of the
+    columns, every scale a nonzero enc, and rank(M stacked on its image) =
+    M.nrows (a scan that proves MDS also proves M of full row rank).  M
+    spans the dual when dual is set, and (perm, s) fixes a code iff
+    (perm, 1/s) fixes its dual, so the scales are inverted first.  If one
+    map fails, 0.  Otherwise, with Omega the orbit of column 0 under the
+    permutations, every w-subset meets Omega when w > n - |Omega|, and a
+    permutation of the group moves it onto one that holds column 0.  It
+    holds columns 0 and 1 as well when two of its columns lie in Omega
+    (w >= n - |Omega| + 2) and the maps that fix column 0 move column 1
+    onto every column of Omega - {0}.
+    """
+    f, n, columns = M.field, M.ncols, list(range(M.ncols))
+    perms = []
+    for perm, scale in maps:
+        perm, scale = list(perm), list(scale)
+        if sorted(perm) != columns or len(scale) != n or not all(0 < x < f.q for x in scale):
+            return 0
+        if dual:
+            scale = list(map(f.inv, scale))
+        image = [[f.mul(x, row[j]) for x, j in zip(scale, perm)] for row in M.rows]
+        if M.vstack(FMatrix._of(f, image, n)).rank() != M.nrows:
+            return 0
+        perms.append(perm)
+    omega = _orbit(0, perms)
+    if w <= n - len(omega):
+        return 0
+    stabilizer = [perm for perm in perms if perm[0] == 0]
+    if w >= n - len(omega) + 2 and _orbit(1, stabilizer) == omega - {0}:
+        return 2
+    return 1
+
+
+def _orbit(c: int, perms) -> set[int]:
+    """Orbit of column c under the group that the permutations generate."""
+    orbit, todo = {c}, [c]
+    while todo:
+        x = todo.pop()
+        for perm in perms:
+            if perm[x] not in orbit:
+                orbit.add(perm[x])
+                todo.append(perm[x])
+    return orbit
 
 
 # ---------------------------------------------------------------------------

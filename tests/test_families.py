@@ -41,9 +41,53 @@ class TestCertify:
     def test_each_distinct_code_is_proved_once(self, monkeypatch, family, p, e, args, scans):
         # the extended-GRS pair is one code; the other two pairs are two
         calls = []
-        monkeypatch.setattr(families, "is_mds", lambda C: calls.append(C) or is_mds(C))
+        monkeypatch.setattr(families, "is_mds",
+                            lambda C, symmetries=(): calls.append(C) or is_mds(C, symmetries))
         assert getattr(families, family)(field_new(p, e), *args).verified
         assert len(calls) == len(set(calls)) == scans
+
+    @staticmethod
+    def reports(monkeypatch):
+        out = []
+        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=():
+                            out.append(is_mds(C, symmetries)) or out[-1])
+        return out
+
+    def test_scans_reduced_by_checked_automorphisms(self, monkeypatch):
+        # Table 1's GF(13) rows have n = q - 1 (the cyclic shift, column 0);
+        # its GF(27) rows have n = 15 != 26 and take none.  The extended GRS
+        # codes take AGL(1, q) (columns 0 and 1), Gabidulin codes nothing.
+        reports = self.reports(monkeypatch)
+        table1()
+        assert [r.fixed for r in reports] == [1] * 8 + [0] * 20
+        assert all(r.is_mds for r in reports)
+        # w = k; the marker column is in no orbit of a point, so w = 1 fixes
+        # nothing, w = 2 column 0 and w >= 3 columns 0 and 1
+        for p, e, k, fixed in ((2, 4, 7, 2), (19, 1, 5, 2), (3, 2, 1, 0), (13, 1, 2, 1)):
+            reports.clear()
+            assert grs_extended_family(field_new(p, e), k).verified
+            assert [r.fixed for r in reports] == [fixed]
+        reports.clear()
+        table2()
+        gabidulin_family(field_new(2, 16), 7, 4, 3, 2)
+        assert len(reports) == 8 and {r.fixed for r in reports} == {0}
+
+    def test_permuted_points_refuse_the_affine_maps(self, monkeypatch, f13):
+        # Swapping the columns of the points 1 and 2 in both generators keeps
+        # C1 = C2 and MDS, but x -> x + 1 and x -> gamma x no longer fix the
+        # code, so the one scan runs in full.
+        generator = families.grs_extended_generator
+
+        def swapped(spec):
+            rows = [list(r) for r in generator(spec).rows]
+            for r in rows:
+                r[1], r[2] = r[2], r[1]
+            return FMatrix(spec.field, rows, spec.field.q + 1)
+
+        monkeypatch.setattr(families, "grs_extended_generator", swapped)
+        reports = self.reports(monkeypatch)
+        assert grs_extended_family(f13, 4).verified
+        assert [(r.is_mds, r.fixed) for r in reports] == [(True, 0)]
 
     def test_broken_duality_is_a_duality_failure(self, monkeypatch, capsys, f9):
         # scaling one column of H2 keeps its rank, so both dimensions stay k,

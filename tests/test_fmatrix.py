@@ -341,6 +341,29 @@ class TestProducts:
         assert [list(row) for row in AB.rows] == matmul_reference(A, B)
         assert all(type(x) is int for row in AB.rows for x in row)
 
+    @pytest.mark.parametrize("p,e", [(13, 1), (3, 3), (3, 7)])
+    def test_product_runs_along_its_cheaper_side(self, p, e, monkeypatch):
+        # one row operation per nonzero entry of the left factor and one to
+        # negate each output row: a dense 8 x 12 @ 12 x 4 product builds 4
+        # rows of 8, not 8 rows of 4
+        field, combs = field_new(p, e), []
+        ops = field.row_ops()
+        counting = ops._replace(comb=lambda *a: combs.append(a) or ops.comb(*a))
+        monkeypatch.setattr(type(field), "row_ops", lambda self: counting)
+        rng = random.Random(p)
+        A = FMatrix(field, [[rng.randrange(1, field.q) for _ in range(12)] for _ in range(8)])
+        B = FMatrix(field, [[rng.randrange(1, field.q) for _ in range(4)] for _ in range(12)])
+        assert [list(r) for r in (A @ B).rows] == matmul_reference(A, B)
+        assert len(combs) == 4 * 12 + 4
+        combs.clear()
+        assert (B.transpose() @ A.transpose()) == (A @ B).transpose()
+        assert len(combs) == 2 * (4 * 12 + 4)
+        # with 9 of A's 12 columns zero, 8 rows of 4 take 8 * 3 row operations
+        A = FMatrix(field, [r[:3] + (0,) * 9 for r in A.rows])
+        combs.clear()
+        assert [list(r) for r in (A @ B).rows] == matmul_reference(A, B)
+        assert len(combs) == 8 * 3 + 8
+
     def test_vstack_shape(self, f9):
         rng = random.Random(13)
         A = random_matrix(rng, f9, 2, 4)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import os
@@ -140,6 +141,22 @@ class TestConstruction:
                 from_generator(G)
             with pytest.raises(errors.Infeasible):
                 from_parity_check(G)
+
+
+    def test_wide_kernel_refused_before_any_rank(self, f13, monkeypatch):
+        # 600 x 2600: (2600 - 600) * 2600 entries exceed the budget whatever
+        # the rank, so the header alone refuses it, with no elimination
+        def no_rank(M):
+            raise AssertionError("rank taken")
+
+        monkeypatch.setattr(FMatrix, "rref", no_rank)
+        row = tuple(range(1, 13)) * 216 + (1,) * 8
+        M = FMatrix._of(f13, [row] * 600, 2600)
+        assert (M.ncols - M.nrows) * M.ncols > lincode.DEFAULT_BUDGET
+        with time_limit(5, "refusing a 600 x 2600 kernel"):
+            for build in (from_generator, from_parity_check):
+                with pytest.raises(errors.Infeasible, match="exceeds the budget"):
+                    build(M)
 
 
 class TestDuals:
@@ -325,6 +342,27 @@ class TestMinDistance:
         with pytest.raises(errors.ZeroCode):
             min_distance(code)
 
+    def test_budget_boundary_is_exhaustive(self, f13):
+        # q^k = 13^2 = 169 messages: a budget of exactly 169 still enumerates
+        code = vandermonde_code(f13, 1, 2, 12)
+        assert min_distance(code, budget=169) == min_distance(code)
+        assert min_distance(code, budget=169).method == "exhaustive"
+        assert min_distance(code, budget=168).method == "mds-columns"
+        assert min_distance(code, budget=168).d == 11
+
+    def test_parity_rung_finds_six_columns(self, f13):
+        # H = [V 0; 0 I2], V the 5 x 8 Vandermonde matrix of the nodes 1..8:
+        # every 5 columns of H are independent and any 6 of V's are not, so
+        # d = 6, while n - k + 1 = 8.  Rung (c) must reach w = 6.
+        V = [[pow(a, i, 13) for a in range(1, 9)] + [0, 0] for i in range(5)]
+        H = FMatrix(f13, V + [[0] * 8 + [1, 0], [0] * 8 + [0, 1]], 10)
+        code = from_parity_check(H)
+        assert (code.n, code.k) == (10, 3) and lincode.COLUMN_SEARCH_MAX >= 6
+        report = min_distance(code, budget=1000)  # 13^3 > 1000
+        assert (report.d, report.method) == (6, "parity-columns")
+        assert report.certificate == (0, 1, 2, 3, 4, 5)
+        assert (min_distance(code).d, min_distance(code).method) == (6, "exhaustive")
+
 
 class TestIsMds:
     def test_full_space(self, f9):
@@ -380,6 +418,123 @@ def first_dependent_subset(M, w):
         if FMatrix(M.field, [[r[c] for c in cols] for r in M.rows], w).rank() < w:
             return cols
     return None
+
+
+def shifted_code(field, exponents, parity=False):
+    """The code spanned (or, with parity, checked) by the rows gamma^(i c),
+    i in exponents, c < q - 1: invariant under the cyclic column shift."""
+    n, g = field.q - 1, field.primitive_element().enc
+    M = FMatrix(field, [[field.pow(g, i * c) for c in range(n)] for i in exponents], n)
+    return from_parity_check(M) if parity else from_generator(M)
+
+
+def cyclic_shift(n):
+    return [(c + 1) % n for c in range(n)], [1] * n
+
+
+def affine_maps(field, k):
+    """x -> gamma x and x -> x + 1 on the points of an extended GRS code of
+    dimension k, the marker column scaled by gamma^(k-1)."""
+    q, g = field.q, field.primitive_element().enc
+    return (([field.mul(g, a) for a in range(q)] + [q], [1] * q + [field.pow(g, k - 1)]),
+            ([field.add(a, 1) for a in range(q)] + [q], [1] * (q + 1)))
+
+
+class TestSymmetries:
+    """is_mds with monomial maps: each is checked before it shrinks the scan."""
+
+    @staticmethod
+    def full(C):
+        return dataclasses.replace(is_mds(C), fixed=0)
+
+    @pytest.mark.parametrize("p,e", [(13, 1), (2, 4), (29, 1)])
+    @pytest.mark.parametrize("exponents,parity", [((0, 1, 2, 3), False), ((2, 3, 4), True),
+                                                  ((1, 2, 3, 4, 5, 6, 7, 8), False)])
+    def test_cyclic_shift_fixes_column_0(self, p, e, exponents, parity):
+        field = field_new(p, e)
+        C = shifted_code(field, exponents, parity)
+        report = is_mds(C, [cyclic_shift(C.n)])
+        assert report.is_mds and report.fixed == 1
+        assert dataclasses.replace(report, fixed=0) == is_mds(C)
+
+    @pytest.mark.parametrize("backend", ["numpy", "python"])
+    @pytest.mark.parametrize("p,e,r", [(13, 1, 2), (2, 4, 3), (29, 1, 2)])
+    def test_shift_invariant_non_mds_witness_holds_column_0(self, p, e, r, backend,
+                                                              monkeypatch):
+        # rows 1 and gamma^(r c), r | q - 1: columns c and c + (q-1)/r agree
+        field = field_new(p, e)
+        if backend == "python":
+            monkeypatch.setattr(type(field), "vec_ops", lambda self: None)
+        for parity in (False, True):
+            C = shifted_code(field, (0, r), parity)
+            report = is_mds(C, [cyclic_shift(C.n)])
+            assert not report.is_mds and report.fixed == 1 and report.witness[0] == 0
+            M = C.G if report.checked_matrix == "generator" else C.H
+            assert first_dependent_subset(M, report.subset_size) == report.witness
+            assert not is_mds(C).is_mds
+
+    @pytest.mark.parametrize("k", [3, 5, 11])
+    def test_affine_group_fixes_columns_0_and_1(self, f13, k):
+        # k = 11 scans H, where the marker's scale must be inverted to hold
+        from eaqeckit.families import grs_extended_generator, grs_extended_spec
+        C = from_generator(grs_extended_generator(grs_extended_spec(f13, k)))
+        report = is_mds(C, affine_maps(f13, k))
+        assert report.fixed == 2 and report == dataclasses.replace(is_mds(C), fixed=2)
+        assert report.checked_matrix == ("parity" if k == 11 else "generator")
+        scaling, translation = affine_maps(f13, k)
+        # x -> gamma x fixes column 0, so its orbit is {0}: no reduction
+        assert is_mds(C, [scaling]).fixed == 0
+        # translations are transitive on the points, but none fixes column 0
+        assert is_mds(C, [translation]).fixed == 1
+
+    def test_planted_non_automorphism_is_refused(self, f13, f27, monkeypatch):
+        fixed = []
+        scan = FMatrix.first_dependent_columns
+        monkeypatch.setattr(FMatrix, "first_dependent_columns",
+                            lambda M, w, f=0: fixed.append(f) or scan(M, w, f))
+        # n = 15 != q - 1: the shift is no automorphism of a Table 1 code
+        C = vandermonde_code(f27, 1, 3, 15)
+        assert is_mds(C, [cyclic_shift(15)]) == is_mds(C) and fixed == [0, 0]
+        # a swap of columns 0 and 5 beside the true shift, on a code that is
+        # not MDS: the verdict and witness are the full scan's
+        fixed.clear()
+        C = shifted_code(f13, (0, 2))
+        swap = [5, 1, 2, 3, 4, 0] + list(range(6, 12))
+        report = is_mds(C, [cyclic_shift(12), (swap, [1] * 12)])
+        assert report == self.full(C) and not report.is_mds and fixed == [0, 0]
+        # a wrong marker scale on the extended GRS code
+        from eaqeckit.families import grs_extended_generator, grs_extended_spec
+        C = from_generator(grs_extended_generator(grs_extended_spec(f13, 4)))
+        scaling, translation = affine_maps(f13, 4)
+        assert is_mds(C, [(scaling[0], [1] * 14), translation]).fixed == 0
+
+    @pytest.mark.parametrize("bad", [
+        ([0] * 12, [1] * 12),                      # not a permutation
+        (list(range(11)), [1] * 11),               # wrong length
+        (list(range(1, 12)) + [0], [0] + [1] * 11),  # a zero scale
+        (list(range(1, 12)) + [0], [0] * 12),      # the zero map: its image is 0
+        (list(range(1, 12)) + [0], [13] + [1] * 11),  # not an enc
+    ])
+    def test_malformed_map_is_no_error(self, f13, bad):
+        for parity in (False, True):
+            C = shifted_code(f13, (0, 1, 2, 3), parity)
+            assert is_mds(C, [bad]) == is_mds(C) and is_mds(C, [bad]).fixed == 0
+
+    def test_scale_outside_the_field_on_the_parity_side(self):
+        # the scales are checked before the parity side inverts them
+        field = field_new(2, 4)
+        C = shifted_code(field, (1, 2), parity=True)
+        bad = (cyclic_shift(15)[0], [16] + [1] * 14)
+        assert is_mds(C, [bad]) == is_mds(C) and is_mds(C, [cyclic_shift(15)]).fixed == 1
+
+    def test_map_onto_equal_columns_is_no_permutation(self, f13):
+        # columns c and c + 6 of rows 1 and gamma^(2c) are equal, so sending
+        # column 11 to column 6 instead of 0 gives the shift's image, and the
+        # orbit of column 0 would be every column; it is still refused
+        C = shifted_code(f13, (0, 2))
+        collapsing = (list(range(1, 12)) + [6], [1] * 12)
+        assert is_mds(C, [cyclic_shift(12)]).fixed == 1
+        assert is_mds(C, [collapsing]) == is_mds(C) and is_mds(C, [collapsing]).fixed == 0
 
 
 class TestSubsetScan:
@@ -533,6 +688,43 @@ class TestSubsetScan:
         tall = FMatrix(field, [[pow(a, i, 29) for a in range(1, 13)] for i in range(6)], 12)
         assert tall.first_dependent_columns(5) is None
         assert min(rows) == 6 - 4
+
+    @pytest.mark.parametrize("p,e,backend", [
+        (29, 1, "numpy"), (29, 1, "python"), (2, 4, "numpy"), (2, 4, "python"),
+        (2053, 1, "python"), (3, 7, "python")])
+    def test_fixed_prefix_matches_reference(self, p, e, backend, monkeypatch):
+        # the first dependent subset among those holding columns 0..fixed-1;
+        # dependencies are planted on and off the prefix
+        field = field_new(p, e)
+        if backend == "numpy":
+            assert field.vec_ops() is not None
+            monkeypatch.setattr(fmatrix, "_SCAN_CHUNK", 3)
+        else:
+            monkeypatch.setattr(type(field), "vec_ops", lambda self: None)
+        rng = random.Random(p * 100 + e)
+        outcomes = set()
+        for trial in range(60):
+            w = rng.randint(1, 5)
+            nrows, n = w + rng.choice((0, 0, 0, 1)), rng.randint(w, 8)
+            cols = [[rng.randrange(field.q) for _ in range(nrows)] for _ in range(n)]
+            first = 2 if trial % 3 == 0 and n > 3 else 0  # off the prefix only
+            for _ in range(rng.choice((0, 1, 1, 2))):
+                a, b = rng.randrange(first, n), rng.randrange(first, n)
+                cols[b] = [field.mul(rng.randrange(1, field.q), x) for x in cols[a]]
+            if rng.random() < 0.2:
+                cols[rng.randrange(first, n)] = [0] * nrows
+            M = FMatrix(field, list(zip(*cols)), n)
+            for fixed in range(min(w, 2) + 1):
+                expect = next((cols for cols in itertools.combinations(range(n), w)
+                               if cols[:fixed] == tuple(range(fixed))
+                               and rref_reference(field, [[r[c] for c in cols]
+                                                          for r in M.rows])[1] < w), None)
+                assert M.first_dependent_columns(w, fixed) == expect
+                if fixed:
+                    outcomes.add((expect is None, M.first_dependent_columns(w) is None))
+        assert outcomes == {(True, True), (True, False), (False, False)}
+        with pytest.raises(errors.ShapeMismatch):
+            M.first_dependent_columns(1, 2)
 
     def test_generic_path_imports_no_numpy(self):
         script = ("import sys\n"
