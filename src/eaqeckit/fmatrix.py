@@ -197,24 +197,15 @@ class FMatrix:
         if self.ncols != other.nrows:
             raise errors.ShapeMismatch(
                 f"cannot multiply {self.shape} by {other.shape}")
-        if _product_cost(other, self.nrows) < _product_cost(self, other.ncols):
-            return (other.transpose() @ self.transpose()).transpose()
-        # each output row is sum_k a_k B_k: acc - a_k B_k on the row layout,
-        # negated at the end as 0 - 1 acc
-        pack, unpack, get, _, _, comb, _ = self.field.row_ops()
-        n = other.ncols
-        B, zero, out = list(map(pack, other.rows)), pack([0] * n), []
-        for row in self.rows:
-            A, acc = pack(row), zero
-            for k, x in enumerate(row):
-                if x:
-                    acc = comb(1, acc, get(A, k), B[k])
-            out.append(unpack(comb(1, zero, 1, acc), n))
-        return FMatrix._of(self.field, out, n)
+        m, n = self.nrows, other.ncols
+        if _product_cost(other, m) < _product_cost(self, n):
+            out = _product_rows(self.field, _transposed(other.rows, n),
+                                _transposed(self.rows, m), m)
+            return FMatrix._of(self.field, _transposed(out, m), n)
+        return FMatrix._of(self.field, _product_rows(self.field, self.rows, other.rows, n), n)
 
     def transpose(self) -> "FMatrix":
-        return FMatrix._of(self.field, zip(*self.rows) if self.rows else [()] * self.ncols,
-                           self.nrows)
+        return FMatrix._of(self.field, _transposed(self.rows, self.ncols), self.nrows)
 
     def vstack(self, other: "FMatrix") -> "FMatrix":
         if self.field != other.field:
@@ -276,6 +267,25 @@ def _product_cost(A: FMatrix, n: int) -> int:
     built as (B^T A^T)^T when that costs less."""
     nonzero = A.nrows * A.ncols - sum(row.count(0) for row in A.rows)
     return nonzero * (n + _ROW_OP_ENTRIES)
+
+
+def _product_rows(field: FieldSpec, A, B, n: int) -> list:
+    """The rows of A @ B, B with n columns: each is sum_k a_k B_k, built as
+    acc - a_k B_k on the row layout and negated at the end as 0 - 1 acc."""
+    pack, unpack, get, _, _, comb, _ = field.row_ops()
+    B, zero, out = list(map(pack, B)), pack([0] * n), []
+    for row in A:
+        P, acc = pack(row), zero
+        for k, x in enumerate(row):
+            if x:
+                acc = comb(1, acc, get(P, k), B[k])
+        out.append(unpack(comb(1, zero, 1, acc), n))
+    return out
+
+
+def _transposed(rows, ncols: int) -> list:
+    """The columns of a matrix with these rows and ncols columns."""
+    return list(zip(*rows)) if rows else [()] * ncols
 
 
 # ---------------------------------------------------------------------------
