@@ -31,6 +31,9 @@ CASES = {
     "table2_emit_matrices": (("--emit-matrices", "table", "2"), 0),
     "construct_vandermonde": (("construct", "vandermonde", "q=13", "n=12", "k=4", "t=5", "j=7"),
                               0),
+    # the one case with dim C2 < dim C1 (3 < 8): H1 H2^T is 4 x 9, H2 the sparser kernel basis
+    "construct_vandermonde_dim_c2_below_c1_emit_matrices": (
+        ("--emit-matrices", "construct", "vandermonde", "q=13", "n=12", "k=8", "t=2", "j=8"), 0),
     "construct_grs_ext": (("construct", "grs-ext", "q=9", "k=4"), 0),
     "construct_vandermonde_emit_matrices": (("--emit-matrices", "construct", "vandermonde",
                                             "q=13", "n=12", "k=4", "t=5", "j=7"), 0),
