@@ -9,7 +9,8 @@ All elimination lives here, in four kernels: rref and the column-subset
 scan first_dependent_columns, each on the numpy op tables of
 FieldSpec.vec_ops (_rref_tables, _scan_batched) or on the row layout of
 FieldSpec.row_ops (_rref_rows, the scan's own recursion), on which the
-product A @ B also builds each output row.  The one rule: a field with
+product A @ B also builds each of its output rows, one row operation per
+nonzero entry of A.  The one rule: a field with
 tables (q <= 1024) scans on them and reduces on them from _RREF_TABLE_MIN
 entries, and everything else runs on rows, so no elimination above
 q = 1024 imports numpy.  A matrix has one reduced row echelon form and one
@@ -147,7 +148,7 @@ class FMatrix:
                     return found
             return None
 
-        return visit((), list(map(pack, zip(*self.rows))) if self.rows else [pack(())] * n)
+        return visit((), list(map(pack, _transposed(self.rows, n))))
 
     def rank(self) -> int:
         return self.rref()[1]
@@ -197,11 +198,7 @@ class FMatrix:
         if self.ncols != other.nrows:
             raise errors.ShapeMismatch(
                 f"cannot multiply {self.shape} by {other.shape}")
-        m, n = self.nrows, other.ncols
-        if _product_cost(other, m) < _product_cost(self, n):
-            out = _product_rows(self.field, _transposed(other.rows, n),
-                                _transposed(self.rows, m), m)
-            return FMatrix._of(self.field, _transposed(out, m), n)
+        n = other.ncols
         return FMatrix._of(self.field, _product_rows(self.field, self.rows, other.rows, n), n)
 
     def transpose(self) -> "FMatrix":
@@ -253,20 +250,6 @@ class FMatrix:
                 raise errors.FieldMismatch(
                     f"entry {bad[0]} is not an enc in [0, {field.q}) of GF({field.label})")
         return cls._of(field, rows, ncols)
-
-
-# A row operation on lists of encs costs about as much as this many of its
-# entries (a call and a list comprehension against one product and one
-# reduction per entry).
-_ROW_OP_ENTRIES = 8
-
-
-def _product_cost(A: FMatrix, n: int) -> int:
-    """The cost of building A @ B row by row, B with n columns: one row
-    operation of n entries per nonzero entry of A, in entries.  A @ B is
-    built as (B^T A^T)^T when that costs less."""
-    nonzero = A.nrows * A.ncols - sum(row.count(0) for row in A.rows)
-    return nonzero * (n + _ROW_OP_ENTRIES)
 
 
 def _product_rows(field: FieldSpec, A, B, n: int) -> list:

@@ -27,12 +27,12 @@ norm chain: a^-1 = b N(a)^(p-2) for b the conorm a^(p+...+p^(e-1)).  The
 Rabin test decides coprimality by the norm test on Z_p[x]/(f), so no code
 works on coefficient lists.
 
-row_ops is the row layout of elimination and matrix products; the fmatrix
-docstring says which kernel runs on it and which on vec_ops.  Odd-p
-extension fields above q = 1024 pack each row into one integer, every entry
-in the slots of a scalar product, so s X - a V is two integer products and
-one call of the same reduction for every entry at once; the other fields
-keep rows as lists of encs on the scalar operations.
+row_ops is the row layout of elimination and matrix products, built by
+each representation beside its scalar operations; the fmatrix docstring
+says which kernel runs on it and which on vec_ops.  Odd-p extension fields
+above q = 1024 pack each row into one integer, so s X - a V is two integer
+products and one call of the scalar reduction for every entry at once; the
+other fields keep rows as lists of encs.
 
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
@@ -157,7 +157,7 @@ def _is_irreducible(tail: Sequence[int], p: int, e: int) -> bool:
     M^(p-1) = 1."""
     if e == 1:
         return True
-    _, sub, mul, power = (_bin_ops if p == 2 else _poly_ops)(p, e, tail)
+    _, sub, mul, power, _ = (_bin_ops if p == 2 else _poly_ops)(p, e, tail)
     # x^p (the enc of x is p); power reduces exponents mod q - 1, valid only
     # for an irreducible f, but p and p - 1 are below q - 1
     step = _linear_map(p, e, mul, power(p, p))
@@ -196,10 +196,11 @@ class FieldSpec:
 
     Immutable after construction.  Arithmetic works on enc integers through
     add, sub, neg, mul, inv, pow and frobenius.  The field picks add, sub,
-    mul and pow once from p, e and q: residues mod p for prime fields, the
-    flat tables of vec_ops for extension fields with q <= _NP_TABLE_MAX, and
-    above that the enc as a bit vector for p = 2 and, for odd p, digitwise
-    add and sub and a Kronecker-substitution mul.  Prefer :func:`field_new`:
+    mul, pow and the row layout of row_ops once, and only here, from p, e
+    and q: residues mod p for prime fields, the flat tables of vec_ops for
+    extension fields with q <= _NP_TABLE_MAX, and above that the enc as a
+    bit vector for p = 2 and, for odd p, digitwise add and sub, a
+    Kronecker-substitution mul and packed rows.  Prefer :func:`field_new`:
     one shared instance per modulus, enc-minimal by default.
     """
 
@@ -228,15 +229,14 @@ class FieldSpec:
         self.modulus = tuple(modulus)
         self._primitive: Element | None = None
         self._vec = None
-        self._rows: RowOps | None = None
         self._frob: dict = {}  # s -> the map a -> a^(p^s), built on first use
-        self.add, self.sub, self.mul, self.pow = (
+        self.add, self.sub, self.mul, self.pow, self._rows = (
             _prime_ops(p) if e == 1 else _bin_ops(p, e, self.modulus) if p == 2
             else _poly_ops(p, e, self.modulus, self._inv))
         if e > 1 and self.q <= _NP_TABLE_MAX:
             # the tables are built with the enc routines installed above
             self._vec = _VecOps(self)
-            self.add, self.sub, self.mul, self.pow = _table_ops(self._vec)
+            self.add, self.sub, self.mul, self.pow, self._rows = _table_ops(self._vec)
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
@@ -380,12 +380,8 @@ class FieldSpec:
         return self._primitive
 
     def row_ops(self) -> "RowOps":
-        """The row layout of exact elimination, built on first call: packed
-        rows (_packed_rows) for odd p, e >= 2 and q > _NP_TABLE_MAX, lists of
-        encs on the scalar operations for every other field."""
-        if self._rows is None:
-            packed = self.p > 2 and self.e > 1 and self.q > _NP_TABLE_MAX
-            self._rows = (_packed_rows if packed else _enc_rows)(self)
+        """The row layout of exact elimination and matrix products, the one
+        that came with the scalar operations at construction."""
         return self._rows
 
     def vec_ops(self):
@@ -405,7 +401,7 @@ class FieldSpec:
 
 # ---------------------------------------------------------------------------
 # Enc-level operations.  Each builder returns (add, sub, mul, pow) on enc
-# integers in [0, q); FieldSpec installs one set at construction.
+# integers in [0, q) and its RowOps; FieldSpec installs one set at construction.
 # ---------------------------------------------------------------------------
 
 def _zero_power(n: int) -> int:
@@ -416,7 +412,7 @@ def _zero_power(n: int) -> int:
 
 
 def _prime_ops(p: int):
-    """GF(p): the enc is the residue itself."""
+    """GF(p): the enc is the residue itself, and a row a list of residues."""
     def add(a, b):
         return (a + b) % p
 
@@ -429,7 +425,10 @@ def _prime_ops(p: int):
     def power(a, n):
         return pow(a, n % (p - 1), p) if a else _zero_power(n)
 
-    return add, sub, mul, power
+    def comb(s, X, a, V):
+        return [(s * x - a * y) % p for x, y in zip(X, V)]
+
+    return add, sub, mul, power, _enc_rows(comb, power)
 
 
 def _table_ops(vec: "_VecOps"):
@@ -453,7 +452,14 @@ def _table_ops(vec: "_VecOps"):
     def power(a, n):
         return exp[log[a] * n % q1] if a else _zero_power(n)
 
-    return add, sub, mul, power
+    def comb(s, X, a, V):
+        aq = a * q
+        if s == 1:
+            return [sub_t[x * q + mul_t[aq + y]] for x, y in zip(X, V)]
+        sq = s * q
+        return [sub_t[mul_t[sq + x] * q + mul_t[aq + y]] for x, y in zip(X, V)]
+
+    return add, sub, mul, power, _enc_rows(comb, power)
 
 
 def _power(mul, inv, q1: int):
@@ -504,7 +510,15 @@ def _bin_ops(p: int, e: int, tail: Sequence[int]):
             g1 ^= g2 << j
         return g1
 
-    return xor, xor, mul, _power(mul, inv, top - 1)
+    def comb(s, X, a, V):
+        if not a:
+            return [mul(s, x) for x in X]
+        if s == 1:
+            return [x ^ mul(a, y) for x, y in zip(X, V)]
+        return [mul(s, x) ^ mul(a, y) for x, y in zip(X, V)]
+
+    power = _power(mul, inv, top - 1)
+    return xor, xor, mul, power, _enc_rows(comb, power)
 
 
 def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None):
@@ -512,7 +526,7 @@ def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None):
     add and sub digit by digit on the enc (digit i of a is a // p^i mod p),
     mul one integer product of two entries of _kronecker reduced by
     _barrett, and negative powers by inv (for FieldSpec the norm-chain
-    inverse) or else by Fermat."""
+    inverse) or else by Fermat.  Rows are _packed_rows."""
     pw = [p**i for i in range(e)]
     *_, pack, unpack = _kronecker(p, e)
     reduce = _barrett(p, e, tail)
@@ -536,7 +550,8 @@ def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None):
             return 0
         return unpack(reduce(pack(a) * pack(b)))
 
-    return add, sub, mul, _power(mul, inv, p**e - 1)
+    power = _power(mul, inv, p**e - 1)
+    return add, sub, mul, power, _packed_rows(p, e, tail, power)
 
 
 @cache
@@ -665,12 +680,9 @@ class RowOps(NamedTuple):
     inv: Callable       # entry -> its inverse
 
 
-def _enc_rows(field: FieldSpec) -> RowOps:
-    """Rows as lists of encs.  comb makes no call per entry over a prime
-    field, on residues, or over a small extension field, on the flat tables
-    of _VecOps; GF(2^e) above q = 1024 combines on the scalar sub and mul."""
-    sub, mul, q = field.sub, field.mul, field.q
-
+def _enc_rows(comb, power) -> RowOps:
+    """Rows as lists of encs, combined by one representation's comb and
+    inverted by its power."""
     def unpack(X, n):
         return X
 
@@ -681,40 +693,22 @@ def _enc_rows(field: FieldSpec) -> RowOps:
         x = next(filter(None, X), 0)
         return X.index(x) if x else None
 
-    if field.e == 1:
-        def comb(s, X, a, V):
-            return [(s * x - a * y) % q for x, y in zip(X, V)]
-    elif field._vec is not None:
-        sub_t, mul_t = memoryview(field._vec.sub_t), memoryview(field._vec.mul_t)
+    def inv(a):
+        return power(a, -1)
 
-        def comb(s, X, a, V):
-            aq = a * q
-            if s == 1:
-                return [sub_t[x * q + mul_t[aq + y]] for x, y in zip(X, V)]
-            sq = s * q
-            return [sub_t[mul_t[sq + x] * q + mul_t[aq + y]] for x, y in zip(X, V)]
-    else:
-        def comb(s, X, a, V):
-            if not a:
-                return [mul(s, x) for x in X]
-            if s == 1:
-                return [sub(x, mul(a, y)) for x, y in zip(X, V)]
-            return [sub(mul(s, x), mul(a, y)) for x, y in zip(X, V)]
-
-    return RowOps(list, unpack, getitem, drop, lead, comb, field.inv)
+    return RowOps(list, unpack, getitem, drop, lead, comb, inv)
 
 
-def _packed_rows(field: FieldSpec) -> RowOps:
-    """Rows of an odd-p extension field as one integer each (Kronecker
+def _packed_rows(p: int, e: int, tail: Sequence[int], power) -> RowOps:
+    """Rows of Z_p[x]/(f), f = x^e + tail, as one integer each (Kronecker
     substitution on whole rows): entry j is the entry of _kronecker at bit
     E j, E = (2e - 1) w, so an entry is the same integer for one element
-    and 1 is 1.
+    and 1 is 1.  An entry inverts by power(a, -1) on its enc.
 
     comb takes T = s X + (P - a) V in two integer products: P holds p in
     each digit slot, so P - a has digits in [1, p] and adds P V, a multiple
     of p, instead of a negative.  Each entry's product stays in its own
     2e - 1 slots, and _barrett reduces every entry at once."""
-    p, e = field.p, field.e
     *_, w, pk, upk = _kronecker(p, e)
     E = (2 * e - 1) * w
     P, entry, lows = sum(p << w * i for i in range(e)), (1 << w * e) - 1, (1 << E) - 1
@@ -725,7 +719,7 @@ def _packed_rows(field: FieldSpec) -> RowOps:
         if len(row) > cap:  # the masks cover cap entries; no row op lengthens a row
             cap = max(len(row), 2 * cap)
             rep = ((1 << E * cap) - 1) // lows
-            slot0, reduce = ((1 << w) - 1) * rep, _barrett(p, e, field.modulus, rep)
+            slot0, reduce = ((1 << w) - 1) * rep, _barrett(p, e, tail, rep)
         X = 0
         for j, a in enumerate(row):
             if a:
@@ -756,7 +750,7 @@ def _packed_rows(field: FieldSpec) -> RowOps:
         return reduce(T)
 
     def inv(a):
-        return pk(field.inv(upk(a)))
+        return pk(power(upk(a), -1))
 
     return RowOps(pack, unpack, get, drop, lead, comb, inv)
 

@@ -551,7 +551,7 @@ class TestEncArithmetic:
 
     @staticmethod
     def check(field, ref, a, b):
-        add, sub, mul, power = ref
+        add, sub, mul, power, _ = ref
         assert field.add(a, b) == add(a, b)
         assert field.sub(a, b) == sub(a, b)
         assert field.mul(a, b) == mul(a, b)
@@ -625,11 +625,14 @@ class TestRowOps:
         packed = p > 2 and e >= 2 and p**e > 1024
         assert type(row) is (int if packed else list)
 
-    @pytest.mark.parametrize("p,e", KRONECKER_ROW_FIELDS + [(2, 16), (13, 1), (3, 3)])
+    # every comb: packed rows, GF(2^e) bit vectors, residues below and above
+    # the table bound (GF(13), GF(1031)), and the flat tables for odd p and p = 2
+    @pytest.mark.parametrize("p,e", KRONECKER_ROW_FIELDS + [(2, 16), (13, 1), (1031, 1), (3, 3),
+                                                            (2, 4)])
     def test_row_operation_against_sympy(self, p, e):
         # q - 1 has every digit p - 1, and 1 and x^(e-1) leave P - a at p in
         # all slots but one: the largest product slots, Barrett quotients and
-        # offsets that operands can give
+        # offsets that operands can give; p % q is the enc of x, 0 for e = 1
         with time_limit(10, f"field_new({p}, {e})"):
             field = field_new(p, e)
         ref, q, top = SympyField(field), field.q, p ** (e - 1)
@@ -638,7 +641,7 @@ class TestRowOps:
         def entry(a):
             return ops.get(ops.pack([a]), 0)
 
-        X, V = [q - 1, q - 1, 0, top, q - 2], [q - 1, 1, q - 1, q - 1, p]
+        X, V = [q - 1, q - 1, 0, top, q - 2], [q - 1, 1, q - 1, q - 1, p % q]
         for s in (q - 1, 1, top):
             for a in (0, 1, top, q - 1):
                 got = ops.unpack(ops.comb(entry(s), ops.pack(X), entry(a), ops.pack(V)), 5)
