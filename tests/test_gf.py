@@ -15,7 +15,8 @@ from sympy.polys.galoistools import gf_gcd, gf_mul, gf_pow_mod, gf_rem, gf_sub
 from eaqeckit import FMatrix, cli, errors, field_new, gf
 from eaqeckit.gf import (_NP_TABLE_MAX, FieldSpec, _barrett, _is_irreducible, _kronecker,
                          _poly_ops, _prime_factors, is_prime)
-from conftest import KRONECKER_ROW_FIELDS, SympyField, frobenius, galois_form, time_limit
+from conftest import (KRONECKER_ROW_FIELDS, SympyField, frobenius, galois_form, rref_reference,
+                      time_limit)
 
 
 def minimal_irreducible_oracle(p, e):
@@ -653,6 +654,27 @@ class TestRowOps:
         assert ops.unpack(ops.drop(row, 1), 4) == X[:1] + X[2:]
         assert ops.lead(ops.drop(ops.drop(row, 0), 0)) == 1
         assert ops.lead(ops.pack([0, 0, 0])) is None and not entry(0) and entry(1) == 1
+
+    @pytest.mark.parametrize("p,e", [(3, 7), (17, 8), (2**31 - 1, 2)])
+    def test_long_packed_rows(self, p, e):
+        # rows of 5, 40 and 300 entries make pack regrow its masks; zeros and
+        # q - 1 (every digit p - 1) are planted among random entries
+        field = field_new(p, e)
+        ops, q, rng = field.row_ops(), field.q, random.Random(p + e)
+
+        def entry(a):
+            return ops.get(ops.pack([a]), 0)
+
+        for n in (5, 40, 300):
+            X, V = ([rng.choice((0, q - 1, rng.randrange(q))) for _ in range(n)] for _ in "XV")
+            assert type(ops.pack(X)) is int and ops.unpack(ops.pack(X), n) == X
+            for s, a in ((1, 0), (q - 1, 1), (rng.randrange(1, q), rng.randrange(q))):
+                got = ops.unpack(ops.comb(entry(s), ops.pack(X), entry(a), ops.pack(V)), n)
+                assert got == [field.sub(field.mul(s, x), field.mul(a, y))
+                               for x, y in zip(X, V)], (n, s, a)
+        rows = [[rng.randrange(q) for _ in range(300)] for _ in range(5)]
+        R, rank, pivots = FMatrix(field, rows).rref()
+        assert (R.rows, rank, pivots) == rref_reference(field, rows)
 
 
 # The row-layout fields and the odd-p fields of the large-field benchmark workload

@@ -673,6 +673,18 @@ class TestSubsetScan:
         assert M.first_dependent_columns(2) == (0, 1) == first_dependent_subset(M, 2)
         assert M.first_dependent_columns(4) == (0, 1, 2, 3)
 
+    @pytest.mark.parametrize("p,e", [(13, 1), (3, 7)])
+    def test_subset_size_outside_the_columns(self, p, e):
+        # GF(13) scans on the tables and GF(3^7) on packed rows; at w = 0 and
+        # w = ncols + 1 neither driver runs, as there are no w-subsets to scan
+        field = field_new(p, e)
+        assert (field.vec_ops() is None) == (e > 1)
+        M = FMatrix(field, [[1, 0, 1], [0, 1, 1]], 3)
+        for w in (0, 4):
+            with pytest.raises(errors.ShapeMismatch):
+                M.first_dependent_columns(w)
+        assert M.first_dependent_columns(3) == (0, 1, 2)
+
     def test_square_scan_builds_no_last_level(self, monkeypatch):
         # A node at depth w-1 of a square scan has one row left; the key test
         # at depth w-2 replaces that level.  A tall scan still builds it.
