@@ -5,20 +5,20 @@ with the field's enc-level arithmetic; Element appears only at the API
 boundary (``M[i, j]``).  Matrices are value objects: every operation returns
 a new matrix and no mutation is observable through the public surface.
 
-All elimination lives here, in four kernels: rref and the column-subset
+All elimination lives here, in five kernels: rref and the column-subset
 scan first_dependent_columns, each on the numpy op tables of
 FieldSpec.vec_ops (_rref_tables, _scan_batched) or on the row layout of
-FieldSpec.row_ops (_rref_rows, the scan's own recursion), on which the
-product A @ B also builds each of its output rows, one row operation per
-nonzero entry of A.  The one rule: a field with
-tables (q <= 1024) scans on them and reduces on them from _RREF_TABLE_MIN
-entries, and everything else runs on rows, so no elimination above
-q = 1024 imports numpy.  A matrix has one reduced row echelon form and one
-first dependent subset, so the route never shows in a result.  The scan
-may fix its leading columns: both drivers then start at the node of the
-prefix 0..fixed-1 and search exactly its subtree, so the witness is the
-first dependent subset that holds the prefix (lincode.is_mds fixes columns
-only by automorphisms it has checked).
+FieldSpec.row_ops (_rref_rows, the scan's own recursion), and rank's
+inverse-free forward elimination on rows (_rank_rows); A @ B builds each
+output row on the row layout too, one row operation per nonzero entry of A.
+The one rule: a field with tables (q <= 1024) scans on them and reduces on
+them from _RREF_TABLE_MIN entries, and everything else runs on rows, so no
+elimination above q = 1024 imports numpy; rank() with no RREF memo follows
+it.  A matrix has one RREF, one rank and one first dependent subset, so the
+route never shows in a result.  The scan may fix its leading columns: both
+drivers then start at the node of the prefix 0..fixed-1 and search exactly
+its subtree, so the witness is the first dependent subset that holds the
+prefix (lincode.is_mds fixes columns only by automorphisms it has checked).
 
 Text format (bit-exact round trip):
     line 1:  "p e rows cols"
@@ -68,6 +68,13 @@ class FMatrix:
         """Matrix from rows of enc ints already in [0, q), without checks."""
         m = cls.__new__(cls)
         m._set(field, rows, ncols)
+        return m
+
+    @classmethod
+    def _reduced(cls, field: FieldSpec, rows, ncols: int, pivots: list[int]) -> "FMatrix":
+        """Matrix from nonzero rows in RREF with these pivots, its own RREF memo."""
+        m = cls._of(field, rows, ncols)
+        m._rref = (m, len(pivots), pivots)
         return m
 
     # -- basics ---------------------------------------------------------------
@@ -151,12 +158,15 @@ class FMatrix:
         return visit((), list(map(pack, _transposed(self.rows, n))))
 
     def rank(self) -> int:
-        return self.rref()[1]
+        """The RREF memo's rank, else rref's on the tables and _rank_rows' on rows."""
+        if self._rref or self.nrows * self.ncols >= _RREF_TABLE_MIN and self.field.vec_ops():
+            return self.rref()[1]
+        return _rank_rows(self.field.row_ops(), self.rows, self.ncols)
 
     def row_basis(self) -> "FMatrix":
-        """Canonical basis of the row space: the nonzero rows of the RREF."""
-        R, rank, _ = self.rref()
-        return FMatrix._of(self.field, R.rows[:rank], self.ncols)
+        """Canonical basis of the row space: the nonzero rows of the RREF, their own RREF."""
+        R, rank, pivots = self.rref()
+        return FMatrix._reduced(self.field, R.rows[:rank], self.ncols, pivots)
 
     def kernel_basis(self) -> "FMatrix":
         """Canonical basis of the right kernel {x : self @ x^T = 0}.
@@ -298,6 +308,21 @@ def _rref_rows(ops, rows, ncols: int):
         pivots.append(c)
         r += 1
     return [unpack(x, ncols) for x in work], r, pivots
+
+
+def _rank_rows(ops, rows, ncols: int) -> int:
+    """FMatrix.rank on FieldSpec.row_ops: the first row v with an entry s in column c
+    leaves, and each other row u with entry a there becomes s*u - a*v (no inverse)."""
+    pack, _, get, _, _, comb, _ = ops
+    work, r = list(map(pack, rows)), 0
+    for c in range(ncols):
+        if not work:  # a 0 x 10^12 matrix returns at once
+            break
+        if (piv := next((i for i, u in enumerate(work) if get(u, c)), None)) is not None:
+            v = work.pop(piv)
+            s = get(v, c)
+            work, r = [comb(s, u, a, v) if (a := get(u, c)) else u for u in work], r + 1
+    return r
 
 
 # rref reduces on vec_ops from this many entries (tables passes 46-48 ms, on

@@ -82,8 +82,8 @@ def _kernel_basis(M: FMatrix) -> FMatrix:
     before any elimination."""
     n = M.ncols
     size = (n - M.nrows) * n
-    if size <= DEFAULT_BUDGET:
-        size = (n - M.rank()) * n
+    if size <= DEFAULT_BUDGET:  # rref's rank, which kernel_basis then reads
+        size = (n - M.rref()[1]) * n
     if size > DEFAULT_BUDGET:
         raise errors.Infeasible(
             f"a kernel basis of {size} entries exceeds the budget of {DEFAULT_BUDGET}")
@@ -98,8 +98,18 @@ def from_generator(G: FMatrix) -> LinearCode:
 
 
 def from_parity_check(H: FMatrix) -> LinearCode:
-    """Code {x : H x^T = 0}.  The zero code (H of full column rank) is allowed."""
-    return from_generator(_kernel_basis(H))
+    """Code {x : H x^T = 0}.  The zero code (H of full column rank) is allowed.
+
+    One elimination, of H with its columns reversed: that copy's kernel basis
+    is the identity on its free columns, with every other entry of a row left
+    of the row's 1 (an RREF row is zero left of its pivot).  In original order
+    the free columns are the code's lexicographically first information set;
+    with columns and rows reversed, the basis is the unique RREF of ker H.
+    """
+    n = H.ncols
+    K = _kernel_basis(FMatrix._of(H.field, [row[::-1] for row in H.rows], n))
+    rows = [row[::-1] for row in reversed(K.rows)]  # each zero left of its leading 1
+    return from_generator(FMatrix._reduced(H.field, rows, n, [row.index(1) for row in rows]))
 
 
 def galois_dual(C: LinearCode, s: int) -> LinearCode:

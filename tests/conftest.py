@@ -63,6 +63,10 @@ def random_code(rng: random.Random, field, n: int, rows: int):
 # vec_ops (extension fields with q <= 1024), and the Z_p[x] routines above that.
 BACKEND_FIELDS = [(13, 1), (3, 3), (17, 8)]
 
+# One or two fields per row layout of FieldSpec.row_ops: residues mod p,
+# flat tables (p = 2 and odd p), bit vectors and Kronecker-packed rows.
+ROW_LAYOUT_FIELDS = [(13, 1), (2, 4), (3, 3), (2, 11), (2, 16), (17, 8), (3, 7)]
+
 # Fields of the Kronecker row layout (odd p, e >= 2, q > 1024): the smallest,
 # GF(3^7), three large-field benchmark fields, p near 2^16 and 2^31, and the
 # widest slots, GF((2^31-1)^16).

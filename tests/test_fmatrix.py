@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from eaqeckit import FMatrix, errors, field_new
 from eaqeckit.fmatrix import batched_full_rank, pivot_step
 from eaqeckit.rankmetric import moore_matrix
-from conftest import (BACKEND_FIELDS, KRONECKER_ROW_FIELDS, draw_matrix, identity, is_zero,
-                      matmul_reference, random_matrix, rref_reference, time_limit)
+from conftest import (BACKEND_FIELDS, KRONECKER_ROW_FIELDS, ROW_LAYOUT_FIELDS, draw_matrix,
+                      identity, is_zero, matmul_reference, random_matrix, rref_reference,
+                      time_limit)
 
 
 def vandermonde(field, nodes, ncols):
@@ -130,20 +131,26 @@ class TestRrefTableRoute:
 
     @staticmethod
     def spy(monkeypatch):
-        """Record the shape of every rref, and of every rref on the tables."""
+        """Record the shape of every rref and rank, and of every reduction on
+        the tables."""
         from eaqeckit import fmatrix
         seen, tabled = [], []
-        rref, tables = FMatrix.rref, fmatrix._rref_tables
+        rref, rank, tables = FMatrix.rref, FMatrix.rank, fmatrix._rref_tables
 
         def spy_rref(self):
             seen.append(self.shape)
             return rref(self)
+
+        def spy_rank(self):
+            seen.append(self.shape)
+            return rank(self)
 
         def spy_tables(ops, rows, ncols):
             tabled.append((len(rows), ncols))
             return tables(ops, rows, ncols)
 
         monkeypatch.setattr(FMatrix, "rref", spy_rref)
+        monkeypatch.setattr(FMatrix, "rank", spy_rank)
         monkeypatch.setattr(fmatrix, "_rref_tables", spy_tables)
         return seen, tabled
 
@@ -262,6 +269,95 @@ class TestRank:
             A = random_matrix(rng, f4, 3, 6)
             B = random_matrix(rng, f4, 2, 6)
             assert A.vstack(B).rank() <= A.rank() + B.rank()
+
+
+def rank_reference(field, rows):
+    """Rank by elimination per entry: each pivot row, scaled by the inverse
+    of its pivot on the field's scalar operations, clears its column from
+    the rows below it."""
+    work, r = [list(row) for row in rows], 0
+    for c in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(r, len(work)) if work[i][c]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        inv = field.inv(work[r][c])
+        for i in range(r + 1, len(work)):
+            fac = field.mul(work[i][c], inv)
+            work[i] = [field.sub(x, field.mul(fac, y)) for x, y in zip(work[i], work[r])]
+        r += 1
+    return r
+
+
+class TestRankRows:
+    """rank() below _RREF_TABLE_MIN entries: forward elimination on the row
+    layout, with no rref and no inverse, against rref()[1] and the reference."""
+
+    @staticmethod
+    def matrices(rng, field, m, n):
+        q = field.q
+        # every entry q - 1 or 0, so almost no pivot is 1
+        nonunit = [[rng.choice((q - 1, q - 1, 0)) for _ in range(n)] for _ in range(m)]
+        zero = [[0] * n for _ in range(m)]
+        return planted_matrices(rng, field, m, n) + [nonunit, zero]
+
+    @staticmethod
+    def forbid_rref_and_inverse(monkeypatch, field):
+        def refuse(*args):
+            raise AssertionError("rank on rows took an rref or an inverse")
+
+        monkeypatch.setattr(FMatrix, "rref", refuse)
+        monkeypatch.setattr(field, "_rows", field.row_ops()._replace(inv=refuse))
+
+    @pytest.mark.parametrize("p,e", ROW_LAYOUT_FIELDS)
+    def test_matches_rref_and_reference(self, monkeypatch, p, e):
+        field = field_new(p, e)
+        rng = random.Random(p * 100 + e)
+        mats = [(rows, n) for m, n in [(3, 5), (5, 5), (6, 9), (7, 3), (2, 2)]
+                for rows in self.matrices(rng, field, m, n)]
+        mats += [([[]] * 3, 0), ([], 4)]  # m x 0 and 0 x n
+        with monkeypatch.context() as patched:
+            self.forbid_rref_and_inverse(patched, field)
+            ranks = [FMatrix(field, rows, n).rank() for rows, n in mats]
+        for (rows, n), rank in zip(mats, ranks):
+            assert rank == FMatrix(field, rows, n).rref()[1] == rank_reference(field, rows)
+            assert type(rank) is int
+
+    def test_rank_one_bit_vector_matrix(self, monkeypatch):
+        # row 2 is 3 times row 1 in GF(2^11); a bit-vector comb that drops
+        # its s factor reads rank 2
+        field = field_new(2, 11)
+        self.forbid_rref_and_inverse(monkeypatch, field)
+        assert FMatrix(field, [[3, 9], [5, 27]], 2).rank() == 1
+
+    @pytest.mark.parametrize("p,e", [(3, 7), (13, 1), (2, 11)])
+    def test_no_rows_returns_at_once(self, monkeypatch, p, e):
+        field = field_new(p, e)
+        self.forbid_rref_and_inverse(monkeypatch, field)
+        with time_limit(1, "rank of a 0 x 10^12 matrix"):
+            assert FMatrix(field, [], 10**12).rank() == 0
+
+    @pytest.mark.parametrize("p,e", [(13, 1), (2, 11), (17, 8)])
+    def test_row_operations_only_below_pivots(self, monkeypatch, p, e):
+        # one row operation per row below a pivot with an entry in its column:
+        # none for the identity, m - 1 for a matrix of equal rows
+        field = field_new(p, e)
+        ops, calls = field.row_ops(), []
+        monkeypatch.setattr(field, "_rows", ops._replace(
+            comb=lambda *args: calls.append(args) or ops.comb(*args)))
+        assert identity(field, 5).rank() == 5 and calls == []
+        assert FMatrix(field, [[2] * 6] * 4, 6).rank() == 1 and len(calls) == 3
+
+    def test_memo_and_tables_route(self, monkeypatch):
+        # a matrix with an RREF memo reads it; 8 x 16 over GF(13) reduces on
+        # the tables, and rank is rref's rank there
+        from eaqeckit import fmatrix
+        field = field_new(13, 1)
+        M = random_matrix(random.Random(2), field, 8, 16)
+        rank = M.rref()[1]
+        monkeypatch.setattr(fmatrix, "_rank_rows", None)
+        assert M.rank() == rank
+        assert FMatrix(field, M.rows, 16).rank() == rank
 
 
 class TestKernel:

@@ -14,7 +14,7 @@ from eaqeckit import (FMatrix, ebits_stack, errors, field_new, from_generator,
 from eaqeckit import fmatrix, lincode
 from eaqeckit.fmatrix import pivot_step
 from eaqeckit.lincode import LinearCode
-from conftest import (KRONECKER_ROW_FIELDS, codewords, galois_form, identity,
+from conftest import (KRONECKER_ROW_FIELDS, ROW_LAYOUT_FIELDS, codewords, galois_form, identity,
                       intersection_basis_bruteforce, is_zero, random_code, random_matrix,
                       rref_reference, time_limit)
 
@@ -112,10 +112,11 @@ class TestConstruction:
         assert LinearCode.from_text(code.to_text()) == code
 
     def test_each_matrix_reduced_once(self, f9, monkeypatch):
-        # from_generator reduces G only; from_parity_check reduces H and the
-        # kernel basis it builds.  Reductions are rref calls with no memo yet.
+        # from_generator reduces G only; from_parity_check reduces H, with its
+        # columns reversed, and builds G already reduced.  Reductions are rref
+        # calls with no memo yet and ranks on rows, which leave no memo.
         reductions = []
-        rref = FMatrix.rref
+        rref, rank_rows = FMatrix.rref, fmatrix._rank_rows
 
         def counting(M):
             if M._rref is None:
@@ -123,12 +124,14 @@ class TestConstruction:
             return rref(M)
 
         monkeypatch.setattr(FMatrix, "rref", counting)
+        monkeypatch.setattr(fmatrix, "_rank_rows",
+                            lambda *args: reductions.append(args) or rank_rows(*args))
         rng = random.Random(31)
         from_generator(random_matrix(rng, f9, 3, 6))
         assert len(reductions) == 1
         reductions.clear()
         from_parity_check(random_matrix(rng, f9, 2, 6))
-        assert len(reductions) == 2
+        assert len(reductions) == 1
 
 
     def test_kernel_over_budget_is_infeasible(self, f13, monkeypatch):
@@ -157,6 +160,45 @@ class TestConstruction:
             for build in (from_generator, from_parity_check):
                 with pytest.raises(errors.Infeasible, match="exceeds the budget"):
                     build(M)
+
+
+class TestParityCheckOneElimination:
+    """from_parity_check reduces H with its columns reversed and reads G off
+    that copy's kernel basis.  It must build the code of the two-elimination
+    route, from_generator(H.kernel_basis()), with G its own RREF."""
+
+    @staticmethod
+    def assert_same_code(H):
+        code, old = from_parity_check(H), from_generator(H.kernel_basis())
+        assert code == old  # field, n, k, G and H
+        R, rank, pivots = code.G.rref()
+        assert R is code.G and rank == code.k
+        assert pivots == H.kernel_basis().rref()[2]
+
+    @pytest.mark.parametrize("p,e", ROW_LAYOUT_FIELDS)
+    def test_matches_two_elimination_route(self, p, e):
+        field = field_new(p, e)
+        rng = random.Random(p * 10 + e)
+        for m, n in [(2, 5), (3, 6), (4, 4), (5, 7), (1, 3)]:
+            self.assert_same_code(random_matrix(rng, field, m, n))
+            r = max(1, m // 2)  # rank deficient
+            self.assert_same_code(random_matrix(rng, field, m, r) @ random_matrix(rng, field, r, n))
+            zero_column = [list(row) for row in random_matrix(rng, field, m, n).rows]
+            for row in zero_column:
+                row[rng.randrange(n)] = 0
+                row[1] = 0
+            self.assert_same_code(FMatrix(field, zero_column, n))
+        self.assert_same_code(FMatrix(field, [], 5))  # no rows: the full space
+        full = identity(field, 4).vstack(random_matrix(rng, field, 2, 4))
+        self.assert_same_code(full)  # full column rank: the zero code
+        assert from_parity_check(full).k == 0
+
+    def test_tables_route(self):
+        # GF(29) 5 x 28, 140 entries, reduces on the numpy tables
+        field = field_new(29, 1)
+        rng = random.Random(29)
+        for _ in range(3):
+            self.assert_same_code(random_matrix(rng, field, 5, 28))
 
 
 class TestDuals:
