@@ -72,9 +72,10 @@ class FMatrix:
 
     @classmethod
     def _reduced(cls, field: FieldSpec, rows, ncols: int, pivots: list[int]) -> "FMatrix":
-        """Matrix from nonzero rows in RREF with these pivots, its own RREF memo."""
+        """Matrix from nonzero rows in RREF with these pivots, its own RREF memo
+        (None in the memo stands for the matrix: a memo holding it is a cycle)."""
         m = cls._of(field, rows, ncols)
-        m._rref = (m, len(pivots), pivots)
+        m._rref = (None, len(pivots), pivots)
         return m
 
     # -- basics ---------------------------------------------------------------
@@ -105,7 +106,7 @@ class FMatrix:
         From _RREF_TABLE_MIN entries over a field with vec_ops, on its tables;
         the RREF is unique, so the route never shows in the result."""
         if self._rref is not None:
-            return self._rref
+            return self._rref if self._rref[0] else (self, *self._rref[1:])
         f = self.field
         if self.nrows * self.ncols >= _RREF_TABLE_MIN and (ops := f.vec_ops()) is not None:
             work, r, pivots = _rref_tables(ops, self.rows, self.ncols)

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import math
 import os
@@ -133,6 +134,21 @@ class TestConstruction:
         from_parity_check(random_matrix(rng, f9, 2, 6))
         assert len(reductions) == 1
 
+
+    def test_codes_leave_no_reference_cycle(self, f9):
+        # G is its own RREF memo; a memo that held G itself would be a cycle,
+        # and every G would wait for the cyclic collector to be freed
+        M = random_matrix(random.Random(32), f9, 2, 6)
+        gc.collect()
+        gc.disable()
+        try:
+            code = from_parity_check(M)
+            assert code.G.rref()[0] is code.G
+            del code
+            from_generator(M)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_kernel_over_budget_is_infeasible(self, f13, monkeypatch):
         # (ncols - rank) * ncols entries: 8 * 8 for the zero 8 x 8 matrix,
