@@ -134,7 +134,6 @@ class TestConstruction:
         from_parity_check(random_matrix(rng, f9, 2, 6))
         assert len(reductions) == 1
 
-
     def test_codes_leave_no_reference_cycle(self, f9):
         # G is its own RREF memo; a memo that held G itself would be a cycle,
         # and every G would wait for the cyclic collector to be freed
@@ -149,6 +148,7 @@ class TestConstruction:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
 
     def test_kernel_over_budget_is_infeasible(self, f13, monkeypatch):
         # (ncols - rank) * ncols entries: 8 * 8 for the zero 8 x 8 matrix,
@@ -200,7 +200,7 @@ class TestParityCheckOneElimination:
             r = max(1, m // 2)  # rank deficient
             self.assert_same_code(random_matrix(rng, field, m, r) @ random_matrix(rng, field, r, n))
             zero_column = [list(row) for row in random_matrix(rng, field, m, n).rows]
-            for row in zero_column:
+            for row in zero_column:  # column 1 zero, and one more entry per row
                 row[rng.randrange(n)] = 0
                 row[1] = 0
             self.assert_same_code(FMatrix(field, zero_column, n))
@@ -209,12 +209,19 @@ class TestParityCheckOneElimination:
         self.assert_same_code(full)  # full column rank: the zero code
         assert from_parity_check(full).k == 0
 
-    def test_tables_route(self):
+    def test_tables_route(self, monkeypatch):
         # GF(29) 5 x 28, 140 entries, reduces on the numpy tables
         field = field_new(29, 1)
         rng = random.Random(29)
+        tables, tabled = fmatrix._rref_tables, []
+        monkeypatch.setattr(fmatrix, "_rref_tables",
+                            lambda *args: tabled.append(args) or tables(*args))
         for _ in range(3):
-            self.assert_same_code(random_matrix(rng, field, 5, 28))
+            H = random_matrix(rng, field, 5, 28)
+            tabled.clear()
+            from_parity_check(H)
+            assert len(tabled) == 1  # H reversed, and nothing else
+            self.assert_same_code(H)
 
 
 class TestDuals:
