@@ -8,7 +8,9 @@ Subcommands:
     selftest   run seeded consistency suites
 
 construct and table share one printer: json, text, or csv (the certificate
-inputs, then params, c_product, c_stack and slack).
+inputs, then params, c_product, c_stack and slack).  The global options
+--budget, --seed, --output and --emit-matrices go before or after the
+subcommand.
 
 Exit codes are a stable contract, and main maps every error to one:
     0 success, 1 refuted or not verified, 2 constraint violation,
@@ -196,43 +198,55 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _global_options(parser: argparse.ArgumentParser, after: bool = False) -> None:
+    """--budget, --seed, --output and --emit-matrices, with their defaults
+    before the subcommand; after it (after set) with none, so that a value
+    given before the subcommand is kept unless it is given again."""
+    def default(value):
+        return argparse.SUPPRESS if after else value
+
+    parser.add_argument("--budget", type=int, default=default(DEFAULT_BUDGET),
+                        help="exhaustive-search budget (codewords)")
+    parser.add_argument("--seed", type=int, default=default(0),
+                        help="seed for randomized consistency checks")
+    parser.add_argument("--output", choices=("json", "csv", "text"), default=default("json"))
+    parser.add_argument("--emit-matrices", action="store_true", default=default(False),
+                        help="include G1/H2 matrix text in certificates")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="eaqeckit",
         description="Construct and verify entanglement-assisted MDS codes "
                     "over exact finite fields.")
-    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                        help="exhaustive-search budget (codewords)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized consistency checks")
-    parser.add_argument("--output", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--emit-matrices", action="store_true",
-                        help="include G1/H2 matrix text in certificates")
+    _global_options(parser)
+    common = argparse.ArgumentParser(add_help=False)
+    _global_options(common, after=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("construct", help="build one family instance")
+    p = sub.add_parser("construct", parents=[common], help="build one family instance")
     p.add_argument("family", choices=sorted(_FAMILIES))
     p.add_argument("params", nargs="+", metavar="key=value")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("table", help="regenerate a published table")
+    p = sub.add_parser("table", parents=[common], help="regenerate a published table")
     p.add_argument("which", type=int, choices=(1, 2))
     p.set_defaults(func=cmd_table)
 
-    p = sub.add_parser("ebits", help="ebit count from matrix files")
+    p = sub.add_parser("ebits", parents=[common], help="ebit count from matrix files")
     p.add_argument("g1_file")
     p.add_argument("h2_file")
     p.add_argument("--s", type=int, default=0, help="Galois twist parameter")
     p.set_defaults(func=cmd_ebits)
 
-    p = sub.add_parser("verify", help="certify or refute code parameters")
+    p = sub.add_parser("verify", parents=[common], help="certify or refute code parameters")
     p.add_argument("code_file")
     p.add_argument("--k", type=int, default=None, help="claimed dimension")
     p.add_argument("--d", type=int, default=None, help="claimed distance")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("selftest", help="seeded consistency suites")
+    p = sub.add_parser("selftest", parents=[common], help="seeded consistency suites")
     p.add_argument("--trials", type=int, default=100)
     p.set_defaults(func=cmd_selftest)
 

@@ -9,7 +9,10 @@ family at n = q-1 (the cyclic shift) and the extended evaluation family
 (x -> gamma x and x -> x + 1) offer automorphisms of their codes to
 is_mds, which checks each one by a rank on the matrix it scans before it
 lets them shrink the scan to the subsets that hold column 0, or columns 0
-and 1; a map that fails its check leaves the full scan.
+and 1; a map that fails its check leaves the full scan.  The Vandermonde
+family also offers its scanned C1 as C2's twin: is_mds proves C2 without a
+scan when it checks C2 = C1 D for a nonzero diagonal D (the dual of a GRS
+code is a GRS code on the same nodes), and scans it otherwise.
 
 Canonical instantiations (the closed forms leave them open):
   * Vandermonde nodes are powers of the canonical primitive element, which
@@ -84,16 +87,19 @@ def _within_budget(entries: int) -> None:
 
 
 def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: int,
-             predicted: EaqecParams, symmetries=()) -> FamilyCertificate:
+             predicted: EaqecParams, symmetries=(), twins: bool = False) -> FamilyCertificate:
     """Certify the pair C1 = rowspace(G1), C2 = ker(H2) against its closed form.
 
     A dimension other than k1, k2 or a code that fails the MDS column
     criterion is a FormulaMismatch; each distinct canonical code is proved
     MDS once, by is_mds with the family's symmetries, monomial maps offered
     as automorphisms of every code of the pair, which is_mds checks before
-    it uses them to shrink the scan.  The extended-GRS pair is one code:
-    with both dimensions k, G1 H2^T = 0 holds iff C1 = C2, and a pair that
-    differs is a DualityFailure.  The ebit count comes from assemble.
+    it uses them to shrink the scan.  With twins, C1 is scanned first and
+    then offered to is_mds as C2's twin: if it checks C2 = C1 D for a
+    nonzero diagonal D, C2 is proved without a scan.  The extended-GRS pair
+    is one code: with both dimensions k, G1 H2^T = 0 holds iff C1 = C2, and
+    a pair that differs is a DualityFailure.  The ebit count comes from
+    assemble.
     """
     C1, C2 = from_generator(G1), from_parity_check(H2)
     for label, C, k in (("C1", C1, k1), ("C2", C2, k2)):
@@ -101,11 +107,13 @@ def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: i
             raise errors.FormulaMismatch(f"{family} dim {label} = {C.k}, expected {k}")
     if family == "grs_extended" and C1 != C2:
         raise errors.DualityFailure("G1 H2^T != 0 for the canonical points/weights")
+    twin = None
     for label, C in (("C1", C1),) if C1 == C2 else (("C1", C1), ("C2", C2)):
-        report = is_mds(C, symmetries)
+        report = is_mds(C, symmetries, twin)
         if not report.is_mds:
             raise errors.FormulaMismatch(f"{family} {label} failed MDS certification; "
                                          f"dependent columns {report.witness}")
+        twin = C if twins else None
     d1, d2 = (DistanceReport(C.n - C.k + 1, "mds-columns") for C in (C1, C2))
     pair = assemble(C1, C2, 0, d1, d2)
     return FamilyCertificate(family, inputs, G1, H2, pair, predicted,
@@ -132,18 +140,24 @@ def vandermonde_family(field: FieldSpec, n: int, k: int, t: int, j: int) -> Fami
     _require(n - j - 1 >= 1, "n-j-1 >= 1", f"{n - j - 1} >= 1")
     _within_budget((t + j) * n)
 
-    gamma = field.primitive_element().enc
-    # 0-based row i holds node^c = gamma^(i*c); rows 0..t+j-1 cover G1 and H2
-    rows = [[field.pow(gamma, i * c) for c in range(n)] for i in range(t + j)]
+    gamma, mul = field.primitive_element().enc, field.mul
+    # 0-based row i holds x_c^i for the nodes x_c = gamma^c, each row the
+    # entrywise product of the one before with x; rows 0..t+j-1 cover G1 and H2
+    x = [field.pow(gamma, c) for c in range(n)]
+    rows = [[1] * n]
+    for _ in range(t + j - 1):
+        rows.append(list(map(mul, rows[-1], x)))
     # at n = q-1 the nodes are all of GF(q)*, and x -> gamma x scales row i
-    # by gamma^i: the column shift c -> c+1 mod n fixes both codes
+    # by gamma^i: the column shift c -> c+1 mod n fixes both codes.  When
+    # H2 holds rows k..n-1, C2 is the dual of the GRS code C1 on the same
+    # nodes, a GRS code with other column multipliers, so C1 is C2's twin.
     shift = ([(c + 1) % n for c in range(n)], [1] * n)
     return _certify(
         "vandermonde", {"q": field.label, "n": n, "k": k, "t": t, "j": j},
         FMatrix._of(field, rows[:k], n), FMatrix._of(field, rows[t - 1:], n),
         k, n - j - 1,
         EaqecParams.build(field, n, t - 1, min(n - k + 1, j + 2), j - k + t),
-        [shift] if n == q - 1 else ())
+        [shift] if n == q - 1 else (), twins=True)
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,7 @@ class MdsReport:
     subset_size: int
     witness: Optional[tuple[int, ...]] = None  # dependent columns, when not MDS
     fixed: int = 0  # leading columns that every scanned subset held
+    scaled: bool = False  # proved as a checked column scaling of a twin, no scan
 
     def __bool__(self):
         return self.is_mds
@@ -134,14 +135,19 @@ def check_pair(C1: LinearCode, C2: LinearCode) -> None:
 # MDS certification (column criterion)
 # ---------------------------------------------------------------------------
 
-def is_mds(C: LinearCode, symmetries: Sequence[tuple[Sequence[int], Sequence[int]]] = ()
-           ) -> MdsReport:
+def is_mds(C: LinearCode, symmetries: Sequence[tuple[Sequence[int], Sequence[int]]] = (),
+           twin: Optional[LinearCode] = None) -> MdsReport:
     """Column criterion: d = n-k+1 iff every k-subset of G's columns has rank k.
 
     Equivalently every (n-k)-subset of H's columns has rank n-k; the cheaper
     side is checked (G on ties), which is sound because a code is MDS iff its
     dual is.  The scan is FMatrix.first_dependent_columns; the fmatrix
     docstring states its backends and its fixed prefix.
+
+    twin is a code that the caller has proved MDS.  If _scales_twin finds
+    C = twin D for a nonzero diagonal D, C is MDS too (D maps every column
+    subset to one of the same rank), and the report is marked scaled, with
+    no scan; otherwise the scan runs as without it.
 
     symmetries are monomial maps (perm, scale) offered as automorphisms of
     C: the image of a matrix M has column j equal to scale[j] (an enc) times
@@ -160,9 +166,43 @@ def is_mds(C: LinearCode, symmetries: Sequence[tuple[Sequence[int], Sequence[int
         M, side, w = C.G, "generator", C.k
     else:
         M, side, w = C.H, "parity", C.n - C.k
+    if twin is not None and _scales_twin(C, twin):
+        return MdsReport(True, side, w, scaled=True)
     fixed = _fixed_prefix(M, w, symmetries, side == "parity") if symmetries else 0
     witness = M.first_dependent_columns(w, fixed)
     return MdsReport(witness is None, side, w, witness, fixed)
+
+
+def _scales_twin(C: LinearCode, twin: LinearCode) -> bool:
+    """Whether C = twin D for a nonzero diagonal D, decided on the canonical
+    generators B of C and A of twin, by multiplies alone.
+
+    C = twin D holds iff B = E^-1 A D with E the diagonal of D on the
+    pivots: the same k and pivots, and B[i][c] e_i = A[i][c] d_c on every
+    free column c.  With c0 the first free column, the reference entries
+    of A and B on row 0 and on column c0 must be nonzero, else False (all
+    free entries of an MDS twin and of its scalings are); they fix d_c =
+    B[0][c] / A[0][c] and e_i = d_c0 A[i][c0] / B[i][c0], and the rest is
+    the cross ratio of each entry, B[i][c] B[0][c0] A[0][c] A[i][c0] =
+    A[i][c] A[0][c0] B[0][c] B[i][c0], which also forces the zero patterns
+    of A and B to agree.
+    """
+    if C.k != twin.k or C.n != twin.n or C.field != twin.field:
+        return False
+    B, A = C.G.rows, twin.G.rows
+    pivots = [row.index(1) for row in A]  # an RREF row's first nonzero is its 1
+    if [row.index(1) for row in B] != pivots:
+        return False
+    free = [c for c in range(C.n) if c not in pivots]
+    c0, mul = free[0], C.field.mul
+    if not all([A[0][c] for c in free] + [B[0][c] for c in free] + [r[c0] for r in A + B]):
+        return False
+    for a, b in zip(A[1:], B[1:]):
+        left, right = mul(B[0][c0], a[c0]), mul(A[0][c0], b[c0])
+        if any(mul(mul(b[c], A[0][c]), left) != mul(mul(a[c], B[0][c]), right)
+               for c in free):
+            return False
+    return True
 
 
 def _fixed_prefix(M: FMatrix, w: int, maps, dual: bool) -> int:

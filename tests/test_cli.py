@@ -452,6 +452,48 @@ class TestSelftest:
         assert len(err.splitlines()) == 1 and "bad input" in err
 
 
+class TestGlobalOptionOrder:
+    """--budget, --seed, --output and --emit-matrices before or after the subcommand."""
+
+    @pytest.mark.parametrize("options,command", [
+        (("--seed", "1"), ("selftest", "--trials", "30")),
+        (("--output", "csv"), ("construct", "vandermonde", "q=13", "n=12", "k=4", "t=5", "j=7")),
+        (("--output", "text", "--emit-matrices"), ("construct", "grs-ext", "q=9", "k=4")),
+        (("--emit-matrices",), ("table", "2")),
+        (("--seed", "2", "--output", "csv"), ("table", "3")),
+    ])
+    def test_both_orders_agree(self, capsys, options, command):
+        before = run(capsys, *options, *command)
+        after = run(capsys, *command, *options)
+        assert before == after
+
+    def test_budget_after_verify(self, capsys, tmp_path, f13):
+        g = f13.primitive_element()
+        G = FMatrix(f13, [[(g**i) ** c for c in range(12)] for i in range(2)], 12)
+        path = tmp_path / "c.txt"
+        path.write_text(from_generator(G).to_text())
+        argv = ("verify", str(path), "--d", "11")
+        before = run(capsys, "--budget", "168", *argv)
+        assert before == run(capsys, *argv, "--budget", "168")
+        assert before[0] == 0 and json.loads(before[1])["method"] == "mds-columns"
+
+    def test_value_before_is_not_reset(self, capsys):
+        # the subcommand's own copy of each option has no default to write back
+        code, out, _ = run(capsys, "--seed", "7", "--output", "csv", "--emit-matrices",
+                           "--budget", "5", "selftest", "--trials", "3")
+        assert code == 0 and "(seed=7)" in out
+        from eaqeckit.cli import build_parser
+        args = build_parser().parse_args(["--seed", "7", "--output", "csv", "--emit-matrices",
+                                          "--budget", "5", "table", "1"])
+        assert (args.seed, args.output, args.emit_matrices, args.budget) == (7, "csv", True, 5)
+        args = build_parser().parse_args(["table", "1"])
+        assert (args.seed, args.output, args.emit_matrices) == (0, "json", False)
+
+    def test_value_after_wins(self, capsys):
+        code, out, _ = run(capsys, "--seed", "7", "selftest", "--trials", "3", "--seed", "8")
+        assert code == 0 and "(seed=8)" in out
+
+
 class TestConfig:
     def test_bad_budget(self, capsys):
         code, _, err = run(capsys, "--budget", "0", "table", "1")

@@ -8,6 +8,7 @@ from eaqeckit import (FMatrix, TABLE1_ROWS, TABLE2_ROWS, ebits_product,
 from eaqeckit import families
 from eaqeckit.cli import main
 from eaqeckit.families import _certify
+from eaqeckit.lincode import _scales_twin
 from conftest import is_zero
 
 
@@ -32,34 +33,55 @@ class TestCertify:
         with pytest.raises(errors.FormulaMismatch, match="C1 failed MDS certification"):
             _certify("vandermonde", cert.inputs, G1, cert.H2, 2, 4, cert.predicted)
 
+    def test_non_mds_code_with_a_scaled_twin_fails_on_c1(self, f13, monkeypatch):
+        # C2 = C1 D is the scaled twin of a C1 that is not MDS: C1's scan
+        # refuses it, and C2 is never offered to is_mds
+        cert = vandermonde_family(f13, 12, 4, 5, 7)
+        G1 = FMatrix(f13, [[1, 0] + [1] * 10, [0, 1] + [2] * 10], 12)
+        scaled = FMatrix(f13, [[f13.mul(x, c + 1) for c, x in enumerate(row)]
+                               for row in G1.rows], 12)
+        H2 = from_generator(scaled).H
+        assert _scales_twin(from_parity_check(H2), from_generator(G1))
+        calls = []
+        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None:
+                            calls.append(twin) or is_mds(C, symmetries, twin))
+        with pytest.raises(errors.FormulaMismatch, match="C1 failed MDS certification"):
+            _certify("vandermonde", cert.inputs, G1, H2, 2, 2, cert.predicted, twins=True)
+        assert calls == [None]
+
 
     @pytest.mark.parametrize("family,p,e,args,scans", [
         ("grs_extended_family", 3, 2, (4,), 1),
-        ("vandermonde_family", 13, 1, (12, 4, 5, 7), 2),
+        ("vandermonde_family", 13, 1, (12, 4, 5, 7), 1),
         ("gabidulin_family", 11, 5, (5, 3, 2, 2), 2),
     ])
     def test_each_distinct_code_is_proved_once(self, monkeypatch, family, p, e, args, scans):
-        # the extended-GRS pair is one code; the other two pairs are two
+        # the extended-GRS pair is one code; the other two pairs are two, and
+        # the Vandermonde C2 is proved as a checked scaling of C1, not scanned
         calls = []
-        monkeypatch.setattr(families, "is_mds",
-                            lambda C, symmetries=(): calls.append(C) or is_mds(C, symmetries))
+        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None:
+                            calls.append((C, is_mds(C, symmetries, twin))) or calls[-1][1])
         assert getattr(families, family)(field_new(p, e), *args).verified
-        assert len(calls) == len(set(calls)) == scans
+        codes = [C for C, _ in calls]
+        assert len(codes) == len(set(codes)) == (1 if family == "grs_extended_family" else 2)
+        assert sum(not report.scaled for _, report in calls) == scans
 
     @staticmethod
     def reports(monkeypatch):
         out = []
-        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=():
-                            out.append(is_mds(C, symmetries)) or out[-1])
+        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None:
+                            out.append(is_mds(C, symmetries, twin)) or out[-1])
         return out
 
     def test_scans_reduced_by_checked_automorphisms(self, monkeypatch):
         # Table 1's GF(13) rows have n = q - 1 (the cyclic shift, column 0);
-        # its GF(27) rows have n = 15 != 26 and take none.  The extended GRS
+        # its GF(27) rows have n = 15 != 26 and take none.  Every row's C2 is
+        # a checked scaling of its C1 and takes no scan.  The extended GRS
         # codes take AGL(1, q) (columns 0 and 1), Gabidulin codes nothing.
         reports = self.reports(monkeypatch)
         table1()
-        assert [r.fixed for r in reports] == [1] * 8 + [0] * 20
+        assert ([(r.fixed, r.scaled) for r in reports]
+                == [(1, False), (0, True)] * 4 + [(0, False), (0, True)] * 10)
         assert all(r.is_mds for r in reports)
         # w = k; the marker column is in no orbit of a point, so w = 1 fixes
         # nothing, w = 2 column 0 and w >= 3 columns 0 and 1
@@ -70,7 +92,7 @@ class TestCertify:
         reports.clear()
         table2()
         gabidulin_family(field_new(2, 16), 7, 4, 3, 2)
-        assert len(reports) == 8 and {r.fixed for r in reports} == {0}
+        assert len(reports) == 8 and {(r.fixed, r.scaled) for r in reports} == {(0, False)}
 
     def test_permuted_points_refuse_the_affine_maps(self, monkeypatch, f13):
         # Swapping the columns of the points 1 and 2 in both generators keeps
@@ -160,6 +182,16 @@ class TestVandermonde:
     def test_constraints(self, f13, n, k, t, j, name):
         with pytest.raises(errors.ConstraintViolation, match=name.replace("+", "\\+")):
             vandermonde_family(f13, n, k, t, j)
+
+    @pytest.mark.parametrize("p,e", [(13, 1), (29, 1), (3, 3), (2, 4), (3, 7)])
+    def test_node_power_rows_match_pow(self, p, e):
+        # the rows are built as entrywise products with the nodes; with
+        # t = 1 H2 holds rows 0..n-2 of the node-power matrix
+        field = field_new(p, e)
+        n, gamma = min(field.q - 1, 12), field.primitive_element().enc
+        cert = vandermonde_family(field, n, 3, 1, n - 2)
+        powers = [tuple(field.pow(gamma, i * c) for c in range(n)) for i in range(n - 1)]
+        assert cert.H2.rows == tuple(powers) and cert.G1.rows == tuple(powers[:3])
 
     def test_json_shape(self, f13):
         blob = vandermonde_family(f13, 12, 4, 5, 7).to_json(emit_matrices=True)

@@ -476,6 +476,115 @@ class TestIsMds:
             assert is_mds(galois_dual(code, 0)).is_mds
 
 
+def grs_pair(rng, field, n, k):
+    """(C1, C2): the GRS code of dimension k on n random distinct nonzero
+    nodes x with random multipliers, and the kernel of the n-k rows u_c x_c^i
+    with other random multipliers u, a GRS code of dimension k on the same
+    nodes, so C2 = C1 D for a nonzero diagonal D."""
+    nodes = rng.sample(range(1, field.q), n)
+
+    def rows(count):
+        scale = [rng.randrange(1, field.q) for _ in range(n)]
+        return FMatrix(field, [[field.mul(v, field.pow(x, i)) for v, x in zip(scale, nodes)]
+                               for i in range(count)], n)
+
+    return from_generator(rows(k)), from_parity_check(rows(n - k))
+
+
+def with_rows(C, rows):
+    return from_generator(FMatrix(C.field, rows, C.n))
+
+
+class TestScaledTwin:
+    """is_mds(C, twin=T): C proved as a checked column scaling of T, else scanned."""
+
+    @staticmethod
+    def assert_scan(C, twin):
+        """twin is refused: the report is the full scan's, and not scaled."""
+        assert not lincode._scales_twin(C, twin)
+        report = is_mds(C, twin=twin)
+        assert report == is_mds(C) and not report.scaled
+
+    @staticmethod
+    def assert_scaled(C, twin):
+        report = is_mds(C, twin=twin)
+        assert report.scaled and dataclasses.replace(report, scaled=False) == is_mds(C)
+        assert is_mds(C).is_mds
+
+    def test_table1_rows(self):
+        from eaqeckit import TABLE1_ROWS, vandermonde_family
+        for p, e, n, k, t, j in TABLE1_ROWS:
+            pair = vandermonde_family(field_new(p, e), n, k, t, j).pair
+            self.assert_scaled(pair.C2, pair.C1)
+
+    @pytest.mark.parametrize("p,e", [(13, 1), (3, 3), (29, 1), (2, 4)])
+    def test_random_grs_pairs(self, p, e):
+        field, rng = field_new(p, e), random.Random(p * 100 + e)
+        sides = set()
+        for _ in range(12):
+            n = rng.randint(3, min(field.q - 1, 12))
+            C1, C2 = grs_pair(rng, field, n, rng.randint(1, n - 1))
+            self.assert_scaled(C2, C1)
+            self.assert_scaled(C1, C2)
+            sides.add(is_mds(C2).checked_matrix)
+        assert sides == {"generator", "parity"}
+
+    @pytest.mark.parametrize("p,e", [(13, 1), (2, 4)])
+    def test_one_changed_entry_is_refused(self, p, e):
+        # k, n - k >= 2: every free entry sits in a 2x2 cross ratio, so a
+        # change anywhere, to zero or to another value, leaves no scaling
+        field, rng = field_new(p, e), random.Random(7)
+        C1, C2 = grs_pair(rng, field, 8, 3)
+        self.assert_scaled(C2, C1)
+        for i in range(C2.k):
+            for c in range(C2.k, C2.n):
+                for value in (0, field.mul(C2.G.rows[i][c], 2 if p > 2 else 3)):
+                    rows = [list(row) for row in C2.G.rows]
+                    rows[i][c] = value
+                    self.assert_scan(with_rows(C2, rows), C1)
+
+    def test_zero_reference_entry_is_refused(self, f13):
+        # a zero on row 0 (column 4) or on the first free column (row 1)
+        # makes every cross ratio through it 0 = 0; the other entries of
+        # that column or row then differ by no scaling
+        A = [[1, 0, 0, 2, 0, 3, 4], [0, 1, 0, 5, 6, 7, 8], [0, 0, 1, 9, 10, 11, 12]]
+        B = [list(row) for row in A]
+        B[1][4], B[2][4] = 7, 1
+        self.assert_scan(from_generator(FMatrix(f13, B, 7)),
+                         from_generator(FMatrix(f13, A, 7)))
+        A = [[1, 0, 0, 2, 3, 4, 5], [0, 1, 0, 0, 6, 7, 8], [0, 0, 1, 9, 10, 11, 12]]
+        B = [list(row) for row in A]
+        B[1][4] = 7
+        self.assert_scan(from_generator(FMatrix(f13, B, 7)),
+                         from_generator(FMatrix(f13, A, 7)))
+
+    def test_different_pivots_are_refused(self, f13):
+        # at k = 1 the two codes agree on every reference entry and have no
+        # cross ratio: only the pivots tell them apart
+        for A, B in (([[1, 2, 3, 4]], [[0, 1, 5, 6]]),
+                     ([[1, 0, 2, 3, 4], [0, 1, 5, 6, 7]], [[1, 2, 0, 3, 4], [0, 0, 1, 5, 6]])):
+            twin, C = (from_generator(FMatrix(f13, M, len(M[0]))) for M in (A, B))
+            assert C.k == twin.k and not is_mds(C).is_mds
+            self.assert_scan(C, twin)
+
+    def test_column_permuted_twin_is_refused(self, f13, f27):
+        for field in (f13, f27):
+            C1, C2 = grs_pair(random.Random(field.q), field, 9, 4)
+            for a, b in ((5, 6), (0, 8), (1, 2)):  # free, pivot and free, pivots
+                perm = list(range(9))
+                perm[a], perm[b] = b, a
+                permuted = with_rows(C2, [[row[c] for c in perm] for row in C2.G.rows])
+                assert permuted != C2
+                self.assert_scan(permuted, C1)
+
+    def test_other_dimension_length_or_field_is_refused(self, f13, f27):
+        rng = random.Random(3)
+        C1, C2 = grs_pair(rng, f13, 10, 4)
+        for twin in (grs_pair(rng, f13, 10, 5)[0], grs_pair(rng, f13, 9, 4)[0],
+                     grs_pair(rng, f27, 10, 4)[0]):
+            self.assert_scan(C2, twin)
+
+
 def first_dependent_subset(M, w):
     """Reference scan: the first w-subset of M's columns in lexicographic
     order whose submatrix has rank < w, one FMatrix.rank() per subset."""
@@ -635,12 +744,32 @@ class TestSubsetScan:
             dependent += expect is not None
         assert 20 < dependent < 140
 
+    @staticmethod
+    def planted_combinations(rng, field, count):
+        """Matrices without a zero column in which column c2 = s c1 + c0 for
+        three random columns and a random s != 0, 1: a dependent triple that
+        only exact elimination finds, since no zero column decides it."""
+        for _ in range(count):
+            nrows, n = rng.randint(3, 4), rng.randint(4, 8)
+            cols = [[rng.randrange(1, field.q) for _ in range(nrows)] for _ in range(n)]
+            c0, c1, c2 = rng.sample(range(n), 3)
+            s = rng.randrange(2, field.q)
+            cols[c2] = [field.add(field.mul(s, x), y) for x, y in zip(cols[c1], cols[c0])]
+            yield FMatrix(field, list(zip(*cols)), n), 3
+
     def test_matches_reference_without_tables(self):
         field = field_new(2, 11)
         assert field.vec_ops() is None
         rng = random.Random(211)
         for M, w in self.random_matrices(rng, field, 60):
             assert M.first_dependent_columns(w) == first_dependent_subset(M, w)
+        nonzero_witnesses = 0
+        for M, w in self.planted_combinations(rng, field, 30):
+            expect = first_dependent_subset(M, w)
+            assert M.first_dependent_columns(w) == expect
+            nonzero_witnesses += expect is not None and all(
+                any(row[c] for row in M.rows) for c in expect)
+        assert nonzero_witnesses >= 25
 
     @pytest.mark.parametrize("p,e", KRONECKER_ROW_FIELDS)
     def test_kronecker_rows_match_reference(self, p, e):
