@@ -42,6 +42,12 @@ CASES = {
     "construct_gabidulin": (("construct", "gabidulin", "q=11^5", "n=5", "k1=3", "k2=2", "t=2"), 0),
     "construct_gabidulin_csv": (("--output", "csv", "construct", "gabidulin",
                                  "q=11^5", "n=5", "k1=3", "k2=2", "t=2"), 0),
+    # k1 = k2 pairs, whose C2 is the Frobenius twist of C1's dual: packed odd-p
+    # rows and GF(2^e) bit vectors, captured while C2 still took its own scan
+    "construct_gabidulin_frobenius_dual_emit_matrices": (
+        ("--emit-matrices", "construct", "gabidulin", "q=17^8", "n=8", "k1=4", "k2=4", "t=3"), 0),
+    "construct_gabidulin_frobenius_dual_gf65536_csv": (
+        ("--output", "csv", "construct", "gabidulin", "q=2^16", "n=6", "k1=3", "k2=3", "t=2"), 0),
     "verify_exhaustive_gf9": (("verify", "exhaustive_gf9.txt"), 0),
     "verify_exhaustive_gf2": (("verify", "exhaustive_gf2.txt", "--d", "3"), 0),
     "verify_mds_gf13": (("--budget", "10", "verify", "mds_gf13.txt", "--k", "4", "--d", "9"), 0),
