@@ -10,9 +10,12 @@ family at n = q-1 (the cyclic shift) and the extended evaluation family
 is_mds, which checks each one by a rank on the matrix it scans before it
 lets them shrink the scan to the subsets that hold column 0, or columns 0
 and 1; a map that fails its check leaves the full scan.  The Vandermonde
-family also offers its scanned C1 as C2's twin: is_mds proves C2 without a
-scan when it checks C2 = C1 D for a nonzero diagonal D (the dual of a GRS
-code is a GRS code on the same nodes), and scans it otherwise.
+and rank-metric families also offer C1's report, once C1's own scan has
+proved it MDS, as C2's twin: is_mds proves C2 without a scan when it checks
+C2 = C1 D for a nonzero diagonal D (Vandermonde: the dual of a GRS code is
+a GRS code on the same nodes) or C2^perp = sigma^t(C1), the entrywise
+Frobenius twist (rank-metric, k1 = k2: H2 = sigma^t(G1)), and scans it
+otherwise.
 
 Canonical instantiations (the closed forms leave them open):
   * Vandermonde nodes are powers of the canonical primitive element, which
@@ -87,7 +90,8 @@ def _within_budget(entries: int) -> None:
 
 
 def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: int,
-             predicted: EaqecParams, symmetries=(), twins: bool = False) -> FamilyCertificate:
+             predicted: EaqecParams, symmetries=(), twins: bool = False,
+             twist: int | None = None) -> FamilyCertificate:
     """Certify the pair C1 = rowspace(G1), C2 = ker(H2) against its closed form.
 
     A dimension other than k1, k2 or a code that fails the MDS column
@@ -95,11 +99,12 @@ def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: i
     MDS once, by is_mds with the family's symmetries, monomial maps offered
     as automorphisms of every code of the pair, which is_mds checks before
     it uses them to shrink the scan.  With twins, C1 is scanned first and
-    then offered to is_mds as C2's twin: if it checks C2 = C1 D for a
-    nonzero diagonal D, C2 is proved without a scan.  The extended-GRS pair
-    is one code: with both dimensions k, G1 H2^T = 0 holds iff C1 = C2, and
-    a pair that differs is a DualityFailure.  The ebit count comes from
-    assemble.
+    its report then offered to is_mds as C2's twin, with twist: if is_mds
+    checks C2 = C1 D for a nonzero diagonal D (twist None) or
+    C2^perp = sigma^twist(C1) (the entrywise Frobenius twist), C2 is
+    proved without a scan.  The extended-GRS pair is one code: with both
+    dimensions k, G1 H2^T = 0 holds iff C1 = C2, and a pair that differs is
+    a DualityFailure.  The ebit count comes from assemble.
     """
     C1, C2 = from_generator(G1), from_parity_check(H2)
     for label, C, k in (("C1", C1, k1), ("C2", C2, k2)):
@@ -109,11 +114,11 @@ def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: i
         raise errors.DualityFailure("G1 H2^T != 0 for the canonical points/weights")
     twin = None
     for label, C in (("C1", C1),) if C1 == C2 else (("C1", C1), ("C2", C2)):
-        report = is_mds(C, symmetries, twin)
+        report = is_mds(C, symmetries, twin, twist)
         if not report.is_mds:
             raise errors.FormulaMismatch(f"{family} {label} failed MDS certification; "
                                          f"dependent columns {report.witness}")
-        twin = C if twins else None
+        twin = report if twins else None
     d1, d2 = (DistanceReport(C.n - C.k + 1, "mds-columns") for C in (C1, C2))
     pair = assemble(C1, C2, 0, d1, d2)
     return FamilyCertificate(family, inputs, G1, H2, pair, predicted,
@@ -236,11 +241,14 @@ def gabidulin_family(field: FieldSpec, n: int, k1: int, k2: int, t: int) -> Fami
     _require(k2 <= n - 1, "k2 <= n-1", f"{k2} <= {n - 1}")
 
     g = [field.p**i for i in range(n)]  # x^i has enc p^i
+    # for k1 = k2, H2 = sigma^t(G1) entrywise, so C2 = ker H2 is the dual of
+    # C1's Frobenius twist: C1 is C2's twin by twist t (other k2 fail its check)
     return _certify(
         "gabidulin", {"q": field.label, "n": n, "k1": k1, "k2": k2, "t": t},
         moore_matrix(field, g, k1), moore_matrix(field, g, k2, t),
         k1, n - k2,
-        EaqecParams.build(field, n, t, min(n - k1 + 1, k2 + 1), k2 - k1 + t))
+        EaqecParams.build(field, n, t, min(n - k1 + 1, k2 + 1), k2 - k1 + t),
+        twins=True, twist=t)
 
 
 # ---------------------------------------------------------------------------

@@ -129,6 +129,10 @@ class FMatrix:
         exactly its subtree of the full search.  Without tables the search
         runs here, one row_ops row per column (on rows, GF(2^16) n=7's is_mds
         took 1.35-1.45 ms, not 0.46-0.56); with them, _scan_batched runs it.
+        On rows, a pivot column that is a unit vector once its pivot entry is
+        dropped (every identity column of an RREF generator is one) takes no
+        row operation: its step would only scale each later column by s != 0,
+        which changes no rank, so each keeps its entries but the pivot row's.
         """
         if not (1 <= w <= self.ncols and 0 <= fixed <= w):
             raise errors.ShapeMismatch(f"no {w}-subsets of {self.ncols} columns fixing {fixed}")
@@ -148,10 +152,12 @@ class FMatrix:
                 if depth + 1 == w:
                     continue
                 s, vi, rest = get(v, i), drop(v, i), []
+                # s*u - a*v needs no field inverse, and the factor s != 0 keeps
+                # ranks; for a unit column (vi zero) it is s*u, so u will do
+                unit = lead(vi) is None
                 for u in cols[c - first + 1:]:
-                    # s*u - a*v needs no field inverse; the factor s != 0 keeps ranks
-                    a, u = get(u, i), drop(u, i)
-                    rest.append(comb(s, u, a, vi) if a else u)  # large-field 4% slower without
+                    a, u = get(u, i), drop(u, i)  # the a test: large-field 4% slower without
+                    rest.append(u if unit or not a else comb(s, u, a, vi))
                 if found := visit(prefix + (c,), rest):
                     return found
             return None

@@ -31,8 +31,8 @@ row_ops is the row layout of elimination and matrix products, built by
 each representation beside its scalar operations; the fmatrix docstring
 says which kernel runs on it and which on vec_ops.  Odd-p extension fields
 above q = 1024 pack each row into one integer, so s X - a V is two integer
-products and one call of the scalar reduction for every entry at once; the
-other fields keep rows as lists of encs.
+products and one reduction of every entry at once, by masks sized to the
+entries the product holds; the other fields keep rows as lists of encs.
 
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
@@ -157,8 +157,9 @@ def _is_irreducible(tail: Sequence[int], p: int, e: int) -> bool:
     M^(p-1) = 1."""
     if e == 1:
         return True
-    # bit vectors for p = 2: large-field's fields took 41-42 ms, not 20-22, without
-    _, sub, mul, power, _ = (_bin_ops if p == 2 else _poly_ops)(p, e, tail)
+    # bit vectors for p = 2: large-field's fields took 41-42 ms, not 20-22, without;
+    # the scalar ops alone, as no candidate modulus needs a row layout
+    _, sub, mul, power, _ = (_bin_ops if p == 2 else _poly_ops)(p, e, tail, rows=False)
     # x^p (the enc of x is p); power reduces exponents mod q - 1, valid only
     # for an irreducible f, but p and p - 1 are below q - 1
     step = _linear_map(p, e, mul, power(p, p))
@@ -403,7 +404,8 @@ class FieldSpec:
 
 # ---------------------------------------------------------------------------
 # Enc-level operations.  Each builder returns (add, sub, mul, pow) on enc
-# integers in [0, q) and its RowOps; FieldSpec installs one set at construction.
+# integers in [0, q) and its RowOps (None from the extension-field builders
+# with rows=False); FieldSpec installs one set at construction.
 # ---------------------------------------------------------------------------
 
 def _zero_power(n: int) -> int:
@@ -486,7 +488,7 @@ def _power(mul, inv, q1: int):
     return power
 
 
-def _bin_ops(p: int, e: int, tail: Sequence[int]):
+def _bin_ops(p: int, e: int, tail: Sequence[int], rows: bool = True):
     """Z_2[x]/(f), f = x^e + tail: the enc is the coefficient bit vector, so add
     and sub are xor and a product is shift-and-xor, reduced by f at each shift."""
     top = 1 << e
@@ -516,10 +518,10 @@ def _bin_ops(p: int, e: int, tail: Sequence[int]):
         return [mul(s, x) ^ mul(a, y) for x, y in zip(X, V)]
 
     power = _power(mul, inv, top - 1)
-    return xor, xor, mul, power, _enc_rows(comb, power)
+    return xor, xor, mul, power, _enc_rows(comb, power) if rows else None
 
 
-def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None):
+def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None, rows: bool = True):
     """Z_p[x]/(f), f = x^e + tail, for odd p (and right for any p and e):
     add and sub digit by digit on the enc (digit i of a is a // p^i mod p),
     mul one integer product of two entries of _kronecker reduced by
@@ -545,7 +547,7 @@ def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None):
         return unpack(reduce(pack(a) * pack(b)))
 
     power = _power(mul, inv, p**e - 1)
-    return add, sub, mul, power, _packed_rows(p, e, tail, power)
+    return add, sub, mul, power, _packed_rows(p, e, tail, power, reduce) if rows else None
 
 
 @cache
@@ -694,7 +696,7 @@ def _enc_rows(comb, power) -> RowOps:
     return RowOps(list, unpack, getitem, drop, lead, comb, inv)
 
 
-def _packed_rows(p: int, e: int, tail: Sequence[int], power) -> RowOps:
+def _packed_rows(p: int, e: int, tail: Sequence[int], power, reduce) -> RowOps:
     """Rows of Z_p[x]/(f), f = x^e + tail, as one integer each (Kronecker
     substitution on whole rows): entry j is the entry of _kronecker at bit
     E j, E = (2e - 1) w, so an entry is the same integer for one element,
@@ -705,17 +707,23 @@ def _packed_rows(p: int, e: int, tail: Sequence[int], power) -> RowOps:
     P holds p in each digit slot, so P - a has digits in [1, p] (all p for
     a = 0) and adds P V, a multiple of p, instead of a negative.  Each
     entry's product stays in its own 2e - 1 slots, and _barrett reduces
-    every entry at once."""
+    every entry at once, with masks for the entries that T holds: the
+    reducer for i + 1 entries, i = T.bit_length() // E, built on first use
+    (reduce, the scalar one, is the reducer for one entry).  Every entry of
+    T past them is zero, and so is its reduction, so a column of the subset
+    scan, which holds at most w entries and loses one per depth, is reduced
+    on no more entries than it holds, not on the longest row the field
+    ever packed."""
     *_, w, pk, upk = _kronecker(p, e)
     E = (2 * e - 1) * w
     P, entry, lows = sum(p << w * i for i in range(e)), (1 << w * e) - 1, (1 << E) - 1
-    cap, reduce = 0, None
+    reducers = {0: reduce}  # i -> the reducer for i + 1 entries
+
+    def reducer(i):
+        reducers[i] = _barrett(p, e, tail, ((1 << E * (i + 1)) - 1) // lows)
+        return reducers[i]
 
     def pack(row):
-        nonlocal cap, reduce
-        if len(row) > cap:  # the masks cover cap entries; no row op lengthens a row
-            cap = max(len(row), 2 * cap)
-            reduce = _barrett(p, e, tail, ((1 << E * cap) - 1) // lows)
         X = 0
         for j, a in enumerate(row):
             if a:  # tables passes 2-3% slower without
@@ -736,7 +744,9 @@ def _packed_rows(p: int, e: int, tail: Sequence[int], power) -> RowOps:
         return ((X & -X).bit_length() - 1) // E if X else None
 
     def comb(s, X, a, V):
-        return reduce(s * X + (P - a) * V)
+        T = s * X + (P - a) * V
+        i = T.bit_length() // E
+        return (reducers.get(i) or reducer(i))(T)
 
     def inv(a):
         return pk(power(upk(a), -1))

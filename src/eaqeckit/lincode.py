@@ -11,7 +11,8 @@ format of G.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from . import errors
@@ -62,15 +63,25 @@ class DistanceReport:
 
 @dataclass(frozen=True)
 class MdsReport:
+    """is_mds's verdict on code, and how it was reached: by the subset scan
+    (relation None), or with no scan from a twin that is_mds had proved, by
+    a checked relation, "scaled" (C = twin D) or "frobenius-dual"
+    (C^perp = the twin's Frobenius twist).  The code takes no part in ==."""
     is_mds: bool
     checked_matrix: str  # "generator" or "parity"
     subset_size: int
     witness: Optional[tuple[int, ...]] = None  # dependent columns, when not MDS
     fixed: int = 0  # leading columns that every scanned subset held
-    scaled: bool = False  # proved as a checked column scaling of a twin, no scan
+    relation: Optional[str] = None  # "scaled" or "frobenius-dual": from a twin, no scan
+    code: Optional[LinearCode] = field(default=None, compare=False, repr=False)
 
     def __bool__(self):
         return self.is_mds
+
+
+# The MDS reports that is_mds returned, by id: a twin counts only if it is one
+# of them, the very object, so no report built elsewhere is taken on trust.
+_PROVED: "weakref.WeakValueDictionary[int, MdsReport]" = weakref.WeakValueDictionary()
 
 
 # ---------------------------------------------------------------------------
@@ -136,18 +147,25 @@ def check_pair(C1: LinearCode, C2: LinearCode) -> None:
 # ---------------------------------------------------------------------------
 
 def is_mds(C: LinearCode, symmetries: Sequence[tuple[Sequence[int], Sequence[int]]] = (),
-           twin: Optional[LinearCode] = None) -> MdsReport:
+           twin: Optional[MdsReport] = None, twist: Optional[int] = None) -> MdsReport:
     """Column criterion: d = n-k+1 iff every k-subset of G's columns has rank k.
 
     Equivalently every (n-k)-subset of H's columns has rank n-k; the cheaper
     side is checked (G on ties), which is sound because a code is MDS iff its
     dual is.  The scan is FMatrix.first_dependent_columns; the fmatrix
-    docstring states its backends and its fixed prefix.
+    docstring states its backends and its fixed prefix.  The report carries
+    C.
 
-    twin is a code that the caller has proved MDS.  If _scales_twin finds
-    C = twin D for a nonzero diagonal D, C is MDS too (D maps every column
-    subset to one of the same rank), and the report is marked scaled, with
-    no scan; otherwise the scan runs as without it.
+    twin is a report that is_mds itself returned for another code A, with
+    is_mds true: the very object, not an equal one; anything else is
+    ignored.  Without twist, if _scales_twin finds C = A D for a nonzero
+    diagonal D, C is MDS too (D maps every column subset to one of the same
+    rank), and the report's relation is "scaled".  With twist t, if
+    _frobenius_dual finds C^perp = sigma^t(A), sigma the entrywise map
+    a -> a^p, C is MDS too (neither duality nor a field automorphism changes
+    a column-subset rank), and the relation is "frobenius-dual".  Either way
+    no subset is scanned; if the check fails, the scan runs as without a
+    twin.
 
     symmetries are monomial maps (perm, scale) offered as automorphisms of
     C: the image of a matrix M has column j equal to scale[j] (an enc) times
@@ -161,16 +179,37 @@ def is_mds(C: LinearCode, symmetries: Sequence[tuple[Sequence[int], Sequence[int
     if not 1 <= C.k <= C.n:
         raise errors.ZeroCode("MDS certification needs 1 <= k <= n")
     if C.k == C.n:
-        return MdsReport(True, "generator", C.n)
+        return _issued(MdsReport(True, "generator", C.n, code=C))
     if C.k <= C.n - C.k:
         M, side, w = C.G, "generator", C.k
     else:
         M, side, w = C.H, "parity", C.n - C.k
-    if twin is not None and _scales_twin(C, twin):
-        return MdsReport(True, side, w, scaled=True)
+    if twin is not None and _PROVED.get(id(twin)) is twin:
+        if twist is None and _scales_twin(C, twin.code):
+            return _issued(MdsReport(True, side, w, relation="scaled", code=C))
+        if twist is not None and _frobenius_dual(C, twin.code, twist):
+            return _issued(MdsReport(True, side, w, relation="frobenius-dual", code=C))
     fixed = _fixed_prefix(M, w, symmetries, side == "parity") if symmetries else 0
     witness = M.first_dependent_columns(w, fixed)
-    return MdsReport(witness is None, side, w, witness, fixed)
+    return _issued(MdsReport(witness is None, side, w, witness, fixed, code=C))
+
+
+def _issued(report: MdsReport) -> MdsReport:
+    """report, entered in _PROVED if it proves its code MDS."""
+    if report.is_mds:
+        _PROVED[id(report)] = report
+    return report
+
+
+def _frobenius_dual(C: LinearCode, twin: LinearCode, t: int) -> bool:
+    """Whether C^perp = sigma^t(twin), sigma the entrywise map a -> a^p,
+    decided on the canonical generators: twin.k + C.k = n, and
+    sigma^t(twin.G) C.G^T = 0, so sigma^t(twin), of dimension twin.k, lies
+    in C^perp, of dimension n - C.k, and fills it."""
+    if C.field != twin.field or C.n != twin.n or C.k + twin.k != C.n:
+        return False
+    product = twin.G.frobenius_entrywise(t) @ C.G.transpose()
+    return not any(map(any, product.rows))
 
 
 def _scales_twin(C: LinearCode, twin: LinearCode) -> bool:

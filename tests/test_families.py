@@ -8,7 +8,7 @@ from eaqeckit import (FMatrix, TABLE1_ROWS, TABLE2_ROWS, ebits_product,
 from eaqeckit import families
 from eaqeckit.cli import main
 from eaqeckit.families import _certify
-from eaqeckit.lincode import _scales_twin
+from eaqeckit.lincode import _frobenius_dual, _scales_twin
 from conftest import is_zero
 
 
@@ -43,45 +43,65 @@ class TestCertify:
         H2 = from_generator(scaled).H
         assert _scales_twin(from_parity_check(H2), from_generator(G1))
         calls = []
-        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None:
-                            calls.append(twin) or is_mds(C, symmetries, twin))
+        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None, twist=None:
+                            calls.append(twin) or is_mds(C, symmetries, twin, twist))
         with pytest.raises(errors.FormulaMismatch, match="C1 failed MDS certification"):
             _certify("vandermonde", cert.inputs, G1, H2, 2, 2, cert.predicted, twins=True)
         assert calls == [None]
 
+    def test_non_mds_code_with_a_frobenius_dual_twin_fails_on_c1(self, monkeypatch):
+        # H2 = sigma(G1) entrywise, so C2^perp = sigma(C1) and C1 would be
+        # C2's twin by twist 1; C1 is not MDS (columns 2 and 3 are equal), so
+        # C1's own scan refuses it, and C2 is never offered to is_mds
+        field = field_new(13, 6)
+        cert = gabidulin_family(field, 6, 3, 3, 2)
+        G1 = FMatrix(field, [[1, 0] + [1] * 4, [0, 1, 2, 2, 3, 4]], 6)
+        H2 = G1.frobenius_entrywise(1)
+        assert _frobenius_dual(from_parity_check(H2), from_generator(G1), 1)
+        calls = []
+        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None, twist=None:
+                            calls.append(twin) or is_mds(C, symmetries, twin, twist))
+        with pytest.raises(errors.FormulaMismatch, match="C1 failed MDS certification"):
+            _certify("gabidulin", cert.inputs, G1, H2, 2, 4, cert.predicted,
+                     twins=True, twist=1)
+        assert calls == [None]
 
     @pytest.mark.parametrize("family,p,e,args,scans", [
         ("grs_extended_family", 3, 2, (4,), 1),
         ("vandermonde_family", 13, 1, (12, 4, 5, 7), 1),
         ("gabidulin_family", 11, 5, (5, 3, 2, 2), 2),
+        ("gabidulin_family", 13, 6, (6, 3, 3, 2), 1),
     ])
     def test_each_distinct_code_is_proved_once(self, monkeypatch, family, p, e, args, scans):
-        # the extended-GRS pair is one code; the other two pairs are two, and
-        # the Vandermonde C2 is proved as a checked scaling of C1, not scanned
+        # the extended-GRS pair is one code; the other pairs are two, and the
+        # Vandermonde C2 is proved as a checked scaling of C1, the k1 = k2
+        # Gabidulin C2 as the checked Frobenius-dual of C1, neither scanned
         calls = []
-        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None:
-                            calls.append((C, is_mds(C, symmetries, twin))) or calls[-1][1])
+        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None, twist=None:
+                            calls.append((C, is_mds(C, symmetries, twin, twist)))
+                            or calls[-1][1])
         assert getattr(families, family)(field_new(p, e), *args).verified
         codes = [C for C, _ in calls]
         assert len(codes) == len(set(codes)) == (1 if family == "grs_extended_family" else 2)
-        assert sum(not report.scaled for _, report in calls) == scans
+        assert sum(report.relation is None for _, report in calls) == scans
+        assert all(report.code is C for C, report in calls)
 
     @staticmethod
     def reports(monkeypatch):
         out = []
-        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None:
-                            out.append(is_mds(C, symmetries, twin)) or out[-1])
+        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None, twist=None:
+                            out.append(is_mds(C, symmetries, twin, twist)) or out[-1])
         return out
 
     def test_scans_reduced_by_checked_automorphisms(self, monkeypatch):
         # Table 1's GF(13) rows have n = q - 1 (the cyclic shift, column 0);
         # its GF(27) rows have n = 15 != 26 and take none.  Every row's C2 is
         # a checked scaling of its C1 and takes no scan.  The extended GRS
-        # codes take AGL(1, q) (columns 0 and 1), Gabidulin codes nothing.
+        # codes take AGL(1, q) (columns 0 and 1), Gabidulin codes no map.
         reports = self.reports(monkeypatch)
         table1()
-        assert ([(r.fixed, r.scaled) for r in reports]
-                == [(1, False), (0, True)] * 4 + [(0, False), (0, True)] * 10)
+        assert ([(r.fixed, r.relation) for r in reports]
+                == [(1, None), (0, "scaled")] * 4 + [(0, None), (0, "scaled")] * 10)
         assert all(r.is_mds for r in reports)
         # w = k; the marker column is in no orbit of a point, so w = 1 fixes
         # nothing, w = 2 column 0 and w >= 3 columns 0 and 1
@@ -89,10 +109,13 @@ class TestCertify:
             reports.clear()
             assert grs_extended_family(field_new(p, e), k).verified
             assert [r.fixed for r in reports] == [fixed]
+        # Gabidulin pairs: full scans, but for the C2 of Table 2's k1 = k2
+        # row (GF(13^6)), the checked Frobenius-dual of its C1
         reports.clear()
         table2()
         gabidulin_family(field_new(2, 16), 7, 4, 3, 2)
-        assert len(reports) == 8 and {(r.fixed, r.scaled) for r in reports} == {(0, False)}
+        assert [(r.fixed, r.relation) for r in reports] == (
+            [(0, None)] * 3 + [(0, "frobenius-dual")] + [(0, None)] * 4)
 
     def test_permuted_points_refuse_the_affine_maps(self, monkeypatch, f13):
         # Swapping the columns of the points 1 and 2 in both generators keeps

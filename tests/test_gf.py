@@ -677,6 +677,58 @@ class TestRowOps:
         assert (R.rows, rank, pivots) == rref_reference(field, rows)
 
 
+class TestPackedReducers:
+    """_packed_rows reduces each comb with the masks of as many entries as
+    its product holds: one reducer per entry count, built on first use."""
+
+    FIELDS = [(3, 10), (17, 8), (2**31 - 1, 2)]
+
+    @staticmethod
+    def expected(field, s, X, a, V):
+        return [field.sub(field.mul(s, x), field.mul(a, y)) for x, y in zip(X, V)]
+
+    @pytest.mark.parametrize("p,e", FIELDS)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_comb_against_per_entry_arithmetic(self, p, e, data):
+        # rows of 1..9 entries, with zeros (a zero tail leaves the product
+        # shorter than the row), q - 1 (every digit p - 1) and x^(e-1), then
+        # shortened by drop one entry at a time, as the subset scan does
+        field = field_new(p, e)
+        ops, q = field.row_ops(), field.q
+        n = data.draw(st.integers(1, 9), label="n")
+        entry = st.one_of(st.sampled_from((0, 1, q - 1, p ** (e - 1))), st.integers(0, q - 1))
+        X, V = (data.draw(st.lists(entry, min_size=n, max_size=n), label=name) for name in "XV")
+        s = data.draw(st.sampled_from((1, q - 1)) | st.integers(1, q - 1), label="s")
+        a = data.draw(st.sampled_from((0, 1, q - 1)) | st.integers(0, q - 1), label="a")
+        S, A = (ops.get(ops.pack([x]), 0) for x in (s, a))
+        RX, RV = ops.pack(X), ops.pack(V)
+        while True:
+            got = ops.unpack(ops.comb(S, RX, A, RV), len(X))
+            assert got == self.expected(field, s, X, a, V), (s, X, a, V)
+            if len(X) == 1:
+                break
+            j = data.draw(st.integers(0, len(X) - 1), label="drop")
+            RX, RV = ops.drop(RX, j), ops.drop(RV, j)
+            X, V = X[:j] + X[j + 1:], V[:j] + V[j + 1:]
+
+    @pytest.mark.parametrize("p,e", FIELDS)
+    def test_short_row_before_a_long_one(self, p, e):
+        # a fresh field: its first comb is on one entry, its next on nine,
+        # then one again; and the other way round on a second fresh field
+        rng = random.Random(p + e)
+        for lengths in ((1, 9, 1, 4), (9, 1, 4, 9)):
+            field = FieldSpec(p, e)
+            ops, q = field.row_ops(), field.q
+            for n in lengths:
+                X, V = ([rng.choice((q - 1, rng.randrange(1, q))) for _ in range(n)]
+                        for _ in "XV")
+                s, a = rng.randrange(1, q), rng.randrange(1, q)
+                S, A = (ops.get(ops.pack([x]), 0) for x in (s, a))
+                got = ops.unpack(ops.comb(S, ops.pack(X), A, ops.pack(V)), n)
+                assert got == self.expected(field, s, X, a, V), (lengths, n)
+
+
 # The row-layout fields and the odd-p fields of the large-field benchmark workload
 SLOT_FIELDS = sorted(set(KRONECKER_ROW_FIELDS) | {(3, 10), (5, 9), (11, 5), (13, 6), (17, 8)})
 

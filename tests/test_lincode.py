@@ -14,7 +14,7 @@ from eaqeckit import (FMatrix, ebits_stack, errors, field_new, from_generator,
                       from_parity_check, galois_dual, is_mds, min_distance)
 from eaqeckit import fmatrix, lincode
 from eaqeckit.fmatrix import pivot_step
-from eaqeckit.lincode import LinearCode
+from eaqeckit.lincode import LinearCode, MdsReport
 from conftest import (KRONECKER_ROW_FIELDS, ROW_LAYOUT_FIELDS, codewords, galois_form, identity,
                       intersection_basis_bruteforce, is_zero, random_code, random_matrix,
                       rref_reference, time_limit)
@@ -496,19 +496,23 @@ def with_rows(C, rows):
 
 
 class TestScaledTwin:
-    """is_mds(C, twin=T): C proved as a checked column scaling of T, else scanned."""
+    """is_mds(C, twin=is_mds(T)): C proved as a checked column scaling of T,
+    else scanned."""
 
     @staticmethod
     def assert_scan(C, twin):
-        """twin is refused: the report is the full scan's, and not scaled."""
+        """twin is refused: the report is the full scan's, with no relation."""
         assert not lincode._scales_twin(C, twin)
-        report = is_mds(C, twin=twin)
-        assert report == is_mds(C) and not report.scaled
+        report = is_mds(C, twin=is_mds(twin))
+        assert report == is_mds(C) and report.relation is None
 
     @staticmethod
     def assert_scaled(C, twin):
-        report = is_mds(C, twin=twin)
-        assert report.scaled and dataclasses.replace(report, scaled=False) == is_mds(C)
+        proof = is_mds(twin)
+        assert proof.is_mds and proof.code is twin
+        report = is_mds(C, twin=proof)
+        assert report.relation == "scaled" and report.code is C
+        assert dataclasses.replace(report, relation=None) == is_mds(C)
         assert is_mds(C).is_mds
 
     def test_table1_rows(self):
@@ -583,6 +587,148 @@ class TestScaledTwin:
         for twin in (grs_pair(rng, f13, 10, 5)[0], grs_pair(rng, f13, 9, 4)[0],
                      grs_pair(rng, f27, 10, 4)[0]):
             self.assert_scan(C2, twin)
+
+
+class TestTwinTrust:
+    """A twin counts only as the very report that is_mds returned for it."""
+
+    @staticmethod
+    def code45(f5):
+        # [4,2]_5 with columns 2 and 3 dependent: (1, 2) and (2, 4)
+        return from_generator(FMatrix(f5, [[1, 0, 1, 2], [0, 1, 2, 4]], 4))
+
+    @pytest.fixture
+    def f5(self):
+        return field_new(5, 1)
+
+    def test_hand_made_twins_get_the_scan(self, f5):
+        C = self.code45(f5)
+        scan = is_mds(C)
+        assert not scan.is_mds and scan.witness == (2, 3)
+        claims = [C, MdsReport(True, "generator", 2, code=C),
+                  MdsReport(True, "generator", 2, relation="scaled", code=C), scan]
+        for twin in claims:
+            for twist in (None, 0, 1):
+                report = is_mds(C, twin=twin, twist=twist)
+                assert report == scan and report.relation is None, (twin, twist)
+
+    def test_equal_copy_of_a_proof_is_refused(self, f13):
+        # an MDS code and its column scaling: the proof itself is accepted,
+        # an equal report that is not the object is_mds returned is not
+        rng = random.Random(5)
+        C1, C2 = grs_pair(rng, f13, 8, 3)
+        proof = is_mds(C1)
+        copy = dataclasses.replace(proof)
+        assert copy == proof and copy is not proof and copy.code is C1
+        assert is_mds(C2, twin=copy).relation is None
+        assert is_mds(C2, twin=proof).relation == "scaled"
+
+    def test_proof_of_another_code_is_checked(self, f5):
+        # a real proof of an MDS code that C is no scaling of: C is scanned
+        C = self.code45(f5)
+        D = from_generator(FMatrix(f5, [[1, 0, 1, 1], [0, 1, 1, 2]], 4))
+        proof = is_mds(D)
+        assert proof.is_mds and not lincode._scales_twin(C, D)
+        report = is_mds(C, twin=proof)
+        assert not report.is_mds and report.witness == (2, 3) and report.relation is None
+
+
+def gabidulin_pair(p, m, n, k1, k2, t):
+    """(C1, C2, C1's own report) of gabidulin_family's pair, built as it does."""
+    from eaqeckit import moore_matrix
+    field = field_new(p, m)
+    g = [p**i for i in range(n)]
+    C1 = from_generator(moore_matrix(field, g, k1))
+    C2 = from_parity_check(moore_matrix(field, g, k2, t))
+    return C1, C2, is_mds(C1)
+
+
+# (p, m, n) of the k1 = k2 = n/2 shapes of the large-field benchmark
+# workload, and Table 2's GF(13^6) row
+FROBENIUS_DUAL_SHAPES = [(17, 8, 8), (3, 10, 8), (2, 16, 6), (5, 9, 6), (13, 6, 6)]
+
+
+class TestFrobeniusDualTwin:
+    """is_mds(C2, twin=is_mds(C1), twist=t): C2 proved as the dual of C1's
+    Frobenius twist, checked on the canonical codes, else scanned."""
+
+    @pytest.mark.parametrize("p,m,n", FROBENIUS_DUAL_SHAPES)
+    def test_accepted_on_every_k1_equal_k2_shape(self, p, m, n):
+        k = n // 2
+        for t in range(1, min(k - 1, m - k) + 1):
+            C1, C2, proof = gabidulin_pair(p, m, n, k, k, t)
+            assert proof.is_mds and proof.relation is None
+            assert lincode._frobenius_dual(C2, C1, t)
+            report = is_mds(C2, twin=proof, twist=t)
+            assert report.relation == "frobenius-dual" and report.code is C2
+            assert dataclasses.replace(report, relation=None) == is_mds(C2)
+
+    def test_other_dimensions_are_refused(self):
+        # k1 = 4 > k2 = 3 on the GF(2^16) n = 7 shape: the dimensions add up
+        # to 7 + 1, and the full scan runs
+        for t in (2, 3):
+            C1, C2, proof = gabidulin_pair(2, 16, 7, 4, 3, t)
+            assert proof.is_mds and not lincode._frobenius_dual(C2, C1, t)
+            report = is_mds(C2, twin=proof, twist=t)
+            assert report == is_mds(C2) and report.relation is None and report.is_mds
+
+    @pytest.mark.parametrize("p,m,n", [(17, 8, 8), (2, 16, 6), (13, 6, 6)])
+    def test_wrong_twist_is_refused(self, p, m, n):
+        k = n // 2
+        C1, C2, proof = gabidulin_pair(p, m, n, k, k, 1)
+        for wrong in (0, 2, m - 1):
+            assert not lincode._frobenius_dual(C2, C1, wrong)
+            report = is_mds(C2, twin=proof, twist=wrong)
+            assert report == is_mds(C2) and report.relation is None
+        assert lincode._frobenius_dual(C2, C1, 1 + m)  # t is taken mod m
+
+    @pytest.mark.parametrize("p,m,n", [(17, 8, 8), (2, 16, 6), (13, 6, 6)])
+    def test_one_changed_entry_of_h2_is_refused(self, p, m, n):
+        from eaqeckit import moore_matrix
+        k, t = n // 2, 1
+        field = field_new(p, m)
+        C1, _, proof = gabidulin_pair(p, m, n, k, k, t)
+        H2 = moore_matrix(field, [p**i for i in range(n)], k, t)
+        rng, refused = random.Random(p + m), 0
+        for i, c in ((0, 0), (k - 1, n - 1), (rng.randrange(k), rng.randrange(n))):
+            rows = [list(row) for row in H2.rows]
+            rows[i][c] = field.add(rows[i][c], rng.randrange(1, field.q))
+            C2 = from_parity_check(FMatrix(field, rows, n))
+            if C2.k != n - k:
+                continue
+            refused += 1
+            assert not lincode._frobenius_dual(C2, C1, t)
+            report = is_mds(C2, twin=proof, twist=t)
+            assert report == is_mds(C2) and report.relation is None
+        assert refused
+
+    def test_partial_relations_are_refused(self, f13):
+        # C2^perp holds C1 but is larger, or holds only C1's first row; C2^perp
+        # holds the weight-2 word (0, 0, 0, 0, 1, 1), so C2 is not MDS
+        # although C1, a Reed-Solomon code, is
+        g = f13.primitive_element().enc
+        C1 = from_generator(FMatrix(f13, [[f13.pow(g, i * c) for c in range(6)]
+                                          for i in range(3)], 6))
+        proof = is_mds(C1)
+        assert proof.is_mds
+        word = [0, 0, 0, 0, 1, 1]
+        for H in (list(C1.G.rows) + [word], [C1.G.rows[0], word, [0, 0, 0, 1, 0, 2]]):
+            C2 = from_parity_check(FMatrix(f13, H, 6))
+            scan = is_mds(C2)
+            assert not scan.is_mds and not lincode._frobenius_dual(C2, C1, 0)
+            assert is_mds(C2, twin=proof, twist=0) == scan
+
+    def test_unproved_non_mds_twin_gives_the_scan(self, f13):
+        # C1 is not MDS and H2 = sigma^0(G1), so C2^perp = C1 holds: only a
+        # report that is_mds returned with is_mds true lets it count
+        G1 = FMatrix(f13, [[1, 0, 1, 1, 1, 1], [0, 1, 2, 2, 3, 4]], 6)
+        C1 = from_generator(G1)
+        C2 = from_parity_check(G1)
+        assert lincode._frobenius_dual(C2, C1, 0)
+        scan = is_mds(C2)
+        assert not scan.is_mds
+        for twin in (is_mds(C1), MdsReport(True, "generator", 2, code=C1)):
+            assert is_mds(C2, twin=twin, twist=0) == scan
 
 
 def first_dependent_subset(M, w):
@@ -802,6 +948,67 @@ class TestSubsetScan:
             assert M.first_dependent_columns(w) == expect
             dependent += expect is not None
         assert dependent > 2
+
+    @staticmethod
+    def rref_generator(rng, field, k, n):
+        """A random k x n matrix in RREF with k random pivot columns, so a
+        unit column at each pivot, the others random with zeros planted."""
+        q = field.q
+        pivots = sorted(rng.sample(range(n), k))
+        rows = [[0] * n for _ in range(k)]
+        for i, c in enumerate(pivots):
+            rows[i][c] = 1
+            for j in range(c + 1, n):
+                if j not in pivots:
+                    rows[i][j] = rng.choice((0, 1, q - 1, rng.randrange(1, q)))
+        return rows, pivots
+
+    @pytest.mark.parametrize("p,e", [(2, 16), (17, 8), (1031, 1)])
+    def test_rref_generators_match_reference(self, p, e):
+        # the row scan keeps a later column as it is, unscaled, after a unit
+        # column's pivot step.  Dependent subsets are planted among the unit
+        # columns (a column in the span of one or two pivot columns) and
+        # after them (a scaled copy or a sum of two later columns); the
+        # reference ranks each subset by per-entry elimination
+        field = field_new(p, e)
+        assert field.vec_ops() is None
+        rng, q = random.Random(p * 100 + e), field.q
+
+        def first_dependent(M, w):
+            return next((cols for cols in itertools.combinations(range(M.ncols), w)
+                         if rref_reference(field, [[r[c] for c in cols] for r in M.rows])[1] < w),
+                        None)
+
+        found, unit_witnesses = set(), 0
+        for _ in range(40):
+            k = rng.randint(2, 4)
+            n = rng.randint(k + 2, 8)
+            rows, pivots = self.rref_generator(rng, field, k, n)
+            free = [c for c in range(n) if c not in pivots]
+            plant = rng.choice(("units", "later", "none"))
+            if plant == "units":  # column c in the span of pivot rows before it
+                c = rng.choice(free)
+                span = [i for i, pc in enumerate(pivots) if pc < c]
+                keep = set(rng.sample(span, min(len(span), rng.randint(1, 2))))
+                for i in range(k):
+                    if i not in keep:
+                        rows[i][c] = 0
+            elif plant == "later" and len(free) >= 2:
+                a, b = sorted(rng.sample(free, 2))
+                s = rng.randrange(1, q)
+                for row in rows:
+                    row[b] = field.mul(s, row[a])
+                    if len(free) >= 3 and b != free[-1]:
+                        row[free[-1]] = field.add(row[a], row[b])
+            M = FMatrix(field, rows, n)
+            assert M.rref()[0] == M
+            for w in range(1, k + 1):
+                expect = first_dependent(M, w)
+                assert M.first_dependent_columns(w) == expect, (rows, w)
+                if expect is not None:
+                    found.add(plant)
+                    unit_witnesses += w == k and any(c in pivots for c in expect)
+        assert found == {"units", "later", "none"} and unit_witnesses > 5
 
     def test_late_witness_across_chunks(self):
         # Any 6 columns of a 6-row Vandermonde matrix over GF(1021) are
