@@ -90,7 +90,7 @@ def _within_budget(entries: int) -> None:
 
 
 def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: int,
-             predicted: EaqecParams, symmetries=(), twins: bool = False,
+             predicted: EaqecParams, symmetries=(),
              twist: int | None = None) -> FamilyCertificate:
     """Certify the pair C1 = rowspace(G1), C2 = ker(H2) against its closed form.
 
@@ -98,9 +98,9 @@ def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: i
     criterion is a FormulaMismatch; each distinct canonical code is proved
     MDS once, by is_mds with the family's symmetries, monomial maps offered
     as automorphisms of every code of the pair, which is_mds checks before
-    it uses them to shrink the scan.  With twins, C1 is scanned first and
-    its report then offered to is_mds as C2's twin, with twist: if is_mds
-    checks C2 = C1 D for a nonzero diagonal D (twist None) or
+    it uses them to shrink the scan.  C1 is proved first, and its report
+    is then offered to is_mds as C2's twin, with twist: if is_mds checks
+    C2 = C1 D for a nonzero diagonal D (twist None) or
     C2^perp = sigma^twist(C1) (the entrywise Frobenius twist), C2 is
     proved without a scan.  The extended-GRS pair is one code: with both
     dimensions k, G1 H2^T = 0 holds iff C1 = C2, and a pair that differs is
@@ -118,7 +118,7 @@ def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: i
         if not report.is_mds:
             raise errors.FormulaMismatch(f"{family} {label} failed MDS certification; "
                                          f"dependent columns {report.witness}")
-        twin = report if twins else None
+        twin = report
     d1, d2 = (DistanceReport(C.n - C.k + 1, "mds-columns") for C in (C1, C2))
     pair = assemble(C1, C2, 0, d1, d2)
     return FamilyCertificate(family, inputs, G1, H2, pair, predicted,
@@ -162,7 +162,7 @@ def vandermonde_family(field: FieldSpec, n: int, k: int, t: int, j: int) -> Fami
         FMatrix._of(field, rows[:k], n), FMatrix._of(field, rows[t - 1:], n),
         k, n - j - 1,
         EaqecParams.build(field, n, t - 1, min(n - k + 1, j + 2), j - k + t),
-        [shift] if n == q - 1 else (), twins=True)
+        [shift] if n == q - 1 else ())
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,7 @@ def gabidulin_family(field: FieldSpec, n: int, k1: int, k2: int, t: int) -> Fami
         moore_matrix(field, g, k1), moore_matrix(field, g, k2, t),
         k1, n - k2,
         EaqecParams.build(field, n, t, min(n - k1 + 1, k2 + 1), k2 - k1 + t),
-        twins=True, twist=t)
+        twist=t)
 
 
 # ---------------------------------------------------------------------------

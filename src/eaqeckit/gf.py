@@ -251,7 +251,7 @@ class FieldSpec:
         """a^(p^s), s taken mod e: the GF(p)-linear map sending x to x^(p^s),
         which is x^p after s - 1 steps of the map for s = 1."""
         s %= self.e
-        if not s:
+        if not s or a < self.p:  # GF(p), the encs below p, is fixed
             return a
         frob = self._frob.get(s)
         if frob is None:

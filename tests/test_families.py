@@ -46,7 +46,7 @@ class TestCertify:
         monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None, twist=None:
                             calls.append(twin) or is_mds(C, symmetries, twin, twist))
         with pytest.raises(errors.FormulaMismatch, match="C1 failed MDS certification"):
-            _certify("vandermonde", cert.inputs, G1, H2, 2, 2, cert.predicted, twins=True)
+            _certify("vandermonde", cert.inputs, G1, H2, 2, 2, cert.predicted)
         assert calls == [None]
 
     def test_non_mds_code_with_a_frobenius_dual_twin_fails_on_c1(self, monkeypatch):
@@ -62,8 +62,7 @@ class TestCertify:
         monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None, twist=None:
                             calls.append(twin) or is_mds(C, symmetries, twin, twist))
         with pytest.raises(errors.FormulaMismatch, match="C1 failed MDS certification"):
-            _certify("gabidulin", cert.inputs, G1, H2, 2, 4, cert.predicted,
-                     twins=True, twist=1)
+            _certify("gabidulin", cert.inputs, G1, H2, 2, 4, cert.predicted, twist=1)
         assert calls == [None]
 
     @pytest.mark.parametrize("family,p,e,args,scans", [
