@@ -592,26 +592,6 @@ class TestScaledTwin:
 class TestTwinTrust:
     """A twin counts only as the very report that is_mds returned for it."""
 
-    @staticmethod
-    def code45(f5):
-        # [4,2]_5 with columns 2 and 3 dependent: (1, 2) and (2, 4)
-        return from_generator(FMatrix(f5, [[1, 0, 1, 2], [0, 1, 2, 4]], 4))
-
-    @pytest.fixture
-    def f5(self):
-        return field_new(5, 1)
-
-    def test_hand_made_twins_get_the_scan(self, f5):
-        C = self.code45(f5)
-        scan = is_mds(C)
-        assert not scan.is_mds and scan.witness == (2, 3)
-        claims = [C, MdsReport(True, "generator", 2, code=C),
-                  MdsReport(True, "generator", 2, relation="scaled", code=C), scan]
-        for twin in claims:
-            for twist in (None, 0, 1):
-                report = is_mds(C, twin=twin, twist=twist)
-                assert report == scan and report.relation is None, (twin, twist)
-
     def test_equal_copy_of_a_proof_is_refused(self, f13):
         # an MDS code and its column scaling: the proof itself is accepted,
         # an equal report that is not the object is_mds returned is not
@@ -623,9 +603,11 @@ class TestTwinTrust:
         assert is_mds(C2, twin=copy).relation is None
         assert is_mds(C2, twin=proof).relation == "scaled"
 
-    def test_proof_of_another_code_is_checked(self, f5):
-        # a real proof of an MDS code that C is no scaling of: C is scanned
-        C = self.code45(f5)
+    def test_proof_of_another_code_is_checked(self):
+        # a real proof of an MDS code that C is no scaling of: C, whose
+        # columns 2 and 3 are dependent, is scanned
+        f5 = field_new(5, 1)
+        C = from_generator(FMatrix(f5, [[1, 0, 1, 2], [0, 1, 2, 4]], 4))
         D = from_generator(FMatrix(f5, [[1, 0, 1, 1], [0, 1, 1, 2]], 4))
         proof = is_mds(D)
         assert proof.is_mds and not lincode._scales_twin(C, D)

@@ -16,10 +16,15 @@ property counts where it is read, not where a same-named method is called.
 Every name a module of src/eaqeckit/ (``__init__.py`` aside) imports is
 used in that module, and every module-level private function or class is
 named by code in src/eaqeckit/ outside its own definition.
+
+A public function takes no claim on trust: is_mds takes a twin only as a
+report that it returned itself.
 """
 import ast
 import re
 from pathlib import Path
+
+from eaqeckit import FMatrix, MdsReport, field_new, from_generator, is_mds
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "eaqeckit"
@@ -163,3 +168,19 @@ def test_every_private_helper_is_used_in_src():
     unused = sorted(f"{module}: {name}" for module, name in helpers
                     if not any(used == name and owner != name for used, owner in uses))
     assert not unused, unused
+
+
+def test_is_mds_takes_no_claim_on_trust():
+    # the [4,2]_5 code has columns 2 and 3 dependent, (1, 2) and (2, 4); a
+    # twin that is the code itself, a report built by hand, or is_mds's own
+    # report that it is not MDS, all get the full scan and its verdict
+    f5 = field_new(5, 1)
+    C = from_generator(FMatrix(f5, [[1, 0, 1, 2], [0, 1, 2, 4]], 4))
+    scan = is_mds(C)
+    assert not scan.is_mds and scan.witness == (2, 3)
+    claims = [C, MdsReport(True, "generator", 2, code=C),
+              MdsReport(True, "generator", 2, relation="scaled", code=C), scan]
+    for twin in claims:
+        for twist in (None, 0, 1):
+            report = is_mds(C, twin=twin, twist=twist)
+            assert report == scan and report.relation is None, (twin, twist)
