@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from eaqeckit import (FMatrix, ebits_stack, errors, field_new, from_generator,
-                      from_parity_check, galois_dual, is_mds, min_distance)
+                      from_parity_check, galois_dual, is_mds, min_distance, moore_matrix)
 from eaqeckit import fmatrix, lincode
 from eaqeckit.fmatrix import pivot_step
 from eaqeckit.lincode import LinearCode, MdsReport
@@ -617,7 +617,6 @@ class TestTwinTrust:
 
 def gabidulin_pair(p, m, n, k1, k2, t):
     """(C1, C2, C1's own report) of gabidulin_family's pair, built as it does."""
-    from eaqeckit import moore_matrix
     field = field_new(p, m)
     g = [p**i for i in range(n)]
     C1 = from_generator(moore_matrix(field, g, k1))
@@ -666,7 +665,6 @@ class TestFrobeniusDualTwin:
 
     @pytest.mark.parametrize("p,m,n", [(17, 8, 8), (2, 16, 6), (13, 6, 6)])
     def test_one_changed_entry_of_h2_is_refused(self, p, m, n):
-        from eaqeckit import moore_matrix
         k, t = n // 2, 1
         field = field_new(p, m)
         C1, _, proof = gabidulin_pair(p, m, n, k, k, t)
