@@ -10,12 +10,13 @@ family at n = q-1 (the cyclic shift) and the extended evaluation family
 is_mds, which checks each one by a rank on the matrix it scans before it
 lets them shrink the scan to the subsets that hold column 0, or columns 0
 and 1; a map that fails its check leaves the full scan.  The Vandermonde
-and rank-metric families also offer C1's report, once C1's own scan has
-proved it MDS, as C2's twin: is_mds proves C2 without a scan when it checks
-C2 = C1 D for a nonzero diagonal D (Vandermonde: the dual of a GRS code is
-a GRS code on the same nodes) or C2^perp = sigma^t(C1), the entrywise
-Frobenius twist (rank-metric, k1 = k2: H2 = sigma^t(G1)), and scans it
-otherwise.
+and rank-metric families prove C2 from C1, once C1's own scan has proved
+it MDS, each by a check: a Vandermonde C1's report goes to is_mds as C2's
+twin, which checks C2 = C1 D for a nonzero diagonal D (the dual of a GRS
+code is a GRS code on the same nodes); a rank-metric pair with k1 = k2 has
+H2 = sigma^t(G1) entrywise, which _certify checks on the two matrices, so
+C2 is the dual of C1's Frobenius twist.  A C2 that fails its check is
+scanned.
 
 Canonical instantiations (the closed forms leave them open):
   * Vandermonde nodes are powers of the canonical primitive element, which
@@ -98,13 +99,15 @@ def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: i
     criterion is a FormulaMismatch; each distinct canonical code is proved
     MDS once, by is_mds with the family's symmetries, monomial maps offered
     as automorphisms of every code of the pair, which is_mds checks before
-    it uses them to shrink the scan.  C1 is proved first, and its report
-    is then offered to is_mds as C2's twin, with twist: if is_mds checks
-    C2 = C1 D for a nonzero diagonal D (twist None) or
-    C2^perp = sigma^twist(C1) (the entrywise Frobenius twist), C2 is
-    proved without a scan.  The extended-GRS pair is one code: with both
-    dimensions k, G1 H2^T = 0 holds iff C1 = C2, and a pair that differs is
-    a DualityFailure.  The ebit count comes from assemble.
+    it uses them to shrink the scan.  C1 is proved first.  With twist t and
+    H2 = sigma^t(G1) entrywise (sigma the map a -> a^p, G1 and H2 of one
+    shape), C2^perp = sigma^t(C1), so C1's proof proves C2, which is never
+    offered to is_mds: neither duality nor an entrywise field automorphism
+    changes a column-subset rank.  Without twist, C1's report goes to
+    is_mds as C2's twin, which proves C2 = C1 D for a nonzero diagonal D
+    without a scan.  Any other C2 is scanned.  The extended-GRS pair is one
+    code: with both dimensions k, G1 H2^T = 0 holds iff C1 = C2, and a pair
+    that differs is a DualityFailure.  The ebit count comes from assemble.
     """
     C1, C2 = from_generator(G1), from_parity_check(H2)
     for label, C, k in (("C1", C1, k1), ("C2", C2, k2)):
@@ -112,13 +115,16 @@ def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: i
             raise errors.FormulaMismatch(f"{family} dim {label} = {C.k}, expected {k}")
     if family == "grs_extended" and C1 != C2:
         raise errors.DualityFailure("G1 H2^T != 0 for the canonical points/weights")
+    codes = [("C1", C1)] if C1 == C2 else [("C1", C1), ("C2", C2)]
+    if twist is not None and H2.shape == G1.shape and H2 == G1.frobenius_entrywise(twist):
+        codes = codes[:1]
     twin = None
-    for label, C in (("C1", C1),) if C1 == C2 else (("C1", C1), ("C2", C2)):
-        report = is_mds(C, symmetries, twin, twist)
+    for label, C in codes:
+        report = is_mds(C, symmetries, twin)
         if not report.is_mds:
             raise errors.FormulaMismatch(f"{family} {label} failed MDS certification; "
                                          f"dependent columns {report.witness}")
-        twin = report
+        twin = report if twist is None else None
     d1, d2 = (DistanceReport(C.n - C.k + 1, "mds-columns") for C in (C1, C2))
     pair = assemble(C1, C2, 0, d1, d2)
     return FamilyCertificate(family, inputs, G1, H2, pair, predicted,
@@ -242,7 +248,7 @@ def gabidulin_family(field: FieldSpec, n: int, k1: int, k2: int, t: int) -> Fami
 
     g = [field.p**i for i in range(n)]  # x^i has enc p^i
     # for k1 = k2, H2 = sigma^t(G1) entrywise, so C2 = ker H2 is the dual of
-    # C1's Frobenius twist: C1 is C2's twin by twist t (other k2 fail its check)
+    # C1's Frobenius twist, proved by C1's scan (other k2 fail the shape test)
     return _certify(
         "gabidulin", {"q": field.label, "n": n, "k1": k1, "k2": k2, "t": t},
         moore_matrix(field, g, k1), moore_matrix(field, g, k2, t),

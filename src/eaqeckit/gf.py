@@ -157,9 +157,8 @@ def _is_irreducible(tail: Sequence[int], p: int, e: int) -> bool:
     M^(p-1) = 1."""
     if e == 1:
         return True
-    # bit vectors for p = 2: large-field's fields took 41-42 ms, not 20-22, without;
-    # the scalar ops alone, as no candidate modulus needs a row layout
-    _, sub, mul, power, _ = (_bin_ops if p == 2 else _poly_ops)(p, e, tail, rows=False)
+    # bit vectors for p = 2: large-field's fields took 41-42 ms, not 20-22, without
+    _, sub, mul, power, _ = (_bin_ops if p == 2 else _poly_ops)(p, e, tail)
     # x^p (the enc of x is p); power reduces exponents mod q - 1, valid only
     # for an irreducible f, but p and p - 1 are below q - 1
     step = _linear_map(p, e, mul, power(p, p))
@@ -404,8 +403,8 @@ class FieldSpec:
 
 # ---------------------------------------------------------------------------
 # Enc-level operations.  Each builder returns (add, sub, mul, pow) on enc
-# integers in [0, q) and its RowOps (None from the extension-field builders
-# with rows=False); FieldSpec installs one set at construction.
+# integers in [0, q) and its RowOps; FieldSpec installs one set at
+# construction.
 # ---------------------------------------------------------------------------
 
 def _zero_power(n: int) -> int:
@@ -488,7 +487,7 @@ def _power(mul, inv, q1: int):
     return power
 
 
-def _bin_ops(p: int, e: int, tail: Sequence[int], rows: bool = True):
+def _bin_ops(p: int, e: int, tail: Sequence[int]):
     """Z_2[x]/(f), f = x^e + tail: the enc is the coefficient bit vector, so add
     and sub are xor and a product is shift-and-xor, reduced by f at each shift."""
     top = 1 << e
@@ -518,10 +517,10 @@ def _bin_ops(p: int, e: int, tail: Sequence[int], rows: bool = True):
         return [mul(s, x) ^ mul(a, y) for x, y in zip(X, V)]
 
     power = _power(mul, inv, top - 1)
-    return xor, xor, mul, power, _enc_rows(comb, power) if rows else None
+    return xor, xor, mul, power, _enc_rows(comb, power)
 
 
-def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None, rows: bool = True):
+def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None):
     """Z_p[x]/(f), f = x^e + tail, for odd p (and right for any p and e):
     add and sub digit by digit on the enc (digit i of a is a // p^i mod p),
     mul one integer product of two entries of _kronecker reduced by
@@ -547,7 +546,7 @@ def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None, rows: bool = True):
         return unpack(reduce(pack(a) * pack(b)))
 
     power = _power(mul, inv, p**e - 1)
-    return add, sub, mul, power, _packed_rows(p, e, tail, power, reduce) if rows else None
+    return add, sub, mul, power, _packed_rows(p, e, tail, power, reduce)
 
 
 @cache

@@ -65,14 +65,14 @@ class DistanceReport:
 class MdsReport:
     """is_mds's verdict on code, and how it was reached: by the subset scan
     (relation None), or with no scan from a twin that is_mds had proved, by
-    a checked relation, "scaled" (C = twin D) or "frobenius-dual"
-    (C^perp = the twin's Frobenius twist).  The code takes no part in ==."""
+    the checked relation "scaled" (C = twin D).  The code takes no part in
+    ==."""
     is_mds: bool
     checked_matrix: str  # "generator" or "parity"
     subset_size: int
     witness: Optional[tuple[int, ...]] = None  # dependent columns, when not MDS
     fixed: int = 0  # leading columns that every scanned subset held
-    relation: Optional[str] = None  # "scaled" or "frobenius-dual": from a twin, no scan
+    relation: Optional[str] = None  # "scaled": from a twin, no scan
     code: Optional[LinearCode] = field(default=None, compare=False, repr=False)
 
     def __bool__(self):
@@ -127,7 +127,7 @@ def from_parity_check(H: FMatrix) -> LinearCode:
 def galois_dual(C: LinearCode, s: int) -> LinearCode:
     """All x with sum_i c_i x_i^(p^s) = 0 for every codeword c.
 
-    Computed as the code generated by H^(p^(e-s)), which equals the twisted
+    Computed as the code generated by H^(p^(e-s)), which equals that Galois
     dual; the equivalence with the defining linear system is covered by the
     test suite.
     """
@@ -147,7 +147,7 @@ def check_pair(C1: LinearCode, C2: LinearCode) -> None:
 # ---------------------------------------------------------------------------
 
 def is_mds(C: LinearCode, symmetries: Sequence[tuple[Sequence[int], Sequence[int]]] = (),
-           twin: Optional[MdsReport] = None, twist: Optional[int] = None) -> MdsReport:
+           twin: Optional[MdsReport] = None) -> MdsReport:
     """Column criterion: d = n-k+1 iff every k-subset of G's columns has rank k.
 
     Equivalently every (n-k)-subset of H's columns has rank n-k; the cheaper
@@ -158,14 +158,10 @@ def is_mds(C: LinearCode, symmetries: Sequence[tuple[Sequence[int], Sequence[int
 
     twin is a report that is_mds itself returned for another code A, with
     is_mds true: the very object, not an equal one; anything else is
-    ignored.  Without twist, if _scales_twin finds C = A D for a nonzero
-    diagonal D, C is MDS too (D maps every column subset to one of the same
-    rank), and the report's relation is "scaled".  With twist t, if
-    _frobenius_dual finds C^perp = sigma^t(A), sigma the entrywise map
-    a -> a^p, C is MDS too (neither duality nor a field automorphism changes
-    a column-subset rank), and the relation is "frobenius-dual".  Either way
-    no subset is scanned; if the check fails, the scan runs as without a
-    twin.
+    ignored.  If _scales_twin finds C = A D for a nonzero diagonal D, C is
+    MDS too (D maps every column subset to one of the same rank): no subset
+    is scanned, and the report's relation is "scaled".  If the check fails,
+    the scan runs as without a twin.
 
     symmetries are monomial maps (perm, scale) offered as automorphisms of
     C: the image of a matrix M has column j equal to scale[j] (an enc) times
@@ -184,11 +180,8 @@ def is_mds(C: LinearCode, symmetries: Sequence[tuple[Sequence[int], Sequence[int
         M, side, w = C.G, "generator", C.k
     else:
         M, side, w = C.H, "parity", C.n - C.k
-    if twin is not None and _PROVED.get(id(twin)) is twin:
-        if twist is None and _scales_twin(C, twin.code):
-            return _issued(MdsReport(True, side, w, relation="scaled", code=C))
-        if twist is not None and _frobenius_dual(C, twin.code, twist):
-            return _issued(MdsReport(True, side, w, relation="frobenius-dual", code=C))
+    if twin is not None and _PROVED.get(id(twin)) is twin and _scales_twin(C, twin.code):
+        return _issued(MdsReport(True, side, w, relation="scaled", code=C))
     fixed = _fixed_prefix(M, w, symmetries, side == "parity") if symmetries else 0
     witness = M.first_dependent_columns(w, fixed)
     return _issued(MdsReport(witness is None, side, w, witness, fixed, code=C))
@@ -199,17 +192,6 @@ def _issued(report: MdsReport) -> MdsReport:
     if report.is_mds:
         _PROVED[id(report)] = report
     return report
-
-
-def _frobenius_dual(C: LinearCode, twin: LinearCode, t: int) -> bool:
-    """Whether C^perp = sigma^t(twin), sigma the entrywise map a -> a^p,
-    decided on the canonical generators: twin.k + C.k = n, and
-    sigma^t(twin.G) C.G^T = 0, so sigma^t(twin), of dimension twin.k, lies
-    in C^perp, of dimension n - C.k, and fills it."""
-    if C.field != twin.field or C.n != twin.n or C.k + twin.k != C.n:
-        return False
-    product = twin.G.frobenius_entrywise(t) @ C.G.transpose()
-    return not any(map(any, product.rows))
 
 
 def _scales_twin(C: LinearCode, twin: LinearCode) -> bool:

@@ -8,7 +8,7 @@ from eaqeckit import (FMatrix, TABLE1_ROWS, TABLE2_ROWS, ebits_product,
 from eaqeckit import families
 from eaqeckit.cli import main
 from eaqeckit.families import _certify
-from eaqeckit.lincode import _frobenius_dual, _scales_twin
+from eaqeckit.lincode import _scales_twin
 from conftest import is_zero
 
 
@@ -43,24 +43,23 @@ class TestCertify:
         H2 = from_generator(scaled).H
         assert _scales_twin(from_parity_check(H2), from_generator(G1))
         calls = []
-        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None, twist=None:
-                            calls.append(twin) or is_mds(C, symmetries, twin, twist))
+        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None:
+                            calls.append(twin) or is_mds(C, symmetries, twin))
         with pytest.raises(errors.FormulaMismatch, match="C1 failed MDS certification"):
             _certify("vandermonde", cert.inputs, G1, H2, 2, 2, cert.predicted)
         assert calls == [None]
 
     def test_non_mds_code_with_a_frobenius_dual_twin_fails_on_c1(self, monkeypatch):
-        # H2 = sigma(G1) entrywise, so C2^perp = sigma(C1) and C1 would be
-        # C2's twin by twist 1; C1 is not MDS (columns 2 and 3 are equal), so
-        # C1's own scan refuses it, and C2 is never offered to is_mds
+        # H2 = sigma(G1) entrywise, so C2^perp = sigma(C1) and C1's proof
+        # would prove C2 by twist 1; C1 is not MDS (columns 2 and 3 are
+        # equal), so C1's own scan refuses it, and C2 is never offered to is_mds
         field = field_new(13, 6)
         cert = gabidulin_family(field, 6, 3, 3, 2)
         G1 = FMatrix(field, [[1, 0] + [1] * 4, [0, 1, 2, 2, 3, 4]], 6)
         H2 = G1.frobenius_entrywise(1)
-        assert _frobenius_dual(from_parity_check(H2), from_generator(G1), 1)
         calls = []
-        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None, twist=None:
-                            calls.append(twin) or is_mds(C, symmetries, twin, twist))
+        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None:
+                            calls.append(twin) or is_mds(C, symmetries, twin))
         with pytest.raises(errors.FormulaMismatch, match="C1 failed MDS certification"):
             _certify("gabidulin", cert.inputs, G1, H2, 2, 4, cert.predicted, twist=1)
         assert calls == [None]
@@ -73,23 +72,27 @@ class TestCertify:
     ])
     def test_each_distinct_code_is_proved_once(self, monkeypatch, family, p, e, args, scans):
         # the extended-GRS pair is one code; the other pairs are two, and the
-        # Vandermonde C2 is proved as a checked scaling of C1, the k1 = k2
-        # Gabidulin C2 as the checked Frobenius-dual of C1, neither scanned
+        # Vandermonde C2 is proved by is_mds as a checked scaling of C1, the
+        # k1 = k2 Gabidulin C2 by H2 = sigma^t(G1) and C1's scan, never
+        # offered to is_mds
         calls = []
-        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None, twist=None:
-                            calls.append((C, is_mds(C, symmetries, twin, twist)))
+        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None:
+                            calls.append((C, is_mds(C, symmetries, twin)))
                             or calls[-1][1])
-        assert getattr(families, family)(field_new(p, e), *args).verified
+        cert = getattr(families, family)(field_new(p, e), *args)
+        assert cert.verified
         codes = [C for C, _ in calls]
-        assert len(codes) == len(set(codes)) == (1 if family == "grs_extended_family" else 2)
+        one = family == "grs_extended_family" or args == (6, 3, 3, 2)
+        assert codes[0] is cert.pair.C1
+        assert len(codes) == len(set(codes)) == (1 if one else 2)
         assert sum(report.relation is None for _, report in calls) == scans
         assert all(report.code is C for C, report in calls)
 
     @staticmethod
     def reports(monkeypatch):
         out = []
-        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None, twist=None:
-                            out.append(is_mds(C, symmetries, twin, twist)) or out[-1])
+        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None:
+                            out.append(is_mds(C, symmetries, twin)) or out[-1])
         return out
 
     def test_scans_reduced_by_checked_automorphisms(self, monkeypatch):
@@ -108,13 +111,12 @@ class TestCertify:
             reports.clear()
             assert grs_extended_family(field_new(p, e), k).verified
             assert [r.fixed for r in reports] == [fixed]
-        # Gabidulin pairs: full scans, but for the C2 of Table 2's k1 = k2
-        # row (GF(13^6)), the checked Frobenius-dual of its C1
+        # Gabidulin pairs: full scans, and none for the C2 of Table 2's
+        # k1 = k2 row (GF(13^6)), proved by H2 = sigma^t(G1) and C1's scan
         reports.clear()
         table2()
         gabidulin_family(field_new(2, 16), 7, 4, 3, 2)
-        assert [(r.fixed, r.relation) for r in reports] == (
-            [(0, None)] * 3 + [(0, "frobenius-dual")] + [(0, None)] * 4)
+        assert [(r.fixed, r.relation) for r in reports] == [(0, None)] * 7
 
     def test_permuted_points_refuse_the_affine_maps(self, monkeypatch, f13):
         # Swapping the columns of the points 1 and 2 in both generators keeps

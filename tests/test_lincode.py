@@ -12,9 +12,9 @@ import pytest
 
 from eaqeckit import (FMatrix, ebits_stack, errors, field_new, from_generator,
                       from_parity_check, galois_dual, is_mds, min_distance, moore_matrix)
-from eaqeckit import fmatrix, lincode
+from eaqeckit import families, fmatrix, lincode
 from eaqeckit.fmatrix import pivot_step
-from eaqeckit.lincode import LinearCode, MdsReport
+from eaqeckit.lincode import LinearCode
 from conftest import (KRONECKER_ROW_FIELDS, ROW_LAYOUT_FIELDS, codewords, galois_form, identity,
                       intersection_basis_bruteforce, is_zero, random_code, random_matrix,
                       rref_reference, time_limit)
@@ -615,13 +615,48 @@ class TestTwinTrust:
         assert not report.is_mds and report.witness == (2, 3) and report.relation is None
 
 
-def gabidulin_pair(p, m, n, k1, k2, t):
-    """(C1, C2, C1's own report) of gabidulin_family's pair, built as it does."""
+def moore_pair(p, m, n, k1, k2, t):
+    """(G1, H2) of gabidulin_family's pair, built as it builds them."""
     field = field_new(p, m)
     g = [p**i for i in range(n)]
-    C1 = from_generator(moore_matrix(field, g, k1))
-    C2 = from_parity_check(moore_matrix(field, g, k2, t))
-    return C1, C2, is_mds(C1)
+    return moore_matrix(field, g, k1), moore_matrix(field, g, k2, t)
+
+
+def certify(monkeypatch, G1, H2, t):
+    """families._certify on C1 = rowspace(G1), C2 = ker(H2) with twist t:
+    (its certificate, or the FormulaMismatch it raised; (code, report) of
+    every is_mds call; (matrix, t) of every entrywise Frobenius image).
+    The dimensions are the codes' own, and no closed form is offered."""
+    calls, images = [], []
+    image = FMatrix.frobenius_entrywise
+
+    def spy(C, symmetries=(), twin=None):
+        calls.append((C, is_mds(C, symmetries, twin)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(families, "is_mds", spy)
+    monkeypatch.setattr(FMatrix, "frobenius_entrywise",
+                        lambda M, s: images.append((M, s)) or image(M, s))
+    k1, k2 = G1.rank(), H2.ncols - H2.rank()
+    try:
+        out = families._certify("gabidulin", {}, G1, H2, k1, k2, None, twist=t)
+    except errors.FormulaMismatch as exc:
+        out = exc
+    monkeypatch.undo()
+    return out, calls, images
+
+
+def assert_scanned(out, calls, G1, H2):
+    """C2 was offered to is_mds after C1, and its report is the full scan's:
+    MDS, or the FormulaMismatch on C2."""
+    C2 = from_parity_check(H2)
+    assert [C for C, _ in calls] == [from_generator(G1), C2]
+    scan = is_mds(C2)
+    assert calls[1][1] == scan and calls[1][1].relation is None
+    if scan.is_mds:
+        assert out.pair.C2 == C2
+    else:
+        assert isinstance(out, errors.FormulaMismatch) and "C2 failed" in str(out)
 
 
 # (p, m, n) of the k1 = k2 = n/2 shapes of the large-field benchmark
@@ -630,85 +665,75 @@ FROBENIUS_DUAL_SHAPES = [(17, 8, 8), (3, 10, 8), (2, 16, 6), (5, 9, 6), (13, 6, 
 
 
 class TestFrobeniusDualTwin:
-    """is_mds(C2, twin=is_mds(C1), twist=t): C2 proved as the dual of C1's
-    Frobenius twist, checked on the canonical codes, else scanned."""
+    """families._certify(..., twist=t) proves C2 = ker(H2) by C1's scan alone
+    when H2 = sigma^t(G1) entrywise, and offers C2 to is_mds otherwise."""
 
     @pytest.mark.parametrize("p,m,n", FROBENIUS_DUAL_SHAPES)
-    def test_accepted_on_every_k1_equal_k2_shape(self, p, m, n):
+    def test_accepted_on_every_k1_equal_k2_shape(self, monkeypatch, p, m, n):
         k = n // 2
         for t in range(1, min(k - 1, m - k) + 1):
-            C1, C2, proof = gabidulin_pair(p, m, n, k, k, t)
-            assert proof.is_mds and proof.relation is None
-            assert lincode._frobenius_dual(C2, C1, t)
-            report = is_mds(C2, twin=proof, twist=t)
-            assert report.relation == "frobenius-dual" and report.code is C2
-            assert dataclasses.replace(report, relation=None) == is_mds(C2)
+            G1, H2 = moore_pair(p, m, n, k, k, t)
+            cert, calls, images = certify(monkeypatch, G1, H2, t)
+            assert [C for C, _ in calls] == [cert.pair.C1] and calls[0][1].is_mds
+            assert images[0] == (G1, t)
+            assert cert.pair.C2 == from_parity_check(H2) and is_mds(cert.pair.C2).is_mds
 
-    def test_other_dimensions_are_refused(self):
-        # k1 = 4 > k2 = 3 on the GF(2^16) n = 7 shape: the dimensions add up
-        # to 7 + 1, and the full scan runs
+    def test_other_dimensions_are_refused(self, monkeypatch):
+        # k1 = 4 > k2 = 3 on the GF(2^16) n = 7 shape: H2 has another shape,
+        # so no Frobenius image of G1 is taken, and the full scan runs
         for t in (2, 3):
-            C1, C2, proof = gabidulin_pair(2, 16, 7, 4, 3, t)
-            assert proof.is_mds and not lincode._frobenius_dual(C2, C1, t)
-            report = is_mds(C2, twin=proof, twist=t)
-            assert report == is_mds(C2) and report.relation is None and report.is_mds
+            G1, H2 = moore_pair(2, 16, 7, 4, 3, t)
+            out, calls, images = certify(monkeypatch, G1, H2, t)
+            assert_scanned(out, calls, G1, H2)
+            assert calls[1][1].is_mds and not [M for M, _ in images if M is G1]
 
     @pytest.mark.parametrize("p,m,n", [(17, 8, 8), (2, 16, 6), (13, 6, 6)])
-    def test_wrong_twist_is_refused(self, p, m, n):
+    def test_wrong_twist_is_refused(self, monkeypatch, p, m, n):
         k = n // 2
-        C1, C2, proof = gabidulin_pair(p, m, n, k, k, 1)
+        G1, H2 = moore_pair(p, m, n, k, k, 1)
         for wrong in (0, 2, m - 1):
-            assert not lincode._frobenius_dual(C2, C1, wrong)
-            report = is_mds(C2, twin=proof, twist=wrong)
-            assert report == is_mds(C2) and report.relation is None
-        assert lincode._frobenius_dual(C2, C1, 1 + m)  # t is taken mod m
+            assert_scanned(*certify(monkeypatch, G1, H2, wrong)[:2], G1, H2)
+        cert, calls, _ = certify(monkeypatch, G1, H2, 1 + m)  # t is taken mod m
+        assert [C for C, _ in calls] == [cert.pair.C1]
 
     @pytest.mark.parametrize("p,m,n", [(17, 8, 8), (2, 16, 6), (13, 6, 6)])
-    def test_one_changed_entry_of_h2_is_refused(self, p, m, n):
+    def test_one_changed_entry_of_h2_is_refused(self, monkeypatch, p, m, n):
         k, t = n // 2, 1
         field = field_new(p, m)
-        C1, _, proof = gabidulin_pair(p, m, n, k, k, t)
-        H2 = moore_matrix(field, [p**i for i in range(n)], k, t)
+        G1, H2 = moore_pair(p, m, n, k, k, t)
         rng, refused = random.Random(p + m), 0
         for i, c in ((0, 0), (k - 1, n - 1), (rng.randrange(k), rng.randrange(n))):
             rows = [list(row) for row in H2.rows]
             rows[i][c] = field.add(rows[i][c], rng.randrange(1, field.q))
-            C2 = from_parity_check(FMatrix(field, rows, n))
-            if C2.k != n - k:
+            changed = FMatrix(field, rows, n)
+            if changed.rank() != k:
                 continue
             refused += 1
-            assert not lincode._frobenius_dual(C2, C1, t)
-            report = is_mds(C2, twin=proof, twist=t)
-            assert report == is_mds(C2) and report.relation is None
+            assert_scanned(*certify(monkeypatch, G1, changed, t)[:2], G1, changed)
         assert refused
 
-    def test_partial_relations_are_refused(self, f13):
+    def test_partial_relations_are_refused(self, monkeypatch, f13):
         # C2^perp holds C1 but is larger, or holds only C1's first row; C2^perp
         # holds the weight-2 word (0, 0, 0, 0, 1, 1), so C2 is not MDS
         # although C1, a Reed-Solomon code, is
         g = f13.primitive_element().enc
-        C1 = from_generator(FMatrix(f13, [[f13.pow(g, i * c) for c in range(6)]
-                                          for i in range(3)], 6))
-        proof = is_mds(C1)
-        assert proof.is_mds
+        G1 = FMatrix(f13, [[f13.pow(g, i * c) for c in range(6)] for i in range(3)], 6)
+        assert is_mds(from_generator(G1)).is_mds
         word = [0, 0, 0, 0, 1, 1]
-        for H in (list(C1.G.rows) + [word], [C1.G.rows[0], word, [0, 0, 0, 1, 0, 2]]):
-            C2 = from_parity_check(FMatrix(f13, H, 6))
-            scan = is_mds(C2)
-            assert not scan.is_mds and not lincode._frobenius_dual(C2, C1, 0)
-            assert is_mds(C2, twin=proof, twist=0) == scan
+        for H in (list(G1.rows) + [word], [G1.rows[0], word, [0, 0, 0, 1, 0, 2]]):
+            H2 = FMatrix(f13, H, 6)
+            out, calls, _ = certify(monkeypatch, G1, H2, 0)
+            assert not is_mds(from_parity_check(H2)).is_mds
+            assert_scanned(out, calls, G1, H2)
 
-    def test_unproved_non_mds_twin_gives_the_scan(self, f13):
-        # C1 is not MDS and H2 = sigma^0(G1), so C2^perp = C1 holds: only a
-        # report that is_mds returned with is_mds true lets it count
+    def test_unproved_non_mds_twin_gives_the_scan(self, monkeypatch, f13):
+        # C1 is not MDS and H2 = sigma^0(G1), so C2^perp = C1 holds: C1's own
+        # scan refuses the pair, and C2 is never offered to is_mds
         G1 = FMatrix(f13, [[1, 0, 1, 1, 1, 1], [0, 1, 2, 2, 3, 4]], 6)
-        C1 = from_generator(G1)
-        C2 = from_parity_check(G1)
-        assert lincode._frobenius_dual(C2, C1, 0)
-        scan = is_mds(C2)
-        assert not scan.is_mds
-        for twin in (is_mds(C1), MdsReport(True, "generator", 2, code=C1)):
-            assert is_mds(C2, twin=twin, twist=0) == scan
+        out, calls, _ = certify(monkeypatch, G1, G1, 0)
+        assert isinstance(out, errors.FormulaMismatch) and "C1 failed" in str(out)
+        assert [C for C, _ in calls] == [from_generator(G1)]
+        assert calls[0][1] == is_mds(from_generator(G1)) and not calls[0][1].is_mds
 
 
 def first_dependent_subset(M, w):

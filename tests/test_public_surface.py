@@ -21,6 +21,7 @@ A public function takes no claim on trust: is_mds takes a twin only as a
 report that it returned itself.
 """
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -170,6 +171,12 @@ def test_every_private_helper_is_used_in_src():
     assert not unused, unused
 
 
+def test_is_mds_takes_a_code_its_symmetries_and_a_twin():
+    # the one relation a twin proves is a checked column scaling; a Frobenius
+    # twist is _certify's own check on the matrices a family built
+    assert list(inspect.signature(is_mds).parameters) == ["C", "symmetries", "twin"]
+
+
 def test_is_mds_takes_no_claim_on_trust():
     # the [4,2]_5 code has columns 2 and 3 dependent, (1, 2) and (2, 4); a
     # twin that is the code itself, a report built by hand, or is_mds's own
@@ -181,6 +188,5 @@ def test_is_mds_takes_no_claim_on_trust():
     claims = [C, MdsReport(True, "generator", 2, code=C),
               MdsReport(True, "generator", 2, relation="scaled", code=C), scan]
     for twin in claims:
-        for twist in (None, 0, 1):
-            report = is_mds(C, twin=twin, twist=twist)
-            assert report == scan and report.relation is None, (twin, twist)
+        report = is_mds(C, twin=twin)
+        assert report == scan and report.relation is None, twin
