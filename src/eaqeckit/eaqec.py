@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from . import errors
 from .gf import FieldSpec
-from .lincode import DistanceReport, LinearCode, check_pair
+from .lincode import LinearCode, check_pair
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ class PairReport:
     s: int
     c_product: int
     c_stack: int
-    params: EaqecParams
+    k: int  # k1 + k2 - n + c
 
 
 def ebits_product(C1: LinearCode, C2: LinearCode, s: int) -> int:
@@ -74,24 +74,20 @@ def ebits_stack(C1: LinearCode, C2: LinearCode, s: int) -> int:
     return C1.G.vstack(H2t).rank() - C1.k
 
 
-def assemble(C1: LinearCode, C2: LinearCode, s: int,
-             d1: DistanceReport, d2: DistanceReport) -> PairReport:
-    """Build [[n, k1+k2-n+c, min(d1,d2); c]]_q from a certified code pair.
+def assemble(C1: LinearCode, C2: LinearCode, s: int) -> PairReport:
+    """The ebit count c and the logical dimension k = k1+k2-n+c of a code pair.
 
     Both c formulas are evaluated; disagreement raises FormulaMismatch since
-    it can only mean a defect in the linear algebra underneath.
+    it can only mean a defect in the linear algebra underneath.  A negative
+    k raises NegativeLogicalDim.
     """
     check_pair(C1, C2)
-    if not isinstance(d1, DistanceReport) or not isinstance(d2, DistanceReport):
-        raise errors.FormulaMismatch("assemble requires certified DistanceReports")
     c_product = ebits_product(C1, C2, s)
     c_stack = ebits_stack(C1, C2, s)
     if c_product != c_stack:
         raise errors.FormulaMismatch(
             f"ebit formulas disagree: product={c_product}, stack={c_stack}")
-    n = C1.n
-    k = C1.k + C2.k - n + c_product
+    k = C1.k + C2.k - C1.n + c_product
     if k < 0:
         raise errors.NegativeLogicalDim(f"k1+k2-n+c = {k} < 0")
-    params = EaqecParams.build(C1.field, n, k, min(d1.d, d2.d), c_product)
-    return PairReport(C1, C2, s, c_product, c_stack, params)
+    return PairReport(C1, C2, s, c_product, c_stack, k)

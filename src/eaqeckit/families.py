@@ -10,13 +10,15 @@ family at n = q-1 (the cyclic shift) and the extended evaluation family
 is_mds, which checks each one by a rank on the matrix it scans before it
 lets them shrink the scan to the subsets that hold column 0, or columns 0
 and 1; a map that fails its check leaves the full scan.  The Vandermonde
-and rank-metric families prove C2 from C1, once C1's own scan has proved
-it MDS, each by a check: a Vandermonde C1's report goes to is_mds as C2's
-twin, which checks C2 = C1 D for a nonzero diagonal D (the dual of a GRS
-code is a GRS code on the same nodes); a rank-metric pair with k1 = k2 has
-H2 = sigma^t(G1) entrywise, which _certify checks on the two matrices, so
-C2 is the dual of C1's Frobenius twist.  A C2 that fails its check is
-scanned.
+and rank-metric families prove C2 from C1's own scan where a check allows
+it.  A rank-metric pair with k1 = k2 has H2 = sigma^t(G1) entrywise, which
+_certify checks on the two matrices, so C2 is the dual of C1's Frobenius
+twist.  Any other C2 goes to is_mds as C1's twin, and the same call that
+proves C1 MDS checks C2 = C1 D for a nonzero diagonal D (the dual of a GRS
+code is a GRS code on the same nodes, so every Vandermonde C2 of Table 1
+is one).  A C2 that fails both checks is scanned.  No proof passes from
+one call to another: the parameters come from the MDS proofs and ebit
+counts of this one certification.
 
 Canonical instantiations (the closed forms leave them open):
   * Vandermonde nodes are powers of the canonical primitive element, which
@@ -36,8 +38,7 @@ from . import errors
 from .eaqec import EaqecParams, PairReport, assemble
 from .fmatrix import FMatrix
 from .gf import FieldSpec, field_new
-from .lincode import (DEFAULT_BUDGET, DistanceReport, from_generator,
-                      from_parity_check, is_mds)
+from .lincode import DEFAULT_BUDGET, from_generator, from_parity_check, is_mds
 from .rankmetric import moore_matrix
 
 
@@ -56,19 +57,16 @@ class FamilyCertificate:
     G1: FMatrix
     H2: FMatrix
     pair: PairReport
+    params: EaqecParams  # computed: k and c from pair, d from the MDS proofs
     predicted: EaqecParams
     verified: bool
-
-    @property
-    def params(self) -> EaqecParams:
-        return self.pair.params
 
     def to_json(self, emit_matrices: bool = False) -> dict:
         out = {
             "family": self.family,
             "inputs": dict(self.inputs),
             "predicted": self.predicted.to_json(),
-            "computed": self.pair.params.to_json(),
+            "computed": self.params.to_json(),
             "c_product": self.pair.c_product,
             "c_stack": self.pair.c_stack,
             "verified": self.verified,
@@ -96,18 +94,18 @@ def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: i
     """Certify the pair C1 = rowspace(G1), C2 = ker(H2) against its closed form.
 
     A dimension other than k1, k2 or a code that fails the MDS column
-    criterion is a FormulaMismatch; each distinct canonical code is proved
-    MDS once, by is_mds with the family's symmetries, monomial maps offered
-    as automorphisms of every code of the pair, which is_mds checks before
-    it uses them to shrink the scan.  C1 is proved first.  With twist t and
-    H2 = sigma^t(G1) entrywise (sigma the map a -> a^p, G1 and H2 of one
-    shape), C2^perp = sigma^t(C1), so C1's proof proves C2, which is never
-    offered to is_mds: neither duality nor an entrywise field automorphism
-    changes a column-subset rank.  Without twist, C1's report goes to
-    is_mds as C2's twin, which proves C2 = C1 D for a nonzero diagonal D
-    without a scan.  Any other C2 is scanned.  The extended-GRS pair is one
-    code: with both dimensions k, G1 H2^T = 0 holds iff C1 = C2, and a pair
-    that differs is a DualityFailure.  The ebit count comes from assemble.
+    criterion is a FormulaMismatch; C1 is proved MDS first, by is_mds with
+    the family's symmetries, monomial maps offered as automorphisms of every
+    code of the pair, which is_mds checks before it uses them to shrink the
+    scan.  C1's proof proves C2 when C1 = C2, or when the family passes
+    twist t and H2 = sigma^t(G1) entrywise (sigma the map a -> a^p, G1 and
+    H2 of one shape), so C2^perp = sigma^t(C1): neither duality nor an
+    entrywise field automorphism changes a column-subset rank.  Otherwise C2
+    goes to that is_mds call as C1's twin, and only a C2 that is no checked
+    column scaling of C1 gets a scan of its own.  The extended-GRS pair is
+    one code: with both dimensions k, G1 H2^T = 0 holds iff C1 = C2, and a
+    pair that differs is a DualityFailure.  c and k come from assemble, and
+    d = n - max(k1, k2) + 1, the lesser distance of the two MDS codes.
     """
     C1, C2 = from_generator(G1), from_parity_check(H2)
     for label, C, k in (("C1", C1, k1), ("C2", C2, k2)):
@@ -115,20 +113,21 @@ def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: i
             raise errors.FormulaMismatch(f"{family} dim {label} = {C.k}, expected {k}")
     if family == "grs_extended" and C1 != C2:
         raise errors.DualityFailure("G1 H2^T != 0 for the canonical points/weights")
-    codes = [("C1", C1)] if C1 == C2 else [("C1", C1), ("C2", C2)]
-    if twist is not None and H2.shape == G1.shape and H2 == G1.frobenius_entrywise(twist):
-        codes = codes[:1]
-    twin = None
-    for label, C in codes:
+    twisted = twist is not None and H2.shape == G1.shape and H2 == G1.frobenius_entrywise(twist)
+    twin = None if C1 == C2 or twisted else C2
+    for label, C in (("C1", C1), ("C2", C2)):
         report = is_mds(C, symmetries, twin)
         if not report.is_mds:
             raise errors.FormulaMismatch(f"{family} {label} failed MDS certification; "
                                          f"dependent columns {report.witness}")
-        twin = report if twist is None else None
-    d1, d2 = (DistanceReport(C.n - C.k + 1, "mds-columns") for C in (C1, C2))
-    pair = assemble(C1, C2, 0, d1, d2)
-    return FamilyCertificate(family, inputs, G1, H2, pair, predicted,
-                             verified=pair.params == predicted)
+        if twin is None or report.twin_mds:  # C2 is proved
+            break
+        twin = None
+    pair = assemble(C1, C2, 0)
+    n = C1.n
+    params = EaqecParams.build(C1.field, n, pair.k, n - max(k1, k2) + 1, pair.c_product)
+    return FamilyCertificate(family, inputs, G1, H2, pair, params, predicted,
+                             verified=params == predicted)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +160,7 @@ def vandermonde_family(field: FieldSpec, n: int, k: int, t: int, j: int) -> Fami
     # at n = q-1 the nodes are all of GF(q)*, and x -> gamma x scales row i
     # by gamma^i: the column shift c -> c+1 mod n fixes both codes.  When
     # H2 holds rows k..n-1, C2 is the dual of the GRS code C1 on the same
-    # nodes, a GRS code with other column multipliers, so C1 is C2's twin.
+    # nodes, a GRS code with other column multipliers, so C2 is C1's twin.
     shift = ([(c + 1) % n for c in range(n)], [1] * n)
     return _certify(
         "vandermonde", {"q": field.label, "n": n, "k": k, "t": t, "j": j},

@@ -27,19 +27,20 @@ norm chain: a^-1 = b N(a)^(p-2) for b the conorm a^(p+...+p^(e-1)).  The
 Rabin test decides coprimality by the norm test on Z_p[x]/(f), so no code
 works on coefficient lists.
 
-row_ops is the row layout of elimination and matrix products, built by
-each representation beside its scalar operations; the fmatrix docstring
-says which kernel runs on it and which on vec_ops.  Odd-p extension fields
-above q = 1024 pack each row into one integer, so s X - a V is two integer
-products and one reduction of every entry at once, by masks sized to the
-entries the product holds; the other fields keep rows as lists of encs.
+row_ops is the row layout of elimination and matrix products, which each
+representation defines beside its scalar operations and row_ops builds on
+first call; the fmatrix docstring says which kernel runs on it and which on
+vec_ops.  Odd-p extension fields above q = 1024 pack each row into one
+integer, so s X - a V is two integer products and one reduction of every
+entry at once, by masks sized to the entries the product holds; the other
+fields keep rows as lists of encs.
 
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
 """
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from math import gcd
 from operator import getitem, xor
 from typing import Callable, NamedTuple, Sequence
@@ -383,7 +384,10 @@ class FieldSpec:
 
     def row_ops(self) -> "RowOps":
         """The row layout of exact elimination and matrix products, the one
-        that came with the scalar operations at construction."""
+        that came with the scalar operations at construction, built on first
+        call."""
+        if not isinstance(self._rows, RowOps):  # the builder, until this call
+            self._rows = self._rows()
         return self._rows
 
     def vec_ops(self):
@@ -403,8 +407,8 @@ class FieldSpec:
 
 # ---------------------------------------------------------------------------
 # Enc-level operations.  Each builder returns (add, sub, mul, pow) on enc
-# integers in [0, q) and its RowOps; FieldSpec installs one set at
-# construction.
+# integers in [0, q) and a builder of its RowOps; FieldSpec installs one set
+# at construction, and row_ops builds the rows on first call.
 # ---------------------------------------------------------------------------
 
 def _zero_power(n: int) -> int:
@@ -431,7 +435,7 @@ def _prime_ops(p: int):
     def comb(s, X, a, V):
         return [(s * x - a * y) % p for x, y in zip(X, V)]
 
-    return add, sub, mul, power, _enc_rows(comb, power)
+    return add, sub, mul, power, partial(_enc_rows, comb, power)
 
 
 def _table_ops(vec: "_VecOps"):
@@ -462,7 +466,7 @@ def _table_ops(vec: "_VecOps"):
         sq = s * q
         return [sub_t[mul_t[sq + x] * q + mul_t[aq + y]] for x, y in zip(X, V)]
 
-    return add, sub, mul, power, _enc_rows(comb, power)
+    return add, sub, mul, power, partial(_enc_rows, comb, power)
 
 
 def _power(mul, inv, q1: int):
@@ -517,7 +521,7 @@ def _bin_ops(p: int, e: int, tail: Sequence[int]):
         return [mul(s, x) ^ mul(a, y) for x, y in zip(X, V)]
 
     power = _power(mul, inv, top - 1)
-    return xor, xor, mul, power, _enc_rows(comb, power)
+    return xor, xor, mul, power, partial(_enc_rows, comb, power)
 
 
 def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None):
@@ -546,7 +550,7 @@ def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None):
         return unpack(reduce(pack(a) * pack(b)))
 
     power = _power(mul, inv, p**e - 1)
-    return add, sub, mul, power, _packed_rows(p, e, tail, power, reduce)
+    return add, sub, mul, power, partial(_packed_rows, p, e, tail, power, reduce)
 
 
 @cache

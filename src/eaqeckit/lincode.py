@@ -1,5 +1,9 @@
 """Linear [n,k]_q codes: Galois duals, distance, MDS certification.
 
+is_mds proves a code MDS by its own column-subset scan and, in the same
+call, a twin code that it checks to be a column scaling of it; it takes no
+earlier verdict as an argument.
+
 A code is stored canonically: G is the reduced row echelon basis of the row
 space, H the canonical kernel basis of G.  Two codes are equal exactly when
 their canonical generator matrices are equal, which makes set-level
@@ -11,8 +15,7 @@ format of G.
 from __future__ import annotations
 
 import itertools
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import errors
@@ -63,25 +66,17 @@ class DistanceReport:
 
 @dataclass(frozen=True)
 class MdsReport:
-    """is_mds's verdict on code, and how it was reached: by the subset scan
-    (relation None), or with no scan from a twin that is_mds had proved, by
-    the checked relation "scaled" (C = twin D).  The code takes no part in
-    ==."""
+    """is_mds's verdict on a code C, from the subset scan; twin_mds says that
+    the twin D offered with C is proved MDS along with it, as D = C diag(d)."""
     is_mds: bool
     checked_matrix: str  # "generator" or "parity"
     subset_size: int
     witness: Optional[tuple[int, ...]] = None  # dependent columns, when not MDS
     fixed: int = 0  # leading columns that every scanned subset held
-    relation: Optional[str] = None  # "scaled": from a twin, no scan
-    code: Optional[LinearCode] = field(default=None, compare=False, repr=False)
+    twin_mds: bool = False
 
     def __bool__(self):
         return self.is_mds
-
-
-# The MDS reports that is_mds returned, by id: a twin counts only if it is one
-# of them, the very object, so no report built elsewhere is taken on trust.
-_PROVED: "weakref.WeakValueDictionary[int, MdsReport]" = weakref.WeakValueDictionary()
 
 
 # ---------------------------------------------------------------------------
@@ -147,21 +142,20 @@ def check_pair(C1: LinearCode, C2: LinearCode) -> None:
 # ---------------------------------------------------------------------------
 
 def is_mds(C: LinearCode, symmetries: Sequence[tuple[Sequence[int], Sequence[int]]] = (),
-           twin: Optional[MdsReport] = None) -> MdsReport:
+           twin: Optional[LinearCode] = None) -> MdsReport:
     """Column criterion: d = n-k+1 iff every k-subset of G's columns has rank k.
 
     Equivalently every (n-k)-subset of H's columns has rank n-k; the cheaper
     side is checked (G on ties), which is sound because a code is MDS iff its
     dual is.  The scan is FMatrix.first_dependent_columns; the fmatrix
-    docstring states its backends and its fixed prefix.  The report carries
-    C.
+    docstring states its backends and its fixed prefix.
 
-    twin is a report that is_mds itself returned for another code A, with
-    is_mds true: the very object, not an equal one; anything else is
-    ignored.  If _scales_twin finds C = A D for a nonzero diagonal D, C is
-    MDS too (D maps every column subset to one of the same rank): no subset
-    is scanned, and the report's relation is "scaled".  If the check fails,
-    the scan runs as without a twin.
+    twin is another code D.  Once the scan has proved C MDS, _scales_twin
+    checks D = C diag(d) for nonzero d (as the dual of a GRS code is a GRS
+    code on the same nodes); then D is MDS too, since diag(d) maps every
+    column subset to one of the same rank, and the report's twin_mds is
+    set.  twin_mds is False whenever C is not MDS, D is no such scaling or
+    k = n, and D is then left for a scan of its own.
 
     symmetries are monomial maps (perm, scale) offered as automorphisms of
     C: the image of a matrix M has column j equal to scale[j] (an enc) times
@@ -175,42 +169,34 @@ def is_mds(C: LinearCode, symmetries: Sequence[tuple[Sequence[int], Sequence[int
     if not 1 <= C.k <= C.n:
         raise errors.ZeroCode("MDS certification needs 1 <= k <= n")
     if C.k == C.n:
-        return _issued(MdsReport(True, "generator", C.n, code=C))
+        return MdsReport(True, "generator", C.n)
     if C.k <= C.n - C.k:
         M, side, w = C.G, "generator", C.k
     else:
         M, side, w = C.H, "parity", C.n - C.k
-    if twin is not None and _PROVED.get(id(twin)) is twin and _scales_twin(C, twin.code):
-        return _issued(MdsReport(True, side, w, relation="scaled", code=C))
     fixed = _fixed_prefix(M, w, symmetries, side == "parity") if symmetries else 0
     witness = M.first_dependent_columns(w, fixed)
-    return _issued(MdsReport(witness is None, side, w, witness, fixed, code=C))
+    return MdsReport(witness is None, side, w, witness, fixed,
+                     witness is None and twin is not None and _scales_twin(twin, C))
 
 
-def _issued(report: MdsReport) -> MdsReport:
-    """report, entered in _PROVED if it proves its code MDS."""
-    if report.is_mds:
-        _PROVED[id(report)] = report
-    return report
+def _scales_twin(D: LinearCode, C: LinearCode) -> bool:
+    """Whether D = C diag(d) for nonzero d, decided on the canonical
+    generators B of D and A of C, by multiplies alone.
 
-
-def _scales_twin(C: LinearCode, twin: LinearCode) -> bool:
-    """Whether C = twin D for a nonzero diagonal D, decided on the canonical
-    generators B of C and A of twin, by multiplies alone.
-
-    C = twin D holds iff B = E^-1 A D with E the diagonal of D on the
-    pivots: the same k and pivots, and B[i][c] e_i = A[i][c] d_c on every
+    D = C diag(d) holds iff B = E^-1 A diag(d) with E the diagonal of d on
+    the pivots: the same k and pivots, and B[i][c] e_i = A[i][c] d_c on every
     free column c.  With c0 the first free column, the reference entries
     of A and B on row 0 and on column c0 must be nonzero, else False (all
-    free entries of an MDS twin and of its scalings are); they fix d_c =
+    free entries of an MDS code and of its scalings are); they fix d_c =
     B[0][c] / A[0][c] and e_i = d_c0 A[i][c0] / B[i][c0], and the rest is
     the cross ratio of each entry, B[i][c] B[0][c0] A[0][c] A[i][c0] =
     A[i][c] A[0][c0] B[0][c] B[i][c0], which also forces the zero patterns
     of A and B to agree.
     """
-    if C.k != twin.k or C.n != twin.n or C.field != twin.field:
+    if D.k != C.k or D.n != C.n or D.field != C.field:
         return False
-    B, A = C.G.rows, twin.G.rows
+    B, A = D.G.rows, C.G.rows
     pivots = [row.index(1) for row in A]  # an RREF row's first nonzero is its 1
     if [row.index(1) for row in B] != pivots:
         return False

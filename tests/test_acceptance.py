@@ -52,7 +52,7 @@ def test_criterion_2_table2_reproduction(capsys):
     expect = ["[[5,2,3;1]]_11^5", "[[6,2,4;2]]_13^6", "[[8,4,4;2]]_17^8"]
     # distance certificates must be structural (column criterion), never
     # exhaustive enumeration over the huge fields
-    structural = all(c.pair.params.slack == 0 for c in certs)
+    structural = all(c.params.slack == 0 for c in certs)
     ok = got == expect and structural and elapsed < 30.0
     COLLECTED_PARAMS.extend(c.params for c in certs)
     report(capsys, 2, ok, f"3 rank-metric tuples, slack 0, column-criterion "
@@ -251,8 +251,9 @@ def test_criterion_8_gabidulin_mrd(capsys):
 
 
 def test_criterion_9_singleton_bound(capsys):
-    # the tuples assembled by the earlier criteria plus fresh random pairs
-    from eaqeckit import assemble
+    # the tuples assembled by the earlier criteria plus fresh random pairs,
+    # k and c from assemble and d the lesser min_distance of the two codes
+    from eaqeckit import EaqecParams, assemble
     rng = random.Random(9)
     params = list(COLLECTED_PARAMS)
     for _ in range(100):
@@ -260,9 +261,9 @@ def test_criterion_9_singleton_bound(capsys):
         n = rng.randint(2, 5)
         C1 = random_code(rng, field, n, rng.randint(1, n))
         C2 = random_code(rng, field, n, rng.randint(1, n))
-        pair = assemble(C1, C2, rng.randrange(field.e),
-                        min_distance(C1), min_distance(C2))
-        params.append(pair.params)
+        pair = assemble(C1, C2, rng.randrange(field.e))
+        d = min(min_distance(C1).d, min_distance(C2).d)
+        params.append(EaqecParams.build(field, n, pair.k, d, pair.c_product))
     in_range = [p for p in params if 0 <= p.c <= p.n - 1]
     violations = [p for p in in_range if p.slack < 0]
     ok = not violations and len(in_range) >= 100

@@ -154,13 +154,20 @@ class TestParams:
         assert p.slack == 3
 
 
+def assembled(C1, C2, s):
+    """(assemble's report, the pair's EaqecParams with d the lesser
+    min_distance of the two codes)."""
+    pair = assemble(C1, C2, s)
+    d = min(min_distance(C1).d, min_distance(C2).d)
+    return pair, EaqecParams.build(C1.field, C1.n, pair.k, d, pair.c_product)
+
+
 class TestAssemble:
     def test_table_row(self, f13):
         C1 = vandermonde_code(f13, 1, 4, 12)
         C2 = galois_dual(vandermonde_code(f13, 5, 8, 12), 0)
-        report = assemble(C1, C2, 0, min_distance(C1), min_distance(C2))
-        assert report.c_product == report.c_stack == 8
-        p = report.params
+        report, p = assembled(C1, C2, 0)
+        assert report.c_product == report.c_stack == 8 and report.k == 4
         assert (p.n, p.k, p.d, p.c) == (12, 4, 9, 8)
         assert p.slack == 0
         assert str(p) == "[[12,4,9;8]]_13"
@@ -168,8 +175,7 @@ class TestAssemble:
     def test_self_dual_binary(self, f2):
         C = from_generator(FMatrix(f2, [[1, 0, 1, 0], [0, 1, 0, 1]], 4))
         assert galois_dual(C, 0) == C
-        report = assemble(C, C, 0, min_distance(C), min_distance(C))
-        p = report.params
+        _, p = assembled(C, C, 0)
         assert (p.n, p.k, p.d, p.c) == (4, 0, 2, 0)
         assert p.slack == 2 and not p.is_mds
 
@@ -181,19 +187,14 @@ class TestAssemble:
             n = rng.randint(2, 5)
             C1 = random_code(rng, field, n, rng.randint(1, n))
             C2 = random_code(rng, field, n, rng.randint(1, n))
-            report = assemble(C1, C2, 0, min_distance(C1), min_distance(C2))
-            assert report.params.k >= 0
-
-    def test_requires_reports(self, f2):
-        C = from_generator(FMatrix(f2, [[1, 0, 1, 0], [0, 1, 0, 1]], 4))
-        with pytest.raises(errors.FormulaMismatch):
-            assemble(C, C, 0, 2, 2)
+            report, p = assembled(C1, C2, 0)
+            assert report.k == p.k >= 0
 
     def test_disagreeing_ebit_routes(self, f2, monkeypatch):
         C = from_generator(FMatrix(f2, [[1, 0, 1, 0], [0, 1, 0, 1]], 4))
         monkeypatch.setattr(eaqec, "ebits_stack", lambda *args: ebits_stack(*args) + 1)
         with pytest.raises(errors.FormulaMismatch, match="ebit formulas disagree"):
-            assemble(C, C, 0, min_distance(C), min_distance(C))
+            assemble(C, C, 0)
 
     def test_negative_logical_dimension(self, f2, monkeypatch):
         # k1 = k2 = 1 and n = 4, so any c < n - k1 - k2 = 2 makes k negative
@@ -202,7 +203,7 @@ class TestAssemble:
         for route in ("ebits_product", "ebits_stack"):
             monkeypatch.setattr(eaqec, route, lambda *args: 1)
         with pytest.raises(errors.NegativeLogicalDim):
-            assemble(C, C, 0, min_distance(C), min_distance(C))
+            assemble(C, C, 0)
 
     def test_galois_twist_changes_c(self, f4):
         # a pair where the s = 0 and s = 1 forms give different ebit counts

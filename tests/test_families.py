@@ -34,8 +34,8 @@ class TestCertify:
             _certify("vandermonde", cert.inputs, G1, cert.H2, 2, 4, cert.predicted)
 
     def test_non_mds_code_with_a_scaled_twin_fails_on_c1(self, f13, monkeypatch):
-        # C2 = C1 D is the scaled twin of a C1 that is not MDS: C1's scan
-        # refuses it, and C2 is never offered to is_mds
+        # C2 = C1 D is the scaled twin of a C1 that is not MDS: it goes with
+        # C1 to is_mds, whose scan refuses C1, and C2 gets no call of its own
         cert = vandermonde_family(f13, 12, 4, 5, 7)
         G1 = FMatrix(f13, [[1, 0] + [1] * 10, [0, 1] + [2] * 10], 12)
         scaled = FMatrix(f13, [[f13.mul(x, c + 1) for c, x in enumerate(row)]
@@ -44,10 +44,10 @@ class TestCertify:
         assert _scales_twin(from_parity_check(H2), from_generator(G1))
         calls = []
         monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None:
-                            calls.append(twin) or is_mds(C, symmetries, twin))
+                            calls.append((C, twin)) or is_mds(C, symmetries, twin))
         with pytest.raises(errors.FormulaMismatch, match="C1 failed MDS certification"):
             _certify("vandermonde", cert.inputs, G1, H2, 2, 2, cert.predicted)
-        assert calls == [None]
+        assert calls == [(from_generator(G1), from_parity_check(H2))]
 
     def test_non_mds_code_with_a_frobenius_dual_twin_fails_on_c1(self, monkeypatch):
         # H2 = sigma(G1) entrywise, so C2^perp = sigma(C1) and C1's proof
@@ -67,26 +67,28 @@ class TestCertify:
     @pytest.mark.parametrize("family,p,e,args,scans", [
         ("grs_extended_family", 3, 2, (4,), 1),
         ("vandermonde_family", 13, 1, (12, 4, 5, 7), 1),
-        ("gabidulin_family", 11, 5, (5, 3, 2, 2), 2),
+        ("gabidulin_family", 11, 5, (5, 3, 2, 2), 1),
         ("gabidulin_family", 13, 6, (6, 3, 3, 2), 1),
+        ("gabidulin_family", 2, 16, (7, 4, 3, 2), 2),
     ])
     def test_each_distinct_code_is_proved_once(self, monkeypatch, family, p, e, args, scans):
-        # the extended-GRS pair is one code; the other pairs are two, and the
-        # Vandermonde C2 is proved by is_mds as a checked scaling of C1, the
-        # k1 = k2 Gabidulin C2 by H2 = sigma^t(G1) and C1's scan, never
-        # offered to is_mds
+        # the extended-GRS pair is one code, proved by one scan.  The other
+        # pairs are two: the k1 = k2 Gabidulin C2 is proved by
+        # H2 = sigma^t(G1) and C1's scan; every other C2 goes to C1's is_mds
+        # call as its twin, where the Vandermonde C2 and the GF(11^5) n = m
+        # Gabidulin C2 are proved as checked scalings of C1, and the GF(2^16)
+        # n = 7 one, no scaling of C1, then gets a scan of its own.
         calls = []
         monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None:
-                            calls.append((C, is_mds(C, symmetries, twin)))
-                            or calls[-1][1])
+                            calls.append((C, twin, is_mds(C, symmetries, twin)))
+                            or calls[-1][2])
         cert = getattr(families, family)(field_new(p, e), *args)
         assert cert.verified
-        codes = [C for C, _ in calls]
+        C1, C2 = cert.pair.C1, cert.pair.C2
         one = family == "grs_extended_family" or args == (6, 3, 3, 2)
-        assert codes[0] is cert.pair.C1
-        assert len(codes) == len(set(codes)) == (1 if one else 2)
-        assert sum(report.relation is None for _, report in calls) == scans
-        assert all(report.code is C for C, report in calls)
+        assert calls[0][0] is C1 and len(calls) == scans
+        assert [(C, D) for C, D, _ in calls] == [(C1, None if one else C2), (C2, None)][:scans]
+        assert [r.twin_mds for _, _, r in calls] == [not one and scans == 1] + [False] * (scans - 1)
 
     @staticmethod
     def reports(monkeypatch):
@@ -98,12 +100,13 @@ class TestCertify:
     def test_scans_reduced_by_checked_automorphisms(self, monkeypatch):
         # Table 1's GF(13) rows have n = q - 1 (the cyclic shift, column 0);
         # its GF(27) rows have n = 15 != 26 and take none.  Every row's C2 is
-        # a checked scaling of its C1 and takes no scan.  The extended GRS
-        # codes take AGL(1, q) (columns 0 and 1), Gabidulin codes no map.
+        # a checked scaling of its C1, proved in C1's call with no scan.  The
+        # extended GRS codes take AGL(1, q) (columns 0 and 1), Gabidulin
+        # codes no map.
         reports = self.reports(monkeypatch)
         table1()
-        assert ([(r.fixed, r.relation) for r in reports]
-                == [(1, None), (0, "scaled")] * 4 + [(0, None), (0, "scaled")] * 10)
+        assert ([(r.fixed, r.twin_mds) for r in reports]
+                == [(1, True)] * 4 + [(0, True)] * 10)
         assert all(r.is_mds for r in reports)
         # w = k; the marker column is in no orbit of a point, so w = 1 fixes
         # nothing, w = 2 column 0 and w >= 3 columns 0 and 1
@@ -111,12 +114,15 @@ class TestCertify:
             reports.clear()
             assert grs_extended_family(field_new(p, e), k).verified
             assert [r.fixed for r in reports] == [fixed]
-        # Gabidulin pairs: full scans, and none for the C2 of Table 2's
-        # k1 = k2 row (GF(13^6)), proved by H2 = sigma^t(G1) and C1's scan
+        # Gabidulin pairs: full scans of C1.  Table 2's n = m rows with
+        # k1 != k2 (GF(11^5), GF(17^8)) prove C2 as a checked scaling of C1
+        # in C1's call, its k1 = k2 row (GF(13^6)) by H2 = sigma^t(G1); the
+        # GF(2^16) n = 7 C2 is no scaling of C1 and is scanned
         reports.clear()
         table2()
         gabidulin_family(field_new(2, 16), 7, 4, 3, 2)
-        assert [(r.fixed, r.relation) for r in reports] == [(0, None)] * 7
+        assert ([(r.fixed, r.twin_mds) for r in reports]
+                == [(0, True), (0, False), (0, True), (0, False), (0, False)])
 
     def test_permuted_points_refuse_the_affine_maps(self, monkeypatch, f13):
         # Swapping the columns of the points 1 and 2 in both generators keeps

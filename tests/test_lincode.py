@@ -496,24 +496,22 @@ def with_rows(C, rows):
 
 
 class TestScaledTwin:
-    """is_mds(C, twin=is_mds(T)): C proved as a checked column scaling of T,
-    else scanned."""
+    """is_mds(C, twin=D): D proved with C as a checked column scaling of C,
+    else left for a scan of its own."""
 
     @staticmethod
-    def assert_scan(C, twin):
-        """twin is refused: the report is the full scan's, with no relation."""
-        assert not lincode._scales_twin(C, twin)
-        report = is_mds(C, twin=is_mds(twin))
-        assert report == is_mds(C) and report.relation is None
+    def assert_scan(D, C):
+        """D is refused: C's report is its own scan's, with twin_mds False."""
+        assert not lincode._scales_twin(D, C)
+        report = is_mds(C, twin=D)
+        assert report == is_mds(C) and not report.twin_mds
 
     @staticmethod
-    def assert_scaled(C, twin):
-        proof = is_mds(twin)
-        assert proof.is_mds and proof.code is twin
-        report = is_mds(C, twin=proof)
-        assert report.relation == "scaled" and report.code is C
-        assert dataclasses.replace(report, relation=None) == is_mds(C)
-        assert is_mds(C).is_mds
+    def assert_scaled(D, C):
+        report = is_mds(C, twin=D)
+        assert report.is_mds and report.twin_mds
+        assert dataclasses.replace(report, twin_mds=False) == is_mds(C)
+        assert is_mds(D).is_mds
 
     def test_table1_rows(self):
         from eaqeckit import TABLE1_ROWS, vandermonde_family
@@ -590,29 +588,59 @@ class TestScaledTwin:
 
 
 class TestTwinTrust:
-    """A twin counts only as the very report that is_mds returned for it."""
+    """A twin is proved only in the call that scans the code it scales."""
 
     def test_equal_copy_of_a_proof_is_refused(self, f13):
-        # an MDS code and its column scaling: the proof itself is accepted,
-        # an equal report that is not the object is_mds returned is not
+        # an MDS code and its column scaling: C1 offered with C2 is proved in
+        # C2's call; a report is no twin, neither is_mds's own proof of C1
+        # nor an equal copy of it, as the twin check reads a code
         rng = random.Random(5)
         C1, C2 = grs_pair(rng, f13, 8, 3)
         proof = is_mds(C1)
         copy = dataclasses.replace(proof)
-        assert copy == proof and copy is not proof and copy.code is C1
-        assert is_mds(C2, twin=copy).relation is None
-        assert is_mds(C2, twin=proof).relation == "scaled"
+        assert copy == proof and copy is not proof
+        for claim in (proof, copy):
+            with pytest.raises(AttributeError):
+                is_mds(C2, twin=claim)
+        assert is_mds(C2, twin=C1).twin_mds
 
     def test_proof_of_another_code_is_checked(self):
-        # a real proof of an MDS code that C is no scaling of: C, whose
-        # columns 2 and 3 are dependent, is scanned
+        # C, whose columns 2 and 3 are dependent, offered as the twin of an
+        # MDS code D that it is no scaling of: D is proved alone, and C's
+        # own scan finds the dependent columns
         f5 = field_new(5, 1)
         C = from_generator(FMatrix(f5, [[1, 0, 1, 2], [0, 1, 2, 4]], 4))
         D = from_generator(FMatrix(f5, [[1, 0, 1, 1], [0, 1, 1, 2]], 4))
-        proof = is_mds(D)
-        assert proof.is_mds and not lincode._scales_twin(C, D)
-        report = is_mds(C, twin=proof)
-        assert not report.is_mds and report.witness == (2, 3) and report.relation is None
+        report = is_mds(D, twin=C)
+        assert report.is_mds and not report.twin_mds and not lincode._scales_twin(C, D)
+        scan = is_mds(C)
+        assert not scan.is_mds and scan.witness == (2, 3)
+
+    def test_no_twin_is_proved_with_a_code_that_is_not_mds(self, f13):
+        # the [4,2]_5 code with columns 2 and 3 dependent scales to itself
+        # and to C diag(d), yet is_mds gives the scan's verdict; so do
+        # random codes that are not MDS, with a scaling as twin
+        f5 = field_new(5, 1)
+        C = from_generator(FMatrix(f5, [[1, 0, 1, 2], [0, 1, 2, 4]], 4))
+        scaled = with_rows(C, [[f5.mul(x, d) for x, d in zip(row, (2, 3, 4, 1))]
+                               for row in C.G.rows])
+        scan = is_mds(C)
+        for twin in (C, scaled):
+            assert lincode._scales_twin(twin, C)
+            report = is_mds(C, twin=twin)
+            assert report == scan and not report.twin_mds and report.witness == (2, 3)
+        rng, seen = random.Random(11), 0
+        while seen < 20:
+            n = rng.randint(4, 8)
+            C = random_code(rng, f13, n, rng.randint(2, n - 2))
+            scan = is_mds(C)
+            if scan.is_mds:
+                continue
+            d = [rng.randrange(1, 13) for _ in range(n)]
+            twin = with_rows(C, [[f13.mul(x, y) for x, y in zip(row, d)] for row in C.G.rows])
+            report = is_mds(C, twin=twin)
+            assert report == scan and not report.twin_mds
+            seen += 1
 
 
 def moore_pair(p, m, n, k1, k2, t):
@@ -624,15 +652,15 @@ def moore_pair(p, m, n, k1, k2, t):
 
 def certify(monkeypatch, G1, H2, t):
     """families._certify on C1 = rowspace(G1), C2 = ker(H2) with twist t:
-    (its certificate, or the FormulaMismatch it raised; (code, report) of
-    every is_mds call; (matrix, t) of every entrywise Frobenius image).
+    (its certificate, or the FormulaMismatch it raised; (code, twin, report)
+    of every is_mds call; (matrix, t) of every entrywise Frobenius image).
     The dimensions are the codes' own, and no closed form is offered."""
     calls, images = [], []
     image = FMatrix.frobenius_entrywise
 
     def spy(C, symmetries=(), twin=None):
-        calls.append((C, is_mds(C, symmetries, twin)))
-        return calls[-1][1]
+        calls.append((C, twin, is_mds(C, symmetries, twin)))
+        return calls[-1][2]
 
     monkeypatch.setattr(families, "is_mds", spy)
     monkeypatch.setattr(FMatrix, "frobenius_entrywise",
@@ -647,12 +675,13 @@ def certify(monkeypatch, G1, H2, t):
 
 
 def assert_scanned(out, calls, G1, H2):
-    """C2 was offered to is_mds after C1, and its report is the full scan's:
-    MDS, or the FormulaMismatch on C2."""
-    C2 = from_parity_check(H2)
-    assert [C for C, _ in calls] == [from_generator(G1), C2]
+    """C2 went to is_mds as C1's twin, was refused, and then got its own
+    scan: MDS, or the FormulaMismatch on C2."""
+    C1, C2 = from_generator(G1), from_parity_check(H2)
+    assert [(C, twin) for C, twin, _ in calls] == [(C1, C2), (C2, None)]
+    assert calls[0][2].is_mds and not calls[0][2].twin_mds
     scan = is_mds(C2)
-    assert calls[1][1] == scan and calls[1][1].relation is None
+    assert calls[1][2] == scan
     if scan.is_mds:
         assert out.pair.C2 == C2
     else:
@@ -666,7 +695,8 @@ FROBENIUS_DUAL_SHAPES = [(17, 8, 8), (3, 10, 8), (2, 16, 6), (5, 9, 6), (13, 6, 
 
 class TestFrobeniusDualTwin:
     """families._certify(..., twist=t) proves C2 = ker(H2) by C1's scan alone
-    when H2 = sigma^t(G1) entrywise, and offers C2 to is_mds otherwise."""
+    when H2 = sigma^t(G1) entrywise, and offers C2 to is_mds as C1's twin
+    otherwise."""
 
     @pytest.mark.parametrize("p,m,n", FROBENIUS_DUAL_SHAPES)
     def test_accepted_on_every_k1_equal_k2_shape(self, monkeypatch, p, m, n):
@@ -674,7 +704,8 @@ class TestFrobeniusDualTwin:
         for t in range(1, min(k - 1, m - k) + 1):
             G1, H2 = moore_pair(p, m, n, k, k, t)
             cert, calls, images = certify(monkeypatch, G1, H2, t)
-            assert [C for C, _ in calls] == [cert.pair.C1] and calls[0][1].is_mds
+            assert [(C, twin) for C, twin, _ in calls] == [(cert.pair.C1, None)]
+            assert calls[0][2].is_mds
             assert images[0] == (G1, t)
             assert cert.pair.C2 == from_parity_check(H2) and is_mds(cert.pair.C2).is_mds
 
@@ -685,16 +716,26 @@ class TestFrobeniusDualTwin:
             G1, H2 = moore_pair(2, 16, 7, 4, 3, t)
             out, calls, images = certify(monkeypatch, G1, H2, t)
             assert_scanned(out, calls, G1, H2)
-            assert calls[1][1].is_mds and not [M for M, _ in images if M is G1]
+            assert calls[1][2].is_mds and not [M for M, _ in images if M is G1]
 
     @pytest.mark.parametrize("p,m,n", [(17, 8, 8), (2, 16, 6), (13, 6, 6)])
     def test_wrong_twist_is_refused(self, monkeypatch, p, m, n):
+        # a wrong t leaves C2 to is_mds as C1's twin; at n = m (GF(17^8)
+        # n = 8, GF(13^6) n = 6) C2 is also a column scaling of C1, proved in
+        # C1's call, and at GF(2^16) n = 6 it is not, so C2 is scanned
         k = n // 2
         G1, H2 = moore_pair(p, m, n, k, k, 1)
+        C1, C2 = from_generator(G1), from_parity_check(H2)
+        assert lincode._scales_twin(C2, C1) == (n == m)
         for wrong in (0, 2, m - 1):
-            assert_scanned(*certify(monkeypatch, G1, H2, wrong)[:2], G1, H2)
+            out, calls = certify(monkeypatch, G1, H2, wrong)[:2]
+            if n == m:
+                assert [(C, twin) for C, twin, _ in calls] == [(C1, C2)]
+                assert calls[0][2].twin_mds and out.pair.C2 == C2
+            else:
+                assert_scanned(out, calls, G1, H2)
         cert, calls, _ = certify(monkeypatch, G1, H2, 1 + m)  # t is taken mod m
-        assert [C for C, _ in calls] == [cert.pair.C1]
+        assert [(C, twin) for C, twin, _ in calls] == [(cert.pair.C1, None)]
 
     @pytest.mark.parametrize("p,m,n", [(17, 8, 8), (2, 16, 6), (13, 6, 6)])
     def test_one_changed_entry_of_h2_is_refused(self, monkeypatch, p, m, n):
@@ -732,8 +773,8 @@ class TestFrobeniusDualTwin:
         G1 = FMatrix(f13, [[1, 0, 1, 1, 1, 1], [0, 1, 2, 2, 3, 4]], 6)
         out, calls, _ = certify(monkeypatch, G1, G1, 0)
         assert isinstance(out, errors.FormulaMismatch) and "C1 failed" in str(out)
-        assert [C for C, _ in calls] == [from_generator(G1)]
-        assert calls[0][1] == is_mds(from_generator(G1)) and not calls[0][1].is_mds
+        assert [(C, twin) for C, twin, _ in calls] == [(from_generator(G1), None)]
+        assert calls[0][2] == is_mds(from_generator(G1)) and not calls[0][2].is_mds
 
 
 def first_dependent_subset(M, w):

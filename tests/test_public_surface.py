@@ -17,15 +17,19 @@ Every name a module of src/eaqeckit/ (``__init__.py`` aside) imports is
 used in that module, and every module-level private function or class is
 named by code in src/eaqeckit/ outside its own definition.
 
-A public function takes no claim on trust: is_mds takes a twin only as a
-report that it returned itself.
+A public function takes no proof as an argument: is_mds proves a twin code
+only in the call that scans the code it scales, and assemble takes two codes
+and s, no distances.
 """
 import ast
 import inspect
 import re
 from pathlib import Path
 
-from eaqeckit import FMatrix, MdsReport, field_new, from_generator, is_mds
+import pytest
+
+from eaqeckit import (DistanceReport, FMatrix, MdsReport, assemble, field_new,
+                      from_generator, is_mds)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "eaqeckit"
@@ -180,13 +184,23 @@ def test_is_mds_takes_a_code_its_symmetries_and_a_twin():
 def test_is_mds_takes_no_claim_on_trust():
     # the [4,2]_5 code has columns 2 and 3 dependent, (1, 2) and (2, 4); a
     # twin that is the code itself, a report built by hand, or is_mds's own
-    # report that it is not MDS, all get the full scan and its verdict
+    # report that it is not MDS, all get the full scan and its verdict, and
+    # no twin is proved with a code that is not MDS
     f5 = field_new(5, 1)
     C = from_generator(FMatrix(f5, [[1, 0, 1, 2], [0, 1, 2, 4]], 4))
     scan = is_mds(C)
     assert not scan.is_mds and scan.witness == (2, 3)
-    claims = [C, MdsReport(True, "generator", 2, code=C),
-              MdsReport(True, "generator", 2, relation="scaled", code=C), scan]
+    claims = [C, MdsReport(True, "generator", 2),
+              MdsReport(True, "generator", 2, twin_mds=True), scan]
     for twin in claims:
         report = is_mds(C, twin=twin)
-        assert report == scan and report.relation is None, twin
+        assert report == scan and not report.twin_mds, twin
+
+
+def test_assemble_takes_two_codes_and_s():
+    # the distances of the tuple come from the caller's own MDS proofs, so
+    # assemble takes none, not even a DistanceReport
+    assert list(inspect.signature(assemble).parameters) == ["C1", "C2", "s"]
+    C = from_generator(FMatrix(field_new(2, 1), [[1, 0, 1, 0], [0, 1, 0, 1]], 4))
+    with pytest.raises(TypeError):
+        assemble(C, C, 0, DistanceReport(2, "mds-columns"), DistanceReport(2, "mds-columns"))
