@@ -9,15 +9,15 @@ family at n = q-1 (the cyclic shift) and the extended evaluation family
 (x -> gamma x and x -> x + 1) offer automorphisms of their codes to
 is_mds, which checks each one by a rank on the matrix it scans before it
 lets them shrink the scan to the subsets that hold column 0, or columns 0
-and 1; a map that fails its check leaves the full scan.  The Vandermonde
-and rank-metric families prove C2 from C1's own scan where a check allows
-it.  A rank-metric pair with k1 = k2 has H2 = sigma^t(G1) entrywise, which
-_certify checks on the two matrices, so C2 is the dual of C1's Frobenius
-twist.  Any other C2 goes to is_mds as C1's twin, and the same call that
-proves C1 MDS checks C2 = C1 D for a nonzero diagonal D (the dual of a GRS
-code is a GRS code on the same nodes, so every Vandermonde C2 of Table 1
-is one).  A C2 that fails both checks is scanned.  No proof passes from
-one call to another: the parameters come from the MDS proofs and ebit
+and 1; a map that fails its check leaves the full scan.  Every family
+proves C2 from C1's own scan where a check allows it.  A rank-metric pair
+with k1 = k2 has H2 = sigma^t(G1) entrywise, which _certify checks on the
+two matrices, so C2 is the dual of C1's Frobenius twist.  Any other C2 goes
+to is_mds as C1's twin, and the same call that proves C1 MDS checks
+C2 = C1 D for a nonzero diagonal D (every Vandermonde C2 of Table 1 is one,
+the dual of a GRS code being GRS on the same nodes; the extended-GRS C2 =
+C1 with D = I).  A C2 that fails both checks is scanned.  No proof passes
+from one call to another: the parameters come from the MDS proofs and ebit
 counts of this one certification.
 
 Canonical instantiations (the closed forms leave them open):
@@ -97,15 +97,15 @@ def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: i
     criterion is a FormulaMismatch; C1 is proved MDS first, by is_mds with
     the family's symmetries, monomial maps offered as automorphisms of every
     code of the pair, which is_mds checks before it uses them to shrink the
-    scan.  C1's proof proves C2 when C1 = C2, or when the family passes
-    twist t and H2 = sigma^t(G1) entrywise (sigma the map a -> a^p, G1 and
-    H2 of one shape), so C2^perp = sigma^t(C1): neither duality nor an
-    entrywise field automorphism changes a column-subset rank.  Otherwise C2
-    goes to that is_mds call as C1's twin, and only a C2 that is no checked
-    column scaling of C1 gets a scan of its own.  The extended-GRS pair is
-    one code: with both dimensions k, G1 H2^T = 0 holds iff C1 = C2, and a
-    pair that differs is a DualityFailure.  c and k come from assemble, and
-    d = n - max(k1, k2) + 1, the lesser distance of the two MDS codes.
+    scan.  C1's proof proves C2 when the family passes twist t and
+    H2 = sigma^t(G1) entrywise (sigma the map a -> a^p, G1 and H2 of one
+    shape), so C2^perp = sigma^t(C1): neither duality nor an entrywise field
+    automorphism changes a column-subset rank.  Otherwise C2 goes to that
+    is_mds call as C1's twin (C2 = C1 is its scaling by D = I), and only a
+    C2 that is no checked column scaling of C1 gets a scan of its own.  The
+    extended-GRS pair is one code: G1 H2^T = 0 iff C1 = C2 at dimensions k,
+    and a pair that differs is a DualityFailure.  c and k come from
+    assemble, and d = n - max(k1, k2) + 1, the lesser of the two distances.
     """
     C1, C2 = from_generator(G1), from_parity_check(H2)
     for label, C, k in (("C1", C1, k1), ("C2", C2, k2)):
@@ -114,7 +114,7 @@ def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: i
     if family == "grs_extended" and C1 != C2:
         raise errors.DualityFailure("G1 H2^T != 0 for the canonical points/weights")
     twisted = twist is not None and H2.shape == G1.shape and H2 == G1.frobenius_entrywise(twist)
-    twin = None if C1 == C2 or twisted else C2
+    twin = None if twisted else C2
     for label, C in (("C1", C1), ("C2", C2)):
         report = is_mds(C, symmetries, twin)
         if not report.is_mds:

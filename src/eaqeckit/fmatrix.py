@@ -15,10 +15,9 @@ The one rule: a field with tables (q <= 1024) scans on them and reduces on
 them from _RREF_TABLE_MIN entries, and everything else runs on rows, so no
 elimination above q = 1024 imports numpy; rank() with no RREF memo follows
 it.  A matrix has one RREF, one rank and one first dependent subset, so the
-route never shows in a result.  The scan may fix its leading columns: both
-drivers then start at the node of the prefix 0..fixed-1 and search exactly
-its subtree, so the witness is the first dependent subset that holds the
-prefix (lincode.is_mds fixes columns only by automorphisms it has checked).
+route never shows in a result.  The scan searches every w-subset of the
+matrix it is given, at most C(ncols, w) of them; a caller that may skip
+subsets hands it a smaller matrix (lincode.is_mds scans an RREF's tail).
 
 Text format (bit-exact round trip):
     line 1:  "p e rows cols"
@@ -115,37 +114,33 @@ class FMatrix:
         self._rref = (FMatrix._of(f, work, self.ncols), r, pivots)
         return self._rref
 
-    def first_dependent_columns(self, w: int, fixed: int = 0) -> tuple[int, ...] | None:
-        """First w-subset of the columns, in lexicographic order, that holds
-        columns 0..fixed-1 and has rank < w, or None if there is none
-        (1 <= w <= ncols, 0 <= fixed <= w).
+    def first_dependent_columns(self, w: int) -> tuple[int, ...] | None:
+        """First w-subset of the columns, in lexicographic order, that has
+        rank < w, or None if there is none (1 <= w <= ncols).
 
         Depth-first, sharing the elimination of each column prefix: a node is
         a prefix P whose other rows are reduced on P, and child P+{c} costs
         one pivot step on them.  If column c is zero there, every subset
         extending P+{c} is dependent and the first, P + (c, c+1, ...), is the
-        witness.  A node above depth fixed expands only its first child, so
-        the search starts at the node of the prefix 0..fixed-1 and visits
-        exactly its subtree of the full search.  Without tables the search
-        runs here, one row_ops row per column (on rows, GF(2^16) n=7's is_mds
-        took 1.35-1.45 ms, not 0.46-0.56); with them, _scan_batched runs it.
+        witness.  Without tables the search runs here, one row_ops row per
+        column (on rows, GF(2^16) n=7's is_mds took 1.35-1.45 ms, not
+        0.46-0.56); with them, _scan_batched runs it.
         On rows, a pivot column that is a unit vector once its pivot entry is
         dropped (every identity column of an RREF generator is one) takes no
         row operation: its step would only scale each later column by s != 0,
         which changes no rank, so each keeps its entries but the pivot row's.
         """
-        if not (1 <= w <= self.ncols and 0 <= fixed <= w):
-            raise errors.ShapeMismatch(f"no {w}-subsets of {self.ncols} columns fixing {fixed}")
+        if not 1 <= w <= self.ncols:
+            raise errors.ShapeMismatch(f"no {w}-subsets of {self.ncols} columns")
         if (ops := self.field.vec_ops()) is not None:
-            return _scan_batched(self, w, ops, fixed)
+            return _scan_batched(self, w, ops)
         pack, _, get, drop, lead, comb, _ = self.field.row_ops()
         n = self.ncols
 
         def visit(prefix, cols):
             # cols: the columns after prefix, reduced on the rows it left over
             depth, first = len(prefix), prefix[-1] + 1 if prefix else 0
-            stop = first + 1 if depth < fixed else n - w + depth + 1
-            for c, v in enumerate(cols[:stop - first], first):
+            for c, v in enumerate(cols[:n - w + depth + 1 - first], first):
                 i = lead(v)
                 if i is None:
                     return prefix + tuple(range(c, c + w - depth))
@@ -388,11 +383,10 @@ def _first_dependent_pair(ops, S, last):
                    if min(k[c1], k[c2]) < 0 or k[c1] == k[c2])
 
 
-def _scan_batched(M: FMatrix, w: int, ops, fixed: int):
+def _scan_batched(M: FMatrix, w: int, ops):
     """FMatrix.first_dependent_columns on numpy tables: visit takes sibling
     nodes in order and recurses into their children in chunks of _SCAN_CHUNK,
-    each built by one pivot_step.  A node above depth fixed has the one child
-    that extends the fixed prefix.  In a square scan _first_dependent_pair
+    each built by one pivot_step.  In a square scan _first_dependent_pair
     decides the children of each depth w-2 node at once, so depth w-1 is
     never built (mds-scan passes 29-34 ms, 54-60 without)."""
     import numpy as np
@@ -402,11 +396,10 @@ def _scan_batched(M: FMatrix, w: int, ops, fixed: int):
     def visit(S, prefix, last):
         # S: (B, R, n) node states; node b has prefix[b], last[b] its last column
         depth = prefix.shape[1]
-        if depth + 2 == w and S.shape[1] == 2 and depth >= fixed:
+        if depth + 2 == w and S.shape[1] == 2:
             found = _first_dependent_pair(ops, S, last)
             return found and tuple(prefix[found[0]].tolist()) + found[1]
-        top = depth if depth < fixed else n - w + depth
-        valid = (columns > last[:, None]) & (columns <= top)
+        valid = (columns > last[:, None]) & (columns <= n - w + depth)
         nonzero = S.any(axis=1)
         live, dead, witness = valid & nonzero, valid & ~nonzero, None
         if dead.any():  # children of earlier (node, column) pairs come first

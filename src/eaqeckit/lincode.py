@@ -148,7 +148,7 @@ def is_mds(C: LinearCode, symmetries: Sequence[tuple[Sequence[int], Sequence[int
     Equivalently every (n-k)-subset of H's columns has rank n-k; the cheaper
     side is checked (G on ties), which is sound because a code is MDS iff its
     dual is.  The scan is FMatrix.first_dependent_columns; the fmatrix
-    docstring states its backends and its fixed prefix.
+    docstring states its backends.
 
     twin is another code D.  Once the scan has proved C MDS, _scales_twin
     checks D = C diag(d) for nonzero d (as the dual of a GRS code is a GRS
@@ -160,11 +160,13 @@ def is_mds(C: LinearCode, symmetries: Sequence[tuple[Sequence[int], Sequence[int
     symmetries are monomial maps (perm, scale) offered as automorphisms of
     C: the image of a matrix M has column j equal to scale[j] (an enc) times
     column perm[j] of M.  Nothing is taken on trust: _fixed_prefix checks
-    every map on the scanned matrix and, if all hold, the scan visits only
-    the subsets that hold column 0, or columns 0 and 1, as the orbits of the
-    checked permutations allow; the witness of a code that is not MDS then
-    holds them.  A map that fails its check leaves the full scan, never an
-    error.
+    every map on the scanned matrix and, if all hold, gives f = 1 or 2, and
+    only the w-subsets that hold F = 0..f-1 are scanned.  With R = rref(M)
+    pivoted on F, rank(M on F + S) = f + rank(R's rows f.. on S), so the
+    scan runs on R's rows and columns f.. (none if f = w) and F leads the
+    witness; a dependent prefix scans M in full, whose first subset 0..w-1
+    is the witness.  A map that is no pair of int sequences or fails its
+    check leaves the full scan, never an error.
     """
     if not 1 <= C.k <= C.n:
         raise errors.ZeroCode("MDS certification needs 1 <= k <= n")
@@ -175,7 +177,11 @@ def is_mds(C: LinearCode, symmetries: Sequence[tuple[Sequence[int], Sequence[int
     else:
         M, side, w = C.H, "parity", C.n - C.k
     fixed = _fixed_prefix(M, w, symmetries, side == "parity") if symmetries else 0
-    witness = M.first_dependent_columns(w, fixed)
+    R, _, pivots = M.rref() if fixed else (M, w, [])  # C.G is its own RREF
+    f = fixed if pivots[:fixed] == list(range(fixed)) else 0
+    tail = FMatrix._of(M.field, [row[f:] for row in R.rows[f:]], C.n - f) if f else M
+    found = tail.first_dependent_columns(w - f) if f < w else None
+    witness = found and tuple(range(f)) + tuple(c + f for c in found)
     return MdsReport(witness is None, side, w, witness, fixed,
                      witness is None and twin is not None and _scales_twin(twin, C))
 
@@ -215,23 +221,27 @@ def _scales_twin(D: LinearCode, C: LinearCode) -> bool:
 def _fixed_prefix(M: FMatrix, w: int, maps, dual: bool) -> int:
     """Leading columns that a scan of M's w-subsets may fix, by the maps.
 
-    Each map must send M's row space onto itself: perm a permutation of the
-    columns, every scale a nonzero enc, and rank(M stacked on its image) =
-    M.nrows (a scan that proves MDS also proves M of full row rank).  M
-    spans the dual when dual is set, and (perm, s) fixes a code iff
-    (perm, 1/s) fixes its dual, so the scales are inverted first.  If one
-    map fails, 0.  Otherwise, with Omega the orbit of column 0 under the
-    permutations, every w-subset meets Omega when w > n - |Omega|, and a
-    permutation of the group moves it onto one that holds column 0.  It
-    holds columns 0 and 1 as well when two of its columns lie in Omega
-    (w >= n - |Omega| + 2) and the maps that fix column 0 move column 1
-    onto every column of Omega - {0}.
+    Each map must be a pair of int sequences that sends M's row space onto
+    itself: perm a permutation of the columns, every scale a nonzero enc,
+    and rank(M stacked on its image) = M.nrows (a scan that proves MDS also
+    proves M of full row rank).  M spans the dual when dual is set, and
+    (perm, s) fixes a code iff (perm, 1/s) fixes its dual, so the scales are
+    inverted first.  If one map fails, 0.  Otherwise, with Omega the orbit
+    of column 0 under the permutations, every w-subset meets Omega when
+    w > n - |Omega|, and a permutation of the group moves it onto one that
+    holds column 0.  It holds columns 0 and 1 as well when two of its
+    columns lie in Omega (w >= n - |Omega| + 2) and the maps that fix
+    column 0 move column 1 onto every column of Omega - {0}.
     """
     f, n, columns = M.field, M.ncols, list(range(M.ncols))
     perms = []
-    for perm, scale in maps:
-        perm, scale = list(perm), list(scale)
-        if sorted(perm) != columns or len(scale) != n or not all(0 < x < f.q for x in scale):
+    for m in maps:
+        try:
+            perm, scale = map(list, m)
+        except (TypeError, ValueError):  # no pair of sequences
+            return 0
+        if (not all(isinstance(x, int) for x in perm + scale) or sorted(perm) != columns
+                or len(scale) != n or not all(0 < x < f.q for x in scale)):
             return 0
         if dual:
             scale = list(map(f.inv, scale))

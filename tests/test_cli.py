@@ -332,17 +332,17 @@ class TestVerify:
 
     def test_bare_scan_takes_no_reduction(self, capsys, tmp_path, monkeypatch, f13):
         # a shift-invariant code read from a file: verify offers no symmetry,
-        # so the MDS criterion scans every subset
-        fixed = []
+        # so the MDS criterion scans every subset of all 12 columns
+        widths = []
         scan = FMatrix.first_dependent_columns
         monkeypatch.setattr(FMatrix, "first_dependent_columns",
-                            lambda M, w, f=0: fixed.append(f) or scan(M, w, f))
+                            lambda M, w: widths.append(M.ncols) or scan(M, w))
         g = f13.primitive_element()
         G = FMatrix(f13, [[(g**i) ** c for c in range(12)] for i in range(4)], 12)
         path = tmp_path / "c.txt"
         path.write_text(from_generator(G).to_text())
         code, out, _ = run(capsys, "--budget", "10", "verify", str(path), "--d", "9")
-        assert code == 0 and json.loads(out)["method"] == "mds-columns" and fixed == [0]
+        assert code == 0 and json.loads(out)["method"] == "mds-columns" and widths == [12]
 
     def test_refuted_with_witness(self, capsys, tmp_path, f13):
         g = f13.primitive_element()

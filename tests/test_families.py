@@ -72,12 +72,12 @@ class TestCertify:
         ("gabidulin_family", 2, 16, (7, 4, 3, 2), 2),
     ])
     def test_each_distinct_code_is_proved_once(self, monkeypatch, family, p, e, args, scans):
-        # the extended-GRS pair is one code, proved by one scan.  The other
-        # pairs are two: the k1 = k2 Gabidulin C2 is proved by
-        # H2 = sigma^t(G1) and C1's scan; every other C2 goes to C1's is_mds
-        # call as its twin, where the Vandermonde C2 and the GF(11^5) n = m
-        # Gabidulin C2 are proved as checked scalings of C1, and the GF(2^16)
-        # n = 7 one, no scaling of C1, then gets a scan of its own.
+        # the k1 = k2 Gabidulin C2 is proved by H2 = sigma^t(G1) and C1's
+        # scan; every other C2 goes to C1's is_mds call as its twin, where
+        # the extended-GRS C2 (C1 itself, D = I), the Vandermonde C2 and the
+        # GF(11^5) n = m Gabidulin C2 are proved as checked scalings of C1,
+        # and the GF(2^16) n = 7 one, no scaling of C1, then gets a scan of
+        # its own.
         calls = []
         monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None:
                             calls.append((C, twin, is_mds(C, symmetries, twin)))
@@ -85,7 +85,7 @@ class TestCertify:
         cert = getattr(families, family)(field_new(p, e), *args)
         assert cert.verified
         C1, C2 = cert.pair.C1, cert.pair.C2
-        one = family == "grs_extended_family" or args == (6, 3, 3, 2)
+        one = args == (6, 3, 3, 2)
         assert calls[0][0] is C1 and len(calls) == scans
         assert [(C, D) for C, D, _ in calls] == [(C1, None if one else C2), (C2, None)][:scans]
         assert [r.twin_mds for _, _, r in calls] == [not one and scans == 1] + [False] * (scans - 1)

@@ -638,3 +638,20 @@ class TestPivotStep:
         assert got.shape == (300, R - 1, 9)
         for k in range(300):
             assert got[k].tolist() == pivot_step_reference(field, X[k].tolist(), cols[k]), k
+
+
+def test_value_objects_hash_by_value():
+    # a field built apart from field_new's shared instance, a matrix built
+    # without checks and a code read back from text are each the same key
+    from eaqeckit.gf import FieldSpec
+    from eaqeckit.lincode import LinearCode, from_generator
+    shared = field_new(3, 2)
+    built = FieldSpec(3, 2, shared.modulus)
+    assert built is not shared and built == shared and hash(built) == hash(shared)
+    assert len({shared: 1, built: 2}) == 1
+    rows = [[0, 1, 2], [3, 4, 8]]
+    M = FMatrix(shared, rows, 3)
+    assert M == FMatrix._of(built, rows, 3) and hash(M) == hash(FMatrix._of(built, rows, 3))
+    assert repr(M) == "FMatrix(3^2, 2x3)"
+    C = from_generator(M)
+    assert len({C, LinearCode.from_text(C.to_text())}) == 1

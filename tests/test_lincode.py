@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import json
 import math
 import os
 import random
@@ -854,20 +855,21 @@ class TestSymmetries:
         assert is_mds(C, [translation]).fixed == 1
 
     def test_planted_non_automorphism_is_refused(self, f13, f27, monkeypatch):
-        fixed = []
+        # a refused map leaves the scan on every column of the matrix
+        widths = []
         scan = FMatrix.first_dependent_columns
         monkeypatch.setattr(FMatrix, "first_dependent_columns",
-                            lambda M, w, f=0: fixed.append(f) or scan(M, w, f))
+                            lambda M, w: widths.append(M.ncols) or scan(M, w))
         # n = 15 != q - 1: the shift is no automorphism of a Table 1 code
         C = vandermonde_code(f27, 1, 3, 15)
-        assert is_mds(C, [cyclic_shift(15)]) == is_mds(C) and fixed == [0, 0]
+        assert is_mds(C, [cyclic_shift(15)]) == is_mds(C) and widths == [15, 15]
         # a swap of columns 0 and 5 beside the true shift, on a code that is
         # not MDS: the verdict and witness are the full scan's
-        fixed.clear()
+        widths.clear()
         C = shifted_code(f13, (0, 2))
         swap = [5, 1, 2, 3, 4, 0] + list(range(6, 12))
         report = is_mds(C, [cyclic_shift(12), (swap, [1] * 12)])
-        assert report == self.full(C) and not report.is_mds and fixed == [0, 0]
+        assert report == self.full(C) and not report.is_mds and widths == [12, 12]
         # a wrong marker scale on the extended GRS code
         from eaqeckit.families import grs_extended_generator, grs_extended_spec
         C = from_generator(grs_extended_generator(grs_extended_spec(f13, 4)))
@@ -880,11 +882,86 @@ class TestSymmetries:
         (list(range(1, 12)) + [0], [0] + [1] * 11),  # a zero scale
         (list(range(1, 12)) + [0], [0] * 12),      # the zero map: its image is 0
         (list(range(1, 12)) + [0], [13] + [1] * 11),  # not an enc
+        (cyclic_shift(12)[0], [field_new(13, 1).one] * 12),  # Element scales
+        ([field_new(13, 1).element(c) for c in cyclic_shift(12)[0]], [1] * 12),
+        (cyclic_shift(12)[0], 1),                  # a scale that is no sequence
+        (cyclic_shift(12)[0],),                    # no pair
     ])
     def test_malformed_map_is_no_error(self, f13, bad):
-        for parity in (False, True):
-            C = shifted_code(f13, (0, 1, 2, 3), parity)
-            assert is_mds(C, [bad]) == is_mds(C) and is_mds(C, [bad]).fixed == 0
+        # the full scan's verdict and witness, on a code that is MDS and on
+        # one that is not
+        for exponents, parity in itertools.product(((0, 1, 2, 3), (0, 2)), (False, True)):
+            C = shifted_code(f13, exponents, parity)
+            report = is_mds(C, [bad])
+            assert report == is_mds(C) and report.fixed == 0
+            assert is_mds(C, [cyclic_shift(12), bad]) == report
+
+    def test_prefix_as_long_as_the_subsets_takes_no_scan(self, f13, monkeypatch):
+        # vandermonde_family(GF(13), 12, 3, 1, 10) has a C2 of dimension 1:
+        # the shift fixes column 0 and w = 1, so the prefix is the subset
+        calls = []
+        scan = FMatrix.first_dependent_columns
+        monkeypatch.setattr(FMatrix, "first_dependent_columns",
+                            lambda M, w: calls.append(M.ncols) or scan(M, w))
+        cert = families.vandermonde_family(f13, 12, 3, 1, 10)
+        C = cert.pair.C2
+        assert cert.verified and C.k == 1
+        calls.clear()
+        report = is_mds(C, [cyclic_shift(12)])
+        assert report == lincode.MdsReport(True, "generator", 1, None, 1) and calls == []
+        assert dataclasses.replace(report, fixed=0) == is_mds(C) and calls == [12]
+
+    @pytest.mark.parametrize("p,e,backend", [
+        (29, 1, "numpy"), (29, 1, "python"), (2, 4, "numpy"), (2, 4, "python"),
+        (2053, 1, "python"), (3, 7, "python")])
+    def test_reduced_scan_matches_reference(self, p, e, backend, monkeypatch):
+        # is_mds given a prefix of f columns, as _fixed_prefix gives one,
+        # must name the first dependent w-subset of the scanned matrix that
+        # holds 0..f-1, on either side.  Dependencies are planted on the
+        # prefix (a zero column 0, column 1 a multiple of column 0, a later
+        # column a multiple of column 0) and off it
+        field = field_new(p, e)
+        if backend == "numpy":
+            assert field.vec_ops() is not None
+            monkeypatch.setattr(fmatrix, "_SCAN_CHUNK", 3)
+        else:
+            monkeypatch.setattr(type(field), "vec_ops", lambda self: None)
+        f = 0
+        monkeypatch.setattr(lincode, "_fixed_prefix", lambda M, w, maps, dual: min(f, w))
+        rng, q = random.Random(p * 100 + e), field.q
+        outcomes = set()
+        for trial in range(60):
+            w, parity = rng.randint(1, 4), trial % 2 == 1
+            n = rng.randint(max(2 * w + parity, 4), 2 * w + 3)
+            cols = [[rng.randrange(q) for _ in range(w)] for _ in range(n)]
+            plant = rng.choice(("none", "zero 0", "1 of 0", "later of 0", "off", "off"))
+            a, b = (0, 1) if plant == "1 of 0" else (0, rng.randrange(2, n))
+            if plant == "off":
+                a, b = sorted(rng.sample(range(2, n), 2))
+            if plant == "zero 0":
+                cols[0] = [0] * w
+            elif plant != "none":
+                cols[b] = [field.mul(rng.randrange(1, q), x) for x in cols[a]]
+            M = FMatrix(field, list(zip(*cols)), n)
+            C = from_parity_check(M) if parity else from_generator(M)
+            if not 1 <= C.k < n:
+                continue
+            for f in range(3):
+                report = is_mds(C, [None])  # the stubbed _fixed_prefix reads no map
+                S = C.H if report.checked_matrix == "parity" else C.G
+                w = report.subset_size
+                fixed = min(f, w)
+                expect = next((sub for sub in itertools.combinations(range(n), w)
+                               if sub[:fixed] == tuple(range(fixed))
+                               and rref_reference(field, [[r[c] for c in sub]
+                                                          for r in S.rows])[1] < w), None)
+                assert report.witness == expect and report.fixed == fixed
+                assert report.is_mds == (expect is None)
+                held = rref_reference(field, [r[:fixed] for r in S.rows])[1] == fixed
+                outcomes.add((report.checked_matrix, expect is None, held))
+        assert outcomes >= {(side, mds, True) for side in ("generator", "parity")
+                            for mds in (True, False)}
+        assert ("generator", False, False) in outcomes and ("parity", False, False) in outcomes
 
     def test_scale_outside_the_field_on_the_parity_side(self):
         # the scales are checked before the parity side inverts them
@@ -901,6 +978,62 @@ class TestSymmetries:
         collapsing = (list(range(1, 12)) + [6], [1] * 12)
         assert is_mds(C, [cyclic_shift(12)]).fixed == 1
         assert is_mds(C, [collapsing]) == is_mds(C) and is_mds(C, [collapsing]).fixed == 0
+
+
+def differential_cases():
+    """(label, code, maps) for codes fixed by the cyclic shift or by AGL(1, q)
+    over GF(13), GF(16), GF(25), GF(27) and GF(29), MDS and not, on both
+    sides of the column criterion, with at most 5-subsets to scan."""
+    for p, e, lucas in ((13, 1, ((0, 1, 2),)), (2, 4, ((0, 1, 2, 4), (0, 1, 8), (0, 1, 4, 5))),
+                        (5, 2, ((0, 1, 5), (0, 1, 5, 6))), (3, 3, ((0, 1, 3), (0, 1, 2, 9))),
+                        (29, 1, ((0, 1, 2, 3),))):
+        field = field_new(p, e)
+        q, g = field.q, field.primitive_element().enc
+        n = q - 1
+        # rows gamma^(i c) for i in a set of exponents: consecutive ones give
+        # GRS codes, the others (a divisor r of n among them) mostly do not
+        r = min(d for d in range(3, n) if n % d == 0)
+        sets = [tuple(range(a, a + k)) for k in (1, 2, 3, 4) for a in (0, 1, 3)]
+        sets += [(0, 2), (0, 1, 3), (1, 2, 4), (0, r), (0, 1, r), (0, n // 2), (1, 3, 5)]
+        sets += [tuple(range(n - k)) for k in (1, 2, 3)] + [(0,) + tuple(range(2, n - 1))]
+        for exps in dict.fromkeys(sets):
+            M = FMatrix._of(field, [[field.pow(g, i * c) for c in range(n)] for i in exps], n)
+            for parity in (False, True):
+                C = from_parity_check(M) if parity else from_generator(M)
+                if 1 <= C.k < C.n and min(C.k, C.n - C.k) <= 5:
+                    yield f"shift GF({q}) {exps} {'H' if parity else 'G'}", C, [cyclic_shift(n)]
+        # AGL(1, q) on the points: the extended GRS codes with their marker,
+        # and evaluation codes on the q points whose exponent set is closed
+        # under the digit order of Lucas' theorem (not MDS off prime fields)
+        for k in (1, 2, 3, 4, q - 3, q - 1, q):
+            C = from_generator(families.grs_extended_generator(
+                families.grs_extended_spec(field, k)))
+            maps = affine_maps(field, k)
+            yield f"grs-ext GF({q}) k={k}", C, maps
+            yield f"grs-ext GF({q}) k={k} translation", C, maps[1:]
+        for exps in lucas:
+            M = FMatrix._of(field, [[field.pow(a, i) for a in range(q)] for i in exps], q)
+            maps = [(perm[:q], [1] * q) for perm, _ in affine_maps(field, 1)]
+            for parity in (False, True):
+                C = from_parity_check(M) if parity else from_generator(M)
+                if min(C.k, C.n - C.k) <= 5:
+                    yield f"affine GF({q}) {exps} {'H' if parity else 'G'}", C, maps
+
+
+def test_reports_match_the_scan_with_a_prefix_in_fmatrix():
+    # is_mds's reports on 310 codes, captured while the fixed prefix was an
+    # argument of FMatrix.first_dependent_columns, so each backend of the
+    # scan searched the subtree of the prefix itself: (is_mds,
+    # checked_matrix, subset_size, witness, fixed) must not change
+    golden = json.loads((Path(__file__).parent / "golden" / "is_mds_reports.json").read_text())
+    seen = {}
+    for label, C, maps in differential_cases():
+        r = is_mds(C, maps)
+        seen[label] = [r.is_mds, r.checked_matrix, r.subset_size,
+                       r.witness and list(r.witness), r.fixed]
+    assert seen == golden and len(seen) == 310
+    assert sum(not v[0] for v in seen.values()) == 76  # not MDS
+    assert sum(v[4] > 0 for v in seen.values()) == 275  # with a fixed prefix
 
 
 class TestSubsetScan:
@@ -1147,43 +1280,6 @@ class TestSubsetScan:
         tall = FMatrix(field, [[pow(a, i, 29) for a in range(1, 13)] for i in range(6)], 12)
         assert tall.first_dependent_columns(5) is None
         assert min(rows) == 6 - 4
-
-    @pytest.mark.parametrize("p,e,backend", [
-        (29, 1, "numpy"), (29, 1, "python"), (2, 4, "numpy"), (2, 4, "python"),
-        (2053, 1, "python"), (3, 7, "python")])
-    def test_fixed_prefix_matches_reference(self, p, e, backend, monkeypatch):
-        # the first dependent subset among those holding columns 0..fixed-1;
-        # dependencies are planted on and off the prefix
-        field = field_new(p, e)
-        if backend == "numpy":
-            assert field.vec_ops() is not None
-            monkeypatch.setattr(fmatrix, "_SCAN_CHUNK", 3)
-        else:
-            monkeypatch.setattr(type(field), "vec_ops", lambda self: None)
-        rng = random.Random(p * 100 + e)
-        outcomes = set()
-        for trial in range(60):
-            w = rng.randint(1, 5)
-            nrows, n = w + rng.choice((0, 0, 0, 1)), rng.randint(w, 8)
-            cols = [[rng.randrange(field.q) for _ in range(nrows)] for _ in range(n)]
-            first = 2 if trial % 3 == 0 and n > 3 else 0  # off the prefix only
-            for _ in range(rng.choice((0, 1, 1, 2))):
-                a, b = rng.randrange(first, n), rng.randrange(first, n)
-                cols[b] = [field.mul(rng.randrange(1, field.q), x) for x in cols[a]]
-            if rng.random() < 0.2:
-                cols[rng.randrange(first, n)] = [0] * nrows
-            M = FMatrix(field, list(zip(*cols)), n)
-            for fixed in range(min(w, 2) + 1):
-                expect = next((cols for cols in itertools.combinations(range(n), w)
-                               if cols[:fixed] == tuple(range(fixed))
-                               and rref_reference(field, [[r[c] for c in cols]
-                                                          for r in M.rows])[1] < w), None)
-                assert M.first_dependent_columns(w, fixed) == expect
-                if fixed:
-                    outcomes.add((expect is None, M.first_dependent_columns(w) is None))
-        assert outcomes == {(True, True), (True, False), (False, False)}
-        with pytest.raises(errors.ShapeMismatch):
-            M.first_dependent_columns(1, 2)
 
     def test_generic_path_imports_no_numpy(self):
         script = ("import sys\n"

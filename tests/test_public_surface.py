@@ -197,6 +197,12 @@ def test_is_mds_takes_no_claim_on_trust():
         assert report == scan and not report.twin_mds, twin
 
 
+def test_first_dependent_columns_takes_only_w():
+    # the scan searches every w-subset of the matrix it is given; is_mds alone
+    # reduces it by a fixed prefix, handing it the tail of an RREF
+    assert list(inspect.signature(FMatrix.first_dependent_columns).parameters) == ["self", "w"]
+
+
 def test_assemble_takes_two_codes_and_s():
     # the distances of the tuple come from the caller's own MDS proofs, so
     # assemble takes none, not even a DistanceReport
