@@ -24,8 +24,13 @@ x^(p^i) of the Rabin test, are a GF(p)-linear map on the basis, applied from
 the images of x^0 .. x^(e-1) in the same slots, one per field and s, built
 on first use.  GF(2^e) inverts by Euclid on the bit vector, odd p by the
 norm chain: a^-1 = b N(a)^(p-2) for b the conorm a^(p+...+p^(e-1)).  The
-Rabin test decides coprimality by the norm test on Z_p[x]/(f), so no code
-works on coefficient lists.
+Rabin test decides coprimality by the norm test on Z_p[x]/(f), and for
+p <= e (so e >= 2) the modulus search drops a candidate with a root in GF(p)
+before its Rabin test.  The primitive element search reads the norm of a
+linear element ux + c from the modulus, as (-u)^e f(-c/u), and the chain
+re-checks the norm of the element it picks.  Elements never become
+coefficient lists: they stay encs, and only the modulus tuple is evaluated
+mod p, by the root filter and the linear norm.
 
 row_ops is the row layout of elimination and matrix products, which each
 representation defines beside its scalar operations and row_ops builds on
@@ -177,14 +182,27 @@ def _is_irreducible(tail: Sequence[int], p: int, e: int) -> bool:
     return True
 
 
+def _monic_at(tail: Sequence[int], r: int, p: int) -> int:
+    """f(r) mod p for the monic f = x^e + tail, by Horner."""
+    v = 1
+    for c in reversed(tail):
+        v = (v * r + c) % p
+    return v
+
+
 def _min_irreducible_tail(p: int, e: int) -> tuple[int, ...]:
-    """Non-leading coefficients of the enc-minimal monic irreducible of degree e."""
+    """Non-leading coefficients of the enc-minimal monic irreducible of degree e.
+
+    For p <= e a candidate with a root in GF(p), reducible, is dropped
+    before its Rabin test: p Horner passes of e steps cost less than the
+    test, and GF(5^9) takes 9 tests, not 34."""
     # The binomials x^e + c_0 (enc < p) are all reducible unless every prime
     # factor of e divides p-1 and p = 1 mod 4 when 4 | e (Lidl-Niederreiter 3.75).
     binomials = all((p - 1) % r == 0 for r in _prime_factors(e)) and (e % 4 or p % 4 == 1)
+    roots = range(p) if p <= e else ()
     for enc in range(0 if binomials else p, p**e):  # e = 1 gives (0,), the polynomial x
         tail = tuple(enc // p**i % p for i in range(e))
-        if _is_irreducible(tail, p, e):
+        if all(_monic_at(tail, r, p) for r in roots) and _is_irreducible(tail, p, e):
             return tail
     raise errors.UnsupportedSize(f"no irreducible polynomial found for p={p}, e={e}")
 
@@ -343,11 +361,18 @@ class FieldSpec:
 
     def _norm(self, a: int, b: int | None = None) -> int:
         """N(a) = a^(1+p+...+p^(e-1)) = ab in GF(p), b the conorm of a (taken
-        when not given)."""
+        when not given).  With no b, a linear a = ux + c (p <= a < p^2) takes
+        no chain: N(a) = prod_i (u x_i + c) over the roots x_i of f, the
+        modulus, which is (-u)^e f(-c/u) on integers mod p."""
+        p = self.p
+        if b is None and p <= a < p * p:
+            u, c = divmod(a, p)
+            root = -c * pow(u, -1, p) % p
+            return pow(-u, self.e, p) * _monic_at(self.modulus, root, p) % p
         t = self.mul(a, self._conorm(a) if b is None else b)
-        if t >= self.p:
+        if t >= p:
             raise errors.FormulaMismatch(
-                f"GF({self.label}): the norm of {a} is {t}, not in GF({self.p})")
+                f"GF({self.label}): the norm of {a} is {t}, not in GF({p})")
         return t
 
     def _inv(self, a: int) -> int:
@@ -359,7 +384,10 @@ class FieldSpec:
     def primitive_element(self) -> "Element":
         """The enc-minimal generator: a^((q-1)/r) != 1 for each prime r | q - 1.
         For r | p - 1 that power is N(a)^((p-1)/r), a power of a residue, and
-        only the candidates that pass those take a full pow for the other r."""
+        only the candidates that pass those take a full pow for the other r.
+        A linear candidate's norm is read from the modulus, so the winner's
+        is taken again by the chain, which must agree: a wrong mul or
+        Frobenius fails loudly even when no chain ran in the search."""
         if self._primitive is None:
             p, q = self.p, self.q
             try:
@@ -379,6 +407,11 @@ class FieldSpec:
             g = next((a for a in range(1 if self.e == 1 else p, q) if generates(a)), None)
             if g is None:
                 raise errors.FormulaMismatch(f"GF({self.label}): no element passes the order tests")
+            if by_norm:
+                chain, search = self._norm(g, self._conorm(g)), self._norm(g)
+                if chain != search:
+                    raise errors.FormulaMismatch(f"GF({self.label}): the norm of {g} is "
+                                                 f"{chain} by the chain, {search} by the search")
             self._primitive = self.element(g)
         return self._primitive
 

@@ -177,11 +177,15 @@ def is_mds(C: LinearCode, symmetries: Sequence[tuple[Sequence[int], Sequence[int
     else:
         M, side, w = C.H, "parity", C.n - C.k
     fixed = _fixed_prefix(M, w, symmetries, side == "parity") if symmetries else 0
-    R, _, pivots = M.rref() if fixed else (M, w, [])  # C.G is its own RREF
-    f = fixed if pivots[:fixed] == list(range(fixed)) else 0
-    tail = FMatrix._of(M.field, [row[f:] for row in R.rows[f:]], C.n - f) if f else M
-    found = tail.first_dependent_columns(w - f) if f < w else None
-    witness = found and tuple(range(f)) + tuple(c + f for c in found)
+    if fixed:
+        R, _, pivots = M.rref()
+    if not fixed or pivots[:fixed] != list(range(fixed)):  # no prefix, or a dependent one
+        witness = M.first_dependent_columns(w)
+    else:
+        f = fixed
+        tail = FMatrix._of(M.field, [row[f:] for row in R.rows[f:]], C.n - f)
+        found = tail.first_dependent_columns(w - f) if f < w else None
+        witness = found and tuple(range(f)) + tuple(c + f for c in found)
     return MdsReport(witness is None, side, w, witness, fixed,
                      witness is None and twin is not None and _scales_twin(twin, C))
 

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import Poly, factorint, isprime, nextprime, primefactors, symbols
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_gcd, gf_mul, gf_pow_mod, gf_rem, gf_sub
+from sympy.polys.galoistools import (gf_gcd, gf_irreducible_p, gf_mul, gf_pow_mod, gf_rem,
+                                     gf_sub)
 
 from eaqeckit import FMatrix, cli, errors, field_new, gf
 from eaqeckit.gf import (_NP_TABLE_MAX, FieldSpec, _barrett, _is_irreducible, _kronecker,
-                         _poly_ops, _prime_factors, is_prime)
+                         _min_irreducible_tail, _poly_ops, _prime_factors, is_prime)
 from conftest import (KRONECKER_ROW_FIELDS, SympyField, frobenius, galois_form, rref_reference,
                       time_limit)
 
@@ -154,6 +155,39 @@ class TestIrreducible:
                   if gf_gcd(gf_sub(x_power(e // r), [1, 0], p, ZZ), f, p, ZZ) != [1]}
         assert caught | ({"end"} if x_power(e) != [1, 0] else set()) == caught_by
         assert not _is_irreducible(tail, p, e)
+
+    @staticmethod
+    def spy_rabin(monkeypatch):
+        """The tails that gf's Rabin test is given from here on."""
+        tested = []
+        monkeypatch.setattr(gf, "_is_irreducible",
+                            lambda t, p, e: tested.append(t) or _is_irreducible(t, p, e))
+        return tested
+
+    @pytest.mark.parametrize("p,e", [(p, e) for p in (2, 3, 5, 7) for e in range(p, 17)])
+    def test_root_prefilter_matches_the_full_walk(self, p, e, monkeypatch):
+        # the search drops candidates with a root in GF(p) before their Rabin
+        # test; a walk that Rabin-tests every candidate from enc 0 must stop
+        # at the same modulus, and every candidate dropped below it must be
+        # reducible
+        def tail(enc):
+            return tuple(enc // p**i % p for i in range(e))
+
+        with time_limit(10, f"the moduli of degree {e} over GF({p})"):
+            reference = next(tail(enc) for enc in range(p**e) if _is_irreducible(tail(enc), p, e))
+            tested = self.spy_rabin(monkeypatch)
+            assert _min_irreducible_tail(p, e) == reference
+        end = sum(c * p**i for i, c in enumerate(reference))
+        dropped = {tail(enc) for enc in range(end)} - set(tested)
+        assert tail(0) in dropped  # x^e has the root 0
+        assert not any(gf_irreducible_p([1, *t[::-1]], p, ZZ) for t in dropped)
+
+    def test_few_rabin_tests(self, monkeypatch):
+        # 25 of the 33 candidates that GF(5^9) rejects have a root in GF(5)
+        calls = self.spy_rabin(monkeypatch)
+        with time_limit(10, "_min_irreducible_tail(5, 9)"):
+            assert _min_irreducible_tail(5, 9) == (3, 2, 1, 0, 0, 0, 0, 0, 0)
+        assert len(calls) <= 12, len(calls)
 
     @pytest.mark.parametrize("p,e", [(2, 16), (17, 8), (3, 10), (5, 9), (13, 6),
                                      (11, 5), (2, 11), (2**31 - 1, 2)])
@@ -430,19 +464,51 @@ class TestPrimitiveElement:
             for a in encs:
                 assert field._norm(a) == ref.pow(a, (q - 1) // (p - 1)), a
 
+    # every linear enc ux + c of the fields with a norm test, on the tables
+    # (31^2) and above them, and a seeded sample at p = 2^31 - 1
+    @pytest.mark.parametrize("p,e", [(17, 8), (13, 6), (11, 5), (5, 9), (3, 10), (31, 2),
+                                     (2**31 - 1, 2), (2**31 - 1, 3)])
+    def test_linear_norms_from_the_modulus(self, p, e):
+        field = field_new(p, e)
+        ref, q = SympyField(field), field.q
+        rng = random.Random(p * 100 + e)
+        encs = (range(p, p * p) if p < 1024 else
+                [p, p * p - 1] + [rng.randrange(p, p * p) for _ in range(30)])
+        with time_limit(20, f"linear norms in GF({p}^{e})"):
+            for a in encs:
+                norm = field._norm(a)
+                assert norm == field._norm(a, field._conorm(a)), a
+                assert norm == ref.pow(a, (q - 1) // (p - 1)), a
+
     @pytest.mark.parametrize("wrong", ["mul", "frobenius"])
     def test_wrong_arithmetic_fails_loudly(self, wrong):
-        # a fresh instance, so that no Frobenius map is built before the fault
-        field = FieldSpec(17, 8)
-        assert not field._frob
-        if wrong == "mul":
-            mul = field.mul
-            field.mul = lambda a, b: (mul(a, b) + 1) % field.q
-        else:
-            field._frob.update({s: (lambda a: a) for s in range(1, field.e)})
-        with time_limit(10, f"primitive_element() under a wrong {wrong}"):
-            with pytest.raises(errors.FormulaMismatch, match=r"GF\(17\^8\): the norm"):
-                field.primitive_element()
+        # 17^8's generator 307 is quadratic, so its search runs norm chains;
+        # the generators of 11^5 (13 = x + 2) and 5^9 (5 = x) are linear and
+        # run none
+        for p, e in [(17, 8), (11, 5), (5, 9)]:
+            # a fresh instance, so that no Frobenius map is built before the fault
+            field = FieldSpec(p, e)
+            assert not field._frob
+            if wrong == "mul":
+                mul, q = field.mul, field.q
+                field.mul = lambda a, b, mul=mul, q=q: (mul(a, b) + 1) % q
+            else:
+                field._frob.update({s: (lambda a: a) for s in range(1, field.e)})
+            with time_limit(10, f"GF({p}^{e}).primitive_element() under a wrong {wrong}"):
+                with pytest.raises(errors.FormulaMismatch, match=rf"GF\({p}\^{e}\): the norm"):
+                    field.primitive_element()
+            assert field._primitive is None
+
+    @pytest.mark.parametrize("p,e", [(11, 5), (5, 9)])
+    def test_chain_that_disagrees_with_the_modulus_fails_loudly(self, p, e, monkeypatch):
+        # a conorm off by the factor 2 keeps every chain norm in GF(p), but
+        # doubles it, so only the comparison with the modulus catches it
+        field, conorm = FieldSpec(p, e), FieldSpec._conorm
+        monkeypatch.setattr(FieldSpec, "_conorm", lambda self, a: self.mul(2, conorm(self, a)))
+        with pytest.raises(errors.FormulaMismatch, match=rf"GF\({p}\^{e}\): the norm of "
+                                                         r"\d+ is \d+ by the chain"):
+            field.primitive_element()
+        assert field._primitive is None
 
     def test_no_generator_fails_loudly(self, monkeypatch, capsys):
         # a norm of 1 fails the order test for r = 2 on every candidate, so
@@ -463,6 +529,16 @@ class TestPrimitiveElement:
         with time_limit(10, "GF(17^8).primitive_element()"):
             assert field.primitive_element().enc == 307
         assert len(calls) <= 40, len(calls)
+
+    def test_few_norm_chains(self, monkeypatch):
+        # the 272 linear candidates below 307 read their norms from the
+        # modulus; a chain for each would make 291 here
+        field, calls = FieldSpec(17, 8), []
+        conorm = FieldSpec._conorm
+        monkeypatch.setattr(FieldSpec, "_conorm", lambda self, a: calls.append(a) or conorm(self, a))
+        with time_limit(10, "GF(17^8).primitive_element()"):
+            assert field.primitive_element().enc == 307
+        assert len(calls) <= 25, len(calls)
 
 
 class TestPrimeFactors:

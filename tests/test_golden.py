@@ -48,6 +48,15 @@ CASES = {
         ("--emit-matrices", "construct", "gabidulin", "q=17^8", "n=8", "k1=4", "k2=4", "t=3"), 0),
     "construct_gabidulin_frobenius_dual_gf65536_csv": (
         ("--output", "csv", "construct", "gabidulin", "q=2^16", "n=6", "k1=3", "k2=3", "t=2"), 0),
+    # the modulus (line 2 of each matrix) and the node powers of the primitive
+    # element, captured before the root pre-filter of the modulus search and
+    # the norms of linear candidates read from the modulus: GF(5^9) takes
+    # its modulus after 34 candidates and has the linear generator x (enc 5),
+    # GF(17^8) the quadratic one x^2 + x + 1 (enc 307)
+    "construct_vandermonde_gf5e9_emit_matrices": (
+        ("--emit-matrices", "construct", "vandermonde", "q=5^9", "n=6", "k=2", "t=2", "j=3"), 0),
+    "construct_vandermonde_gf17e8_emit_matrices": (
+        ("--emit-matrices", "construct", "vandermonde", "q=17^8", "n=6", "k=2", "t=2", "j=3"), 0),
     "verify_exhaustive_gf9": (("verify", "exhaustive_gf9.txt"), 0),
     "verify_exhaustive_gf2": (("verify", "exhaustive_gf2.txt", "--d", "3"), 0),
     "verify_mds_gf13": (("--budget", "10", "verify", "mds_gf13.txt", "--k", "4", "--d", "9"), 0),
