@@ -3,22 +3,17 @@
 Each construction returns a FamilyCertificate holding the built matrices,
 the closed-form parameter prediction, the machine-computed parameters (with
 both ebit formulas), and a verdict.  Nothing is trusted from the closed
-forms: classical distances are certified by the MDS column criterion, once
-per distinct code, and the ebit count is computed twice.  The Vandermonde
-family at n = q-1 (the cyclic shift) and the extended evaluation family
-(x -> gamma x and x -> x + 1) offer automorphisms of their codes to
-is_mds, which checks each one by a rank on the matrix it scans before it
-lets them shrink the scan to the subsets that hold column 0, or columns 0
-and 1; a map that fails its check leaves the full scan.  Every family
-proves C2 from C1's own scan where a check allows it.  A rank-metric pair
-with k1 = k2 has H2 = sigma^t(G1) entrywise, which _certify checks on the
-two matrices, so C2 is the dual of C1's Frobenius twist.  Any other C2 goes
-to is_mds as C1's twin, and the same call that proves C1 MDS checks
-C2 = C1 D for a nonzero diagonal D (every Vandermonde C2 of Table 1 is one,
-the dual of a GRS code being GRS on the same nodes; the extended-GRS C2 =
-C1 with D = I).  A C2 that fails both checks is scanned.  No proof passes
-from one call to another: the parameters come from the MDS proofs and ebit
-counts of this one certification.
+forms: each code is proved MDS once, and the ebit count is computed twice.
+A rank-metric G1 or H2 must be the Moore matrix that its own row 0 rebuilds
+on coordinates independent over GF(p), so that it spans a Gabidulin code,
+MRD and so MDS; no column scan runs.  The other two families go to is_mds,
+with automorphisms of their codes that it checks before they shrink the
+scan: the cyclic shift of the Vandermonde family at n = q-1, and x -> gamma x
+and x -> x + 1 of the extended evaluation family.  C2 goes to the call that
+proves C1 as its twin, proved there when C2 = C1 D for a nonzero diagonal D
+(every Vandermonde C2 of Table 1, the dual of a GRS code being GRS on the
+same nodes; the extended-GRS C2 = C1 with D = I), and scanned otherwise.
+No proof passes from one certification to another.
 
 Canonical instantiations (the closed forms leave them open):
   * Vandermonde nodes are powers of the canonical primitive element, which
@@ -89,23 +84,20 @@ def _within_budget(entries: int) -> None:
 
 
 def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: int,
-             predicted: EaqecParams, symmetries=(),
-             twist: int | None = None) -> FamilyCertificate:
+             predicted: EaqecParams, symmetries=(), moore: bool = False) -> FamilyCertificate:
     """Certify the pair C1 = rowspace(G1), C2 = ker(H2) against its closed form.
 
-    A dimension other than k1, k2 or a code that fails the MDS column
-    criterion is a FormulaMismatch; C1 is proved MDS first, by is_mds with
-    the family's symmetries, monomial maps offered as automorphisms of every
-    code of the pair, which is_mds checks before it uses them to shrink the
-    scan.  C1's proof proves C2 when the family passes twist t and
-    H2 = sigma^t(G1) entrywise (sigma the map a -> a^p, G1 and H2 of one
-    shape), so C2^perp = sigma^t(C1): neither duality nor an entrywise field
-    automorphism changes a column-subset rank.  Otherwise C2 goes to that
-    is_mds call as C1's twin (C2 = C1 is its scaling by D = I), and only a
-    C2 that is no checked column scaling of C1 gets a scan of its own.  The
-    extended-GRS pair is one code: G1 H2^T = 0 iff C1 = C2 at dimensions k,
-    and a pair that differs is a DualityFailure.  c and k come from
-    assemble, and d = n - max(k1, k2) + 1, the lesser of the two distances.
+    A dimension other than k1, k2 or a code that fails its MDS proof is a
+    FormulaMismatch.  With moore, G1 and H2 must each equal the Moore matrix
+    that its own row 0 rebuilds (each row the Frobenius image of the one
+    above, row 0 independent over GF(p)), so each spans a Gabidulin code,
+    MRD and so MDS (Gabidulin 1985), and C2 is the dual of one.  Otherwise
+    is_mds proves C1 with the family's symmetries, monomial maps that it
+    checks before they shrink the scan, and C2 as C1's twin (C2 = C1 is its
+    scaling by D = I); only a C2 that is no checked column scaling of C1 is
+    scanned.  The extended-GRS pair is one code: G1 H2^T = 0 iff C1 = C2 at
+    dimensions k, else a DualityFailure.  c and k come from assemble, and
+    d = n - max(k1, k2) + 1, the lesser of the two distances.
     """
     C1, C2 = from_generator(G1), from_parity_check(H2)
     for label, C, k in (("C1", C1, k1), ("C2", C2, k2)):
@@ -113,16 +105,25 @@ def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: i
             raise errors.FormulaMismatch(f"{family} dim {label} = {C.k}, expected {k}")
     if family == "grs_extended" and C1 != C2:
         raise errors.DualityFailure("G1 H2^T != 0 for the canonical points/weights")
-    twisted = twist is not None and H2.shape == G1.shape and H2 == G1.frobenius_entrywise(twist)
-    twin = None if twisted else C2
-    for label, C in (("C1", C1), ("C2", C2)):
-        report = is_mds(C, symmetries, twin)
-        if not report.is_mds:
-            raise errors.FormulaMismatch(f"{family} {label} failed MDS certification; "
-                                         f"dependent columns {report.witness}")
-        if twin is None or report.twin_mds:  # C2 is proved
-            break
-        twin = None
+    if moore:
+        for label, M in (("G1", G1), ("H2", H2)):
+            try:
+                rebuilt = moore_matrix(M.field, M.rows[0], M.nrows)
+            except (errors.DependentGenerators, errors.LengthExceedsDegree) as exc:
+                raise errors.FormulaMismatch(f"{family} {label} is no Moore matrix: {exc}")
+            if M != rebuilt:
+                raise errors.FormulaMismatch(f"{family} {label} is no Moore matrix: a row "
+                                             "is no Frobenius image of the one above")
+    else:
+        twin = C2
+        for label, C in (("C1", C1), ("C2", C2)):
+            report = is_mds(C, symmetries, twin)
+            if not report.is_mds:
+                raise errors.FormulaMismatch(f"{family} {label} failed MDS certification; "
+                                             f"dependent columns {report.witness}")
+            if report.twin_mds:  # C2 is proved
+                break
+            twin = None
     pair = assemble(C1, C2, 0)
     n = C1.n
     params = EaqecParams.build(C1.field, n, pair.k, n - max(k1, k2) + 1, pair.c_product)
@@ -246,14 +247,13 @@ def gabidulin_family(field: FieldSpec, n: int, k1: int, k2: int, t: int) -> Fami
     _require(k2 <= n - 1, "k2 <= n-1", f"{k2} <= {n - 1}")
 
     g = [field.p**i for i in range(n)]  # x^i has enc p^i
-    # for k1 = k2, H2 = sigma^t(G1) entrywise, so C2 = ker H2 is the dual of
-    # C1's Frobenius twist, proved by C1's scan (other k2 fail the shape test)
+    # G1 is rows 0..k1-1 and H2 rows t..t+k2-1 of one Moore matrix (k1 < t+k2)
+    rows = moore_matrix(field, g, t + k2).rows
     return _certify(
         "gabidulin", {"q": field.label, "n": n, "k1": k1, "k2": k2, "t": t},
-        moore_matrix(field, g, k1), moore_matrix(field, g, k2, t),
-        k1, n - k2,
+        FMatrix._of(field, rows[:k1], n), FMatrix._of(field, rows[t:], n), k1, n - k2,
         EaqecParams.build(field, n, t, min(n - k1 + 1, k2 + 1), k2 - k1 + t),
-        twist=t)
+        moore=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,6 @@
+import inspect
+import random
+
 import pytest
 
 from eaqeckit import (FMatrix, TABLE1_ROWS, TABLE2_ROWS, ebits_product,
@@ -9,7 +12,7 @@ from eaqeckit import families
 from eaqeckit.cli import main
 from eaqeckit.families import _certify
 from eaqeckit.lincode import _scales_twin
-from conftest import is_zero
+from conftest import is_zero, time_limit
 
 
 class TestCertify:
@@ -50,34 +53,27 @@ class TestCertify:
         assert calls == [(from_generator(G1), from_parity_check(H2))]
 
     def test_non_mds_code_with_a_frobenius_dual_twin_fails_on_c1(self, monkeypatch):
-        # H2 = sigma(G1) entrywise, so C2^perp = sigma(C1) and C1's proof
-        # would prove C2 by twist 1; C1 is not MDS (columns 2 and 3 are
-        # equal), so C1's own scan refuses it, and C2 is never offered to is_mds
+        # H2 = sigma(G1) entrywise, so C2^perp = sigma(C1); C1 is not MDS
+        # (columns 2 and 3 are equal) and G1 is no Moore matrix, so the Moore
+        # check refuses G1 before H2, and no code is offered to is_mds
         field = field_new(13, 6)
         cert = gabidulin_family(field, 6, 3, 3, 2)
         G1 = FMatrix(field, [[1, 0] + [1] * 4, [0, 1, 2, 2, 3, 4]], 6)
         H2 = G1.frobenius_entrywise(1)
         calls = []
-        monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None:
-                            calls.append(twin) or is_mds(C, symmetries, twin))
-        with pytest.raises(errors.FormulaMismatch, match="C1 failed MDS certification"):
-            _certify("gabidulin", cert.inputs, G1, H2, 2, 4, cert.predicted, twist=1)
-        assert calls == [None]
+        monkeypatch.setattr(families, "is_mds", lambda *args: calls.append(args))
+        with pytest.raises(errors.FormulaMismatch, match="gabidulin G1 is no Moore matrix"):
+            _certify("gabidulin", cert.inputs, G1, H2, 2, 4, cert.predicted, moore=True)
+        assert calls == []
 
     @pytest.mark.parametrize("family,p,e,args,scans", [
         ("grs_extended_family", 3, 2, (4,), 1),
         ("vandermonde_family", 13, 1, (12, 4, 5, 7), 1),
-        ("gabidulin_family", 11, 5, (5, 3, 2, 2), 1),
-        ("gabidulin_family", 13, 6, (6, 3, 3, 2), 1),
-        ("gabidulin_family", 2, 16, (7, 4, 3, 2), 2),
     ])
     def test_each_distinct_code_is_proved_once(self, monkeypatch, family, p, e, args, scans):
-        # the k1 = k2 Gabidulin C2 is proved by H2 = sigma^t(G1) and C1's
-        # scan; every other C2 goes to C1's is_mds call as its twin, where
-        # the extended-GRS C2 (C1 itself, D = I), the Vandermonde C2 and the
-        # GF(11^5) n = m Gabidulin C2 are proved as checked scalings of C1,
-        # and the GF(2^16) n = 7 one, no scaling of C1, then gets a scan of
-        # its own.
+        # C2 goes to C1's is_mds call as its twin, where the extended-GRS C2
+        # (C1 itself, D = I) and the Vandermonde C2 are proved as checked
+        # scalings of C1, so one call proves both codes
         calls = []
         monkeypatch.setattr(families, "is_mds", lambda C, symmetries=(), twin=None:
                             calls.append((C, twin, is_mds(C, symmetries, twin)))
@@ -85,10 +81,8 @@ class TestCertify:
         cert = getattr(families, family)(field_new(p, e), *args)
         assert cert.verified
         C1, C2 = cert.pair.C1, cert.pair.C2
-        one = args == (6, 3, 3, 2)
-        assert calls[0][0] is C1 and len(calls) == scans
-        assert [(C, D) for C, D, _ in calls] == [(C1, None if one else C2), (C2, None)][:scans]
-        assert [r.twin_mds for _, _, r in calls] == [not one and scans == 1] + [False] * (scans - 1)
+        assert len(calls) == scans and calls[0][:2] == (C1, C2) and calls[0][0] is C1
+        assert calls[0][2].twin_mds
 
     @staticmethod
     def reports(monkeypatch):
@@ -101,8 +95,7 @@ class TestCertify:
         # Table 1's GF(13) rows have n = q - 1 (the cyclic shift, column 0);
         # its GF(27) rows have n = 15 != 26 and take none.  Every row's C2 is
         # a checked scaling of its C1, proved in C1's call with no scan.  The
-        # extended GRS codes take AGL(1, q) (columns 0 and 1), Gabidulin
-        # codes no map.
+        # extended GRS codes take AGL(1, q) (columns 0 and 1).
         reports = self.reports(monkeypatch)
         table1()
         assert ([(r.fixed, r.twin_mds) for r in reports]
@@ -114,15 +107,11 @@ class TestCertify:
             reports.clear()
             assert grs_extended_family(field_new(p, e), k).verified
             assert [r.fixed for r in reports] == [fixed]
-        # Gabidulin pairs: full scans of C1.  Table 2's n = m rows with
-        # k1 != k2 (GF(11^5), GF(17^8)) prove C2 as a checked scaling of C1
-        # in C1's call, its k1 = k2 row (GF(13^6)) by H2 = sigma^t(G1); the
-        # GF(2^16) n = 7 C2 is no scaling of C1 and is scanned
+        # Gabidulin pairs are proved from their Moore rows: no scan at all
         reports.clear()
         table2()
         gabidulin_family(field_new(2, 16), 7, 4, 3, 2)
-        assert ([(r.fixed, r.twin_mds) for r in reports]
-                == [(0, True), (0, False), (0, True), (0, False), (0, False)])
+        assert reports == []
 
     def test_permuted_points_refuse_the_affine_maps(self, monkeypatch, f13):
         # Swapping the columns of the points 1 and 2 in both generators keeps
@@ -331,6 +320,153 @@ class TestGabidulin:
             gabidulin_family(field, 4, 3, 1, 2)
         with pytest.raises(errors.ConstraintViolation, match="k2 <= m-t"):
             gabidulin_family(field, 4, 4, 3, 3)
+
+
+# (p, m, n, k1, k2, t) of every Gabidulin pair that the goldens, Table 2 and
+# the no-numpy CI job construct
+GABIDULIN_SHAPES = sorted({
+    (11, 5, 5, 3, 2, 2), (17, 8, 8, 4, 4, 3), (2, 16, 6, 3, 3, 2),  # goldens
+    (13, 6, 6, 3, 3, 2), (17, 8, 8, 5, 3, 4),  # the rest of Table 2
+    (3, 10, 8, 4, 4, 1), (2, 16, 7, 4, 3, 2),  # the rest of the no-numpy job
+})
+# the 11 large-field benchmark jobs (GF(2^16) n = 7 twice), k1 = n - n//2 and
+# k2 = n//2, at every offset t that a seed can draw
+LARGE_FIELD_SHAPES = [
+    (p, m, n, k1, k2, t)
+    for p, m, n in ((2, 16, 7), (17, 8, 8), (3, 10, 8), (5, 9, 7), (2, 16, 6), (3, 10, 7),
+                    (17, 8, 7), (5, 9, 6), (13, 6, 6), (11, 5, 5))
+    for k1, k2 in [(n - n // 2, n // 2)]
+    for t in range(k1 - k2 + 1, min(k1 - 1, m - k2) + 1)]
+
+
+def shape_id(shape):
+    return "-".join(map(str, shape))
+
+
+def frobenius_rows(field, g, powers):
+    """The rows g^(p^i), i in powers, built entry by entry with no check."""
+    return FMatrix(field, [[field.frobenius(x, i) for x in g] for i in powers], len(g))
+
+
+class TestMooreProof:
+    """A Gabidulin G1 or H2 is proved by rebuilding it from its own row 0 with
+    moore_matrix; no pair goes to is_mds, and every planted defect is a
+    FormulaMismatch that names the matrix."""
+
+    @pytest.fixture(autouse=True)
+    def no_scan(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("a Gabidulin pair went to is_mds")
+        monkeypatch.setattr(families, "is_mds", scan)
+
+    @staticmethod
+    def certify(G1, H2):
+        """_certify's Moore proof at the codes' own dimensions."""
+        return _certify("gabidulin", {}, G1, H2, G1.rank(), H2.ncols - H2.rank(), None,
+                        moore=True)
+
+    @classmethod
+    def refused(cls, G1, H2, label, match=""):
+        with pytest.raises(errors.FormulaMismatch,
+                           match=f"gabidulin {label} is no Moore matrix: .*{match}"):
+            cls.certify(G1, H2)
+
+    PLANTED = [(2, 16, 6, 3, 3, 2), (17, 8, 8, 5, 3, 4), (3, 10, 8, 4, 4, 1)]
+
+    @staticmethod
+    def pair(p, m, n, k1, k2, t):
+        cert = gabidulin_family(field_new(p, m), n, k1, k2, t)
+        return cert.G1.field, cert.G1, cert.H2
+
+    def test_takes_no_twist(self):
+        assert "twist" not in inspect.signature(_certify).parameters
+
+    @pytest.mark.parametrize("shape", PLANTED, ids=shape_id)
+    def test_family_pair_is_accepted(self, shape):
+        _, G1, H2 = self.pair(*shape)
+        assert self.certify(G1, H2).pair.C2 == from_parity_check(H2)
+
+    @pytest.mark.parametrize("shape", PLANTED, ids=shape_id)
+    def test_dependent_generators_are_refused(self, shape):
+        p, m, n, k1, k2, t = shape
+        field = field_new(p, m)
+        g = [1, p, 1 + p] + [p**i for i in range(2, n - 1)]  # x^0 + x^1 = g_2
+        self.refused(frobenius_rows(field, g, range(k1)),
+                     frobenius_rows(field, g, range(t, t + k2)), "G1", "dependent")
+        _, G1, _ = self.pair(*shape)
+        self.refused(G1, frobenius_rows(field, g, range(t, t + k2)), "H2", "dependent")
+
+    @pytest.mark.parametrize("shape", PLANTED, ids=shape_id)
+    @pytest.mark.parametrize("label", ["G1", "H2"])
+    def test_one_changed_entry_is_refused(self, shape, label):
+        field, G1, H2 = self.pair(*shape)
+        M = G1 if label == "G1" else H2
+        rng = random.Random(str(shape))
+        for i, c in ((0, 0), (M.nrows - 1, M.ncols - 1),
+                     (rng.randrange(M.nrows), rng.randrange(M.ncols))):
+            rows = [list(row) for row in M.rows]
+            rows[i][c] = field.add(rows[i][c], rng.randrange(1, field.q))
+            changed = FMatrix(field, rows, M.ncols)
+            self.refused(*((changed, H2) if label == "G1" else (G1, changed)), label,
+                         "Frobenius image")
+
+    @pytest.mark.parametrize("shape", PLANTED, ids=shape_id)
+    def test_swapped_rows_are_refused(self, shape):
+        # the swap keeps the code, but the matrix is no longer a Moore matrix
+        field, G1, H2 = self.pair(*shape)
+        for i, j in ((0, 1), (0, G1.nrows - 1)):
+            rows = list(G1.rows)
+            rows[i], rows[j] = rows[j], rows[i]
+            self.refused(FMatrix(field, rows, G1.ncols), H2, "G1")
+
+    @pytest.mark.parametrize("shape", PLANTED, ids=shape_id)
+    def test_skipped_or_shifted_power_is_refused(self, shape):
+        p, m, n, k1, k2, t = shape
+        field, G1, H2 = self.pair(*shape)
+        g = [p**i for i in range(n)]
+        wrong_last = list(range(t, t + k2))
+        wrong_last[-1] += m // 2
+        for powers in ([t] + list(range(t + 2, t + k2 + 1)),  # skips t+1
+                       list(range(t, t + k2 - 1)) + [t + k2],  # skips t+k2-1
+                       wrong_last):
+            self.refused(G1, frobenius_rows(field, g, powers), "H2", "Frobenius image")
+        # the whole of H2 at another offset is a Moore matrix on sigma^s(g),
+        # independent as g is, so it is accepted, and its C2 is MDS
+        other = frobenius_rows(field, g, range(t + 1, t + 1 + k2))
+        assert self.certify(G1, other).pair.C2 == from_parity_check(other)
+        assert is_mds(from_parity_check(other)).is_mds
+
+    def test_length_past_the_degree_is_refused(self):
+        field = field_new(2, 4)
+        g = [1, 2, 4, 8, 3]  # n = 5 > m = 4
+        self.refused(frobenius_rows(field, g, range(2)), frobenius_rows(field, g, range(1, 4)),
+                     "G1", "n=5 generators but extension degree m=4")
+
+    @pytest.mark.parametrize("shape", GABIDULIN_SHAPES + LARGE_FIELD_SHAPES, ids=shape_id)
+    def test_verdict_agrees_with_is_mds(self, shape):
+        p, m, n, k1, k2, t = shape
+        cert = gabidulin_family(field_new(p, m), n, k1, k2, t)
+        assert cert.verified and cert.params.is_mds
+        assert is_mds(cert.pair.C1).is_mds and is_mds(cert.pair.C2).is_mds
+
+    def test_rows_are_built_once(self, monkeypatch):
+        # one Moore matrix holds G1 and H2; each is then rebuilt from its row 0
+        calls = []
+        build = families.moore_matrix
+        monkeypatch.setattr(families, "moore_matrix", lambda field, g, k, t=0:
+                            calls.append((tuple(g), k, t)) or build(field, g, k, t))
+        cert = gabidulin_family(field_new(2, 16), 7, 4, 3, 2)
+        assert calls == [(tuple(2**i for i in range(7)), 5, 0),
+                         (cert.G1.rows[0], 4, 0), (cert.H2.rows[0], 3, 0)]
+
+    def test_no_pair_scans(self):
+        assert all(cert.verified for cert in table2())
+        for p, m, n, k1, k2, t in LARGE_FIELD_SHAPES:
+            assert gabidulin_family(field_new(p, m), n, k1, k2, t).verified
+        # with both codes scanned this pair took 0.28-0.45 s on a 2-vCPU VM,
+        # and 0.013-0.11 s with the Moore check
+        with time_limit(1, "gabidulin q=2^16 n=16 k1=8 k2=8 t=1"):
+            assert gabidulin_family(field_new(2, 16), 16, 8, 8, 1).verified
 
 
 class TestTables:

@@ -651,42 +651,30 @@ def moore_pair(p, m, n, k1, k2, t):
     return moore_matrix(field, g, k1), moore_matrix(field, g, k2, t)
 
 
-def certify(monkeypatch, G1, H2, t):
-    """families._certify on C1 = rowspace(G1), C2 = ker(H2) with twist t:
-    (its certificate, or the FormulaMismatch it raised; (code, twin, report)
-    of every is_mds call; (matrix, t) of every entrywise Frobenius image).
-    The dimensions are the codes' own, and no closed form is offered."""
-    calls, images = [], []
-    image = FMatrix.frobenius_entrywise
-
-    def spy(C, symmetries=(), twin=None):
-        calls.append((C, twin, is_mds(C, symmetries, twin)))
-        return calls[-1][2]
-
-    monkeypatch.setattr(families, "is_mds", spy)
-    monkeypatch.setattr(FMatrix, "frobenius_entrywise",
-                        lambda M, s: images.append((M, s)) or image(M, s))
-    k1, k2 = G1.rank(), H2.ncols - H2.rank()
+def certify(monkeypatch, G1, H2, dims=None):
+    """families._certify's Moore proof of C1 = rowspace(G1), C2 = ker(H2):
+    (its certificate, or the FormulaMismatch it raised; the arguments of every
+    is_mds call; (row 0, rows) of every moore_matrix rebuild).  The
+    dimensions are the codes' own unless dims says otherwise, and no closed
+    form is offered."""
+    calls, rebuilds = [], []
+    build = families.moore_matrix
+    monkeypatch.setattr(families, "is_mds", lambda *args: calls.append(args))
+    monkeypatch.setattr(families, "moore_matrix", lambda field, g, k, t=0:
+                        rebuilds.append((tuple(g), k)) or build(field, g, k, t))
+    k1, k2 = dims or (G1.rank(), H2.ncols - H2.rank())
     try:
-        out = families._certify("gabidulin", {}, G1, H2, k1, k2, None, twist=t)
+        out = families._certify("gabidulin", {}, G1, H2, k1, k2, None, moore=True)
     except errors.FormulaMismatch as exc:
         out = exc
     monkeypatch.undo()
-    return out, calls, images
+    return out, calls, rebuilds
 
 
-def assert_scanned(out, calls, G1, H2):
-    """C2 went to is_mds as C1's twin, was refused, and then got its own
-    scan: MDS, or the FormulaMismatch on C2."""
-    C1, C2 = from_generator(G1), from_parity_check(H2)
-    assert [(C, twin) for C, twin, _ in calls] == [(C1, C2), (C2, None)]
-    assert calls[0][2].is_mds and not calls[0][2].twin_mds
-    scan = is_mds(C2)
-    assert calls[1][2] == scan
-    if scan.is_mds:
-        assert out.pair.C2 == C2
-    else:
-        assert isinstance(out, errors.FormulaMismatch) and "C2 failed" in str(out)
+def assert_refused(out, calls, label):
+    """The Moore check refused the matrix named label, and nothing was scanned."""
+    assert isinstance(out, errors.FormulaMismatch), out
+    assert f"gabidulin {label} is no Moore matrix" in str(out) and calls == []
 
 
 # (p, m, n) of the k1 = k2 = n/2 shapes of the large-field benchmark
@@ -695,87 +683,76 @@ FROBENIUS_DUAL_SHAPES = [(17, 8, 8), (3, 10, 8), (2, 16, 6), (5, 9, 6), (13, 6, 
 
 
 class TestFrobeniusDualTwin:
-    """families._certify(..., twist=t) proves C2 = ker(H2) by C1's scan alone
-    when H2 = sigma^t(G1) entrywise, and offers C2 to is_mds as C1's twin
-    otherwise."""
+    """A k1 = k2 Gabidulin pair has H2 = sigma^t(G1) entrywise.  _certify
+    proves it as it proves every Moore pair, G1 and H2 each from its own row
+    0 with no is_mds call, and refuses an H2 that is no Moore matrix."""
 
     @pytest.mark.parametrize("p,m,n", FROBENIUS_DUAL_SHAPES)
     def test_accepted_on_every_k1_equal_k2_shape(self, monkeypatch, p, m, n):
         k = n // 2
         for t in range(1, min(k - 1, m - k) + 1):
             G1, H2 = moore_pair(p, m, n, k, k, t)
-            cert, calls, images = certify(monkeypatch, G1, H2, t)
-            assert [(C, twin) for C, twin, _ in calls] == [(cert.pair.C1, None)]
-            assert calls[0][2].is_mds
-            assert images[0] == (G1, t)
-            assert cert.pair.C2 == from_parity_check(H2) and is_mds(cert.pair.C2).is_mds
+            assert H2 == G1.frobenius_entrywise(t)
+            cert, calls, rebuilds = certify(monkeypatch, G1, H2)
+            assert calls == [] and rebuilds == [(G1.rows[0], k), (H2.rows[0], k)]
+            assert cert.pair.C2 == from_parity_check(H2)
+            assert is_mds(cert.pair.C1).is_mds and is_mds(cert.pair.C2).is_mds
 
     def test_other_dimensions_are_refused(self, monkeypatch):
-        # k1 = 4 > k2 = 3 on the GF(2^16) n = 7 shape: H2 has another shape,
-        # so no Frobenius image of G1 is taken, and the full scan runs
+        # k1 = 4 > k2 = 3 on the GF(2^16) n = 7 shape, so C1 and C2 both
+        # have dimension 4: a claim of any other is refused before a rebuild,
+        # and the codes' own dimensions are proved like any k1 = k2 pair
         for t in (2, 3):
             G1, H2 = moore_pair(2, 16, 7, 4, 3, t)
-            out, calls, images = certify(monkeypatch, G1, H2, t)
-            assert_scanned(out, calls, G1, H2)
-            assert calls[1][2].is_mds and not [M for M, _ in images if M is G1]
+            for dims, label in (((3, 4), "dim C1 = 4, expected 3"),
+                                ((4, 3), "dim C2 = 4, expected 3")):
+                out, calls, rebuilds = certify(monkeypatch, G1, H2, dims)
+                assert isinstance(out, errors.FormulaMismatch) and label in str(out)
+                assert calls == rebuilds == []
+            cert, calls, _ = certify(monkeypatch, G1, H2, (4, 4))
+            assert calls == [] and cert.pair.C2 == from_parity_check(H2)
 
     @pytest.mark.parametrize("p,m,n", [(17, 8, 8), (2, 16, 6), (13, 6, 6)])
     def test_wrong_twist_is_refused(self, monkeypatch, p, m, n):
-        # a wrong t leaves C2 to is_mds as C1's twin; at n = m (GF(17^8)
-        # n = 8, GF(13^6) n = 6) C2 is also a column scaling of C1, proved in
-        # C1's call, and at GF(2^16) n = 6 it is not, so C2 is scanned
+        # one row of H2 at a wrong twist breaks the Frobenius chain; the
+        # whole of H2 at any twist is a Moore matrix (t is taken mod m)
         k = n // 2
+        field = field_new(p, m)
         G1, H2 = moore_pair(p, m, n, k, k, 1)
-        C1, C2 = from_generator(G1), from_parity_check(H2)
-        assert lincode._scales_twin(C2, C1) == (n == m)
-        for wrong in (0, 2, m - 1):
-            out, calls = certify(monkeypatch, G1, H2, wrong)[:2]
-            if n == m:
-                assert [(C, twin) for C, twin, _ in calls] == [(C1, C2)]
-                assert calls[0][2].twin_mds and out.pair.C2 == C2
-            else:
-                assert_scanned(out, calls, G1, H2)
-        cert, calls, _ = certify(monkeypatch, G1, H2, 1 + m)  # t is taken mod m
-        assert [(C, twin) for C, twin, _ in calls] == [(cert.pair.C1, None)]
+        for row in range(k):
+            for wrong in (1, 2, m - 1):
+                rows = list(H2.rows)
+                rows[row] = tuple(field.frobenius(x, wrong) for x in rows[row])
+                changed = FMatrix(field, rows, n)
+                assert_refused(*certify(monkeypatch, G1, changed)[:2], "H2")
+        for t in (0, 2, m - 1, 1 + m):
+            other = moore_pair(p, m, n, k, k, t)[1]
+            cert, calls, _ = certify(monkeypatch, G1, other)
+            assert calls == [] and cert.pair.C2 == from_parity_check(other)
+        assert moore_pair(p, m, n, k, k, 1 + m)[1] == H2
 
     @pytest.mark.parametrize("p,m,n", [(17, 8, 8), (2, 16, 6), (13, 6, 6)])
     def test_one_changed_entry_of_h2_is_refused(self, monkeypatch, p, m, n):
         k, t = n // 2, 1
         field = field_new(p, m)
         G1, H2 = moore_pair(p, m, n, k, k, t)
-        rng, refused = random.Random(p + m), 0
+        rng = random.Random(p + m)
         for i, c in ((0, 0), (k - 1, n - 1), (rng.randrange(k), rng.randrange(n))):
             rows = [list(row) for row in H2.rows]
             rows[i][c] = field.add(rows[i][c], rng.randrange(1, field.q))
-            changed = FMatrix(field, rows, n)
-            if changed.rank() != k:
-                continue
-            refused += 1
-            assert_scanned(*certify(monkeypatch, G1, changed, t)[:2], G1, changed)
-        assert refused
+            assert_refused(*certify(monkeypatch, G1, FMatrix(field, rows, n))[:2], "H2")
 
-    def test_partial_relations_are_refused(self, monkeypatch, f13):
+    def test_partial_relations_are_refused(self, monkeypatch):
         # C2^perp holds C1 but is larger, or holds only C1's first row; C2^perp
         # holds the weight-2 word (0, 0, 0, 0, 1, 1), so C2 is not MDS
-        # although C1, a Reed-Solomon code, is
-        g = f13.primitive_element().enc
-        G1 = FMatrix(f13, [[f13.pow(g, i * c) for c in range(6)] for i in range(3)], 6)
-        assert is_mds(from_generator(G1)).is_mds
+        # although C1, a Gabidulin code, is
+        G1 = moore_pair(2, 16, 6, 3, 3, 1)[0]
+        field = G1.field
         word = [0, 0, 0, 0, 1, 1]
         for H in (list(G1.rows) + [word], [G1.rows[0], word, [0, 0, 0, 1, 0, 2]]):
-            H2 = FMatrix(f13, H, 6)
-            out, calls, _ = certify(monkeypatch, G1, H2, 0)
+            H2 = FMatrix(field, H, 6)
             assert not is_mds(from_parity_check(H2)).is_mds
-            assert_scanned(out, calls, G1, H2)
-
-    def test_unproved_non_mds_twin_gives_the_scan(self, monkeypatch, f13):
-        # C1 is not MDS and H2 = sigma^0(G1), so C2^perp = C1 holds: C1's own
-        # scan refuses the pair, and C2 is never offered to is_mds
-        G1 = FMatrix(f13, [[1, 0, 1, 1, 1, 1], [0, 1, 2, 2, 3, 4]], 6)
-        out, calls, _ = certify(monkeypatch, G1, G1, 0)
-        assert isinstance(out, errors.FormulaMismatch) and "C1 failed" in str(out)
-        assert [(C, twin) for C, twin, _ in calls] == [(from_generator(G1), None)]
-        assert calls[0][2] == is_mds(from_generator(G1)) and not calls[0][2].is_mds
+            assert_refused(*certify(monkeypatch, G1, H2)[:2], "H2")
 
 
 def first_dependent_subset(M, w):

@@ -176,8 +176,8 @@ def test_every_private_helper_is_used_in_src():
 
 
 def test_is_mds_takes_a_code_its_symmetries_and_a_twin():
-    # the one relation a twin proves is a checked column scaling; a Frobenius
-    # twist is _certify's own check on the matrices a family built
+    # the one relation a twin proves is a checked column scaling; a Gabidulin
+    # pair goes to no is_mds call, proved by _certify from its Moore rows
     assert list(inspect.signature(is_mds).parameters) == ["C", "symmetries", "twin"]
 
 
