@@ -25,6 +25,7 @@ import functools
 import inspect
 import json
 import random
+import re
 import sys
 
 from . import errors, families
@@ -42,13 +43,23 @@ EXIT_INPUT = 4
 EXIT_INFEASIBLE = 5
 
 
+# the forms of q, named by every refusal of one
+_Q_FORMS = (f"give q as p^e or its value in decimal digits, with p < 2^31 prime and "
+            f"e <= {MAX_DEGREE} (q=13, q=9, q=3^2, q=17^8)")
+
+
 def _parse_field(text: str) -> FieldSpec:
     """'13', '9', or '17^8' -> FieldSpec with the canonical modulus.
 
     A bare q is split as p^e by integer e-th roots, so q=9 means GF(3^2).
+    Any other text, such as '3^', '^3', '2^16.0' or 'x', is a ValueError
+    that names the accepted forms.
     """
-    head, _, tail = text.partition("^")
-    if tail:
+    form = re.fullmatch(r"([0-9]+)(?:\^([0-9]+))?", text)
+    if form is None:
+        raise ValueError(f"q={text!r} is malformed: {_Q_FORMS}")
+    head, tail = form.groups()
+    if tail is not None:
         return field_new(int(head), int(tail))
     q = int(head)
     for e in range(1, MAX_DEGREE + 1):
@@ -58,7 +69,7 @@ def _parse_field(text: str) -> FieldSpec:
             lo, hi = (mid, hi) if mid**e <= q else (lo, mid - 1)
         if lo**e == q and is_prime(lo):
             return field_new(lo, e)
-    raise ValueError(f"q={text} is not p^e with p < 2^31 prime and e <= {MAX_DEGREE}")
+    raise ValueError(f"q={text} is not a supported prime power: {_Q_FORMS}")
 
 
 def _parse_kv(pairs: list[str]) -> dict[str, str]:

@@ -14,10 +14,17 @@ output row on the row layout too, one row operation per nonzero entry of A.
 The one rule: a field with tables (q <= 1024) scans on them and reduces on
 them from _RREF_TABLE_MIN entries, and everything else runs on rows, so no
 elimination above q = 1024 imports numpy; rank() with no RREF memo follows
-it.  A matrix has one RREF, one rank and one first dependent subset, so the
-route never shows in a result.  The scan searches every w-subset of the
-matrix it is given, at most C(ncols, w) of them; a caller that may skip
-subsets hands it a smaller matrix (lincode.is_mds scans an RREF's tail).
+it.  On rows, one more rule picks how rref normalizes: a layout whose
+RowOps has invs (the packed rows of odd p, e >= 2, q > 1024, whose inverse
+is a norm chain) clears each column by s u - a v and scales its pivot rows
+to 1 after the last pivot, from one batched inversion per matrix; every
+other layout, whose inverse is a table read or a pow mod p, scales each
+pivot row to 1 when it comes, as a non-unit s would cost its comb an extra
+read per entry.  A matrix has one RREF, one rank and one first dependent
+subset, so the route never shows in a result.  The scan searches every
+w-subset of the matrix it is given, at most C(ncols, w) of them; a caller
+that may skip subsets hands it a smaller matrix (lincode.is_mds scans an
+RREF's tail).
 
 Text format (bit-exact round trip):
     line 1:  "p e rows cols"
@@ -134,7 +141,7 @@ class FMatrix:
             raise errors.ShapeMismatch(f"no {w}-subsets of {self.ncols} columns")
         if (ops := self.field.vec_ops()) is not None:
             return _scan_batched(self, w, ops)
-        pack, _, get, drop, lead, comb, _ = self.field.row_ops()
+        pack, _, get, drop, lead, comb, *_ = self.field.row_ops()
         n = self.ncols
 
         def visit(prefix, cols):
@@ -267,7 +274,7 @@ class FMatrix:
 def _product_rows(field: FieldSpec, A, B, n: int) -> list:
     """The rows of A @ B, B with n columns: each is sum_k a_k B_k, built as
     acc - a_k B_k on the row layout and negated at the end as 0 - 1 acc."""
-    pack, unpack, get, _, _, comb, _ = field.row_ops()
+    pack, unpack, get, _, _, comb, *_ = field.row_ops()
     B, zero, out = list(map(pack, B)), pack([0] * n), []
     for row in A:
         P, acc = pack(row), zero
@@ -290,8 +297,15 @@ def _transposed(rows, ncols: int) -> list:
 def _rref_rows(ops, rows, ncols: int):
     """FMatrix.rref's elimination on the row operations of FieldSpec.row_ops:
     (rows, rank, pivots).  Each row is packed once and unpacked once, and a
-    pivot that is already 1 takes no inverse."""
-    pack, unpack, get, _, _, comb, inv = ops
+    pivot that is already 1 takes no inverse.
+
+    The pivot row v, with entry s in column c, clears c from each other row
+    u with entry a there: as u - a v once v is scaled to 1 by inv(s), or,
+    with ops.invs (the rule of the module docstring), as s u - a v, which
+    scales u by s != 0 and keeps every row space, and the pivot rows whose
+    entry ends other than 1 are scaled after the last pivot from one invs
+    call.  An RREF is unique, so both give the same rows."""
+    pack, unpack, get, _, _, comb, inv, invs = ops
     work = list(map(pack, rows))
     pivots, r, m = [], 0, len(work)
     for c in range(ncols):
@@ -301,21 +315,25 @@ def _rref_rows(ops, rows, ncols: int):
         if piv is None:
             continue
         prow, work[piv] = work[piv], work[r]
-        if (s := get(prow, c)) != 1:  # a unit pivot: large-field 8% slower without
-            prow = comb(inv(s), prow, 0, prow)
+        if (s := get(prow, c)) != 1 and not invs:  # a unit pivot: large-field 8% slower without
+            prow, s = comb(inv(s), prow, 0, prow), 1
         work[r] = prow
         for i in range(m):
             if i != r and (a := get(work[i], c)):  # large-field 12% slower without
-                work[i] = comb(1, work[i], a, prow)
+                work[i] = comb(s, work[i], a, prow)
         pivots.append(c)
         r += 1
+    if invs:
+        scaled = [i for i, c in enumerate(pivots) if get(work[i], c) != 1]
+        for i, d in zip(scaled, invs([get(work[i], pivots[i]) for i in scaled])):
+            work[i] = comb(d, work[i], 0, work[i])
     return [unpack(x, ncols) for x in work], r, pivots
 
 
 def _rank_rows(ops, rows, ncols: int) -> int:
     """FMatrix.rank on FieldSpec.row_ops: the first row v with an entry s in column c
     leaves, and each other row u with entry a there becomes s*u - a*v (no inverse)."""
-    pack, _, get, _, _, comb, _ = ops
+    pack, _, get, _, _, comb, *_ = ops
     work, r = list(map(pack, rows)), 0
     for c in range(ncols):
         if not work:  # a 0 x 10^12 matrix returns at once

@@ -37,8 +37,10 @@ representation defines beside its scalar operations and row_ops builds on
 first call; the fmatrix docstring says which kernel runs on it and which on
 vec_ops.  Odd-p extension fields above q = 1024 pack each row into one
 integer, so s X - a V is two integer products and one reduction of every
-entry at once, by masks sized to the entries the product holds; the other
-fields keep rows as lists of encs.
+entry at once, by masks sized to the entries the product holds, and their
+inverses come batched, one norm chain for many entries; the other fields
+keep rows as lists of encs, which GF(2^e) above q = 1024 combines on its
+log and exp arrays (stdlib array('H'), 384 KB at e = 16).
 
 Size bounds: p < 2^31 and e <= 16.  Coefficient arithmetic is done with
 Python integers, so q = p^e itself may exceed machine word size.
@@ -219,9 +221,10 @@ class FieldSpec:
     mul, pow and the row layout of row_ops once, and only here, from p, e
     and q: residues mod p for prime fields, the flat tables of vec_ops for
     extension fields with q <= _NP_TABLE_MAX, and above that the enc as a
-    bit vector for p = 2 and, for odd p, digitwise add and sub, a
-    Kronecker-substitution mul and packed rows.  Prefer :func:`field_new`:
-    one shared instance per modulus, enc-minimal by default.
+    bit vector for p = 2, with rows on log and exp arrays, and, for odd p,
+    digitwise add and sub, a Kronecker-substitution mul and packed rows.
+    Prefer :func:`field_new`: one shared instance per modulus, enc-minimal
+    by default.
     """
 
     __slots__ = ("p", "e", "q", "modulus", "_primitive", "_vec", "_frob", "_rows",
@@ -251,7 +254,8 @@ class FieldSpec:
         self._vec = None
         self._frob: dict = {}  # s -> the map a -> a^(p^s), built on first use
         self.add, self.sub, self.mul, self.pow, self._rows = (
-            _prime_ops(p) if e == 1 else _bin_ops(p, e, self.modulus) if p == 2
+            _prime_ops(p) if e == 1
+            else _bin_ops(p, e, self.modulus, lambda: self.primitive_element().enc) if p == 2
             else _poly_ops(p, e, self.modulus, self._inv))
         if e > 1 and self.q <= _NP_TABLE_MAX:
             # the tables are built with the enc routines installed above
@@ -468,7 +472,7 @@ def _prime_ops(p: int):
     def comb(s, X, a, V):
         return [(s * x - a * y) % p for x, y in zip(X, V)]
 
-    return add, sub, mul, power, partial(_enc_rows, comb, power)
+    return add, sub, mul, power, partial(_enc_rows, comb, partial(power, n=-1))
 
 
 def _table_ops(vec: "_VecOps"):
@@ -499,7 +503,7 @@ def _table_ops(vec: "_VecOps"):
         sq = s * q
         return [sub_t[mul_t[sq + x] * q + mul_t[aq + y]] for x, y in zip(X, V)]
 
-    return add, sub, mul, power, partial(_enc_rows, comb, power)
+    return add, sub, mul, power, partial(_enc_rows, comb, partial(power, n=-1))
 
 
 def _power(mul, inv, q1: int):
@@ -524,9 +528,11 @@ def _power(mul, inv, q1: int):
     return power
 
 
-def _bin_ops(p: int, e: int, tail: Sequence[int]):
+def _bin_ops(p: int, e: int, tail: Sequence[int], generator=None):
     """Z_2[x]/(f), f = x^e + tail: the enc is the coefficient bit vector, so add
-    and sub are xor and a product is shift-and-xor, reduced by f at each shift."""
+    and sub are xor and a product is shift-and-xor, reduced by f at each shift.
+    Rows are _log_rows on the enc of generator(), a primitive element, taken
+    when row_ops first builds them."""
     top = 1 << e
     f = sum(c << i for i, c in enumerate(tail)) | top
 
@@ -550,11 +556,8 @@ def _bin_ops(p: int, e: int, tail: Sequence[int]):
             g1 ^= g2 << j
         return g1
 
-    def comb(s, X, a, V):
-        return [mul(s, x) ^ mul(a, y) for x, y in zip(X, V)]
-
     power = _power(mul, inv, top - 1)
-    return xor, xor, mul, power, partial(_enc_rows, comb, power)
+    return xor, xor, mul, power, partial(_log_rows, e, mul, generator)
 
 
 def _poly_ops(p: int, e: int, tail: Sequence[int], inv=None):
@@ -710,12 +713,16 @@ class RowOps(NamedTuple):
     drop: Callable      # (row, j) -> the row without entry j
     lead: Callable      # row -> index of its first nonzero entry, None for 0
     comb: Callable      # (s, X, a, V) -> s X - a V
-    inv: Callable       # entry -> its inverse
+    inv: Callable       # nonzero entry -> its inverse
+    # nonzero entries -> their inverses from one inversion, for the layout whose
+    # inverse costs far more than a row operation (a norm chain: the packed
+    # rows); None where inv is a table read or a pow mod p
+    invs: Callable | None = None
 
 
-def _enc_rows(comb, power) -> RowOps:
+def _enc_rows(comb, inv) -> RowOps:
     """Rows as lists of encs, combined by one representation's comb and
-    inverted by its power."""
+    inverted by its inv."""
     def unpack(X, n):
         return X
 
@@ -726,10 +733,60 @@ def _enc_rows(comb, power) -> RowOps:
         x = next(filter(None, X), 0)
         return X.index(x) if x else None
 
-    def inv(a):
-        return power(a, -1)
-
     return RowOps(list, unpack, getitem, drop, lead, comb, inv)
+
+
+def _log_rows(e: int, mul, generator) -> RowOps:
+    """GF(2^e) rows as lists of encs, with ab = exp[log a + log b] for nonzero
+    a and b on the arrays of _log_exp: a row operation reads two arrays per
+    nonzero entry and multiplies nothing bit by bit, and an inverse is one
+    read, exp[q - 1 - log a]."""
+    q1 = (1 << e) - 1
+    log, exp = _log_exp(e, mul, generator())
+
+    def comb(s, X, a, V):
+        if not a:  # rref scaling its pivot row
+            ls = log[s]
+            return [exp[ls + log[x]] if x else 0 for x in X]
+        la = log[a]
+        if s == 1:  # rref and products: one read less per entry
+            return [exp[la + log[y]] ^ x if y else x for x, y in zip(X, V)]
+        ls = log[s]
+        return [(exp[ls + log[x]] if x else 0) ^ (exp[la + log[y]] if y else 0)
+                for x, y in zip(X, V)]
+
+    def inv(a):
+        return exp[q1 - log[a]]
+
+    return _enc_rows(comb, inv)
+
+
+def _log_exp(e: int, mul, g: int):
+    """(log, exp) of GF(2^e), e >= 8, on its primitive element g, as
+    array('H'): exp[i] = g^i for i < 2(q - 1), so a sum of two logs needs no
+    reduction mod q - 1, and log[g^i] = i (log[0] = 0 is never read).
+
+    A step v -> g v reads g times the low byte and g times the high byte of
+    v from two tables of at most 256 entries, built by mul with g first, so
+    each costs one shift-and-xor per set bit of g.  With g of order d < q - 1
+    the walk would meet 1 again at i = q - 1 - d and leave log[1] there, so
+    log[1] = 0 proves that g generates."""
+    from array import array  # on first use: importing it at set-up costs 0.4 ms
+    q1 = (1 << e) - 1
+    lo = [mul(g, u) for u in range(256)]
+    hi = [mul(g, u << 8) for u in range(1 << e - 8)]
+    # filled in place, as a temporary copy would raise the peak memory
+    exp, log = array("H", [0]) * (2 * q1), array("H", [0]) * (q1 + 1)
+    with memoryview(exp) as xs, memoryview(log) as ls:  # stores cost less on views
+        v = 1
+        for i in range(q1):
+            xs[i] = v
+            ls[v] = i
+            v = lo[v & 255] ^ hi[v >> 8]
+        xs[q1:] = xs[:q1]
+    if log[1]:
+        raise errors.FormulaMismatch(f"GF(2^{e}): {g} does not generate the field")
+    return log, exp
 
 
 def _packed_rows(p: int, e: int, tail: Sequence[int], power, reduce) -> RowOps:
@@ -737,7 +794,8 @@ def _packed_rows(p: int, e: int, tail: Sequence[int], power, reduce) -> RowOps:
     substitution on whole rows): entry j is the entry of _kronecker at bit
     E j, E = (2e - 1) w, so an entry is the same integer for one element,
     which _kronecker's unpack reads, and 1 is 1.  An entry inverts by
-    power(a, -1) on its enc.
+    power(a, -1) on its enc, a norm chain, and invs inverts a list of them
+    from one chain; two entries multiply as one integer product and reduce.
 
     comb takes T = s X + (P - a) V in two integer products for any s and a:
     P holds p in each digit slot, so P - a has digits in [1, p] (all p for
@@ -787,7 +845,21 @@ def _packed_rows(p: int, e: int, tail: Sequence[int], power, reduce) -> RowOps:
     def inv(a):
         return pk(power(upk(a), -1))
 
-    return RowOps(pack, unpack, get, drop, lead, comb, inv)
+    def invs(xs):
+        """Montgomery (1987): the inverses of the entries xs from one inv, one
+        norm chain, and 3(k - 1) products of entries for k of them."""
+        if not xs:
+            return []
+        acc = [xs[0]]  # acc[i] = xs[0] ... xs[i]
+        for x in xs[1:]:
+            acc.append(reduce(acc[-1] * x))
+        t, out = inv(acc[-1]), [0] * len(xs)  # t = (xs[0] ... xs[i])^-1
+        for i in range(len(xs) - 1, 0, -1):
+            out[i], t = reduce(t * acc[i - 1]), reduce(t * xs[i])
+        out[0] = t
+        return out
+
+    return RowOps(pack, unpack, get, drop, lead, comb, inv, invs)
 
 
 class _VecOps:

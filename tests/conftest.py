@@ -64,7 +64,7 @@ def random_code(rng: random.Random, field, n: int, rows: int):
 BACKEND_FIELDS = [(13, 1), (3, 3), (17, 8)]
 
 # One or two fields per row layout of FieldSpec.row_ops: residues mod p,
-# flat tables (p = 2 and odd p), bit vectors and Kronecker-packed rows.
+# flat tables (p = 2 and odd p), GF(2^e) log rows and Kronecker-packed rows.
 ROW_LAYOUT_FIELDS = [(13, 1), (2, 4), (3, 3), (2, 11), (2, 16), (17, 8), (3, 7)]
 
 # Fields of the Kronecker row layout (odd p, e >= 2, q > 1024): the smallest,

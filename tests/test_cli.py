@@ -73,6 +73,24 @@ class TestConstruct:
         code, out, err = run(capsys, "construct", "vandermonde",
                              f"q={q}", "n=4", "k=2", "t=2", "j=1")
         assert code == 4 and out == "" and len(err.splitlines()) == 1
+        assert f"q={q} is not a supported prime power: give q as p^e or its value" in err
+
+    # q=3^ used to be read as q=3 (exit 2 after a constraint check) and the
+    # others to print int()'s message; q=６ is a fullwidth digit
+    @pytest.mark.parametrize("q", ["3^", "^3", "2^16.0", "x", "", "3^^2", "2^ 16", " 3", "+3",
+                                   "3_1", "６", "0x10", "2^16\n"])
+    def test_malformed_q_names_the_accepted_forms(self, capsys, q):
+        code, out, err = run(capsys, "construct", "vandermonde",
+                             f"q={q}", "n=4", "k=2", "t=2", "j=1")
+        assert code == 4 and out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"bad input: q={q!r} is malformed: give q as p^e or its value")
+        assert "(q=13, q=9, q=3^2, q=17^8)" in err and "int()" not in err
+
+    def test_every_q_form_parses(self, capsys):
+        # 3^2, its value 9, and 9 with a leading zero give one field
+        args = ("--output", "text", "construct", "grs-ext", "k=4")
+        outs = {run(capsys, *args, q)[1] for q in ("q=9", "q=3^2", "q=09", "q=03^02")}
+        assert len(outs) == 1 and "[[10,1,7;3]]_3^2" in outs.pop()
 
     def test_emit_matrices(self, capsys):
         code, out, _ = run(capsys, "--emit-matrices", "construct",

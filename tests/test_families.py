@@ -327,7 +327,7 @@ class TestGabidulin:
 GABIDULIN_SHAPES = sorted({
     (11, 5, 5, 3, 2, 2), (17, 8, 8, 4, 4, 3), (2, 16, 6, 3, 3, 2),  # goldens
     (13, 6, 6, 3, 3, 2), (17, 8, 8, 5, 3, 4),  # the rest of Table 2
-    (3, 10, 8, 4, 4, 1), (2, 16, 7, 4, 3, 2),  # the rest of the no-numpy job
+    (3, 10, 8, 4, 4, 1), (2, 16, 7, 4, 3, 2), (2, 13, 7, 4, 3, 2),  # the rest of the no-numpy job
 })
 # the 11 large-field benchmark jobs (GF(2^16) n = 7 twice), k1 = n - n//2 and
 # k2 = n//2, at every offset t that a seed can draw

@@ -237,6 +237,104 @@ class TestRrefRowLayout:
         assert R.shape == (0, 10**12) and rank == 0 and pivots == []
 
 
+class TestBatchedInverseRref:
+    """rref on the packed rows (odd p, e >= 2, q > 1024): s u - a v steps and
+    the pivot rows scaled to 1 at the end from one batched inversion, one
+    norm chain per matrix, against the per-entry reference elimination."""
+
+    # the odd-p fields of the large-field workload, and the smallest packed one
+    FIELDS = [(17, 8), (3, 10), (5, 9), (13, 6), (11, 5), (3, 7)]
+
+    @staticmethod
+    def pivot_matrices(rng, field, m, n):
+        """m x n matrices with planted pivots: [I | A] (all 1); [D | A] with
+        D diagonal of non-unit entries; a first row with pivot 1 over rows
+        with non-unit pivots; rank m // 2 with zero rows between; a zero
+        matrix."""
+        q = field.q
+
+        def nonunit():
+            return rng.choice((q - 1, 2, rng.randrange(2, q)))
+
+        tail = [[rng.choice((0, 1, q - 1, rng.randrange(q))) for _ in range(n - m)]
+                for _ in range(m)]
+        unit = [[int(i == j) for j in range(m)] + tail[i] for i in range(m)]
+        diag = [[nonunit() if i == j else 0 for j in range(m)] + tail[i] for i in range(m)]
+        mixed = [row[:] for row in diag]
+        mixed[0][0] = 1
+        half = [[rng.randrange(q) for _ in range(n)] for _ in range(max(1, m // 2))]
+        deficient = [r for row in half
+                     for r in (row, [0] * n, [field.mul(nonunit(), x) for x in row])][:m]
+        return [unit, diag, mixed, deficient, [[0] * n for _ in range(m)]]
+
+    @staticmethod
+    def count_chains(monkeypatch):
+        from eaqeckit.gf import FieldSpec
+        chains, conorm = [], FieldSpec._conorm
+        monkeypatch.setattr(FieldSpec, "_conorm",
+                            lambda self, a: chains.append(a) or conorm(self, a))
+        return chains
+
+    @pytest.mark.parametrize("p,e", FIELDS)
+    def test_matches_reference_elimination(self, p, e):
+        field = field_new(p, e)
+        assert field.row_ops().invs is not None
+        rng, q = random.Random(p * 1000 + e), field.q
+        for m, n in [(1, 1), (1, 5), (3, 5), (4, 4), (5, 8), (6, 9)]:
+            mats = self.pivot_matrices(rng, field, m, n)
+            mats += planted_matrices(rng, field, m, n) if m > 1 else []
+            mats += [[[0] * (n - 1) + [q - 1]], [[1] + [q - 1] * (n - 1)],
+                     [[0] + [rng.randrange(2, q) for _ in range(n - 1)]]] if m == 1 else []
+            for k, rows in enumerate(mats):
+                R, rank, pivots = FMatrix(field, rows, n).rref()
+                assert (R.rows, rank, pivots) == rref_reference(field, rows), (m, n, k)
+
+    @pytest.mark.parametrize("p,e", FIELDS)
+    def test_one_norm_chain_per_matrix(self, monkeypatch, p, e):
+        # every pivot non-unit: one chain, where a per-pivot inverse took m;
+        # every pivot 1 ([I | A], or an RREF given again): none
+        field = field_new(p, e)
+        rng = random.Random(p + e)
+        chains = self.count_chains(monkeypatch)
+        for m, n in [(1, 3), (4, 6), (6, 6), (7, 9)]:
+            unit, diag, mixed, deficient, zero = self.pivot_matrices(rng, field, m, n)
+            for rows in [diag, mixed, deficient] + planted_matrices(rng, field, m, n):
+                chains.clear()
+                R = FMatrix(field, rows, n).rref()[0]
+                assert len(chains) <= 1, (m, n)
+                chains.clear()
+                assert FMatrix(field, R.rows, n).rref()[0] == R and chains == []
+            chains.clear()
+            assert FMatrix(field, diag, n).rref()[1] == m and len(chains) == 1
+            chains.clear()
+            FMatrix(field, unit, n).rref()
+            FMatrix(field, zero, n).rref()
+            assert chains == []
+
+    @pytest.mark.parametrize("p,e", [(3, 7), (17, 8)])
+    def test_invs_against_each_inverse(self, monkeypatch, p, e):
+        field = field_new(p, e)
+        ops, q, rng = field.row_ops(), field.q, random.Random(e)
+
+        def entry(a):
+            return ops.get(ops.pack([a]), 0)
+
+        chains = self.count_chains(monkeypatch)
+        assert ops.invs([]) == [] and chains == []
+        for xs in ([1], [q - 1], [2, q - 1, 1, 1], [rng.randrange(1, q) for _ in range(9)]):
+            expected = [entry(field.inv(x)) for x in xs]
+            chains.clear()
+            assert ops.invs([entry(x) for x in xs]) == expected and len(chains) == 1
+
+    @pytest.mark.parametrize("p,e", [(13, 1), (1031, 1), (2, 4), (3, 3), (31, 2), (2, 11),
+                                     (2, 16), (3, 7), (37, 2), (17, 8)])
+    def test_batched_exactly_on_packed_rows(self, p, e):
+        # the rule of fmatrix: a batched inverse only where an inverse is a
+        # norm chain; table reads and pows mod p scale each pivot row as it comes
+        ops = field_new(p, e).row_ops()
+        assert (ops.invs is not None) == (p > 2 and e > 1 and p**e > 1024)
+
+
 class TestRank:
     def test_transpose_symmetry(self, f4):
         rng = random.Random(1)

@@ -1,8 +1,11 @@
+import itertools
 import os
 import pickle
 import random
 import subprocess
 import sys
+from functools import reduce
+from operator import xor
 from pathlib import Path
 
 import numpy as np
@@ -702,7 +705,7 @@ class TestRowOps:
         packed = p > 2 and e >= 2 and p**e > 1024
         assert type(row) is (int if packed else list)
 
-    # every comb: packed rows, GF(2^e) bit vectors, residues below and above
+    # every comb: packed rows, GF(2^e) log rows, residues below and above
     # the table bound (GF(13), GF(1031)), and the flat tables for odd p and p = 2
     @pytest.mark.parametrize("p,e", KRONECKER_ROW_FIELDS + [(2, 16), (13, 1), (1031, 1), (3, 3),
                                                             (2, 4)])
@@ -803,6 +806,114 @@ class TestPackedReducers:
                 S, A = (ops.get(ops.pack([x]), 0) for x in (s, a))
                 got = ops.unpack(ops.comb(S, ops.pack(X), A, ops.pack(V)), n)
                 assert got == self.expected(field, s, X, a, V), (lengths, n)
+
+
+class TestLogRows:
+    """GF(2^e) rows above q = 1024 on the log and doubled exp arrays of the
+    primitive element, against the bit-serial scalar mul."""
+
+    FIELDS = [(2, 11), (2, 13), (2, 16)]
+
+    @staticmethod
+    def entries(rng, q, n):
+        return [rng.choice((0, 1, q - 1, rng.randrange(q))) for _ in range(n)]
+
+    @pytest.mark.parametrize("p,e", FIELDS)
+    def test_comb_and_inverse_against_bit_serial_mul(self, p, e):
+        field = field_new(p, e)
+        ops, q, mul, rng = field.row_ops(), field.q, field.mul, random.Random(e)
+        for n in (1, 5, 40):
+            X, V = self.entries(rng, q, n), self.entries(rng, q, n)
+            for s in (1, q - 1, rng.randrange(2, q - 1)):
+                for a in (0, 1, q - 1, rng.randrange(2, q - 1)):
+                    got = ops.comb(s, ops.pack(X), a, ops.pack(V))
+                    assert got == [mul(s, x) ^ mul(a, y) for x, y in zip(X, V)], (n, s, a)
+        for a in (1, 2, q - 1, field.primitive_element().enc, rng.randrange(1, q)):
+            assert mul(a, ops.inv(a)) == 1 and ops.inv(a) == field.inv(a)
+
+    @pytest.mark.parametrize("p,e", FIELDS)
+    def test_matrix_kernels_against_bit_serial_mul(self, p, e):
+        # rank, rref, first_dependent_columns and @ on the rows, against
+        # references on the scalar operations (rank and subsets by the
+        # per-entry rref); entries are mostly 0, 1 and q - 1
+        field = field_new(p, e)
+        rng, q = random.Random(e * 7), field.q
+        for m, n in [(1, 4), (3, 5), (4, 4), (5, 7)]:
+            for _ in range(3):
+                rows = [self.entries(rng, q, n) for _ in range(m)]
+                rows.append([field.mul(q - 1, x) for x in rows[0]])  # rank deficient
+                M = FMatrix(field, rows, n)
+                assert M.rank() == rref_reference(field, rows)[1]
+                R, rank, pivots = FMatrix(field, rows, n).rref()
+                assert (R.rows, rank, pivots) == rref_reference(field, rows)
+                B = [self.entries(rng, q, 3) for _ in range(n)]
+                assert [list(r) for r in (M @ FMatrix(field, B, 3)).rows] == [
+                    [reduce(xor, map(field.mul, row, col), 0) for col in zip(*B)] for row in rows]
+                for w in range(1, min(m + 1, n) + 1):
+                    expect = next((cols for cols in itertools.combinations(range(n), w)
+                                   if rref_reference(field, [[r[c] for c in cols]
+                                                             for r in rows])[1] < w), None)
+                    assert M.first_dependent_columns(w) == expect, (m, n, w)
+
+    def test_row_operations_multiply_nothing_bit_by_bit(self):
+        # the scalar mul builds the tables of one byte times g and no more
+        field = FieldSpec(2, 16)
+        g, calls = field.primitive_element().enc, []
+        ops = gf._log_rows(16, lambda a, b: calls.append(a) or field.mul(a, b), lambda: g)
+        assert len(calls) == 2 * 256
+        calls.clear()
+        rows = [[field.pow(g, (i + 1) * (j + 1)) for j in range(7)] for i in range(4)]
+        M = FMatrix(field, rows, 7)
+        expected = rref_reference(field, rows), [[field.mul(g, x) ^ y for x, y in zip(*rows[:2])]]
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(field, "_rows", ops)
+            patched.setattr(field, "mul", None)
+            R, rank, pivots = M.rref()
+            assert (R.rows, rank, pivots) == expected[0] and M.rank() == 4
+            assert [ops.comb(1, rows[1], g, rows[0])] == expected[1]
+            M.first_dependent_columns(4)
+        assert calls == []
+
+    def test_arrays(self):
+        field = field_new(2, 16)
+        g, q = field.primitive_element().enc, field.q
+        log, exp = gf._log_exp(16, field.mul, g)
+        assert (log.typecode, exp.typecode, len(log), len(exp)) == ("H", "H", q, 2 * (q - 1))
+        assert exp[:q - 1] == exp[q - 1:] and sorted(exp[:q - 1]) == list(range(1, q))
+        rng = random.Random(16)
+        for i in [0, 1, q - 2] + [rng.randrange(q - 1) for _ in range(50)]:
+            assert exp[i] == field.pow(g, i) and log[exp[i]] == i
+
+    @pytest.mark.parametrize("k", [3, 5, 17, 257])
+    def test_element_that_does_not_generate_is_refused(self, k):
+        # g^k has order (q - 1) / k for each prime k | 2^16 - 1
+        field = field_new(2, 16)
+        h = field.pow(field.primitive_element().enc, k)
+        with pytest.raises(errors.FormulaMismatch, match="does not generate"):
+            gf._log_exp(16, field.mul, h)
+
+    def test_arrays_build_small(self):
+        import tracemalloc
+        field = FieldSpec(2, 16)
+        field.primitive_element()
+        tracemalloc.start()
+        try:
+            field.row_ops()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 380_000 < peak < 1 << 20  # the arrays hold 6 (q - 1) + 2 bytes
+
+    def test_set_up_builds_no_arrays(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the log and exp arrays were built")
+
+        monkeypatch.setattr(gf, "_FIELDS", {})
+        monkeypatch.setattr(gf, "_log_exp", refuse)
+        field = field_new(2, 16)
+        assert field.primitive_element().enc == 3 and field.inv(3) == field.pow(3, -1)
+        with pytest.raises(AssertionError, match="arrays were built"):
+            field.row_ops()
 
 
 # The row-layout fields and the odd-p fields of the large-field benchmark workload
