@@ -235,7 +235,9 @@ def gabidulin_family(field: FieldSpec, n: int, k1: int, k2: int, t: int) -> Fami
 
     G1 applies Frobenius powers 0..k1-1, H2 powers t..t+k2-1; the union of
     the two consecutive exponent ranges gives c = k2 - k1 + t ebits and the
-    tuple [[n, t, min(n-k1+1, k2+1); k2-k1+t]]_q.
+    tuple [[n, t, min(n-k1+1, k2+1); k2-k1+t]]_q.  The paper's rows have
+    n = m, where its k2 <= m-t reads t+k2 <= n; for n < m that is the bound
+    required, as past it G1 stacked on H2 has rank n, not t + k2.
     """
     m = field.e
     _require(n <= m, "n <= m", f"{n} <= {m}")
@@ -243,7 +245,7 @@ def gabidulin_family(field: FieldSpec, n: int, k1: int, k2: int, t: int) -> Fami
     _require(0 <= t, "0 <= t", f"0 <= {t}")
     _require(t <= k1 - 1, "t <= k1-1", f"{t} <= {k1 - 1}")
     _require(k1 - t + 1 <= k2, "k1-t+1 <= k2", f"{k1 - t + 1} <= {k2}")
-    _require(k2 <= m - t, "k2 <= m-t", f"{k2} <= {m - t}")
+    _require(t + k2 <= n, "t+k2 <= n", f"{t + k2} <= {n}")
     _require(k2 <= n - 1, "k2 <= n-1", f"{k2} <= {n - 1}")
 
     g = [field.p**i for i in range(n)]  # x^i has enc p^i

@@ -5,12 +5,14 @@ with the field's enc-level arithmetic; Element appears only at the API
 boundary (``M[i, j]``).  Matrices are value objects: every operation returns
 a new matrix and no mutation is observable through the public surface.
 
-All elimination lives here, in five kernels: rref and the column-subset
-scan first_dependent_columns, each on the numpy op tables of
-FieldSpec.vec_ops (_rref_tables, _scan_batched) or on the row layout of
-FieldSpec.row_ops (_rref_rows, the scan's own recursion), and rank's
-inverse-free forward elimination on rows (_rank_rows); A @ B builds each
-output row on the row layout too, one row operation per nonzero entry of A.
+All elimination lives here, in four kernels: rref on the numpy op tables
+of FieldSpec.vec_ops (_rref_tables) or on the row layout of
+FieldSpec.row_ops (_rref_rows), the column-subset scan
+first_dependent_columns on the tables (_scan_batched, on pivot_step), and
+the inverse-free step on rows, _row_step, which rank (_rank_rows) takes
+once per column and the scan without tables once per child of its search;
+A @ B builds each output row on the row layout too, one row operation per
+nonzero entry of A.
 The one rule: a field with tables (q <= 1024) scans on them and reduces on
 them from _RREF_TABLE_MIN entries, and everything else runs on rows, so no
 elimination above q = 1024 imports numpy; rank() with no RREF memo follows
@@ -126,45 +128,35 @@ class FMatrix:
         rank < w, or None if there is none (1 <= w <= ncols).
 
         Depth-first, sharing the elimination of each column prefix: a node is
-        a prefix P whose other rows are reduced on P, and child P+{c} costs
-        one pivot step on them.  If column c is zero there, every subset
+        a prefix P with the rows it left over, reduced on P, and child P+{c}
+        costs one pivot step on them.  If column c is zero there, every subset
         extending P+{c} is dependent and the first, P + (c, c+1, ...), is the
-        witness.  Without tables the search runs here, one row_ops row per
-        column (on rows, GF(2^16) n=7's is_mds took 1.35-1.45 ms, not
-        0.46-0.56); with them, _scan_batched runs it.
-        On rows, a pivot column that is a unit vector once its pivot entry is
-        dropped (every identity column of an RREF generator is one) takes no
-        row operation: its step would only scale each later column by s != 0,
-        which changes no rank, so each keeps its entries but the pivot row's.
+        witness.  With tables _scan_batched runs the search; without, it runs
+        here on row_ops rows, each child one _row_step, and a child at depth
+        w-1 only tests whether column c is zero, with no row operation.
         """
         if not 1 <= w <= self.ncols:
             raise errors.ShapeMismatch(f"no {w}-subsets of {self.ncols} columns")
         if (ops := self.field.vec_ops()) is not None:
             return _scan_batched(self, w, ops)
-        pack, _, get, drop, lead, comb, *_ = self.field.row_ops()
+        pack, _, get, comb, *_ = self.field.row_ops()
         n = self.ncols
 
-        def visit(prefix, cols):
-            # cols: the columns after prefix, reduced on the rows it left over
+        def visit(prefix, work):
+            # work: the rows that prefix left over, reduced on its columns
             depth, first = len(prefix), prefix[-1] + 1 if prefix else 0
-            for c, v in enumerate(cols[:n - w + depth + 1 - first], first):
-                i = lead(v)
-                if i is None:
+            columns = range(first, n - w + depth + 1)
+            if depth + 1 == w:  # a leaf: column c needs an entry, no row operation
+                return next((prefix + (c,) for c in columns
+                             if not any(get(u, c) for u in work)), None)
+            for c in columns:
+                if (rest := _row_step(get, comb, work, c)) is None:
                     return prefix + tuple(range(c, c + w - depth))
-                if depth + 1 == w:
-                    continue
-                s, vi, rest = get(v, i), drop(v, i), []
-                # s*u - a*v needs no field inverse, and the factor s != 0 keeps
-                # ranks; for a unit column (vi zero) it is s*u, so u will do
-                unit = lead(vi) is None
-                for u in cols[c - first + 1:]:
-                    a, u = get(u, i), drop(u, i)  # the a test: large-field 4% slower without
-                    rest.append(u if unit or not a else comb(s, u, a, vi))
                 if found := visit(prefix + (c,), rest):
                     return found
             return None
 
-        return visit((), list(map(pack, _transposed(self.rows, n))))
+        return visit((), list(map(pack, self.rows)))
 
     def rank(self) -> int:
         """The RREF memo's rank, else rref's on the tables and _rank_rows' on rows."""
@@ -221,7 +213,8 @@ class FMatrix:
         return FMatrix._of(self.field, _product_rows(self.field, self.rows, other.rows, n), n)
 
     def transpose(self) -> "FMatrix":
-        return FMatrix._of(self.field, _transposed(self.rows, self.ncols), self.nrows)
+        columns = list(zip(*self.rows)) if self.rows else [()] * self.ncols
+        return FMatrix._of(self.field, columns, self.nrows)
 
     def vstack(self, other: "FMatrix") -> "FMatrix":
         if self.field != other.field:
@@ -274,7 +267,7 @@ class FMatrix:
 def _product_rows(field: FieldSpec, A, B, n: int) -> list:
     """The rows of A @ B, B with n columns: each is sum_k a_k B_k, built as
     acc - a_k B_k on the row layout and negated at the end as 0 - 1 acc."""
-    pack, unpack, get, _, _, comb, *_ = field.row_ops()
+    pack, unpack, get, comb, *_ = field.row_ops()
     B, zero, out = list(map(pack, B)), pack([0] * n), []
     for row in A:
         P, acc = pack(row), zero
@@ -283,11 +276,6 @@ def _product_rows(field: FieldSpec, A, B, n: int) -> list:
                 acc = comb(1, acc, get(P, k), B[k])
         out.append(unpack(comb(1, zero, 1, acc), n))
     return out
-
-
-def _transposed(rows, ncols: int) -> list:
-    """The columns of a matrix with these rows and ncols columns."""
-    return list(zip(*rows)) if rows else [()] * ncols
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +293,7 @@ def _rref_rows(ops, rows, ncols: int):
     scales u by s != 0 and keeps every row space, and the pivot rows whose
     entry ends other than 1 are scaled after the last pivot from one invs
     call.  An RREF is unique, so both give the same rows."""
-    pack, unpack, get, _, _, comb, inv, invs = ops
+    pack, unpack, get, comb, inv, invs = ops
     work = list(map(pack, rows))
     pivots, r, m = [], 0, len(work)
     for c in range(ncols):
@@ -330,18 +318,28 @@ def _rref_rows(ops, rows, ncols: int):
     return [unpack(x, ncols) for x in work], r, pivots
 
 
+def _row_step(get, comb, work, c: int):
+    """One inverse-free elimination step on rows of FieldSpec.row_ops: the
+    first row v with an entry s in column c leaves, and each other row u with
+    entry a there becomes s*u - a*v, which scales u by s != 0 and so keeps
+    every rank.  The rows left over, or None if no row has an entry in c."""
+    piv = next((i for i, u in enumerate(work) if get(u, c)), None)
+    if piv is None:
+        return None
+    v = work[piv]
+    s = get(v, c)  # the rows before v are zero in column c
+    return work[:piv] + [comb(s, u, a, v) if (a := get(u, c)) else u for u in work[piv + 1:]]
+
+
 def _rank_rows(ops, rows, ncols: int) -> int:
-    """FMatrix.rank on FieldSpec.row_ops: the first row v with an entry s in column c
-    leaves, and each other row u with entry a there becomes s*u - a*v (no inverse)."""
-    pack, _, get, _, _, comb, *_ = ops
+    """FMatrix.rank on FieldSpec.row_ops: one _row_step per column."""
+    pack, _, get, comb, *_ = ops
     work, r = list(map(pack, rows)), 0
     for c in range(ncols):
         if not work:  # a 0 x 10^12 matrix returns at once
             break
-        if (piv := next((i for i, u in enumerate(work) if get(u, c)), None)) is not None:
-            v = work.pop(piv)
-            s = get(v, c)
-            work, r = [comb(s, u, a, v) if (a := get(u, c)) else u for u in work], r + 1
+        if (rest := _row_step(get, comb, work, c)) is not None:
+            work, r = rest, r + 1
     return r
 
 

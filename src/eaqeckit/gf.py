@@ -22,7 +22,7 @@ square-and-multiply on it; the Rabin test that picks f and the exp tables of
 the small fields run on the same mul.  Frobenius powers a^(p^s), and the
 x^(p^i) of the Rabin test, are a GF(p)-linear map on the basis, applied from
 the images of x^0 .. x^(e-1) in the same slots, one per field and s, built
-on first use.  GF(2^e) inverts by Euclid on the bit vector, odd p by the
+on first use.  GF(2^e) inverts by Fermat, a^(q-2), odd p by the
 norm chain: a^-1 = b N(a)^(p-2) for b the conorm a^(p+...+p^(e-1)).  The
 Rabin test decides coprimality by the norm test on Z_p[x]/(f), and for
 p <= e (so e >= 2) the modulus search drops a candidate with a root in GF(p)
@@ -546,17 +546,7 @@ def _bin_ops(p: int, e: int, tail: Sequence[int], generator=None):
                 b ^= f
         return r
 
-    def inv(a):  # extended Euclid, with g1 * a = u and g2 * a = v mod f throughout
-        u, v, g1, g2 = a, f, 1, 0
-        while u != 1:
-            j = u.bit_length() - v.bit_length()
-            if j < 0:
-                u, v, g1, g2, j = v, u, g2, g1, -j
-            u ^= v << j
-            g1 ^= g2 << j
-        return g1
-
-    power = _power(mul, inv, top - 1)
+    power = _power(mul, None, top - 1)
     return xor, xor, mul, power, partial(_log_rows, e, mul, generator)
 
 
@@ -705,13 +695,13 @@ class RowOps(NamedTuple):
 
     A row holds a sequence of encs and an entry one enc, each in the layout's
     own form: an entry is truthy iff its enc is nonzero and equals 1 iff its
-    enc is 1.  comb(s, X, a, V) is s X - a V for an entry s != 0.
+    enc is 1.  comb(s, X, a, V) is s X - a V for an entry s != 0.  Every
+    kernel on rows (fmatrix's rref, rank, subset scan and products) keeps
+    each row at full width and reads its column c by get(row, c).
     """
     pack: Callable      # encs -> row
     unpack: Callable    # (row, n) -> its n encs, a list
     get: Callable       # (row, j) -> entry j
-    drop: Callable      # (row, j) -> the row without entry j
-    lead: Callable      # row -> index of its first nonzero entry, None for 0
     comb: Callable      # (s, X, a, V) -> s X - a V
     inv: Callable       # nonzero entry -> its inverse
     # nonzero entries -> their inverses from one inversion, for the layout whose
@@ -726,14 +716,7 @@ def _enc_rows(comb, inv) -> RowOps:
     def unpack(X, n):
         return X
 
-    def drop(X, j):
-        return X[:j] + X[j + 1:]
-
-    def lead(X):
-        x = next(filter(None, X), 0)
-        return X.index(x) if x else None
-
-    return RowOps(list, unpack, getitem, drop, lead, comb, inv)
+    return RowOps(list, unpack, getitem, comb, inv)
 
 
 def _log_rows(e: int, mul, generator) -> RowOps:
@@ -804,10 +787,10 @@ def _packed_rows(p: int, e: int, tail: Sequence[int], power, reduce) -> RowOps:
     every entry at once, with masks for the entries that T holds: the
     reducer for i + 1 entries, i = T.bit_length() // E, built on first use
     (reduce, the scalar one, is the reducer for one entry).  Every entry of
-    T past them is zero, and so is its reduction, so a column of the subset
-    scan, which holds at most w entries and loses one per depth, is reduced
-    on no more entries than it holds, not on the longest row the field
-    ever packed."""
+    T past them is zero, and so is its reduction, so a row whose trailing
+    entries are zero, such as a row of a matrix narrower than the longest
+    row the field ever packed, is reduced up to its last nonzero entry and
+    no further."""
     *_, w, pk, upk = _kronecker(p, e)
     E = (2 * e - 1) * w
     P, entry, lows = sum(p << w * i for i in range(e)), (1 << w * e) - 1, (1 << E) - 1
@@ -829,13 +812,6 @@ def _packed_rows(p: int, e: int, tail: Sequence[int], power, reduce) -> RowOps:
 
     def get(X, j):
         return X >> E * j & entry
-
-    def drop(X, j):
-        cut = E * j
-        return (X & (1 << cut) - 1) | (X >> cut + E) << cut
-
-    def lead(X):
-        return ((X & -X).bit_length() - 1) // E if X else None
 
     def comb(s, X, a, V):
         T = s * X + (P - a) * V
@@ -859,7 +835,7 @@ def _packed_rows(p: int, e: int, tail: Sequence[int], power, reduce) -> RowOps:
         out[0] = t
         return out
 
-    return RowOps(pack, unpack, get, drop, lead, comb, inv, invs)
+    return RowOps(pack, unpack, get, comb, inv, invs)
 
 
 class _VecOps:

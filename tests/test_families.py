@@ -318,8 +318,10 @@ class TestGabidulin:
             gabidulin_family(field, 4, 2, 2, 2)
         with pytest.raises(errors.ConstraintViolation, match="k1-t\\+1 <= k2"):
             gabidulin_family(field, 4, 3, 1, 2)
-        with pytest.raises(errors.ConstraintViolation, match="k2 <= m-t"):
+        with pytest.raises(errors.ConstraintViolation, match="t\\+k2 <= n"):
             gabidulin_family(field, 4, 4, 3, 3)
+        with pytest.raises(errors.ConstraintViolation, match="t\\+k2 <= n"):
+            gabidulin_family(field, 3, 3, 2, 2)  # k2 <= m-t, but n < m
 
 
 # (p, m, n, k1, k2, t) of every Gabidulin pair that the goldens, Table 2 and

@@ -1,18 +1,18 @@
 """Exhaustive small-field oracle for the Gabidulin family.
 
-Every admissible (n, k1, k2, t) of ``construct gabidulin`` over GF(2^4),
-GF(2^5), GF(3^3), GF(3^4) and GF(5^3), 53 instances, goes through the CLI
-with ``--emit-matrices``.  The oracle reads G1, H2 and the modulus from that
+Every (n, k1, k2, t) over GF(2^4), GF(2^5), GF(3^3), GF(3^4) and GF(5^3)
+within the paper's bounds, 53 instances, goes through ``construct
+gabidulin``; the 47 with t + k2 <= n are admissible and run with
+``--emit-matrices``.  The oracle reads G1, H2 and the modulus from that
 JSON and recomputes [[n, k, d; c]] on its own: field tables from sympy's
 galoistools, its own elimination for the dimensions, the kernel of H2 and
 c = rank(G1 over H2) - k1, and d(C1), d(C2) by enumerating every codeword
 up to scalars (q^k <= 2^20 words for each code).  The tuple must equal the
 one construct computed, and the closed form
-[[n, t, min(n-k1+1, k2+1); k2-k1+t]] wherever t + k2 <= n.  Past that, G1
-stacked on H2 has rank n, not t + k2, so c = n - k1 falls below the closed
-form's; the constraints admit 6 such instances here, and construct must
-report each unverified (exit 1).  Nothing but cli.main is taken from
-eaqeckit.
+[[n, t, min(n-k1+1, k2+1); k2-k1+t]].  Past t + k2 = n, G1 stacked on H2
+would have rank n, not t + k2, and c = n - k1 would fall below the closed
+form's; construct must refuse those 6 instances as a constraint violation
+(exit 2).  Nothing but cli.main is taken from eaqeckit.
 """
 import functools
 import json
@@ -27,7 +27,8 @@ FIELDS = ((2, 4), (2, 5), (3, 3), (3, 4), (5, 3))
 
 
 def instances(m):
-    """The (n, k1, k2, t) that the family's constraints admit at degree m."""
+    """The (n, k1, k2, t) within the paper's bounds at degree m: n <= m,
+    0 <= t < k1 <= n and k1 - t + 1 <= k2 <= min(m - t, n - 1)."""
     for n in range(1, m + 1):
         for k1 in range(1, n + 1):
             for t in range(k1):
@@ -144,6 +145,8 @@ def oracle_tuple(G1_text, H2_text):
 
 def test_sweep_counts_every_admissible_instance():
     assert [sum(1 for _ in instances(e)) for _, e in FIELDS] == [10, 29, 2, 10, 2]
+    assert [sum(t + k2 <= n for n, _, k2, t in instances(e)) for _, e in FIELDS] == [
+        9, 25, 2, 9, 2]
 
 
 @pytest.mark.parametrize("p,e,n,k1,k2,t", SWEEP, ids=str)
@@ -151,18 +154,20 @@ def test_construct_matches_the_oracle(capsys, p, e, n, k1, k2, t):
     argv = ["--emit-matrices", "construct", "gabidulin", f"q={p}^{e}",
             f"n={n}", f"k1={k1}", f"k2={k2}", f"t={t}"]
     status = main(argv)
-    cert = json.loads(capsys.readouterr().out)
+    out, err = capsys.readouterr()
+    if t + k2 > n:
+        assert (status, out) == (2, "")
+        assert err == f"constraint violation: t+k2 <= n violated: {t + k2} <= {n} is false\n"
+        return
+    cert = json.loads(out)
     computed = tuple(cert["computed"][key] for key in ("n", "k", "d", "c"))
     assert oracle_tuple(cert["G1"], cert["H2"]) == computed
-    closed_form = (n, t, min(n - k1 + 1, k2 + 1), k2 - k1 + t)
-    holds = t + k2 <= n
-    assert (computed == closed_form) == holds == cert["verified"] == (status == 0)
-    if not holds:
-        assert status == 1 and computed[3] == n - k1
+    assert computed == (n, t, min(n - k1 + 1, k2 + 1), k2 - k1 + t)
+    assert cert["verified"] and status == 0
 
 
 def test_six_instances_reach_past_n():
-    # (p, e, n, k1, k2, t) with t + k2 > n, all at k1 >= n - 1
+    # (p, e, n, k1, k2, t) with t + k2 > n, all at k1 >= n - 1, which construct refuses
     assert {v for v in SWEEP if v[5] + v[4] > v[2]} == {
         (2, 4, 3, 3, 2, 2), (2, 5, 3, 3, 2, 2), (2, 5, 4, 3, 3, 2), (2, 5, 4, 4, 2, 3),
         (2, 5, 4, 4, 3, 2), (3, 4, 3, 3, 2, 2)}

@@ -1258,6 +1258,32 @@ class TestSubsetScan:
         assert tall.first_dependent_columns(5) is None
         assert min(rows) == 6 - 4
 
+    @pytest.mark.parametrize("p,e", [(2, 11), (17, 8), (1031, 1)])
+    def test_rows_scan_steps_no_last_level(self, monkeypatch, p, e):
+        # Without tables a node at depth w-1 only tests its column for an
+        # entry, and every comb runs inside the _row_step of a shallower node.
+        # On an MDS matrix with R rows the node at depth d holds R - d rows,
+        # so no step sees the R - w + 1 of depth w-1; a tall scan goes one
+        # row further.
+        field, rows, inner, total = field_new(p, e), [], [], []
+        ops, row_step = field.row_ops(), fmatrix._row_step
+
+        def step(get, comb, work, c):
+            rows.append(len(work))
+            return row_step(get, lambda *a: inner.append(c) or comb(*a), work, c)
+
+        monkeypatch.setattr(fmatrix, "_row_step", step)
+        monkeypatch.setattr(field, "_rows", ops._replace(
+            comb=lambda *a: total.append(a) or ops.comb(*a)))
+        g = field.primitive_element().enc
+        points = [field.pow(g, j) for j in range(9)]
+        for R, w in ((5, 5), (6, 5)):
+            rows.clear()
+            M = FMatrix(field, [[field.pow(a, i) for a in points] for i in range(R)], 9)
+            assert M.first_dependent_columns(w) is None
+            assert rows and min(rows) == R - w + 2, (R, w)
+        assert len(inner) == len(total) > 0
+
     def test_generic_path_imports_no_numpy(self):
         script = ("import sys\n"
                   "from eaqeckit import field_new, gabidulin_family, vandermonde_family\n"
