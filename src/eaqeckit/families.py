@@ -4,9 +4,9 @@ Each construction returns a FamilyCertificate holding the built matrices,
 the closed-form parameter prediction, the machine-computed parameters (with
 both ebit formulas), and a verdict.  Nothing is trusted from the closed
 forms: each code is proved MDS once, and the ebit count is computed twice.
-A rank-metric G1 or H2 must be the Moore matrix that its own row 0 rebuilds
-on coordinates independent over GF(p), so that it spans a Gabidulin code,
-MRD and so MDS; no column scan runs.  The other two families go to is_mds,
+A rank-metric G1 and H2 must be rows 0.. and t.. of the Moore matrix that
+G1's row 0 rebuilds on coordinates independent over GF(p), each spanning a
+Gabidulin code, MRD and so MDS; no column scan runs.  The other two go to is_mds,
 with automorphisms of their codes that it checks before they shrink the
 scan: the cyclic shift of the Vandermonde family at n = q-1, and x -> gamma x
 and x -> x + 1 of the extended evaluation family.  C2 goes to the call that
@@ -84,20 +84,22 @@ def _within_budget(entries: int) -> None:
 
 
 def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: int,
-             predicted: EaqecParams, symmetries=(), moore: bool = False) -> FamilyCertificate:
+             predicted: EaqecParams, symmetries=(),
+             moore_offset: int | None = None) -> FamilyCertificate:
     """Certify the pair C1 = rowspace(G1), C2 = ker(H2) against its closed form.
 
     A dimension other than k1, k2 or a code that fails its MDS proof is a
-    FormulaMismatch.  With moore, G1 and H2 must each equal the Moore matrix
-    that its own row 0 rebuilds (each row the Frobenius image of the one
-    above, row 0 independent over GF(p)), so each spans a Gabidulin code,
-    MRD and so MDS (Gabidulin 1985), and C2 is the dual of one.  Otherwise
-    is_mds proves C1 with the family's symmetries, monomial maps that it
-    checks before they shrink the scan, and C2 as C1's twin (C2 = C1 is its
-    scaling by D = I); only a C2 that is no checked column scaling of C1 is
-    scanned.  The extended-GRS pair is one code: G1 H2^T = 0 iff C1 = C2 at
-    dimensions k, else a DualityFailure.  c and k come from assemble, and
-    d = n - max(k1, k2) + 1, the lesser of the two distances.
+    FormulaMismatch.  With moore_offset t, one moore_matrix rebuild on G1's
+    row 0 (each row the Frobenius image of the one above, row 0 independent
+    over GF(p)) must hold G1 as its rows 0.. and H2 as its rows t..; then
+    each spans a Gabidulin code, MRD and so MDS (Gabidulin 1985), and C2 is
+    the dual of one.  Otherwise is_mds proves C1 with the family's
+    symmetries, monomial maps that it checks before they shrink the scan,
+    and C2 as C1's twin (C2 = C1 is its scaling by D = I); only a C2 that is
+    no checked column scaling of C1 is scanned.  The extended-GRS pair is
+    one code: G1 H2^T = 0 iff C1 = C2 at dimensions k, else a
+    DualityFailure.  c and k come from assemble, and d = n - max(k1, k2) +
+    1, the lesser of the two distances.
     """
     C1, C2 = from_generator(G1), from_parity_check(H2)
     for label, C, k in (("C1", C1, k1), ("C2", C2, k2)):
@@ -105,15 +107,16 @@ def _certify(family: str, inputs: dict, G1: FMatrix, H2: FMatrix, k1: int, k2: i
             raise errors.FormulaMismatch(f"{family} dim {label} = {C.k}, expected {k}")
     if family == "grs_extended" and C1 != C2:
         raise errors.DualityFailure("G1 H2^T != 0 for the canonical points/weights")
-    if moore:
-        for label, M in (("G1", G1), ("H2", H2)):
-            try:
-                rebuilt = moore_matrix(M.field, M.rows[0], M.nrows)
-            except (errors.DependentGenerators, errors.LengthExceedsDegree) as exc:
-                raise errors.FormulaMismatch(f"{family} {label} is no Moore matrix: {exc}")
-            if M != rebuilt:
-                raise errors.FormulaMismatch(f"{family} {label} is no Moore matrix: a row "
-                                             "is no Frobenius image of the one above")
+    if moore_offset is not None:
+        try:
+            rows = moore_matrix(G1.field, G1.rows[0], max(G1.nrows, moore_offset + H2.nrows)).rows
+        except (errors.DependentGenerators, errors.LengthExceedsDegree) as exc:
+            raise errors.FormulaMismatch(f"{family} G1 is no Moore matrix: {exc}")
+        for label, M, i in (("G1", G1, 0), ("H2", H2, moore_offset)):
+            if M.rows != rows[i:i + M.nrows]:
+                raise errors.FormulaMismatch(
+                    f"{family} {label} is no Moore matrix: not the Frobenius images "
+                    f"{i}..{i + M.nrows - 1} of G1's row 0")
     else:
         twin = C2
         for label, C in (("C1", C1), ("C2", C2)):
@@ -255,7 +258,7 @@ def gabidulin_family(field: FieldSpec, n: int, k1: int, k2: int, t: int) -> Fami
         "gabidulin", {"q": field.label, "n": n, "k1": k1, "k2": k2, "t": t},
         FMatrix._of(field, rows[:k1], n), FMatrix._of(field, rows[t:], n), k1, n - k2,
         EaqecParams.build(field, n, t, min(n - k1 + 1, k2 + 1), k2 - k1 + t),
-        moore=True)
+        moore_offset=t)
 
 
 # ---------------------------------------------------------------------------

@@ -21,9 +21,9 @@ brings every entry of it back to digits below p.  Each has one mul and one
 square-and-multiply on it; the Rabin test that picks f and the exp tables of
 the small fields run on the same mul.  Frobenius powers a^(p^s), and the
 x^(p^i) of the Rabin test, are a GF(p)-linear map on the basis, applied from
-the images of x^0 .. x^(e-1) in the same slots, one per field and s, built
-on first use.  GF(2^e) inverts by Fermat, a^(q-2), odd p by the
-norm chain: a^-1 = b N(a)^(p-2) for b the conorm a^(p+...+p^(e-1)).  The
+the images of x^0 .. x^(e-1) in the same slots (p = 2: xor tables per byte),
+one per field and s, built on first use.  Inverses above q = 1024 take the
+norm chain, a^-1 = b N(a)^(p-2) for b the conorm a^(p+...+p^(e-1)).  The
 Rabin test decides coprimality by the norm test on Z_p[x]/(f), and for
 p <= e (so e >= 2) the modulus search drops a candidate with a root in GF(p)
 before its Rabin test.  The primitive element search reads the norm of a
@@ -255,7 +255,8 @@ class FieldSpec:
         self._frob: dict = {}  # s -> the map a -> a^(p^s), built on first use
         self.add, self.sub, self.mul, self.pow, self._rows = (
             _prime_ops(p) if e == 1
-            else _bin_ops(p, e, self.modulus, lambda: self.primitive_element().enc) if p == 2
+            else _bin_ops(p, e, self.modulus, lambda: self.primitive_element().enc,
+                          self._inv) if p == 2
             else _poly_ops(p, e, self.modulus, self._inv))
         if e > 1 and self.q <= _NP_TABLE_MAX:
             # the tables are built with the enc routines installed above
@@ -383,7 +384,7 @@ class FieldSpec:
         """a^-1 = b N(a)^(p-2) of a nonzero a, b the conorm: N(a) = ab is a
         unit of GF(p)."""
         b = self._conorm(a)
-        return self.mul(b, pow(self._norm(a, b), self.p - 2, self.p))
+        return self.mul(pow(self._norm(a, b), self.p - 2, self.p), b)
 
     def primitive_element(self) -> "Element":
         """The enc-minimal generator: a^((q-1)/r) != 1 for each prime r | q - 1.
@@ -528,11 +529,11 @@ def _power(mul, inv, q1: int):
     return power
 
 
-def _bin_ops(p: int, e: int, tail: Sequence[int], generator=None):
+def _bin_ops(p: int, e: int, tail: Sequence[int], generator=None, inv=None):
     """Z_2[x]/(f), f = x^e + tail: the enc is the coefficient bit vector, so add
     and sub are xor and a product is shift-and-xor, reduced by f at each shift.
-    Rows are _log_rows on the enc of generator(), a primitive element, taken
-    when row_ops first builds them."""
+    Negative powers go by inv (FieldSpec's norm chain), else by Fermat.  Rows
+    are _log_rows on the enc of generator(), a primitive element, at first use."""
     top = 1 << e
     f = sum(c << i for i, c in enumerate(tail)) | top
 
@@ -546,7 +547,7 @@ def _bin_ops(p: int, e: int, tail: Sequence[int], generator=None):
                 b ^= f
         return r
 
-    power = _power(mul, None, top - 1)
+    power = _power(mul, inv, top - 1)
     return xor, xor, mul, power, partial(_log_rows, e, mul, generator)
 
 
@@ -669,13 +670,14 @@ def _linear_map(p: int, e: int, mul, xs: int):
         images.append(mul(images[-1], xs))
 
     if p == 2:  # bit vectors: large-field passes 15.4-15.7 ms, 16.1-17.2 on Kronecker slots
-        def frob(a):  # xor the images over the set bits of a
-            r = 0
-            for b in images:
-                if a & 1:
-                    r ^= b
-                a >>= 1
-            return r
+        lo, hi = [0], [0]  # the xor of the images over the set bits of a byte (e <= 16)
+        for b in images[:8]:
+            lo += [x ^ b for x in lo]
+        for b in images[8:]:
+            hi += [x ^ b for x in hi]
+
+        def frob(a):
+            return lo[a & 255] ^ hi[a >> 8]
         return frob
 
     *_, pack, unpack = _kronecker(p, e)
@@ -790,15 +792,23 @@ def _packed_rows(p: int, e: int, tail: Sequence[int], power, reduce) -> RowOps:
     T past them is zero, and so is its reduction, so a row whose trailing
     entries are zero, such as a row of a matrix narrower than the longest
     row the field ever packed, is reduced up to its last nonzero entry and
-    no further."""
+    no further.  unpack folds every entry into its enc at once: level l adds
+    each odd group of 2^l digit slots, times p^(2^l), onto the one below."""
     *_, w, pk, upk = _kronecker(p, e)
     E = (2 * e - 1) * w
     P, entry, lows = sum(p << w * i for i in range(e)), (1 << w * e) - 1, (1 << E) - 1
     reducers = {0: reduce}  # i -> the reducer for i + 1 entries
+    folds = {}  # n -> unpack's (shift, mask, scale) per level for rows of n entries
 
     def reducer(i):
         reducers[i] = _barrett(p, e, tail, ((1 << E * (i + 1)) - 1) // lows)
         return reducers[i]
+
+    def fold(n):  # per level, the groups of g = 2^l slots at even places below slot e
+        rep, gs = ((1 << E * n) - 1) // lows, [1 << l for l in range((e - 1).bit_length())]
+        folds[n] = [(w * g, rep * sum(((1 << w * g) - 1) << w * i for i in range(0, e, 2 * g)),
+                     p**g) for g in gs]
+        return folds[n]
 
     def pack(row):
         X = 0
@@ -808,7 +818,9 @@ def _packed_rows(p: int, e: int, tail: Sequence[int], power, reduce) -> RowOps:
         return X
 
     def unpack(X, n):
-        return [upk(get(X, j)) for j in range(n)]
+        for shift, mask, scale in folds.get(n) or fold(n):
+            X = (X & mask) + (X >> shift & mask) * scale
+        return [X >> E * j & lows for j in range(n)]
 
     def get(X, j):
         return X >> E * j & entry

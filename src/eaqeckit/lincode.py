@@ -112,11 +112,16 @@ def from_parity_check(H: FMatrix) -> LinearCode:
     of the row's 1 (an RREF row is zero left of its pivot).  In original order
     the free columns are the code's lexicographically first information set;
     with columns and rows reversed, the basis is the unique RREF of ker H.
+    The copy's nonzero RREF rows, reversed so, are the basis of rowspace(H)
+    that is the identity on the generator's free columns: its kernel basis.
     """
     n = H.ncols
-    K = _kernel_basis(FMatrix._of(H.field, [row[::-1] for row in H.rows], n))
+    M = FMatrix._of(H.field, [row[::-1] for row in H.rows], n)
+    K, (R, r, _) = _kernel_basis(M), M.rref()  # the kernel basis memoized the RREF
     rows = [row[::-1] for row in reversed(K.rows)]  # each zero left of its leading 1
-    return from_generator(FMatrix._reduced(H.field, rows, n, [row.index(1) for row in rows]))
+    G = FMatrix._reduced(H.field, rows, n, [row.index(1) for row in rows])
+    return LinearCode(H.field, n, len(rows), G,
+                      FMatrix._of(H.field, [row[::-1] for row in reversed(R.rows[:r])], n))
 
 
 def galois_dual(C: LinearCode, s: int) -> LinearCode:

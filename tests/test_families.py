@@ -63,7 +63,7 @@ class TestCertify:
         calls = []
         monkeypatch.setattr(families, "is_mds", lambda *args: calls.append(args))
         with pytest.raises(errors.FormulaMismatch, match="gabidulin G1 is no Moore matrix"):
-            _certify("gabidulin", cert.inputs, G1, H2, 2, 4, cert.predicted, moore=True)
+            _certify("gabidulin", cert.inputs, G1, H2, 2, 4, cert.predicted, moore_offset=1)
         assert calls == []
 
     @pytest.mark.parametrize("family,p,e,args,scans", [
@@ -351,9 +351,10 @@ def frobenius_rows(field, g, powers):
 
 
 class TestMooreProof:
-    """A Gabidulin G1 or H2 is proved by rebuilding it from its own row 0 with
-    moore_matrix; no pair goes to is_mds, and every planted defect is a
-    FormulaMismatch that names the matrix."""
+    """A Gabidulin pair is proved by one moore_matrix rebuild on G1's row 0,
+    which must hold G1 as its rows 0.. and H2 as its rows t..; no pair goes
+    to is_mds, and every planted defect is a FormulaMismatch that names the
+    matrix."""
 
     @pytest.fixture(autouse=True)
     def no_scan(self, monkeypatch):
@@ -362,16 +363,16 @@ class TestMooreProof:
         monkeypatch.setattr(families, "is_mds", scan)
 
     @staticmethod
-    def certify(G1, H2):
-        """_certify's Moore proof at the codes' own dimensions."""
+    def certify(G1, H2, t):
+        """_certify's Moore proof at the codes' own dimensions, H2 at offset t."""
         return _certify("gabidulin", {}, G1, H2, G1.rank(), H2.ncols - H2.rank(), None,
-                        moore=True)
+                        moore_offset=t)
 
     @classmethod
-    def refused(cls, G1, H2, label, match=""):
+    def refused(cls, G1, H2, t, label, match=""):
         with pytest.raises(errors.FormulaMismatch,
                            match=f"gabidulin {label} is no Moore matrix: .*{match}"):
-            cls.certify(G1, H2)
+            cls.certify(G1, H2, t)
 
     PLANTED = [(2, 16, 6, 3, 3, 2), (17, 8, 8, 5, 3, 4), (3, 10, 8, 4, 4, 1)]
 
@@ -386,7 +387,7 @@ class TestMooreProof:
     @pytest.mark.parametrize("shape", PLANTED, ids=shape_id)
     def test_family_pair_is_accepted(self, shape):
         _, G1, H2 = self.pair(*shape)
-        assert self.certify(G1, H2).pair.C2 == from_parity_check(H2)
+        assert self.certify(G1, H2, shape[-1]).pair.C2 == from_parity_check(H2)
 
     @pytest.mark.parametrize("shape", PLANTED, ids=shape_id)
     def test_dependent_generators_are_refused(self, shape):
@@ -394,9 +395,11 @@ class TestMooreProof:
         field = field_new(p, m)
         g = [1, p, 1 + p] + [p**i for i in range(2, n - 1)]  # x^0 + x^1 = g_2
         self.refused(frobenius_rows(field, g, range(k1)),
-                     frobenius_rows(field, g, range(t, t + k2)), "G1", "dependent")
+                     frobenius_rows(field, g, range(t, t + k2)), t, "G1", "dependent")
+        # H2 is checked against the rebuild on G1's row 0, not rebuilt from its own
         _, G1, _ = self.pair(*shape)
-        self.refused(G1, frobenius_rows(field, g, range(t, t + k2)), "H2", "dependent")
+        self.refused(G1, frobenius_rows(field, g, range(t, t + k2)), t, "H2",
+                     "Frobenius image")
 
     @pytest.mark.parametrize("shape", PLANTED, ids=shape_id)
     @pytest.mark.parametrize("label", ["G1", "H2"])
@@ -409,8 +412,8 @@ class TestMooreProof:
             rows = [list(row) for row in M.rows]
             rows[i][c] = field.add(rows[i][c], rng.randrange(1, field.q))
             changed = FMatrix(field, rows, M.ncols)
-            self.refused(*((changed, H2) if label == "G1" else (G1, changed)), label,
-                         "Frobenius image")
+            self.refused(*((changed, H2) if label == "G1" else (G1, changed)), shape[-1],
+                         label, "Frobenius image")
 
     @pytest.mark.parametrize("shape", PLANTED, ids=shape_id)
     def test_swapped_rows_are_refused(self, shape):
@@ -419,7 +422,7 @@ class TestMooreProof:
         for i, j in ((0, 1), (0, G1.nrows - 1)):
             rows = list(G1.rows)
             rows[i], rows[j] = rows[j], rows[i]
-            self.refused(FMatrix(field, rows, G1.ncols), H2, "G1")
+            self.refused(FMatrix(field, rows, G1.ncols), H2, shape[-1], "G1")
 
     @pytest.mark.parametrize("shape", PLANTED, ids=shape_id)
     def test_skipped_or_shifted_power_is_refused(self, shape):
@@ -431,18 +434,20 @@ class TestMooreProof:
         for powers in ([t] + list(range(t + 2, t + k2 + 1)),  # skips t+1
                        list(range(t, t + k2 - 1)) + [t + k2],  # skips t+k2-1
                        wrong_last):
-            self.refused(G1, frobenius_rows(field, g, powers), "H2", "Frobenius image")
-        # the whole of H2 at another offset is a Moore matrix on sigma^s(g),
-        # independent as g is, so it is accepted, and its C2 is MDS
-        other = frobenius_rows(field, g, range(t + 1, t + 1 + k2))
-        assert self.certify(G1, other).pair.C2 == from_parity_check(other)
-        assert is_mds(from_parity_check(other)).is_mds
+            self.refused(G1, frobenius_rows(field, g, powers), t, "H2", "Frobenius image")
+        # the whole of H2 at offset t - 1 or t + 1 is a Moore matrix on
+        # sigma^(t -+ 1)(g), whose C2 is MDS, but not the one that t declares
+        for s in (t - 1, t + 1):
+            other = frobenius_rows(field, g, range(s, s + k2))
+            assert is_mds(from_parity_check(other)).is_mds
+            self.refused(G1, other, t, "H2", f"Frobenius images {t}..{t + k2 - 1}")
+            assert self.certify(G1, other, s).pair.C2 == from_parity_check(other)
 
     def test_length_past_the_degree_is_refused(self):
         field = field_new(2, 4)
         g = [1, 2, 4, 8, 3]  # n = 5 > m = 4
         self.refused(frobenius_rows(field, g, range(2)), frobenius_rows(field, g, range(1, 4)),
-                     "G1", "n=5 generators but extension degree m=4")
+                     1, "G1", "n=5 generators but extension degree m=4")
 
     @pytest.mark.parametrize("shape", GABIDULIN_SHAPES + LARGE_FIELD_SHAPES, ids=shape_id)
     def test_verdict_agrees_with_is_mds(self, shape):
@@ -452,14 +457,13 @@ class TestMooreProof:
         assert is_mds(cert.pair.C1).is_mds and is_mds(cert.pair.C2).is_mds
 
     def test_rows_are_built_once(self, monkeypatch):
-        # one Moore matrix holds G1 and H2; each is then rebuilt from its row 0
+        # one Moore matrix holds G1 and H2, and one rebuild on G1's row 0 proves both
         calls = []
         build = families.moore_matrix
         monkeypatch.setattr(families, "moore_matrix", lambda field, g, k, t=0:
                             calls.append((tuple(g), k, t)) or build(field, g, k, t))
         cert = gabidulin_family(field_new(2, 16), 7, 4, 3, 2)
-        assert calls == [(tuple(2**i for i in range(7)), 5, 0),
-                         (cert.G1.rows[0], 4, 0), (cert.H2.rows[0], 3, 0)]
+        assert calls == [(tuple(2**i for i in range(7)), 5, 0), (cert.G1.rows[0], 5, 0)]
 
     def test_no_pair_scans(self):
         assert all(cert.verified for cert in table2())

@@ -192,6 +192,15 @@ class TestIrreducible:
             assert _min_irreducible_tail(5, 9) == (3, 2, 1, 0, 0, 0, 0, 0, 0)
         assert len(calls) <= 12, len(calls)
 
+    def test_binary_moduli_are_pinned(self):
+        # the Rabin test walks x^(2^i) by the byte tables of _linear_map; the
+        # moduli, as the bit-serial walk picked them, c_0 first
+        pinned = ["0", "11", "110", "1100", "10100", "110000", "1100000", "11011000",
+                  "110000000", "1001000000", "10100000000", "100100000000",
+                  "1101100000000", "10000100000000", "110000000000000", "1101010000000000"]
+        for e, tail in enumerate(pinned, 1):
+            assert _min_irreducible_tail(2, e) == tuple(map(int, tail)), e
+
     @pytest.mark.parametrize("p,e", [(2, 16), (17, 8), (3, 10), (5, 9), (13, 6),
                                      (11, 5), (2, 11), (2**31 - 1, 2)])
     def test_canonical_modulus_is_enc_minimal(self, p, e):
@@ -621,8 +630,8 @@ class TestEncArithmetic:
     checks the flat tables (extension fields with q <= 1024), the residue
     arithmetic (prime fields) and the bit vectors of GF(2^e) against the
     routines of _poly_ops.  Without the field's inverse, the reference takes
-    negative powers by Fermat, a route apart from the norm chain that odd-p
-    fields above q = 1024 invert by.  The tables of odd-p fields are built
+    negative powers by Fermat, a route apart from the norm chain that
+    extension fields above q = 1024 invert by.  The tables of odd-p fields are built
     with the Kronecker mul of _poly_ops, so test_every_pair_against_sympy
     checks both against sympy's galoistools on every pair of four such
     fields; on odd-p fields above q = 1024, where _poly_ops is the installed
@@ -808,6 +817,45 @@ class TestPackedReducers:
                 S, A = (ops.get(ops.pack([x]), 0) for x in (s, a))
                 got = ops.unpack(ops.comb(S, ops.pack(X), A, ops.pack(V)), n)
                 assert got == self.expected(field, s, X, a, V), (lengths, n)
+
+
+class TestWholeRowUnpack:
+    """_packed_rows' unpack folds every entry's digit slots into its enc, one
+    whole-row step per level, against the encs that were packed."""
+
+    FIELDS = [(3, 7), (3, 10), (5, 9), (11, 5), (13, 6), (17, 8), (7, 12), (3, 16),
+              (65521, 2), (2**31 - 1, 3)]
+
+    @pytest.mark.parametrize("p,e", FIELDS)
+    def test_round_trip(self, p, e):
+        field = field_new(p, e)
+        ops, q, rng = field.row_ops(), field.q, random.Random(p * 100 + e)
+        for n in range(1, 17):
+            rows = [[rng.randrange(q) for _ in range(n)], [q - 1] * n, [0] * n,
+                    [rng.randrange(1, q) for _ in range(n - n // 2)] + [0] * (n // 2),
+                    [rng.choice((0, 1, p, q - 1)) for _ in range(n)]]
+            for row in rows:
+                assert ops.unpack(ops.pack(row), n) == row, (n, row)
+            # a row read at a width past its last nonzero entry
+            assert ops.unpack(ops.pack(rows[0]), n + 3) == rows[0] + [0] * 3
+
+
+class TestBinaryInverse:
+    """GF(2^e) above q = 1024 inverts by the norm chain, whose conorm is the
+    inverse, against Fermat's a^(q-2) on the bit-serial mul."""
+
+    @pytest.mark.parametrize("e", [11, 13, 16])
+    def test_against_fermat(self, e):
+        field = field_new(2, e)
+        q, rng = field.q, random.Random(e)
+        for a in [1, 2, q - 1, 1 << e - 1] + [rng.randrange(1, q) for _ in range(200)]:
+            inverse = field.inv(a)
+            assert inverse == field.pow(a, q - 2) and field.mul(a, inverse) == 1, a
+            assert field.pow(a, -3) == field.pow(a, 3 * (q - 2) % (q - 1))
+            x = field.element(a)
+            assert x.inverse() == inverse and 1 / x == inverse and x / x == 1
+        with pytest.raises(errors.DivisionByZero):
+            field.inv(0)
 
 
 class TestLogRows:
@@ -1070,6 +1118,37 @@ class TestFrobeniusOracle:
             assert direct == expected, s
             assert list(row) == expected, s
             assert all(type(x) is int for x in direct + list(row)), s
+
+
+    @pytest.mark.parametrize("e", [2, 3, 4, 5, 8, 9, 11, 13, 16])
+    def test_binary_byte_tables(self, e):
+        # a is read a byte at a time: every a for e <= 9, else each bit and
+        # each byte boundary among seeded ones
+        field = field_new(2, e)
+        q = field.q
+        encs = range(q) if e <= 9 else sorted(
+            {1 << i for i in range(e)} | {255, 256, 257, 0xFF00 & q - 1, q - 1}
+            | set(random.Random(e).sample(range(q), 40)))
+        for s in range(-e, 2 * e + 1):
+            k = 2 ** (s % e)
+            assert [field.frobenius(a, s) for a in encs] == [
+                binary_enc(gf_pow_mod(binary_poly(a), k, binary_modulus(field), 2, ZZ))
+                for a in encs], s
+
+
+def binary_poly(a):
+    """The bits of a, highest degree first, as galoistools takes them."""
+    return [int(c) for c in bin(a)[2:]] if a else []
+
+
+def binary_enc(poly):
+    """The enc of a GF(2) polynomial given highest degree first."""
+    return int("".join(map(str, poly)) or "0", 2)
+
+
+def binary_modulus(field):
+    """x^e + tail of a binary field, highest degree first."""
+    return [1] + list(field.modulus)[::-1]
 
 
 class TestVecOps:

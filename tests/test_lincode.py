@@ -181,8 +181,10 @@ class TestConstruction:
 
 class TestParityCheckOneElimination:
     """from_parity_check reduces H with its columns reversed and reads G off
-    that copy's kernel basis.  It must build the code of the two-elimination
-    route, from_generator(H.kernel_basis()), with G its own RREF."""
+    that copy's kernel basis, and its H off the same copy's RREF.  It must
+    build the code of the two-elimination route,
+    from_generator(H.kernel_basis()), with G its own RREF and H the kernel
+    basis of G."""
 
     @staticmethod
     def assert_same_code(H):
@@ -191,6 +193,9 @@ class TestParityCheckOneElimination:
         R, rank, pivots = code.G.rref()
         assert R is code.G and rank == code.k
         assert pivots == H.kernel_basis().rref()[2]
+        # the reference: G's kernel basis from an elimination of its own
+        assert code.H == FMatrix(code.field, code.G.rows, code.n).kernel_basis()
+        assert code.H.nrows == code.n - code.k
 
     @pytest.mark.parametrize("p,e", ROW_LAYOUT_FIELDS)
     def test_matches_two_elimination_route(self, p, e):
@@ -206,6 +211,7 @@ class TestParityCheckOneElimination:
                 row[1] = 0
             self.assert_same_code(FMatrix(field, zero_column, n))
         self.assert_same_code(FMatrix(field, [], 5))  # no rows: the full space
+        self.assert_same_code(FMatrix(field, [[0] * 5] * 3, 5))  # H = 0
         full = identity(field, 4).vstack(random_matrix(rng, field, 2, 4))
         self.assert_same_code(full)  # full column rank: the zero code
         assert from_parity_check(full).k == 0
@@ -217,8 +223,10 @@ class TestParityCheckOneElimination:
         tables, tabled = fmatrix._rref_tables, []
         monkeypatch.setattr(fmatrix, "_rref_tables",
                             lambda *args: tabled.append(args) or tables(*args))
-        for _ in range(3):
-            H = random_matrix(rng, field, 5, 28)
+        full = identity(field, 10).vstack(random_matrix(rng, field, 4, 10))  # 140 entries
+        deficient = random_matrix(rng, field, 5, 2) @ random_matrix(rng, field, 2, 28)
+        zero = FMatrix(field, [[0] * 28] * 5, 28)
+        for H in [random_matrix(rng, field, 5, 28) for _ in range(3)] + [full, deficient, zero]:
             tabled.clear()
             from_parity_check(H)
             assert len(tabled) == 1  # H reversed, and nothing else
@@ -651,12 +659,12 @@ def moore_pair(p, m, n, k1, k2, t):
     return moore_matrix(field, g, k1), moore_matrix(field, g, k2, t)
 
 
-def certify(monkeypatch, G1, H2, dims=None):
-    """families._certify's Moore proof of C1 = rowspace(G1), C2 = ker(H2):
-    (its certificate, or the FormulaMismatch it raised; the arguments of every
-    is_mds call; (row 0, rows) of every moore_matrix rebuild).  The
-    dimensions are the codes' own unless dims says otherwise, and no closed
-    form is offered."""
+def certify(monkeypatch, G1, H2, t, dims=None):
+    """families._certify's Moore proof of C1 = rowspace(G1), C2 = ker(H2)
+    with H2 at offset t: (its certificate, or the FormulaMismatch it raised;
+    the arguments of every is_mds call; (row 0, rows) of every moore_matrix
+    rebuild).  The dimensions are the codes' own unless dims says otherwise,
+    and no closed form is offered."""
     calls, rebuilds = [], []
     build = families.moore_matrix
     monkeypatch.setattr(families, "is_mds", lambda *args: calls.append(args))
@@ -664,7 +672,7 @@ def certify(monkeypatch, G1, H2, dims=None):
                         rebuilds.append((tuple(g), k)) or build(field, g, k, t))
     k1, k2 = dims or (G1.rank(), H2.ncols - H2.rank())
     try:
-        out = families._certify("gabidulin", {}, G1, H2, k1, k2, None, moore=True)
+        out = families._certify("gabidulin", {}, G1, H2, k1, k2, None, moore_offset=t)
     except errors.FormulaMismatch as exc:
         out = exc
     monkeypatch.undo()
@@ -684,8 +692,8 @@ FROBENIUS_DUAL_SHAPES = [(17, 8, 8), (3, 10, 8), (2, 16, 6), (5, 9, 6), (13, 6, 
 
 class TestFrobeniusDualTwin:
     """A k1 = k2 Gabidulin pair has H2 = sigma^t(G1) entrywise.  _certify
-    proves it as it proves every Moore pair, G1 and H2 each from its own row
-    0 with no is_mds call, and refuses an H2 that is no Moore matrix."""
+    proves it as it proves every Moore pair, by one rebuild on G1's row 0
+    with no is_mds call, and refuses an H2 that is not its rows t.."""
 
     @pytest.mark.parametrize("p,m,n", FROBENIUS_DUAL_SHAPES)
     def test_accepted_on_every_k1_equal_k2_shape(self, monkeypatch, p, m, n):
@@ -693,8 +701,8 @@ class TestFrobeniusDualTwin:
         for t in range(1, min(k - 1, m - k) + 1):
             G1, H2 = moore_pair(p, m, n, k, k, t)
             assert H2 == G1.frobenius_entrywise(t)
-            cert, calls, rebuilds = certify(monkeypatch, G1, H2)
-            assert calls == [] and rebuilds == [(G1.rows[0], k), (H2.rows[0], k)]
+            cert, calls, rebuilds = certify(monkeypatch, G1, H2, t)
+            assert calls == [] and rebuilds == [(G1.rows[0], t + k)]
             assert cert.pair.C2 == from_parity_check(H2)
             assert is_mds(cert.pair.C1).is_mds and is_mds(cert.pair.C2).is_mds
 
@@ -706,16 +714,17 @@ class TestFrobeniusDualTwin:
             G1, H2 = moore_pair(2, 16, 7, 4, 3, t)
             for dims, label in (((3, 4), "dim C1 = 4, expected 3"),
                                 ((4, 3), "dim C2 = 4, expected 3")):
-                out, calls, rebuilds = certify(monkeypatch, G1, H2, dims)
+                out, calls, rebuilds = certify(monkeypatch, G1, H2, t, dims)
                 assert isinstance(out, errors.FormulaMismatch) and label in str(out)
                 assert calls == rebuilds == []
-            cert, calls, _ = certify(monkeypatch, G1, H2, (4, 4))
+            cert, calls, _ = certify(monkeypatch, G1, H2, t, (4, 4))
             assert calls == [] and cert.pair.C2 == from_parity_check(H2)
 
     @pytest.mark.parametrize("p,m,n", [(17, 8, 8), (2, 16, 6), (13, 6, 6)])
     def test_wrong_twist_is_refused(self, monkeypatch, p, m, n):
         # one row of H2 at a wrong twist breaks the Frobenius chain; the
-        # whole of H2 at any twist is a Moore matrix (t is taken mod m)
+        # whole of H2 at any twist is accepted at that offset and refused at
+        # offset 1 (the rebuild wraps past m, as x^(p^m) = x)
         k = n // 2
         field = field_new(p, m)
         G1, H2 = moore_pair(p, m, n, k, k, 1)
@@ -724,11 +733,13 @@ class TestFrobeniusDualTwin:
                 rows = list(H2.rows)
                 rows[row] = tuple(field.frobenius(x, wrong) for x in rows[row])
                 changed = FMatrix(field, rows, n)
-                assert_refused(*certify(monkeypatch, G1, changed)[:2], "H2")
+                assert_refused(*certify(monkeypatch, G1, changed, 1)[:2], "H2")
         for t in (0, 2, m - 1, 1 + m):
             other = moore_pair(p, m, n, k, k, t)[1]
-            cert, calls, _ = certify(monkeypatch, G1, other)
+            cert, calls, _ = certify(monkeypatch, G1, other, t)
             assert calls == [] and cert.pair.C2 == from_parity_check(other)
+            if t != 1 + m:
+                assert_refused(*certify(monkeypatch, G1, other, 1)[:2], "H2")
         assert moore_pair(p, m, n, k, k, 1 + m)[1] == H2
 
     @pytest.mark.parametrize("p,m,n", [(17, 8, 8), (2, 16, 6), (13, 6, 6)])
@@ -740,7 +751,7 @@ class TestFrobeniusDualTwin:
         for i, c in ((0, 0), (k - 1, n - 1), (rng.randrange(k), rng.randrange(n))):
             rows = [list(row) for row in H2.rows]
             rows[i][c] = field.add(rows[i][c], rng.randrange(1, field.q))
-            assert_refused(*certify(monkeypatch, G1, FMatrix(field, rows, n))[:2], "H2")
+            assert_refused(*certify(monkeypatch, G1, FMatrix(field, rows, n), t)[:2], "H2")
 
     def test_partial_relations_are_refused(self, monkeypatch):
         # C2^perp holds C1 but is larger, or holds only C1's first row; C2^perp
@@ -752,7 +763,7 @@ class TestFrobeniusDualTwin:
         for H in (list(G1.rows) + [word], [G1.rows[0], word, [0, 0, 0, 1, 0, 2]]):
             H2 = FMatrix(field, H, 6)
             assert not is_mds(from_parity_check(H2)).is_mds
-            assert_refused(*certify(monkeypatch, G1, H2)[:2], "H2")
+            assert_refused(*certify(monkeypatch, G1, H2, 1)[:2], "H2")
 
 
 def first_dependent_subset(M, w):
